@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .cipher import Alphabet, CipherKey, CipherPackage, ColumnRatioCheck
 from .errors import FormatError
@@ -164,28 +165,59 @@ def package_from_dict(document: dict) -> CipherPackage:
     entries = _need(document, "c")
     if not isinstance(entries, list) or len(entries) != 4:
         raise FormatError("c must be a list of four decimal strings")
+    c = Mat2(*(_parse_int(e) for e in entries))
+    det_p = _parse_int(_need(document, "det_p"))
+    block_index, pad_len = _need(document, "block_index"), _need(document, "pad_len")
     ratio = document.get("column_ratio")
-    check = None
-    if ratio is not None:
-        check = ColumnRatioCheck(
-            _need(ratio, "orientation"), _need(ratio, "value"), _need(ratio, "digits")
+    try:
+        check = None
+        if ratio is not None:
+            check = ColumnRatioCheck(
+                _need(ratio, "orientation"), _need(ratio, "value"), _need(ratio, "digits")
+            )
+        return CipherPackage(c, det_p, check, block_index, pad_len)
+    except (ValueError, TypeError) as exc:
+        raise FormatError(f"malformed package: {exc}") from None
+
+
+def _package_text(pkg: CipherPackage) -> str:
+    """One package as json.dumps(package_to_dict(pkg), indent=2) prints it, nested two deep."""
+    c, check, q = pkg.c, pkg.column_ratio, encode_basestring_ascii
+    if check is None:
+        ratio = "null"
+    else:
+        ratio = (
+            "{\n"
+            f'        "orientation": {q(check.orientation)},\n'
+            f'        "value": {q(check.value)},\n'
+            f'        "digits": {check.digits}\n'
+            "      }"
         )
-    return CipherPackage(
-        Mat2(*(_parse_int(e) for e in entries)),
-        _parse_int(_need(document, "det_p")),
-        check,
-        _need(document, "block_index"),
-        _need(document, "pad_len"),
+    return (
+        "    {\n"
+        '      "c": [\n'
+        f"        {q(str(c.a11))},\n"
+        f"        {q(str(c.a12))},\n"
+        f"        {q(str(c.a21))},\n"
+        f"        {q(str(c.a22))}\n"
+        "      ],\n"
+        f'      "det_p": {q(str(pkg.det_p))},\n'
+        f'      "column_ratio": {ratio},\n'
+        f'      "block_index": {pkg.block_index},\n'
+        f'      "pad_len": {pkg.pad_len}\n'
+        "    }"
     )
 
 
 def dumps_packages(packages) -> str:
-    return _dump(
-        {
-            "version": PACKAGE_FORMAT_VERSION,
-            "packages": [package_to_dict(p) for p in packages],
-        }
-    )
+    """Canonical package file, written directly.
+
+    Byte-identical to json.dumps(document, indent=2) + "\\n" of the document
+    package_to_dict describes; CipherPackage's field types make that safe.
+    """
+    body = ",\n".join(_package_text(pkg) for pkg in packages)
+    packages_text = f"[\n{body}\n  ]" if body else "[]"
+    return f'{{\n  "version": {PACKAGE_FORMAT_VERSION},\n  "packages": {packages_text}\n}}\n'
 
 
 def loads_packages(text: str) -> tuple[CipherPackage, ...]:

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 from .errors import (
     InvalidKey,
     NegativePlaintext,
     NonIntegralPlaintext,
     UnknownSymbol,
-    ZeroDenominator,
     ZeroSequenceEntry,
 )
 from .matrix import (
@@ -33,9 +34,11 @@ from .matrix import (
     build_coding_matrix,
     mu_of_seed,
 )
-from .ratios import BOTTOM_OVER_TOP, column_ratio, round_half_even, row_ratio_interval
+from .ratios import BOTTOM_OVER_TOP, TOP_OVER_BOTTOM, round_half_even_ratio, row_ratio_bounds
 
 IDENTITY_PERM = (0, 1, 2, 3)
+# Cap on transmitted column-ratio digits, so 10**digits stays small on hostile input.
+MAX_RATIO_DIGITS = 100
 
 
 def _check_perm(perm) -> tuple[int, int, int, int]:
@@ -117,10 +120,6 @@ class PlaintextMatrix:
             raise ValueError("alphabet_size must be positive")
 
     @property
-    def in_alphabet(self) -> bool:
-        return all(e < self.alphabet_size for e in self.p.entries())
-
-    @property
     def zero_rows(self) -> tuple[int, ...]:
         return tuple(i for i, row in enumerate(self.p.rows()) if row == (0, 0))
 
@@ -128,6 +127,17 @@ class PlaintextMatrix:
     def is_degenerate(self) -> bool:
         """A zero row survives encryption as a zero row, so its ratio check is vacuous."""
         return bool(self.zero_rows)
+
+
+def _require_plain_int(name: str, value) -> None:
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
+def _check_digits(digits) -> None:
+    _require_plain_int("digits", digits)
+    if not 0 <= digits <= MAX_RATIO_DIGITS:
+        raise ValueError(f"digits must be in 0..{MAX_RATIO_DIGITS}, got {digits}")
 
 
 @dataclass(frozen=True)
@@ -138,18 +148,25 @@ class ColumnRatioCheck:
     value: str
     digits: int
 
+    def __post_init__(self):
+        if self.orientation not in (BOTTOM_OVER_TOP, TOP_OVER_BOTTOM):
+            raise ValueError(f"unknown column-ratio orientation {self.orientation!r}")
+        if not isinstance(self.value, str):
+            raise TypeError(f"value must be a str, got {type(self.value).__name__}")
+        _check_digits(self.digits)
+
     @property
     def fraction(self) -> Fraction:
         return Fraction(self.value)
 
-    @property
-    def half_ulp(self) -> Fraction:
-        return Fraction(1, 2 * 10 ** self.digits)
-
 
 @dataclass(frozen=True)
 class CipherPackage:
-    """Ciphertext block plus its check numbers and framing."""
+    """Ciphertext block plus its check numbers and framing.
+
+    The framing fields are plain ints, so the canonical writer can print
+    every field without asking the JSON encoder what it holds.
+    """
 
     c: Mat2
     det_p: int
@@ -158,10 +175,28 @@ class CipherPackage:
     pad_len: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.c, Mat2):
+            raise TypeError(f"c must be a Mat2, got {type(self.c).__name__}")
+        if not (type(self.det_p) is type(self.block_index) is type(self.pad_len) is int):
+            for name in ("det_p", "block_index", "pad_len"):
+                _require_plain_int(name, getattr(self, name))
+        if self.column_ratio is not None and not isinstance(self.column_ratio, ColumnRatioCheck):
+            raise TypeError("column_ratio must be a ColumnRatioCheck or None")
         if not 0 <= self.pad_len <= 3:
             raise ValueError("pad_len must be in 0..3")
         if self.block_index < 0:
             raise ValueError("block_index must be non-negative")
+
+
+class _CompiledKey(NamedTuple):
+    """Plain-int view of a key's coding matrix, for the per-block kernel."""
+
+    m: tuple[int, int, int, int]  # M(n) = [[A(n+1), A(n)], [B(n+1), B(n)]], row-major
+    adj: tuple[int, int, int, int]  # adjugate of M(n), row-major
+    det: int
+    # row-ratio interval as ((lo_num, lo_den), (hi_num, hi_den)), denominators
+    # positive; None when a sequence entry at index n is not positive
+    bounds: tuple[tuple[int, int], tuple[int, int]] | None
 
 
 @dataclass(frozen=True)
@@ -188,6 +223,15 @@ class CipherKey:
     def coding_matrix(self) -> CodingMatrix:
         return build_coding_matrix(self.u, self.seed, self.n)
 
+    @cached_property
+    def _compiled(self) -> _CompiledKey:
+        cm = self.coding_matrix
+        try:
+            bounds = row_ratio_bounds(cm)
+        except ZeroSequenceEntry:
+            bounds = None
+        return _CompiledKey(cm.matrix.entries(), cm.matrix.adjugate().entries(), cm.det, bounds)
+
     @classmethod
     def golden(cls, n: int, perm=IDENTITY_PERM) -> "CipherKey":
         return cls(KeyMatrix(Mat2(1, 1, 1, 0)), SeedPair(0, 1), n, perm)
@@ -201,6 +245,95 @@ class CipherKey:
         return cls(KeyMatrix(Mat2(2, 1, 1, 1)), SeedPair(0, 1), n, perm)
 
 
+# --- the per-block kernel: plain ints in, API objects built at the boundary --
+
+
+def _encode(message, alphabet: Alphabet, perm) -> tuple[list[tuple[int, int, int, int]], int]:
+    """Row-major plaintext entries of each block, and the pad length."""
+    perm = _check_perm(perm)
+    idx = alphabet.indices(message)
+    pad = (-len(idx)) % 4
+    idx.extend([0] * pad)
+    # perm maps block position -> matrix slot; slot s reads position perm.index(s)
+    return list(zip(*(idx[perm.index(slot)::4] for slot in range(4)))), pad
+
+
+def _decode(blocks, pad_len: int, alphabet: Alphabet, perm):
+    """Inverse of _encode: un-permute row-major entries, strip the padding, render."""
+    unpermute = itemgetter(*_check_perm(perm))
+    indices: list[int] = []
+    for entries in blocks:
+        indices.extend(unpermute(entries))
+    if pad_len:
+        del indices[-pad_len:]
+    return alphabet.render(indices)
+
+
+def _encrypt_blocks(
+    blocks, ck: _CompiledKey, emit_column_ratio: bool, ratio_digits: int,
+    first_index: int, pad_len: int,
+) -> tuple[CipherPackage, ...]:
+    """C = P @ M(n) per block, numbered from first_index; the last block carries pad_len."""
+    if emit_column_ratio:
+        _check_digits(ratio_digits)
+    m11, m12, m21, m22 = ck.m
+    last = first_index + len(blocks) - 1
+    packages = []
+    for i, (p11, p12, p21, p22) in enumerate(blocks, first_index):
+        c11 = p11 * m11 + p12 * m21
+        c12 = p11 * m12 + p12 * m22
+        c21 = p21 * m11 + p22 * m21
+        c22 = p21 * m12 + p22 * m22
+        check = None
+        if emit_column_ratio and c11 and c12:
+            check = ColumnRatioCheck(
+                BOTTOM_OVER_TOP, round_half_even_ratio(c21, c11, ratio_digits), ratio_digits
+            )
+        packages.append(
+            CipherPackage(
+                Mat2(c11, c12, c21, c22), p11 * p22 - p12 * p21, check, i,
+                pad_len if i == last else 0,
+            )
+        )
+    return tuple(packages)
+
+
+def _decrypt_block(c: Mat2, ck: _CompiledKey) -> tuple[int, int, int, int]:
+    """Row-major plaintext entries C @ adj(M(n)) / det M(n), demanding exact division."""
+    j11, j12, j21, j22 = ck.adj
+    det = ck.det
+    raw = (
+        c.a11 * j11 + c.a12 * j21,
+        c.a11 * j12 + c.a12 * j22,
+        c.a21 * j11 + c.a22 * j21,
+        c.a21 * j12 + c.a22 * j22,
+    )
+    q11, r11 = divmod(raw[0], det)
+    q12, r12 = divmod(raw[1], det)
+    q21, r21 = divmod(raw[2], det)
+    q22, r22 = divmod(raw[3], det)
+    if r11 or r12 or r21 or r22:
+        e = next(e for e in raw if e % det)
+        raise NonIntegralPlaintext(
+            f"entry {e} is not divisible by det {det}; ciphertext is corrupt"
+        )
+    if q11 < 0 or q12 < 0 or q21 < 0 or q22 < 0:
+        raise NegativePlaintext(
+            "decryption produced negative entries; ciphertext corrupt or key wrong"
+        )
+    return q11, q12, q21, q22
+
+
+def _row_in_interval(c1: int, c2: int, bounds) -> bool:
+    """lo <= c1/c2 <= hi by cross-multiplication; an all-zero row passes vacuously."""
+    if c1 == 0 and c2 == 0:
+        return True
+    if c1 < 0 or c2 <= 0:
+        return False
+    (lo_num, lo_den), (hi_num, hi_den) = bounds
+    return lo_num * c2 <= c1 * lo_den and c1 * hi_den <= hi_num * c2
+
+
 def encode_text(
     message, alphabet: Alphabet | None = None, perm=IDENTITY_PERM
 ) -> tuple[tuple[PlaintextMatrix, ...], int]:
@@ -210,17 +343,8 @@ def encode_text(
     returned so decryption can strip it.
     """
     alphabet = alphabet if alphabet is not None else Alphabet.latin()
-    perm = _check_perm(perm)
-    idx = alphabet.indices(message)
-    pad = (-len(idx)) % 4
-    idx.extend([0] * pad)
-    blocks = []
-    for start in range(0, len(idx), 4):
-        slots = [0, 0, 0, 0]
-        for pos in range(4):
-            slots[perm[pos]] = idx[start + pos]
-        blocks.append(PlaintextMatrix(Mat2(*slots), alphabet.size))
-    return tuple(blocks), pad
+    blocks, pad = _encode(message, alphabet, perm)
+    return tuple(PlaintextMatrix(Mat2(*b), alphabet.size) for b in blocks), pad
 
 
 def decode_text(
@@ -228,14 +352,7 @@ def decode_text(
 ):
     """Inverse of encode_text: un-permute blocks and strip the final padding."""
     alphabet = alphabet if alphabet is not None else Alphabet.latin()
-    perm = _check_perm(perm)
-    indices: list[int] = []
-    for block in blocks:
-        entries = block.p.entries()
-        indices.extend(entries[perm[pos]] for pos in range(4))
-    if pad_len:
-        indices = indices[:-pad_len]
-    return alphabet.render(indices)
+    return _decode((block.p.entries() for block in blocks), pad_len, alphabet, perm)
 
 
 def encrypt(
@@ -251,38 +368,15 @@ def encrypt(
 
     The ratio check is silently omitted when a top-row entry is zero.
     """
-    cm = key.coding_matrix
-    c = p.p @ cm.matrix
-    check = None
-    if emit_column_ratio:
-        try:
-            ratios = column_ratio(c)
-        except ZeroDenominator:
-            check = None
-        else:
-            check = ColumnRatioCheck(
-                BOTTOM_OVER_TOP, round_half_even(ratios.left, ratio_digits), ratio_digits
-            )
-    return CipherPackage(c, p.p.det(), check, block_index, pad_len)
+    (pkg,) = _encrypt_blocks(
+        (p.p.entries(),), key._compiled, emit_column_ratio, ratio_digits, block_index, pad_len
+    )
+    return pkg
 
 
 def decrypt(pkg: CipherPackage, key: CipherKey, alphabet_size: int = 26) -> PlaintextMatrix:
     """P = C @ adj(M(n)) / det(M(n)), demanding exact divisibility."""
-    adj, det = key.coding_matrix.matrix.inverse_exact()
-    raw = pkg.c @ adj
-    values = []
-    for e in raw.entries():
-        q, r = divmod(e, det)
-        if r != 0:
-            raise NonIntegralPlaintext(
-                f"entry {e} is not divisible by det {det}; ciphertext is corrupt"
-            )
-        values.append(q)
-    if any(v < 0 for v in values):
-        raise NegativePlaintext(
-            "decryption produced negative entries; ciphertext corrupt or key wrong"
-        )
-    return PlaintextMatrix(Mat2(*values), alphabet_size)
+    return PlaintextMatrix(Mat2(*_decrypt_block(pkg.c, key._compiled)), alphabet_size)
 
 
 class VerifyStatus(Enum):
@@ -305,6 +399,10 @@ class VerifyResult:
         return self.status is VerifyStatus.CLEAN
 
 
+# bad_rows by (top row bad) + 2 * (bottom row bad)
+_BAD_ROWS = (frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1}))
+
+
 def verify_package(pkg: CipherPackage, key: CipherKey) -> VerifyResult:
     """Determinant check plus the per-row ratio interval check.
 
@@ -312,31 +410,22 @@ def verify_package(pkg: CipherPackage, key: CipherKey) -> VerifyResult:
     encrypts to a zero row).  The interval check is skipped when the coding
     sequences are not yet positive (tiny n with a zero-component seed).
     """
-    cm = key.coding_matrix
-    expected = cm.det * pkg.det_p
-    observed = pkg.c.det()
-    bad: list[int] = []
-    checked = True
-    try:
-        lo, hi = row_ratio_interval(cm)
-    except ZeroSequenceEntry:
-        checked = False
-    if checked:
-        for i, (c1, c2) in enumerate(pkg.c.rows()):
-            if c1 == 0 and c2 == 0:
-                continue
-            if c1 < 0 or c2 <= 0 or not lo <= Fraction(c1, c2) <= hi:
-                bad.append(i)
-    det_ok = observed == expected
-    if det_ok and not bad:
-        status = VerifyStatus.CLEAN
-    elif det_ok:
-        status = VerifyStatus.INTERVAL_VIOLATION
-    elif bad:
-        status = VerifyStatus.BOTH
+    ck = key._compiled
+    c = pkg.c
+    expected = ck.det * pkg.det_p
+    observed = c.a11 * c.a22 - c.a12 * c.a21
+    bounds = ck.bounds
+    if bounds is None:
+        bad = _BAD_ROWS[0]
     else:
-        status = VerifyStatus.DETERMINANT_MISMATCH
-    return VerifyResult(status, frozenset(bad), observed, expected, checked)
+        top_bad = not _row_in_interval(c.a11, c.a12, bounds)
+        bottom_bad = not _row_in_interval(c.a21, c.a22, bounds)
+        bad = _BAD_ROWS[top_bad + 2 * bottom_bad]
+    if observed == expected:
+        status = VerifyStatus.INTERVAL_VIOLATION if bad else VerifyStatus.CLEAN
+    else:
+        status = VerifyStatus.BOTH if bad else VerifyStatus.DETERMINANT_MISMATCH
+    return VerifyResult(status, bad, observed, expected, bounds is not None)
 
 
 def encrypt_message(
@@ -348,26 +437,15 @@ def encrypt_message(
     ratio_digits: int = 2,
 ) -> tuple[CipherPackage, ...]:
     """Encode, then encrypt block by block; blocks are independent."""
-    blocks, pad = encode_text(message, alphabet, key.perm)
-    packages = []
-    for i, block in enumerate(blocks):
-        packages.append(
-            encrypt(
-                block,
-                key,
-                emit_column_ratio=emit_column_ratio,
-                ratio_digits=ratio_digits,
-                block_index=i,
-                pad_len=pad if i == len(blocks) - 1 else 0,
-            )
-        )
-    return tuple(packages)
+    alphabet = alphabet if alphabet is not None else Alphabet.latin()
+    blocks, pad = _encode(message, alphabet, key.perm)
+    return _encrypt_blocks(blocks, key._compiled, emit_column_ratio, ratio_digits, 0, pad)
 
 
 def decrypt_message(packages, key: CipherKey, alphabet: Alphabet | None = None):
     """Decrypt, reorder by block index, decode, strip final padding."""
     alphabet = alphabet if alphabet is not None else Alphabet.latin()
-    ordered = sorted(packages, key=lambda pkg: pkg.block_index)
-    blocks = [decrypt(pkg, key, alphabet.size) for pkg in ordered]
+    ck = key._compiled
+    ordered = sorted(packages, key=attrgetter("block_index"))
     pad = ordered[-1].pad_len if ordered else 0
-    return decode_text(blocks, pad, alphabet, key.perm)
+    return _decode((_decrypt_block(pkg.c, ck) for pkg in ordered), pad, alphabet, key.perm)

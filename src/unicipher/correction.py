@@ -23,12 +23,11 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 
-from .cipher import CipherKey, CipherPackage, verify_package
-from .errors import NoDiophantineSolution, ZeroSequenceEntry
+from .cipher import CipherKey, CipherPackage, _decrypt_block, _row_in_interval, verify_package
+from .errors import NegativePlaintext, NoDiophantineSolution, NonIntegralPlaintext
 from .matrix import CodingMatrix, Mat2
-from .ratios import BOTTOM_OVER_TOP, row_ratio_interval
+from .ratios import BOTTOM_OVER_TOP
 
 
 class ErrorClass(Enum):
@@ -134,19 +133,19 @@ class CorrectionContext:
         plaintext_bound: int | None = None,
         search: SearchConfig | None = None,
     ) -> "CorrectionContext":
-        cm = key.coding_matrix
-        try:
-            interval = row_ratio_interval(cm)
-        except ZeroSequenceEntry:
-            interval = None
+        compiled = key._compiled
+        interval = None
+        if compiled.bounds is not None:
+            lo, hi = compiled.bounds
+            interval = (Fraction(*lo), Fraction(*hi))
         rho = rho_digits = None
         check = pkg.column_ratio
         if check is not None and check.orientation == BOTTOM_OVER_TOP:
             rho, rho_digits = check.fraction, check.digits
         return cls(
             key=key,
-            cm=cm,
-            expected_det=cm.det * pkg.det_p,
+            cm=key.coding_matrix,
+            expected_det=compiled.det * pkg.det_p,
             interval=interval,
             rho=rho,
             rho_digits=rho_digits,
@@ -166,10 +165,6 @@ class CorrectionContext:
     def rho_half_ulp(self) -> Fraction:
         return Fraction(1, 2 * 10 ** self.rho_digits)
 
-    @cached_property
-    def _adjugate(self) -> Mat2:
-        return self.cm.matrix.adjugate()
-
 
 def plaintext_bounds(ctx: CorrectionContext) -> tuple[tuple[int, int], tuple[int, int]]:
     """Inclusive ciphertext-entry ranges implied by a bounded alphabet.
@@ -186,17 +181,10 @@ def plaintext_bounds(ctx: CorrectionContext) -> tuple[tuple[int, int], tuple[int
 
 def _decrypted_entries(mat: Mat2, ctx: CorrectionContext) -> tuple[int, ...] | None:
     """Plaintext entries if mat decrypts exactly and non-negatively, else None."""
-    det = ctx.cm.det
-    if det == 0:
+    try:
+        return _decrypt_block(mat, ctx.key._compiled)
+    except (NonIntegralPlaintext, NegativePlaintext):
         return None
-    raw = mat @ ctx._adjugate
-    values = []
-    for e in raw.entries():
-        q, r = divmod(e, det)
-        if r or q < 0:
-            return None
-        values.append(q)
-    return tuple(values)
 
 
 def _repair_passes(mat: Mat2, ctx: CorrectionContext) -> bool:
@@ -205,13 +193,11 @@ def _repair_passes(mat: Mat2, ctx: CorrectionContext) -> bool:
         return False
     if mat.det() != ctx.expected_det:
         return False
-    if ctx.interval is not None:
-        lo, hi = ctx.interval
-        for c1, c2 in mat.rows():
-            if c1 == 0 and c2 == 0:
-                continue
-            if c2 <= 0 or not lo <= Fraction(c1, c2) <= hi:
-                return False
+    bounds = ctx.key._compiled.bounds
+    if bounds is not None and not (
+        _row_in_interval(mat.a11, mat.a12, bounds) and _row_in_interval(mat.a21, mat.a22, bounds)
+    ):
+        return False
     if ctx.rho is not None:
         if mat.a11 <= 0:
             return False

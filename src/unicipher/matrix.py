@@ -32,6 +32,9 @@ class Mat2:
     a22: int
 
     def __post_init__(self):
+        # Fast path for the common case; the loop accepts and rejects the same values.
+        if type(self.a11) is type(self.a12) is type(self.a21) is type(self.a22) is int:
+            return
         for name in ("a11", "a12", "a21", "a22"):
             _require_int(name, getattr(self, name))
 

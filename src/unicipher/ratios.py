@@ -203,6 +203,19 @@ def exponential_rate(errors: Sequence[float], floor: float = 1e-250) -> float:
     return max(ratios) if ratios else 0.0
 
 
+def row_ratio_bounds(cm: CodingMatrix) -> tuple[tuple[int, int], tuple[int, int]]:
+    """row_ratio_interval as two (numerator, positive denominator) pairs.
+
+    Callers on the hot path compare a row c1/c2 (c2 > 0) against a bound
+    n/d by cross-multiplication, n*c2 <= c1*d, with no Fraction built.
+    """
+    m = cm.matrix
+    if m.a12 <= 0 or m.a22 <= 0:
+        raise ZeroSequenceEntry("both sequences must be positive at index n")
+    ra, rb = (m.a11, m.a12), (m.a21, m.a22)
+    return (ra, rb) if m.a11 * m.a22 <= m.a21 * m.a12 else (rb, ra)
+
+
 def row_ratio_interval(cm: CodingMatrix) -> tuple[Fraction, Fraction]:
     """Closed interval spanned by A(n+1)/A(n) and B(n+1)/B(n).
 
@@ -210,12 +223,8 @@ def row_ratio_interval(cm: CodingMatrix) -> tuple[Fraction, Fraction]:
     zero) has c_row1/c_row2 inside this interval, because the ciphertext
     ratio is a non-negatively weighted mediant of the two column ratios.
     """
-    m = cm.matrix
-    if m.a12 <= 0 or m.a22 <= 0:
-        raise ZeroSequenceEntry("both sequences must be positive at index n")
-    ra = Fraction(m.a11, m.a12)
-    rb = Fraction(m.a21, m.a22)
-    return (ra, rb) if ra <= rb else (rb, ra)
+    lo, hi = row_ratio_bounds(cm)
+    return Fraction(*lo), Fraction(*hi)
 
 
 @dataclass(frozen=True)
@@ -229,9 +238,6 @@ class ColumnRatios:
     @property
     def mean(self) -> Fraction:
         return (self.left + self.right) / 2
-
-    def mean_decimal(self, digits: int = 2) -> str:
-        return round_half_even(self.mean, digits)
 
     def flipped(self) -> "ColumnRatios":
         if self.left == 0 or self.right == 0:
@@ -250,11 +256,28 @@ def column_ratio(c: Mat2) -> ColumnRatios:
     return ColumnRatios(Fraction(c.a21, c.a11), Fraction(c.a22, c.a12))
 
 
-def round_half_even(value, digits: int) -> str:
-    """Round an exact rational to a fixed-point decimal string."""
+def round_half_even_ratio(num: int, den: int, digits: int) -> str:
+    """num/den rounded half-even to `digits` places, as a fixed-point decimal string.
+
+    Exact integer rounding: the floor quotient of num * 10**digits by den
+    moves up when twice the remainder exceeds den, or equals it and the
+    quotient is odd.
+    """
     if digits < 0:
         raise ValueError("digits must be >= 0")
-    scaled = round(Fraction(value) * 10 ** digits)  # round() ties to even
+    num *= 10**digits
+    if den < 0:
+        num, den = -num, -den
+    scaled, rem = divmod(num, den)
+    twice = 2 * rem
+    if twice > den or (twice == den and scaled & 1):
+        scaled += 1
     sign = "-" if scaled < 0 else ""
     text = str(abs(scaled)).rjust(digits + 1, "0")
     return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
+
+
+def round_half_even(value, digits: int) -> str:
+    """Round an exact rational to a fixed-point decimal string."""
+    value = Fraction(value)
+    return round_half_even_ratio(value.numerator, value.denominator, digits)

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -51,8 +52,6 @@ class TestKeyFiles:
     def test_bad_version(self):
         key_dict = key_to_dict(CipherKey.golden(4))
         key_dict["version"] = 99
-        import json
-
         with pytest.raises(FormatError):
             loads_key(json.dumps(key_dict))
 
@@ -64,6 +63,17 @@ class TestKeyFiles:
         text = dumps_key(CipherKey.golden(4)).replace('"1"', '"one"', 1)
         with pytest.raises(FormatError):
             loads_key(text)
+
+
+def malformed_package_text(field: str, value) -> str:
+    """A one-package file with `field` (framing or column-ratio) set to `value`."""
+    pkg = CipherPackage(Mat2(1450, 554, 733, 280), -82, ColumnRatioCheck(BOTTOM_OVER_TOP, "0.51", 2))
+    document = json.loads(dumps_packages([pkg]))
+    target = document["packages"][0]
+    if field not in target:
+        target = target["column_ratio"]
+    target[field] = value
+    return json.dumps(document)
 
 
 class TestPackageFiles:
@@ -89,6 +99,15 @@ class TestPackageFiles:
         pkg = CipherPackage(Mat2(1, 2, 3, 4), -5)
         parsed = loads_packages(dumps_packages([pkg]))[0]
         assert parsed.column_ratio is None
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("pad_len", 5), ("block_index", "3"), ("digits", -3), ("orientation", "sideways")],
+    )
+    def test_malformed_fields_raise_format_error(self, field, value):
+        text = malformed_package_text(field, value)
+        with pytest.raises(FormatError):
+            loads_packages(text)
 
     def test_malformed_entries_list(self):
         with pytest.raises(FormatError):

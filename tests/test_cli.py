@@ -6,6 +6,8 @@ from unicipher.channel import loads_key, loads_packages
 from unicipher.cli import main
 from unicipher.matrix import Mat2
 
+from test_channel import malformed_package_text
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -134,6 +136,18 @@ class TestPipelines:
         assert code == 0
         (pkg,) = loads_packages(pkg_file.read_text())
         assert pkg.column_ratio.digits == 4
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("pad_len", 5), ("block_index", "3"), ("digits", -3), ("orientation", "sideways")],
+    )
+    def test_malformed_package_is_a_format_error(self, tmp_path, capsys, field, value):
+        key_file = self.make_key(tmp_path, capsys)
+        pkg_file = tmp_path / "packages.json"
+        pkg_file.write_text(malformed_package_text(field, value))
+        code, _, err = run(capsys, "verify", "--key", str(key_file), "--in", str(pkg_file))
+        assert code == 1
+        assert "error[FormatError]" in err
 
     def test_unknown_symbol_error_category(self, tmp_path, capsys):
         key_file = self.make_key(tmp_path, capsys)

@@ -1,0 +1,328 @@
+"""The plain-int kernel and the direct package writer against reference algorithms.
+
+The references below are the per-block algorithms the kernel replaced:
+Mat2 products, exact Fraction comparisons, round() on a Fraction, and
+json.dumps of the package document.  The library must agree with them on
+packages, verify results, decrypted messages and raised exceptions.
+"""
+
+import itertools
+import json
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from unicipher.channel import PACKAGE_FORMAT_VERSION, dumps_packages, package_to_dict
+from unicipher.cipher import (
+    Alphabet,
+    CipherKey,
+    CipherPackage,
+    ColumnRatioCheck,
+    PlaintextMatrix,
+    VerifyResult,
+    VerifyStatus,
+    decrypt,
+    decrypt_message,
+    encrypt,
+    encrypt_message,
+    verify_package,
+)
+from unicipher.errors import NegativePlaintext, NonIntegralPlaintext
+from unicipher.matrix import KeyMatrix, Mat2, SeedPair
+from unicipher.ratios import BOTTOM_OVER_TOP, TOP_OVER_BOTTOM, round_half_even_ratio
+from unicipher.sampling import random_cipher_key
+
+PERMS = tuple(itertools.permutations(range(4)))
+
+# --- reference algorithms ---------------------------------------------------
+
+
+def ref_decimal(value: Fraction, digits: int) -> str:
+    scaled = round(value * 10**digits)  # round() on a Fraction ties to even
+    sign = "-" if scaled < 0 else ""
+    text = str(abs(scaled)).rjust(digits + 1, "0")
+    return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
+
+
+def ref_encrypt(p: Mat2, key, emit, digits, block_index=0, pad_len=0) -> CipherPackage:
+    c = p @ key.coding_matrix.matrix
+    check = None
+    if emit and c.a11 != 0 and c.a12 != 0:
+        check = ColumnRatioCheck(
+            BOTTOM_OVER_TOP, ref_decimal(Fraction(c.a21, c.a11), digits), digits
+        )
+    return CipherPackage(c, p.det(), check, block_index, pad_len)
+
+
+def ref_encrypt_message(message, key, alphabet, emit, digits):
+    idx = alphabet.indices(message)
+    pad = (-len(idx)) % 4
+    idx.extend([0] * pad)
+    packages = []
+    for i, start in enumerate(range(0, len(idx), 4)):
+        slots = [0, 0, 0, 0]
+        for pos in range(4):
+            slots[key.perm[pos]] = idx[start + pos]
+        last = start + 4 == len(idx)
+        packages.append(ref_encrypt(Mat2(*slots), key, emit, digits, i, pad if last else 0))
+    return tuple(packages)
+
+
+def ref_verify(pkg: CipherPackage, key) -> VerifyResult:
+    m = key.coding_matrix.matrix
+    expected = key.coding_matrix.det * pkg.det_p
+    observed = pkg.c.det()
+    bad, checked = [], m.a12 > 0 and m.a22 > 0
+    if checked:
+        ra, rb = Fraction(m.a11, m.a12), Fraction(m.a21, m.a22)
+        lo, hi = min(ra, rb), max(ra, rb)
+        for i, (c1, c2) in enumerate(pkg.c.rows()):
+            if c1 == 0 and c2 == 0:
+                continue
+            if c1 < 0 or c2 <= 0 or not lo <= Fraction(c1, c2) <= hi:
+                bad.append(i)
+    det_ok = observed == expected
+    if det_ok:
+        status = VerifyStatus.INTERVAL_VIOLATION if bad else VerifyStatus.CLEAN
+    else:
+        status = VerifyStatus.BOTH if bad else VerifyStatus.DETERMINANT_MISMATCH
+    return VerifyResult(status, frozenset(bad), observed, expected, checked)
+
+
+def ref_decrypt(pkg: CipherPackage, key) -> tuple[int, ...]:
+    adj, det = key.coding_matrix.matrix.inverse_exact()
+    values = []
+    for e in (pkg.c @ adj).entries():
+        q, r = divmod(e, det)
+        if r != 0:
+            raise NonIntegralPlaintext(
+                f"entry {e} is not divisible by det {det}; ciphertext is corrupt"
+            )
+        values.append(q)
+    if any(v < 0 for v in values):
+        raise NegativePlaintext(
+            "decryption produced negative entries; ciphertext corrupt or key wrong"
+        )
+    return tuple(values)
+
+
+def ref_decrypt_message(packages, key, alphabet):
+    ordered = sorted(packages, key=lambda pkg: pkg.block_index)
+    indices = []
+    for pkg in ordered:
+        entries = ref_decrypt(pkg, key)
+        indices.extend(entries[key.perm[pos]] for pos in range(4))
+    pad = ordered[-1].pad_len if ordered else 0
+    if pad:
+        indices = indices[:-pad]
+    return alphabet.render(indices)
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, never swallowed: both sides must agree
+        return (type(exc), str(exc))
+
+
+# --- keys -------------------------------------------------------------------
+
+
+def draw_key(rng: random.Random, n: int, perm) -> CipherKey:
+    key = random_cipher_key(rng, n_lo=n, n_hi=n)
+    return CipherKey(key.u, key.seed, n, perm)
+
+
+def zero_seed_key(rng: random.Random, perm) -> CipherKey:
+    """Bare-power multiplier, seed (0, b), n = 1: B(1) = 0, so no row interval exists."""
+    u = KeyMatrix(Mat2(rng.randint(1, 12), 1, 1, 0))
+    return CipherKey(u, SeedPair(0, rng.randint(1, 9)), 1, perm)
+
+
+def tamper(pkg: CipherPackage, rng: random.Random) -> CipherPackage:
+    """Change some entries (possibly to negative values) and maybe det_p."""
+    entries = list(pkg.c.entries())
+    for i in rng.sample(range(4), rng.randint(1, 4)):
+        entries[i] += rng.choice((-1, 1)) * rng.randint(1, max(1, abs(entries[i])))
+    det_p = pkg.det_p + rng.choice((0, 0, 1, -1))
+    return CipherPackage(Mat2(*entries), det_p, pkg.column_ratio, pkg.block_index, pkg.pad_len)
+
+
+# --- encrypt / verify / decrypt ---------------------------------------------
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from((1, 10, 500)),
+    st.sampled_from(PERMS),
+    st.booleans(),
+    st.integers(0, 6),
+    st.binary(max_size=23),
+)
+@settings(max_examples=150, deadline=None)
+def test_message_kernel_matches_reference(seed, n, perm, emit, digits, message):
+    rng = random.Random(seed)
+    key = draw_key(rng, n, perm)
+    alphabet = Alphabet.bytes_mode()
+    packages = encrypt_message(message, key, alphabet, emit_column_ratio=emit, ratio_digits=digits)
+    assert packages == ref_encrypt_message(message, key, alphabet, emit, digits)
+    assert outcome(decrypt_message, packages, key, alphabet) == message
+    received = [tamper(p, rng) if rng.random() < 0.5 else p for p in packages]
+    rng.shuffle(received)
+    for pkg in received:
+        assert verify_package(pkg, key) == ref_verify(pkg, key)
+    assert outcome(decrypt_message, received, key, alphabet) == outcome(
+        ref_decrypt_message, received, key, alphabet
+    )
+
+
+@given(st.integers(0, 2**32), st.sampled_from(PERMS), st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ", max_size=13))
+@settings(max_examples=80, deadline=None)
+def test_zero_component_seed_skips_interval(seed, perm, text):
+    rng = random.Random(seed)
+    key = zero_seed_key(rng, perm)
+    alphabet = Alphabet.latin()
+    packages = encrypt_message(text, key, emit_column_ratio=True, ratio_digits=3)
+    assert packages == ref_encrypt_message(text, key, alphabet, True, 3)
+    assert decrypt_message(packages, key) == text
+    for pkg in packages + tuple(tamper(p, rng) for p in packages):
+        result = verify_package(pkg, key)
+        assert result == ref_verify(pkg, key)
+        assert not result.interval_checked
+        assert outcome(decrypt, pkg, key) == outcome(
+            lambda: PlaintextMatrix(Mat2(*ref_decrypt(pkg, key)), 26)
+        )
+
+
+def test_every_verify_status_matches_reference():
+    rng = random.Random(20)
+    seen = set()
+    for _ in range(400):
+        key = draw_key(rng, rng.choice((1, 10, 500)), rng.choice(PERMS))
+        p = Mat2(*(rng.randrange(256) for _ in range(4)))
+        pkg = tamper(encrypt(PlaintextMatrix(p, 256), key), rng)
+        result = verify_package(pkg, key)
+        assert result == ref_verify(pkg, key)
+        seen.add(result.status)
+    # swapping the rows keeps both row ratios; det_p follows the flipped sign
+    key = CipherKey.golden(10)  # det M(10) = 1
+    swapped = CipherPackage(Mat2(2076, 1283, 1068, 660), -84)
+    assert verify_package(swapped, key) == ref_verify(swapped, key)
+    seen.add(verify_package(swapped, key).status)
+    # bottom ratio 1068/600 is off; det_p restates the observed determinant
+    fudged = CipherPackage(Mat2(2076, 1283, 1068, 600), -124644)
+    assert verify_package(fudged, key) == ref_verify(fudged, key)
+    seen.add(verify_package(fudged, key).status)
+    assert seen == set(VerifyStatus)
+
+
+def test_single_block_wrappers_match_reference():
+    rng = random.Random(5)
+    for _ in range(300):
+        key = draw_key(rng, rng.choice((1, 10, 500)), rng.choice(PERMS))
+        p = Mat2(*(rng.randrange(26) for _ in range(4)))
+        emit, digits = rng.random() < 0.7, rng.randrange(5)
+        index, pad = rng.randrange(50), rng.randrange(4)
+        pkg = encrypt(
+            PlaintextMatrix(p), key, emit_column_ratio=emit, ratio_digits=digits,
+            block_index=index, pad_len=pad,
+        )
+        assert pkg == ref_encrypt(p, key, emit, digits, index, pad)
+        assert decrypt(pkg, key).p == p
+        bad = tamper(pkg, rng)
+        assert outcome(lambda: decrypt(bad, key).p.entries()) == outcome(ref_decrypt, bad, key)
+
+
+def test_half_even_ties_match_reference():
+    """Blocks whose c21/c11 ends in an exact 5 just past the rounding digit."""
+    ties = 0
+    for key in (CipherKey.golden(1), CipherKey.arnolds_cat(1), CipherKey.k_golden(3, 2)):
+        for entries in itertools.product(range(12), repeat=4):
+            p = Mat2(*entries)
+            c = p @ key.coding_matrix.matrix
+            if c.a11 == 0 or c.a12 == 0:
+                continue
+            for digits in range(4):
+                if 2 * (c.a21 * 10**digits % c.a11) != c.a11:
+                    continue
+                ties += 1
+                pkg = encrypt(PlaintextMatrix(p), key, emit_column_ratio=True, ratio_digits=digits)
+                assert pkg == ref_encrypt(p, key, True, digits)
+    assert ties > 100
+
+
+def test_round_half_even_ratio_examples():
+    assert round_half_even_ratio(1, 8, 2) == "0.12"
+    assert round_half_even_ratio(3, 8, 2) == "0.38"
+    assert round_half_even_ratio(-1, 8, 2) == "-0.12"
+    assert round_half_even_ratio(1, -8, 2) == "-0.12"
+    assert round_half_even_ratio(5, 2, 0) == "2"
+    assert round_half_even_ratio(-5, -2, 0) == "2"
+    assert round_half_even_ratio(7, 2, 0) == "4"
+    with pytest.raises(ValueError):
+        round_half_even_ratio(1, 3, -1)
+
+
+@given(
+    st.integers(-(10**40), 10**40),
+    st.integers(-(10**20), 10**20).filter(bool),
+    st.integers(0, 12),
+)
+@settings(max_examples=400, deadline=None)
+def test_round_half_even_ratio_matches_round(num, den, digits):
+    assert round_half_even_ratio(num, den, digits) == ref_decimal(Fraction(num, den), digits)
+
+
+@given(st.integers(-(10**6), 10**6), st.integers(0, 5))
+@settings(max_examples=200, deadline=None)
+def test_round_half_even_ratio_exact_ties(k, digits):
+    # (2k + 1) / (2 * 10**digits) sits exactly halfway between two grid points
+    num, den = 2 * k + 1, 2 * 10**digits
+    assert round_half_even_ratio(num, den, digits) == ref_decimal(Fraction(num, den), digits)
+
+
+# --- the direct package writer ----------------------------------------------
+
+
+def ref_dumps(packages) -> str:
+    document = {
+        "version": PACKAGE_FORMAT_VERSION,
+        "packages": [package_to_dict(p) for p in packages],
+    }
+    return json.dumps(document, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "packages",
+    [
+        [],
+        [CipherPackage(Mat2(1, 2, 3, 4), -5)],
+        [CipherPackage(Mat2(0, 0, 0, 0), 0, None, 7, 3)],
+        [
+            CipherPackage(
+                Mat2(10**400, -(10**300), 3, 10**401 + 7), -(10**500),
+                ColumnRatioCheck(BOTTOM_OVER_TOP, "0.51", 2), 2**70, 1,
+            )
+        ],
+        [
+            CipherPackage(Mat2(1, 1, 1, 1), 0, ColumnRatioCheck(TOP_OVER_BOTTOM, "é€\"\\\n\x00𝄞", 0)),
+            CipherPackage(Mat2(5, 6, 7, 8), 2, ColumnRatioCheck(BOTTOM_OVER_TOP, "", 100), 1),
+        ],
+    ],
+    ids=["empty", "no-ratio", "zero-block", "huge-entries", "non-ascii-strings"],
+)
+def test_dumps_packages_is_byte_identical_to_json(packages):
+    assert dumps_packages(packages) == ref_dumps(packages)
+
+
+@given(st.integers(0, 2**32), st.sampled_from((1, 10, 500)), st.binary(max_size=17), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_dumps_packages_matches_json_on_real_packages(seed, n, message, emit):
+    rng = random.Random(seed)
+    key = draw_key(rng, n, rng.choice(PERMS))
+    packages = encrypt_message(message, key, Alphabet.bytes_mode(), emit_column_ratio=emit)
+    assert dumps_packages(packages) == ref_dumps(packages)
