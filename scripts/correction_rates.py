@@ -5,6 +5,9 @@ The interesting contrasts: every class except row errors is repaired from
 the determinant check alone, and row errors flip from hopeless to routine
 once the rounded column ratio is transmitted.
 
+Exits 1 when any class repaired with the transmitted ratio shows a wrong
+repair: a tie must be reported as ambiguity, never guessed.
+
 Usage: python scripts/correction_rates.py --trials 500 --seed 1
 """
 
@@ -56,6 +59,7 @@ def main() -> int:
 
     print(f"{args.trials} trials per class, exponents {args.n_lo}..{args.n_hi}, "
           f"ratio digits {args.ratio_digits}")
+    wrong_with_ratio = []
     for with_ratio in (True, False):
         label = "with transmitted ratio" if with_ratio else "determinant check only"
         print(f"\n--- {label} ---")
@@ -67,6 +71,11 @@ def main() -> int:
             )
             rate = exact / args.trials
             print(f"{mode:14s} {exact:>7d} {wrong:>7d} {reported:>9d} {rate:>8.1%}")
+            if with_ratio and wrong:
+                wrong_with_ratio.append(mode)
+    if wrong_with_ratio:
+        print(f"\nwrong repairs with the transmitted ratio: {', '.join(wrong_with_ratio)}")
+        return 1
     return 0
 
 

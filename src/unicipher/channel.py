@@ -120,6 +120,8 @@ def key_from_dict(document: dict) -> tuple[CipherKey, Alphabet]:
     if not isinstance(n, int):
         raise FormatError("n must be a plain integer")
     perm = _need(document, "perm")
+    if not isinstance(perm, list) or any(type(p) is not int for p in perm):
+        raise FormatError("perm must be a list of integers")
     key = CipherKey(
         KeyMatrix(matrix),
         SeedPair(_parse_int(_need(seed, "a0")), _parse_int(_need(seed, "b0"))),
@@ -175,6 +177,7 @@ def package_from_dict(document: dict) -> CipherPackage:
             check = ColumnRatioCheck(
                 _need(ratio, "orientation"), _need(ratio, "value"), _need(ratio, "digits")
             )
+            check.check_value()
         return CipherPackage(c, det_p, check, block_index, pad_len)
     except (ValueError, TypeError) as exc:
         raise FormatError(f"malformed package: {exc}") from None

@@ -10,10 +10,10 @@ non-integral or negative plaintext.
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
@@ -39,6 +39,9 @@ from .ratios import BOTTOM_OVER_TOP, TOP_OVER_BOTTOM, round_half_even_ratio, row
 IDENTITY_PERM = (0, 1, 2, 3)
 # Cap on transmitted column-ratio digits, so 10**digits stays small on hostile input.
 MAX_RATIO_DIGITS = 100
+# A column ratio as round_half_even_ratio writes it for non-negative entries:
+# decimal digits, then a point and the fractional places when there are any.
+_RATIO_VALUE = re.compile(r"[0-9]+(?:\.([0-9]+))?")
 
 
 def _check_perm(perm) -> tuple[int, int, int, int]:
@@ -155,9 +158,21 @@ class ColumnRatioCheck:
             raise TypeError(f"value must be a str, got {type(self.value).__name__}")
         _check_digits(self.digits)
 
+    def check_value(self) -> None:
+        """Raise ValueError unless the value is a non-negative decimal with
+        exactly `digits` fractional places, the form the sender writes."""
+        match = _RATIO_VALUE.fullmatch(self.value)
+        if match is None or len(match[1] or "") != self.digits:
+            raise ValueError(
+                f"column-ratio value must be a non-negative decimal with {self.digits} "
+                f"places, got {self.value!r}"
+            )
+
     @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.value)
+    def units(self) -> int:
+        """The value in units of 10**-digits; ValueError as check_value."""
+        self.check_value()
+        return int(self.value.replace(".", ""))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from fractions import Fraction
 from . import channel
 from .attacks import EncryptionOracle, attack_golden, attack_k_golden
 from .cipher import (
+    MAX_RATIO_DIGITS,
     Alphabet,
     CipherKey,
     SeedPair,
@@ -54,14 +55,18 @@ def _alphabet_from_flag(value: str) -> Alphabet:
     return Alphabet.custom(value)
 
 
-def _default_ratio_digits() -> int:
-    raw = os.environ.get(RATIO_DIGITS_ENV)
-    if raw is None:
-        return 2
-    try:
-        return int(raw)
-    except ValueError:
-        raise CipherError(f"{RATIO_DIGITS_ENV} must be an integer, got {raw!r}") from None
+def _ratio_digits(flag: int | None) -> int:
+    """--ratio-digits, else $UNICIPHER_RATIO_DIGITS, else 2; within 0..MAX_RATIO_DIGITS."""
+    digits = flag
+    if digits is None:
+        raw = os.environ.get(RATIO_DIGITS_ENV, "2")
+        try:
+            digits = int(raw)
+        except ValueError:
+            raise CipherError(f"{RATIO_DIGITS_ENV} must be an integer, got {raw!r}") from None
+    if not 0 <= digits <= MAX_RATIO_DIGITS:
+        raise CipherError(f"ratio digits must be in 0..{MAX_RATIO_DIGITS}, got {digits}")
+    return digits
 
 
 def _cmd_keygen(args) -> int:
@@ -109,7 +114,7 @@ def _cmd_encrypt(args) -> int:
         key,
         alphabet,
         emit_column_ratio=args.emit_column_ratio,
-        ratio_digits=args.ratio_digits,
+        ratio_digits=_ratio_digits(args.ratio_digits),
     )
     _write(args.out, channel.dumps_packages(packages))
     return 0
@@ -299,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "ratio_digits", "absent") is None:
-        args.ratio_digits = _default_ratio_digits()
     try:
         return args.func(args)
     except CipherError as exc:

@@ -1,33 +1,40 @@
 """Single- and double-error repair for received ciphertext matrices.
 
 The receiver holds det P (transmitted in clear), the coding matrix, and
-optionally a rounded column ratio.  Every repair strategy reduces to an
-exact integer problem:
+optionally a rounded column ratio.  With the wrong entries as unknowns, the
+determinant equation a11*a22 - a12*a21 = det M * det P is an exact integer
+problem:
 
-  * one wrong entry       -> a linear solve of the determinant equation,
-  * two on a diagonal     -> a bounded factor search of a known product,
-  * two in one column     -> a linear Diophantine family,
-  * two in one row        -> the same family, but only the transmitted
-                             column ratio can pick the right member.
+  * one wrong entry            -> a linear solve,
+  * two in one product term    -> a factor scan of the known product
+    (diagonal, anti-diagonal),
+  * two in different terms     -> a linear Diophantine family, scanned over
+    (a column, a row)             its parameter k.
 
-Candidates are pre-filtered through exact rational constraints (row-ratio
-interval, column-ratio grid, alphabet-implied entry bounds), so the scans
-stay tiny even though the nominal search windows scale with the estimates.
-A repair is accepted only if the whole matrix passes every check an intact
-ciphertext must pass, including exact plaintext divisibility.
+Each unknown's integer range is the intersection of every exact check whose
+other entry is known: non-negativity, the alphabet bound of its column, the
+row-ratio interval and the column-ratio grid.  A range wider than
+MAX_CANDIDATES is reported, never clipped.  A repair is accepted only if the
+whole matrix passes every check an intact ciphertext must pass, including
+exact plaintext divisibility, and only if it is the one candidate that does:
+several are reported as ambiguity.  A row pair needs the transmitted column
+ratio; without it every family member has a row ratio near the fixed point,
+so the determinant alone cannot decide.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
+from math import inf
 
 from .cipher import CipherKey, CipherPackage, _decrypt_block, _row_in_interval, verify_package
 from .errors import NegativePlaintext, NoDiophantineSolution, NonIntegralPlaintext
-from .matrix import CodingMatrix, Mat2
+from .matrix import Mat2
 from .ratios import BOTTOM_OVER_TOP
+
+# The widest range of candidates one repair stage scans.
+MAX_CANDIDATES = 100_000
 
 
 class ErrorClass(Enum):
@@ -41,13 +48,25 @@ class ErrorClass(Enum):
     ROW_BOTTOM = "row-bottom"
 
 
-_POS_FIELD = {(0, 0): "a11", (0, 1): "a12", (1, 0): "a21", (1, 1): "a22"}
-_ROW_POSITIONS = {0: ((0, 0), (0, 1)), 1: ((1, 0), (1, 1))}
 _ALL_POSITIONS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_ROW_POSITIONS = {0: _ALL_POSITIONS[:2], 1: _ALL_POSITIONS[2:]}
+# Each pair names its unknown in the a11*a22 term first, where it has one.
+_PAIRS = {
+    ErrorClass.DIAGONAL: ((0, 0), (1, 1)),
+    ErrorClass.ANTI_DIAGONAL: ((0, 1), (1, 0)),
+    ErrorClass.COLUMN_LEFT: ((0, 0), (1, 0)),
+    ErrorClass.COLUMN_RIGHT: ((1, 1), (0, 1)),
+    ErrorClass.ROW_TOP: ((0, 0), (0, 1)),
+    ErrorClass.ROW_BOTTOM: ((1, 1), (1, 0)),
+}
+_PAIR_CLASS = {frozenset(pair): cls for cls, pair in _PAIRS.items()}
 
 
 def _with_entries(c: Mat2, updates: dict[tuple[int, int], int]) -> Mat2:
-    return replace(c, **{_POS_FIELD[pos]: val for pos, val in updates.items()})
+    e = list(c.entries())
+    for (i, j), v in updates.items():
+        e[2 * i + j] = v
+    return Mat2(*e)
 
 
 @dataclass(frozen=True)
@@ -100,70 +119,24 @@ def solve_linear_diophantine(a: int, b: int, c: int) -> DiophantineFamily:
 
 
 @dataclass(frozen=True)
-class SearchConfig:
-    """How far from the estimates a repair search is allowed to roam."""
-
-    min_window: int = 8
-    window_fraction: Fraction = Fraction(1, 10)
-    max_candidates: int = 100_000
-
-    def window(self, estimate) -> int:
-        return max(self.min_window, math.ceil(abs(Fraction(estimate)) * self.window_fraction))
-
-
-@dataclass(frozen=True)
 class CorrectionContext:
-    """Everything a repair strategy needs, computed once per package."""
+    """Everything a repair needs, computed once per package."""
 
     key: CipherKey
-    cm: CodingMatrix
     expected_det: int
-    interval: tuple[Fraction, Fraction] | None
-    rho: Fraction | None = None
-    rho_digits: int | None = None
+    # transmitted c21/c11 as (R, D): the check is |c21/c11 - R/D| <= 1/(2D), D = 10**digits
+    rho: tuple[int, int] | None = None
     plaintext_bound: int | None = None
-    search: SearchConfig = SearchConfig()
 
     @classmethod
     def from_package(
-        cls,
-        pkg: CipherPackage,
-        key: CipherKey,
-        *,
-        plaintext_bound: int | None = None,
-        search: SearchConfig | None = None,
+        cls, pkg: CipherPackage, key: CipherKey, *, plaintext_bound: int | None = None
     ) -> "CorrectionContext":
-        compiled = key._compiled
-        interval = None
-        if compiled.bounds is not None:
-            lo, hi = compiled.bounds
-            interval = (Fraction(*lo), Fraction(*hi))
-        rho = rho_digits = None
+        rho = None
         check = pkg.column_ratio
         if check is not None and check.orientation == BOTTOM_OVER_TOP:
-            rho, rho_digits = check.fraction, check.digits
-        return cls(
-            key=key,
-            cm=key.coding_matrix,
-            expected_det=compiled.det * pkg.det_p,
-            interval=interval,
-            rho=rho,
-            rho_digits=rho_digits,
-            plaintext_bound=plaintext_bound,
-            search=search if search is not None else SearchConfig(),
-        )
-
-    @property
-    def phi(self) -> float:
-        return self.cm.ratio_limit
-
-    @property
-    def phi_fraction(self) -> Fraction:
-        return Fraction(self.cm.ratio_limit).limit_denominator(10**12)
-
-    @property
-    def rho_half_ulp(self) -> Fraction:
-        return Fraction(1, 2 * 10 ** self.rho_digits)
+            rho = (check.units, 10**check.digits)
+        return cls(key, key._compiled.det * pkg.det_p, rho, plaintext_bound)
 
 
 def plaintext_bounds(ctx: CorrectionContext) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -174,41 +147,32 @@ def plaintext_bounds(ctx: CorrectionContext) -> tuple[tuple[int, int], tuple[int
     """
     if ctx.plaintext_bound is None:
         raise ValueError("context has no plaintext bound")
-    m = ctx.cm.matrix
+    m11, m12, m21, m22 = ctx.key._compiled.m
     s = ctx.plaintext_bound - 1
-    return (0, s * (m.a11 + m.a21)), (0, s * (m.a12 + m.a22))
-
-
-def _decrypted_entries(mat: Mat2, ctx: CorrectionContext) -> tuple[int, ...] | None:
-    """Plaintext entries if mat decrypts exactly and non-negatively, else None."""
-    try:
-        return _decrypt_block(mat, ctx.key._compiled)
-    except (NonIntegralPlaintext, NegativePlaintext):
-        return None
+    return (0, s * (m11 + m21)), (0, s * (m12 + m22))
 
 
 def _repair_passes(mat: Mat2, ctx: CorrectionContext) -> bool:
     """All checks an intact ciphertext must satisfy, in exact arithmetic."""
-    if any(e < 0 for e in mat.entries()):
+    c11, c12, c21, c22 = mat.entries()
+    if c11 < 0 or c12 < 0 or c21 < 0 or c22 < 0:
         return False
-    if mat.det() != ctx.expected_det:
+    if c11 * c22 - c12 * c21 != ctx.expected_det:
         return False
-    bounds = ctx.key._compiled.bounds
-    if bounds is not None and not (
-        _row_in_interval(mat.a11, mat.a12, bounds) and _row_in_interval(mat.a21, mat.a22, bounds)
+    ck = ctx.key._compiled
+    if ck.bounds is not None and not (
+        _row_in_interval(c11, c12, ck.bounds) and _row_in_interval(c21, c22, ck.bounds)
     ):
         return False
     if ctx.rho is not None:
-        if mat.a11 <= 0:
+        r, d = ctx.rho
+        if c11 <= 0 or not (2 * r - 1) * c11 <= 2 * d * c21 <= (2 * r + 1) * c11:
             return False
-        if abs(Fraction(mat.a21, mat.a11) - ctx.rho) > ctx.rho_half_ulp:
-            return False
-    entries = _decrypted_entries(mat, ctx)
-    if entries is None:
+    try:
+        entries = _decrypt_block(mat, ck)
+    except (NonIntegralPlaintext, NegativePlaintext):
         return False
-    if ctx.plaintext_bound is not None and any(v >= ctx.plaintext_bound for v in entries):
-        return False
-    return True
+    return ctx.plaintext_bound is None or max(entries) < ctx.plaintext_bound
 
 
 @dataclass(frozen=True)
@@ -230,85 +194,6 @@ class CorrectionReport:
 
 def _failure(cls: ErrorClass, examined: int, reason: str, ambiguous: bool = False) -> CorrectionReport:
     return CorrectionReport(cls, examined, None, residual_failure=reason, ambiguous=ambiguous)
-
-
-# ---------------------------------------------------------------------------
-# range plumbing: every scan enumerates an exact intersection of constraints
-
-_EMPTY = "empty"
-
-
-def _k_interval(base: int, step: int, vlo, vhi):
-    """k-range with base + step*k inside [vlo, vhi]; None means unbounded."""
-    if step == 0:
-        ok = (vlo is None or base >= vlo) and (vhi is None or base <= vhi)
-        return (None, None) if ok else _EMPTY
-    if step > 0:
-        klo = None if vlo is None else math.ceil(Fraction(vlo - base, step))
-        khi = None if vhi is None else math.floor(Fraction(vhi - base, step))
-    else:
-        klo = None if vhi is None else math.ceil(Fraction(vhi - base, step))
-        khi = None if vlo is None else math.floor(Fraction(vlo - base, step))
-    if klo is not None and khi is not None and klo > khi:
-        return _EMPTY
-    return (klo, khi)
-
-
-def _intersect(*ranges):
-    lo = hi = None
-    for r in ranges:
-        if r is _EMPTY:
-            return _EMPTY
-        rlo, rhi = r
-        if rlo is not None:
-            lo = rlo if lo is None else max(lo, rlo)
-        if rhi is not None:
-            hi = rhi if hi is None else min(hi, rhi)
-        if lo is not None and hi is not None and lo > hi:
-            return _EMPTY
-    return (lo, hi)
-
-
-def _clip(bounds, center: int, cap: int):
-    """Finite integer range around center, at most cap values wide."""
-    if bounds is _EMPTY:
-        return None
-    lo, hi = bounds
-    lo = center - cap // 2 if lo is None else math.ceil(lo)
-    hi = center + cap // 2 if hi is None else math.floor(hi)
-    if hi - lo + 1 > cap:
-        lo = max(lo, center - cap // 2)
-        hi = min(hi, lo + cap - 1)
-    if lo > hi:
-        return None
-    return lo, hi
-
-
-def _rank_and_pick(cls, original, passing, examined, fail_reason, primary=None):
-    """Order passing candidates, return a report; a tied best is ambiguity.
-
-    Default order: fewest changed entries, then smallest total change.
-    `primary(mat)` prepends a strategy-specific key (e.g. estimate distance).
-    """
-    if not passing:
-        return _failure(cls, examined, fail_reason)
-    seen = {}
-    for mat in passing:
-        seen.setdefault(mat.entries(), mat)
-    unique = list(seen.values())
-
-    def key(mat: Mat2):
-        deltas = [abs(a - b) for a, b in zip(mat.entries(), original.entries())]
-        changed = sum(1 for d in deltas if d)
-        base = (changed, sum(deltas))
-        return (primary(mat),) + base if primary else base
-
-    unique.sort(key=key)
-    if len(unique) > 1 and key(unique[0]) == key(unique[1]):
-        return _failure(
-            cls, examined, f"ambiguous: {len(unique)} candidate repairs tie", ambiguous=True
-        )
-    return CorrectionReport(cls, examined, unique[0])
 
 
 # ---------------------------------------------------------------------------
@@ -358,202 +243,122 @@ def correct_single(c: Mat2, ctx: CorrectionContext, positions=None) -> Correctio
 
 
 # ---------------------------------------------------------------------------
-# diagonal / anti-diagonal: factor a known product near the estimates
+# two errors: one pin table, then a factor scan or a Diophantine family
 
 
-def _value_pin(known: int, interval, invert: bool):
-    """Interval constraint on an unknown tied to `known` by a row ratio."""
-    if interval is None or known <= 0:
-        return (None, None)
-    lo, hi = interval
-    if invert:  # known / unknown must lie in [lo, hi]
-        if lo <= 0:
-            return (None, None)
-        return (Fraction(known) / hi, Fraction(known) / lo)
-    return (lo * known, hi * known)
+def _pin(e: tuple[int, ...], ctx: CorrectionContext, pos, other) -> tuple[int, int | float]:
+    """Integer range [lo, hi] of the entry at pos, the other unknown at `other`.
 
-
-def correct_diagonal(c: Mat2, ctx: CorrectionContext, anti: bool = False) -> CorrectionReport:
-    """Repair the (1,1)/(2,2) pair, or with anti=True the (1,2)/(2,1) pair.
-
-    Both cases fix the product of the two unknowns, so the scan trial-divides
-    inside the exact window the interval and bound checks allow.
+    Intersects every exact check whose other entry is known; hi is inf when
+    nothing bounds the entry from above.  Known entries are non-negative.
     """
-    E = ctx.expected_det
-    phi = ctx.phi_fraction
-    bounds = plaintext_bounds(ctx) if ctx.plaintext_bound is not None else None
-    if not anti:
-        cls = ErrorClass.DIAGONAL
-        target = c.a12 * c.a21 + E
-        first_pos, partner_pos = (0, 0), (1, 1)
-        est = phi * c.a12
-        pin = _value_pin(c.a12, ctx.interval, invert=False)
-        bound_pin = (0, bounds[0][1]) if bounds else (None, None)
-    else:
-        cls = ErrorClass.ANTI_DIAGONAL
-        target = c.a11 * c.a22 - E
-        first_pos, partner_pos = (0, 1), (1, 0)
-        est = Fraction(c.a11) / phi if phi else Fraction(0)
-        pin = _value_pin(c.a11, ctx.interval, invert=True)
-        bound_pin = (0, bounds[1][1]) if bounds else (None, None)
-    if target <= 0:
-        return _failure(cls, 0, "non-positive-target")
-    w = ctx.search.window(est)
-    center = round(est)
-    span = _intersect((1, target), pin, bound_pin, (center - w, center + w))
-    rng = _clip(span, center, ctx.search.max_candidates)
-    if rng is None:
-        return _failure(cls, 0, "no-factor-near-estimate")
-    examined = 0
-    passing = []
-    for x in range(rng[0], rng[1] + 1):
-        examined += 1
-        if x <= 0 or target % x:
-            continue
-        cand = _with_entries(c, {first_pos: x, partner_pos: target // x})
-        if _repair_passes(cand, ctx):
-            passing.append(cand)
-    return _rank_and_pick(cls, c, passing, examined, "no-factor-near-estimate")
-
-
-# ---------------------------------------------------------------------------
-# column errors: one-parameter Diophantine family
-
-
-def _scan_family(cls, c, ctx, family, spots, estimates, extra_pins, fail_reason, primary=None):
-    """Enumerate family members inside the intersected exact constraints.
-
-    spots: matrix positions of (X, Y); extra_pins: per-unknown value ranges.
-    """
-    (bx, by), (dx, dy) = family.base, family.step
-    ranges = [
-        _k_interval(bx, dx, 0, None),
-        _k_interval(by, dy, 0, None),
-        _k_interval(bx, dx, *extra_pins[0]),
-        _k_interval(by, dy, *extra_pins[1]),
-    ]
+    i, j = pos
+    lo, hi = 0, inf
     if ctx.plaintext_bound is not None:
-        cb = plaintext_bounds(ctx)
-        col_x = cb[spots[0][1]]
-        col_y = cb[spots[1][1]]
-        ranges.append(_k_interval(bx, dx, col_x[0], col_x[1]))
-        ranges.append(_k_interval(by, dy, col_y[0], col_y[1]))
-    if dx:
-        k_est = round(Fraction(estimates[0] - bx, dx))
-    elif dy:
-        k_est = round(Fraction(estimates[1] - by, dy))
-    else:
-        k_est = 0
-    w = ctx.search.window(k_est)
-    ranges.append((k_est - w, k_est + w))
-    rng = _clip(_intersect(*ranges), k_est, ctx.search.max_candidates)
-    if rng is None:
-        return _failure(cls, 0, fail_reason)
-    examined = 0
-    passing = []
-    for k in range(rng[0], rng[1] + 1):
-        examined += 1
-        x, y = family.at(k)
-        cand = _with_entries(c, {spots[0]: x, spots[1]: y})
-        if _repair_passes(cand, ctx):
-            passing.append(cand)
-    return _rank_and_pick(cls, c, passing, examined, fail_reason, primary=primary)
-
-
-def correct_column(c: Mat2, ctx: CorrectionContext, side: str) -> CorrectionReport:
-    """Repair a whole column via the linear Diophantine equation it satisfies.
-
-    side 'left' solves x*c22 - c12*z = det target for (x, z); side 'right'
-    solves c11*v - y*c21 = target for (v, y).  The surviving member must sit
-    near the ratio estimates and pass all checks.
-    """
-    E = ctx.expected_det
-    phi = ctx.phi_fraction
-    if side == "left":
-        cls = ErrorClass.COLUMN_LEFT
-        a, b = c.a22, c.a12
-        spots = ((0, 0), (1, 0))
-        estimates = (phi * c.a12, phi * c.a22)
-        pins = (
-            _value_pin(c.a12, ctx.interval, invert=False),
-            _value_pin(c.a22, ctx.interval, invert=False),
-        )
-    elif side == "right":
-        cls = ErrorClass.COLUMN_RIGHT
-        a, b = c.a11, c.a21
-        spots = ((1, 1), (0, 1))
-        estimates = (
-            Fraction(c.a21) / phi if phi else Fraction(0),
-            Fraction(c.a11) / phi if phi else Fraction(0),
-        )
-        pins = (
-            _value_pin(c.a21, ctx.interval, invert=True),
-            _value_pin(c.a11, ctx.interval, invert=True),
-        )
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    try:
-        family = solve_linear_diophantine(a, b, E)
-    except ValueError:
-        return _failure(cls, 0, "degenerate-equation")
-    except NoDiophantineSolution as exc:
-        return _failure(cls, 0, f"no-diophantine-solution: {exc}")
-    return _scan_family(cls, c, ctx, family, spots, estimates, pins, "no-solution-near-estimate")
-
-
-# ---------------------------------------------------------------------------
-# row errors: the family alone cannot decide; the column ratio must
-
-
-def correct_row(c: Mat2, ctx: CorrectionContext, row: int) -> CorrectionReport:
-    """Repair a whole row, guided by the transmitted column ratio.
-
-    Without that ratio every family member has a row ratio near the fixed
-    point, so the row equation is unsolvable in principle and the strategy
-    reports column-ratio-missing.  With it, the member nearest the ratio
-    estimates wins (subject to all checks).
-    """
-    cls = ErrorClass.ROW_TOP if row == 0 else ErrorClass.ROW_BOTTOM
-    if ctx.rho is None:
-        return _failure(cls, 0, "column-ratio-missing")
-    rho, h = ctx.rho, ctx.rho_half_ulp
-    if rho <= 0:
-        return _failure(cls, 0, "column-ratio-missing")
-    grid_lo, grid_hi = rho - h, rho + h
-    if row == 0:
-        a, b = c.a22, c.a21
-        spots = ((0, 0), (0, 1))
-        estimates = (Fraction(c.a21) / rho, Fraction(c.a22) / rho)
-        # transmitted ratio constrains x through c21 / x
-        if grid_lo > 0:
-            pin_x = (Fraction(c.a21) / grid_hi, Fraction(c.a21) / grid_lo)
+        hi = plaintext_bounds(ctx)[j][1]
+    bounds = ctx.key._compiled.bounds
+    if bounds is not None and (i, 1 - j) != other:
+        # row-ratio interval; its four bound terms are positive for every admissible key
+        (lo_num, lo_den), (hi_num, hi_den) = bounds
+        v = e[2 * i + 1 - j]
+        if v == 0:  # only the all-zero row passes
+            hi = 0
+        elif j == 0:  # lo <= pos / v <= hi
+            lo = max(lo, -(-lo_num * v // lo_den))
+            hi = min(hi, hi_num * v // hi_den)
+        else:  # lo <= v / pos <= hi
+            lo = max(lo, -(-v * hi_den // hi_num))
+            hi = min(hi, v * lo_den // lo_num)
+    if j == 0 and ctx.rho is not None and (1 - i, 0) != other:
+        # column-ratio grid: (2R - 1) * c11 <= 2D * c21 <= (2R + 1) * c11, c11 > 0
+        r, d = ctx.rho
+        v = e[2 * (1 - i)]
+        if i == 0:
+            lo = max(lo, 1, -(-2 * d * v // (2 * r + 1)))
+            if r > 0:
+                hi = min(hi, 2 * d * v // (2 * r - 1))
+        elif v == 0:
+            hi = -1
         else:
-            pin_x = (Fraction(c.a21) / grid_hi, None)
-        pins = (pin_x, (None, None))
+            lo = max(lo, -(-(2 * r - 1) * v // (2 * d)))
+            hi = min(hi, (2 * r + 1) * v // (2 * d))
+    return lo, hi
+
+
+def _k_range(base: int, step: int, lo: int, hi) -> tuple:
+    """The k with lo <= base + k*step <= hi, for step >= 0."""
+    if step == 0:
+        return (-inf, inf) if lo <= base <= hi else (1, 0)
+    return -((base - lo) // step), inf if hi == inf else (hi - base) // step
+
+
+def correct_pair(c: Mat2, ctx: CorrectionContext, positions) -> CorrectionReport:
+    """Repair two wrong entries at `positions` (a diagonal, a column or a row).
+
+    Scans every value of the unknowns inside their pinned ranges and accepts
+    the single candidate that passes every check.  A row pair needs the
+    transmitted column ratio (column-ratio-missing without a positive one).
+    """
+    cls = _PAIR_CLASS.get(frozenset(positions))
+    if cls is None:
+        raise ValueError(f"not a pair of distinct entries: {positions!r}")
+    first, second = _PAIRS[cls]
+    if cls in (ErrorClass.ROW_TOP, ErrorClass.ROW_BOTTOM) and (ctx.rho is None or ctx.rho[0] <= 0):
+        return _failure(cls, 0, "column-ratio-missing")
+    product = cls in (ErrorClass.DIAGONAL, ErrorClass.ANTI_DIAGONAL)
+    fail = "no-factor-near-estimate" if product else "no-solution-near-estimate"
+    e = c.entries()
+    if min(e[2 * i + j] for i, j in _ALL_POSITIONS if (i, j) not in (first, second)) < 0:
+        return _failure(cls, 0, fail)  # every candidate keeps the negative entry
+    E = ctx.expected_det
+    (xlo, xhi), (ylo, yhi) = _pin(e, ctx, first, second), _pin(e, ctx, second, first)
+    if product:
+        # x * y = target, so y's range bounds x as well
+        target = E + c.a12 * c.a21 if cls is ErrorClass.DIAGONAL else c.a11 * c.a22 - E
+        if target <= 0:
+            return _failure(cls, 0, "non-positive-target")
+        if yhi < 1:
+            return _failure(cls, 0, fail)
+        lo = max(xlo, 1, 0 if yhi == inf else -(-target // yhi))
+        hi = min(xhi, target // max(ylo, 1))
+
+        def member(x: int):
+            y, r = divmod(target, x)
+            return None if r else (x, y)
+
     else:
-        a, b = c.a11, c.a12
-        spots = ((1, 1), (1, 0))
-        estimates = (rho * c.a12, rho * c.a11)
-        # transmitted ratio constrains z through z / c11
-        pins = ((None, None), (grid_lo * c.a11, grid_hi * c.a11))
-    try:
-        family = solve_linear_diophantine(a, b, ctx.expected_det)
-    except ValueError:
-        return _failure(cls, 0, "degenerate-equation")
-    except NoDiophantineSolution as exc:
-        return _failure(cls, 0, f"no-diophantine-solution: {exc}")
-
-    ex, ey = estimates
-
-    def distance(mat: Mat2) -> Fraction:
-        vx = Fraction(getattr(mat, _POS_FIELD[spots[0]]))
-        vy = Fraction(getattr(mat, _POS_FIELD[spots[1]]))
-        return abs(vx - ex) + abs(vy - ey)
-
-    return _scan_family(
-        cls, c, ctx, family, spots, estimates, pins,
-        "no-solution-near-estimate", primary=distance,
-    )
+        # x * partner(x) - y * partner(y) = E; partners are known, so both steps are >= 0
+        try:
+            family = solve_linear_diophantine(
+                e[3 - 2 * first[0] - first[1]], e[3 - 2 * second[0] - second[1]], E
+            )
+        except ValueError:
+            return _failure(cls, 0, "degenerate-equation")
+        except NoDiophantineSolution as exc:
+            return _failure(cls, 0, f"no-diophantine-solution: {exc}")
+        (bx, by), (dx, dy) = family.base, family.step
+        (klo_x, khi_x), (klo_y, khi_y) = _k_range(bx, dx, xlo, xhi), _k_range(by, dy, ylo, yhi)
+        lo, hi = max(klo_x, klo_y), min(khi_x, khi_y)
+        member = family.at
+    if lo > hi:
+        return _failure(cls, 0, fail)
+    if hi - lo >= MAX_CANDIDATES:
+        return _failure(cls, 0, "search-range-too-wide")
+    passing = []
+    for t in range(lo, hi + 1):
+        xy = member(t)
+        if xy is not None:
+            cand = _with_entries(c, {first: xy[0], second: xy[1]})
+            if _repair_passes(cand, ctx):
+                passing.append(cand)
+    examined = hi - lo + 1
+    if not passing:
+        return _failure(cls, examined, fail)
+    if len(passing) > 1:
+        return _failure(
+            cls, examined, f"ambiguous: {len(passing)} candidate repairs tie", ambiguous=True
+        )
+    return CorrectionReport(cls, examined, passing[0])
 
 
 # ---------------------------------------------------------------------------
@@ -561,69 +366,47 @@ def correct_row(c: Mat2, ctx: CorrectionContext, row: int) -> CorrectionReport:
 
 
 def correct(
-    pkg: CipherPackage,
-    key: CipherKey,
-    *,
-    plaintext_bound: int | None = None,
-    search: SearchConfig | None = None,
+    pkg: CipherPackage, key: CipherKey, *, plaintext_bound: int | None = None
 ) -> CorrectionReport:
     """Verify, then escalate: single, diagonal, anti-diagonal, columns, rows.
 
-    The first strategy whose candidate survives every check wins.  Rows the
-    interval check flagged are tried first within each stage.  The returned
-    report carries the full attempt log and the total candidate count.
+    The first stage with exactly one surviving candidate wins.  Rows the
+    interval check flagged are tried first.  The returned report carries the
+    full attempt log and the total candidate count.
     """
     outcome = verify_package(pkg, key)
     if outcome.clean:
         return CorrectionReport(
             ErrorClass.NONE, 0, pkg.c, attempts=(("verify", "clean"),)
         )
-    ctx = CorrectionContext.from_package(
-        pkg, key, plaintext_bound=plaintext_bound, search=search
-    )
+    ctx = CorrectionContext.from_package(pkg, key, plaintext_bound=plaintext_bound)
     flagged = sorted(outcome.bad_rows)
     attempts: list[tuple[str, str]] = [
         ("verify", f"{outcome.status.value}, flagged rows {flagged}")
     ]
+    if len(flagged) > 1:
+        attempts.append(("single", "skipped: both rows flagged"))
+    rows = (ErrorClass.ROW_TOP, ErrorClass.ROW_BOTTOM)
+    pairs = [ErrorClass.DIAGONAL, ErrorClass.ANTI_DIAGONAL, ErrorClass.COLUMN_LEFT,
+             ErrorClass.COLUMN_RIGHT]
+    pairs += [rows[r] for r in flagged] + [rows[r] for r in (0, 1) if r not in flagged]
+
+    def stages():
+        if len(flagged) <= 1:
+            positions = _ROW_POSITIONS[flagged[0]] if flagged else _ALL_POSITIONS
+            yield "single", correct_single(pkg.c, ctx, positions)
+        for cls in pairs:
+            yield cls.value, correct_pair(pkg.c, ctx, _PAIRS[cls])
+
     total = 0
     any_ambiguous = False
-
-    def run(name: str, report: CorrectionReport) -> CorrectionReport | None:
-        nonlocal total, any_ambiguous
+    for name, report in stages():
         total += report.candidates_examined
         if report.success:
             attempts.append((name, "repaired"))
-            return replace(
-                report, attempts=tuple(attempts), candidates_examined=total
-            )
-        attempts.append((name, report.residual_failure or "failed"))
+            return replace(report, attempts=tuple(attempts), candidates_examined=total)
+        attempts.append((name, report.residual_failure))
         any_ambiguous = any_ambiguous or report.ambiguous
-        return None
-
-    if len(flagged) <= 1:
-        positions = _ROW_POSITIONS[flagged[0]] if flagged else _ALL_POSITIONS
-        done = run("single", correct_single(pkg.c, ctx, positions))
-        if done:
-            return done
-    else:
-        attempts.append(("single", "skipped: both rows flagged"))
-
-    done = run("diagonal", correct_diagonal(pkg.c, ctx, anti=False))
-    if done:
-        return done
-    done = run("anti-diagonal", correct_diagonal(pkg.c, ctx, anti=True))
-    if done:
-        return done
-    for side in ("left", "right"):
-        done = run(f"column-{side}", correct_column(pkg.c, ctx, side))
-        if done:
-            return done
-    row_order = flagged + [r for r in (0, 1) if r not in flagged]
-    for row in row_order:
-        name = "row-top" if row == 0 else "row-bottom"
-        done = run(name, correct_row(pkg.c, ctx, row))
-        if done:
-            return done
     return CorrectionReport(
         ErrorClass.NONE,
         total,

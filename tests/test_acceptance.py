@@ -301,6 +301,7 @@ def test_criterion_09_correction_suite():
         print(f"  {mode:13s}: measured recovery rate {rate:.1%} "
               f"(exact {exact}, wrong {wrong}, reported {reported})")
         check(failures, rate >= 0.95, f"{mode}: recovery rate {rate:.1%} < 95%")
+        check(failures, wrong == 0, f"{mode}: {wrong} silent wrong repairs")
     for mode in ("row_top", "row_bottom"):
         exact, wrong, reported = _correction_trials(mode, trials, False, SUITE_SEED + 1)
         print(f"  {mode:13s} (no ratio): wrong {wrong}, reported {reported}")

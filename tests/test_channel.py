@@ -59,6 +59,13 @@ class TestKeyFiles:
         with pytest.raises(FormatError):
             loads_key('{"version": 1, "u": {"alpha": "1"}}')
 
+    @pytest.mark.parametrize("perm", [5, "0123", [0, 1, 2, "3"], [0, 1, 2, 3.0], None])
+    def test_malformed_perm(self, perm):
+        key_dict = key_to_dict(CipherKey.golden(4))
+        key_dict["perm"] = perm
+        with pytest.raises(FormatError):
+            loads_key(json.dumps(key_dict))
+
     def test_non_decimal_entry(self):
         text = dumps_key(CipherKey.golden(4)).replace('"1"', '"one"', 1)
         with pytest.raises(FormatError):
@@ -102,7 +109,10 @@ class TestPackageFiles:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("pad_len", 5), ("block_index", "3"), ("digits", -3), ("orientation", "sideways")],
+        [
+            ("pad_len", 5), ("block_index", "3"), ("digits", -3), ("orientation", "sideways"),
+            ("value", "abc"), ("value", "0.5"),
+        ],
     )
     def test_malformed_fields_raise_format_error(self, field, value):
         text = malformed_package_text(field, value)

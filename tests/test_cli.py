@@ -139,7 +139,10 @@ class TestPipelines:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("pad_len", 5), ("block_index", "3"), ("digits", -3), ("orientation", "sideways")],
+        [
+            ("pad_len", 5), ("block_index", "3"), ("digits", -3), ("orientation", "sideways"),
+            ("value", "abc"), ("value", "0.5"),
+        ],
     )
     def test_malformed_package_is_a_format_error(self, tmp_path, capsys, field, value):
         key_file = self.make_key(tmp_path, capsys)
@@ -148,6 +151,28 @@ class TestPipelines:
         code, _, err = run(capsys, "verify", "--key", str(key_file), "--in", str(pkg_file))
         assert code == 1
         assert "error[FormatError]" in err
+
+    def test_malformed_perm_is_a_format_error(self, tmp_path, capsys):
+        key_file = self.make_key(tmp_path, capsys)
+        document = json.loads(key_file.read_text())
+        document["perm"] = 5
+        key_file.write_text(json.dumps(document))
+        code, _, err = run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH")
+        assert code == 1
+        assert "error[FormatError]" in err
+
+    @pytest.mark.parametrize("digits", ["-3", "101"])
+    def test_ratio_digits_out_of_range(self, tmp_path, capsys, monkeypatch, digits):
+        key_file = self.make_key(tmp_path, capsys)
+        code, _, err = run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH",
+                           "--emit-column-ratio", "--ratio-digits", digits)
+        assert code == 1
+        assert "error[CipherError]" in err
+        monkeypatch.setenv("UNICIPHER_RATIO_DIGITS", digits)
+        code, _, err = run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH",
+                           "--emit-column-ratio")
+        assert code == 1
+        assert "error[CipherError]" in err
 
     def test_unknown_symbol_error_category(self, tmp_path, capsys):
         key_file = self.make_key(tmp_path, capsys)

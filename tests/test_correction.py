@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unicipher.channel import CorruptionSpec, corrupt_package
+from unicipher.channel import _MODE_POSITIONS, CorruptionSpec, corrupt_package
 from unicipher.cipher import (
     CipherKey,
     CipherPackage,
@@ -17,18 +17,17 @@ from unicipher.cipher import (
 from unicipher.correction import (
     CorrectionContext,
     ErrorClass,
+    _repair_passes,
     correct,
-    correct_column,
-    correct_diagonal,
-    correct_row,
+    correct_pair,
     correct_single,
     plaintext_bounds,
     solve_linear_diophantine,
 )
-from unicipher.errors import NoDiophantineSolution
-from unicipher.matrix import Mat2
+from unicipher.errors import InvalidKey, NoDiophantineSolution
+from unicipher.matrix import KeyMatrix, Mat2, SeedPair
 from unicipher.ratios import BOTTOM_OVER_TOP
-from unicipher.sampling import random_cipher_key, random_plaintext
+from unicipher.sampling import random_cipher_key, random_key_matrix, random_plaintext
 
 
 def brute_force_solutions(a, b, c, lo=-500, hi=500):
@@ -152,7 +151,7 @@ class TestDiagonal:
         key = CipherKey.golden(10)
         bad = CipherPackage(Mat2(9999, 660, 2076, 9999), 84)
         assert 660 * 2076 + 84 == 1370244  # the product the unknowns must hit
-        report = correct_diagonal(bad.c, ctx_for(bad, key))
+        report = correct_pair(bad.c, ctx_for(bad, key), ((0, 0), (1, 1)))
         assert report.success
         assert report.repaired == Mat2(1068, 660, 2076, 1283)
 
@@ -160,14 +159,14 @@ class TestDiagonal:
         key = CipherKey.golden(10)
         bad = CipherPackage(Mat2(1068, 9999, 9999, 1283), 84)
         assert 1068 * 1283 - 84 == 1370160
-        report = correct_diagonal(bad.c, ctx_for(bad, key), anti=True)
+        report = correct_pair(bad.c, ctx_for(bad, key), ((0, 1), (1, 0)))
         assert report.success
         assert report.repaired == Mat2(1068, 660, 2076, 1283)
 
     def test_non_positive_target(self):
         key = CipherKey.golden(10)
         bad = CipherPackage(Mat2(9999, 660, 2076, 9999), -10**7)
-        report = correct_diagonal(bad.c, ctx_for(bad, key))
+        report = correct_pair(bad.c, ctx_for(bad, key), ((0, 0), (1, 1)))
         assert not report.success
         assert report.residual_failure == "non-positive-target"
 
@@ -176,14 +175,14 @@ class TestColumn:
     def test_left_column_repair(self):
         key = CipherKey.golden(10)
         bad = CipherPackage(Mat2(9999, 660, 9999, 1283), 84)
-        report = correct_column(bad.c, ctx_for(bad, key), "left")
+        report = correct_pair(bad.c, ctx_for(bad, key), ((0, 0), (1, 0)))
         assert report.success
         assert report.repaired == Mat2(1068, 660, 2076, 1283)
 
     def test_right_column_repair(self):
         key = CipherKey.golden(10)
         bad = CipherPackage(Mat2(1068, 9999, 2076, 9999), 84)
-        report = correct_column(bad.c, ctx_for(bad, key), "right")
+        report = correct_pair(bad.c, ctx_for(bad, key), ((0, 1), (1, 1)))
         assert report.success
         assert report.repaired == Mat2(1068, 660, 2076, 1283)
 
@@ -192,7 +191,7 @@ class TestColumn:
         bad = CipherPackage(Mat2(9999, 660, 9999, 1284), 84)  # c22 even, c12 even
         ctx = ctx_for(bad, key)
         assert ctx.expected_det % 2 == 0 or True
-        report = correct_column(Mat2(9999, 4, 9999, 2), ctx_for(CipherPackage(Mat2(9999, 4, 9999, 2), 85), key), "left")
+        report = correct_pair(Mat2(9999, 4, 9999, 2), ctx_for(CipherPackage(Mat2(9999, 4, 9999, 2), 85), key), ((0, 0), (1, 0)))
         assert not report.success
         assert report.residual_failure.startswith("no-diophantine-solution")
 
@@ -204,7 +203,7 @@ class TestRow:
             Mat2(9999, 9999, 263, 162), -440,
             ColumnRatioCheck(BOTTOM_OVER_TOP, "0.9", 1),
         )
-        report = correct_row(pkg.c, ctx_for(pkg, key), row=0)
+        report = correct_pair(pkg.c, ctx_for(pkg, key), ((0, 0), (0, 1)))
         assert report.success
         assert report.repaired == Mat2(296, 184, 263, 162)
 
@@ -214,16 +213,29 @@ class TestRow:
             Mat2(1325, 321, 733, 280), -82,
             ColumnRatioCheck(BOTTOM_OVER_TOP, "0.5", 1),
         )
-        report = correct_row(pkg.c, ctx_for(pkg, key), row=0)
+        report = correct_pair(pkg.c, ctx_for(pkg, key), ((0, 0), (0, 1)))
         assert report.success
         assert report.repaired == Mat2(1450, 554, 733, 280)
 
     def test_missing_ratio_is_structural_failure(self):
         key = CipherKey.arnolds_cat(4)
         pkg = CipherPackage(Mat2(1325, 321, 733, 280), -82)
-        report = correct_row(pkg.c, ctx_for(pkg, key), row=0)
+        report = correct_pair(pkg.c, ctx_for(pkg, key), ((0, 0), (0, 1)))
         assert not report.success
         assert report.residual_failure == "column-ratio-missing"
+
+    def test_tied_candidates_are_ambiguous_not_picked(self):
+        # with p21 = 0, det P does not depend on p12, and a 2-digit c21/c11 admits
+        # more than one top row; the original is [8060, 4982], not the nearest one
+        key = CipherKey(KeyMatrix(Mat2(1, 1, 1, 0)), SeedPair(2, 16), 6, (0, 3, 2, 1))
+        pkg = CipherPackage(
+            Mat2(8096, 3758, 2926, 1824), 437,
+            ColumnRatioCheck(BOTTOM_OVER_TOP, "0.36", 2),
+        )
+        report = correct(pkg, key, plaintext_bound=26)
+        assert report.repaired is None
+        assert report.ambiguous
+        assert ("row-top", "ambiguous: 2 candidate repairs tie") in report.attempts
 
     def test_bounds_leave_ten_candidates(self):
         # alphabet-derived bounds alone keep k = 0..9 feasible: not decisive
@@ -234,6 +246,61 @@ class TestRow:
         ]
         assert len(feasible) == 10
         assert feasible[0] == (158, 60)
+
+
+def brute_force_pair(c, ctx, positions):
+    """Every matrix passing all checks with the entries at positions replaced.
+
+    Tries every value of the first unknown inside its alphabet-implied range;
+    the determinant is then linear in the second, det = a + b*y.
+    """
+    (i, j), (k, l) = positions
+    bounds = plaintext_bounds(ctx)
+
+    def matrix(x, y):
+        e = list(c.entries())
+        e[2 * i + j], e[2 * k + l] = x, y
+        return Mat2(*e)
+
+    found = []
+    for x in range(bounds[j][1] + 1):
+        a = matrix(x, 0).det()
+        b = matrix(x, 1).det() - a
+        if b:
+            y, r = divmod(ctx.expected_det - a, b)
+            ys = [y] if not r and 0 <= y <= bounds[l][1] else []
+        else:
+            ys = range(bounds[l][1] + 1) if a == ctx.expected_det else []
+        found += [matrix(x, y) for y in ys if _repair_passes(matrix(x, y), ctx)]
+    return found
+
+
+class TestPairAgainstBruteForce:
+    @pytest.mark.parametrize("mode", sorted(_MODE_POSITIONS))
+    def test_pins_lose_no_candidate(self, mode):
+        # small keys, seeds and alphabet keep the reference search cheap; seeds
+        # with a zero component at n = 1 leave the row interval unchecked
+        rng = random.Random(mode)
+        for _ in range(100):
+            key = None
+            while key is None:
+                try:
+                    key = CipherKey(
+                        random_key_matrix(rng, max_entry=3),
+                        SeedPair(rng.randint(0, 3), rng.randint(0, 3)), rng.randint(1, 3),
+                    )
+                except InvalidKey:
+                    pass
+            pkg = encrypt(random_plaintext(rng, alphabet_size=3), key,
+                          emit_column_ratio=rng.random() < 0.8, ratio_digits=rng.choice((1, 2)))
+            bad, _ = corrupt_package(pkg, CorruptionSpec(mode, seed=rng.randrange(2**30)))
+            ctx = ctx_for(bad, key, plaintext_bound=3)
+            report = correct_pair(bad.c, ctx, _MODE_POSITIONS[mode])
+            found = brute_force_pair(bad.c, ctx, _MODE_POSITIONS[mode])
+            if report.residual_failure == "column-ratio-missing":
+                continue
+            assert report.repaired == (found[0] if len(found) == 1 else None)
+            assert report.ambiguous == (len(found) > 1)
 
 
 class TestPipeline:
