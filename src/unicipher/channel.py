@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 
-from .cipher import Alphabet, CipherKey, CipherPackage, ColumnRatioCheck
+from .cipher import Alphabet, CipherKey, CipherPackage, _ratio_check
 from .errors import FormatError
 from .matrix import KeyMatrix, Mat2, SeedPair
 
@@ -167,44 +166,48 @@ def package_from_dict(document: dict) -> CipherPackage:
     entries = _need(document, "c")
     if not isinstance(entries, list) or len(entries) != 4:
         raise FormatError("c must be a list of four decimal strings")
-    c = Mat2(*(_parse_int(e) for e in entries))
+    a11, a12, a21, a22 = entries
+    c = Mat2(_parse_int(a11), _parse_int(a12), _parse_int(a21), _parse_int(a22))
     det_p = _parse_int(_need(document, "det_p"))
     block_index, pad_len = _need(document, "block_index"), _need(document, "pad_len")
     ratio = document.get("column_ratio")
     try:
         check = None
         if ratio is not None:
-            check = ColumnRatioCheck(
+            check = _ratio_check(
                 _need(ratio, "orientation"), _need(ratio, "value"), _need(ratio, "digits")
             )
-            check.check_value()
         return CipherPackage(c, det_p, check, block_index, pad_len)
     except (ValueError, TypeError) as exc:
         raise FormatError(f"malformed package: {exc}") from None
 
 
 def _package_text(pkg: CipherPackage) -> str:
-    """One package as json.dumps(package_to_dict(pkg), indent=2) prints it, nested two deep."""
-    c, check, q = pkg.c, pkg.column_ratio, encode_basestring_ascii
+    """One package as json.dumps(package_to_dict(pkg), indent=2) prints it, nested two deep.
+
+    Nothing is escaped: the entries and det_p are ints, and a
+    ColumnRatioCheck holds a known orientation and a decimal value.
+    """
+    c, check = pkg.c, pkg.column_ratio
     if check is None:
         ratio = "null"
     else:
         ratio = (
             "{\n"
-            f'        "orientation": {q(check.orientation)},\n'
-            f'        "value": {q(check.value)},\n'
+            f'        "orientation": "{check.orientation}",\n'
+            f'        "value": "{check.value}",\n'
             f'        "digits": {check.digits}\n'
             "      }"
         )
     return (
         "    {\n"
         '      "c": [\n'
-        f"        {q(str(c.a11))},\n"
-        f"        {q(str(c.a12))},\n"
-        f"        {q(str(c.a21))},\n"
-        f"        {q(str(c.a22))}\n"
+        f'        "{c.a11}",\n'
+        f'        "{c.a12}",\n'
+        f'        "{c.a21}",\n'
+        f'        "{c.a22}"\n'
         "      ],\n"
-        f'      "det_p": {q(str(pkg.det_p))},\n'
+        f'      "det_p": "{pkg.det_p}",\n'
         f'      "column_ratio": {ratio},\n'
         f'      "block_index": {pkg.block_index},\n'
         f'      "pad_len": {pkg.pad_len}\n'
@@ -224,6 +227,8 @@ def dumps_packages(packages) -> str:
 
 
 def loads_packages(text: str) -> tuple[CipherPackage, ...]:
+    """Parse a package file; block indices must be unique, and only the
+    block with the highest index may carry padding."""
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -232,7 +237,19 @@ def loads_packages(text: str) -> tuple[CipherPackage, ...]:
     packages = _need(document, "packages")
     if not isinstance(packages, list):
         raise FormatError("packages must be a list")
-    return tuple(package_from_dict(p) for p in packages)
+    parsed = tuple(package_from_dict(p) for p in packages)
+    indices = {pkg.block_index for pkg in parsed}
+    if len(indices) != len(parsed):
+        raise FormatError("duplicate block_index")
+    if parsed:
+        last = max(indices)
+        for pkg in parsed:
+            if pkg.pad_len and pkg.block_index != last:
+                raise FormatError(
+                    f"pad_len {pkg.pad_len} on block {pkg.block_index}, "
+                    "but only the last block is padded"
+                )
+    return parsed
 
 
 # --- corruption -------------------------------------------------------------

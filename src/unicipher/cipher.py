@@ -14,7 +14,7 @@ import re
 import string
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -145,34 +145,45 @@ def _check_digits(digits) -> None:
 
 @dataclass(frozen=True)
 class ColumnRatioCheck:
-    """Rounded column ratio as transmitted: orientation, decimal string, digits."""
+    """Rounded column ratio as transmitted: orientation, decimal string, digits.
+
+    The value must be a non-negative decimal with exactly `digits`
+    fractional places, the form the sender writes, so an instance holds only
+    ASCII digits and a point.  As in Mat2, the hand-written __init__ checks
+    the arguments and stores every field in one step.
+    """
 
     orientation: str
     value: str
     digits: int
 
-    def __post_init__(self):
-        if self.orientation not in (BOTTOM_OVER_TOP, TOP_OVER_BOTTOM):
-            raise ValueError(f"unknown column-ratio orientation {self.orientation!r}")
-        if not isinstance(self.value, str):
-            raise TypeError(f"value must be a str, got {type(self.value).__name__}")
-        _check_digits(self.digits)
-
-    def check_value(self) -> None:
-        """Raise ValueError unless the value is a non-negative decimal with
-        exactly `digits` fractional places, the form the sender writes."""
-        match = _RATIO_VALUE.fullmatch(self.value)
-        if match is None or len(match[1] or "") != self.digits:
+    def __init__(self, orientation: str, value: str, digits: int):
+        if orientation not in (BOTTOM_OVER_TOP, TOP_OVER_BOTTOM):
+            raise ValueError(f"unknown column-ratio orientation {orientation!r}")
+        if not isinstance(value, str):
+            raise TypeError(f"value must be a str, got {type(value).__name__}")
+        _check_digits(digits)
+        match = _RATIO_VALUE.fullmatch(value)
+        if match is None or len(match[1] or "") != digits:
             raise ValueError(
-                f"column-ratio value must be a non-negative decimal with {self.digits} "
-                f"places, got {self.value!r}"
+                f"column-ratio value must be a non-negative decimal with {digits} "
+                f"places, got {value!r}"
             )
+        object.__setattr__(
+            self, "__dict__", {"orientation": orientation, "value": value, "digits": digits}
+        )
 
     @property
     def units(self) -> int:
-        """The value in units of 10**-digits; ValueError as check_value."""
-        self.check_value()
+        """The value in units of 10**-digits."""
         return int(self.value.replace(".", ""))
+
+
+# Shared ColumnRatioCheck per (orientation, value, digits): a message repeats
+# a few hundred values at 2 digits, so most blocks skip construction.  typed
+# keeps 2.0 and True from hitting the entries of 2 and 1; maxsize bounds what
+# hostile input can make it hold.
+_ratio_check = lru_cache(maxsize=4096, typed=True)(ColumnRatioCheck)
 
 
 @dataclass(frozen=True)
@@ -189,18 +200,30 @@ class CipherPackage:
     block_index: int = 0
     pad_len: int = 0
 
-    def __post_init__(self):
-        if not isinstance(self.c, Mat2):
-            raise TypeError(f"c must be a Mat2, got {type(self.c).__name__}")
-        if not (type(self.det_p) is type(self.block_index) is type(self.pad_len) is int):
-            for name in ("det_p", "block_index", "pad_len"):
-                _require_plain_int(name, getattr(self, name))
-        if self.column_ratio is not None and not isinstance(self.column_ratio, ColumnRatioCheck):
+    def __init__(
+        self,
+        c: Mat2,
+        det_p: int,
+        column_ratio: ColumnRatioCheck | None = None,
+        block_index: int = 0,
+        pad_len: int = 0,
+    ):
+        if not isinstance(c, Mat2):
+            raise TypeError(f"c must be a Mat2, got {type(c).__name__}")
+        if not (type(det_p) is type(block_index) is type(pad_len) is int):
+            _require_plain_int("det_p", det_p)
+            _require_plain_int("block_index", block_index)
+            _require_plain_int("pad_len", pad_len)
+        if column_ratio is not None and not isinstance(column_ratio, ColumnRatioCheck):
             raise TypeError("column_ratio must be a ColumnRatioCheck or None")
-        if not 0 <= self.pad_len <= 3:
+        if not 0 <= pad_len <= 3:
             raise ValueError("pad_len must be in 0..3")
-        if self.block_index < 0:
+        if block_index < 0:
             raise ValueError("block_index must be non-negative")
+        object.__setattr__(self, "__dict__", {
+            "c": c, "det_p": det_p, "column_ratio": column_ratio,
+            "block_index": block_index, "pad_len": pad_len,
+        })
 
 
 class _CompiledKey(NamedTuple):
@@ -301,7 +324,7 @@ def _encrypt_blocks(
         c22 = p21 * m12 + p22 * m22
         check = None
         if emit_column_ratio and c11 and c12:
-            check = ColumnRatioCheck(
+            check = _ratio_check(
                 BOTTOM_OVER_TOP, round_half_even_ratio(c21, c11, ratio_digits), ratio_digits
             )
         packages.append(
@@ -408,6 +431,19 @@ class VerifyResult:
     det_observed: int
     det_expected: int
     interval_checked: bool = True
+
+    def __init__(
+        self,
+        status: VerifyStatus,
+        bad_rows: frozenset[int],
+        det_observed: int,
+        det_expected: int,
+        interval_checked: bool = True,
+    ):
+        object.__setattr__(self, "__dict__", {
+            "status": status, "bad_rows": bad_rows, "det_observed": det_observed,
+            "det_expected": det_expected, "interval_checked": interval_checked,
+        })
 
     @property
     def clean(self) -> bool:

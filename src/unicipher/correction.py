@@ -306,7 +306,7 @@ def correct_pair(c: Mat2, ctx: CorrectionContext, positions) -> CorrectionReport
     if cls in (ErrorClass.ROW_TOP, ErrorClass.ROW_BOTTOM) and (ctx.rho is None or ctx.rho[0] <= 0):
         return _failure(cls, 0, "column-ratio-missing")
     product = cls in (ErrorClass.DIAGONAL, ErrorClass.ANTI_DIAGONAL)
-    fail = "no-factor-near-estimate" if product else "no-solution-near-estimate"
+    fail = "no-factor-in-range" if product else "no-solution-in-range"
     e = c.entries()
     if min(e[2 * i + j] for i, j in _ALL_POSITIONS if (i, j) not in (first, second)) < 0:
         return _failure(cls, 0, fail)  # every candidate keeps the negative entry

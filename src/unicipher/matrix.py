@@ -24,19 +24,24 @@ def _require_int(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class Mat2:
-    """2x2 matrix of exact integers, fields row-major."""
+    """2x2 matrix of exact integers, fields row-major.
+
+    The hand-written __init__ (which dataclass keeps) checks the entries and
+    stores all four in one step; eq, hash, repr and immutability are the
+    dataclass's.
+    """
 
     a11: int
     a12: int
     a21: int
     a22: int
 
-    def __post_init__(self):
+    def __init__(self, a11: int, a12: int, a21: int, a22: int):
         # Fast path for the common case; the loop accepts and rejects the same values.
-        if type(self.a11) is type(self.a12) is type(self.a21) is type(self.a22) is int:
-            return
-        for name in ("a11", "a12", "a21", "a22"):
-            _require_int(name, getattr(self, name))
+        if not (type(a11) is type(a12) is type(a21) is type(a22) is int):
+            for name, value in (("a11", a11), ("a12", a12), ("a21", a21), ("a22", a22)):
+                _require_int(name, value)
+        object.__setattr__(self, "__dict__", {"a11": a11, "a12": a12, "a21": a21, "a22": a22})
 
     @classmethod
     def identity(cls) -> "Mat2":

@@ -83,6 +83,44 @@ def malformed_package_text(field: str, value) -> str:
     return json.dumps(document)
 
 
+def framed_packages_text(*frames) -> str:
+    """A package file with one package per (block_index, pad_len) frame."""
+    return dumps_packages(
+        [CipherPackage(Mat2(1068, 660, 2076, 1283), 84, None, i, pad) for i, pad in frames]
+    )
+
+
+# Block indices must be unique, and only the highest one may carry padding.
+BAD_FRAMES = {
+    "duplicate": ((0, 0), (0, 0)),
+    "padded-duplicate": ((2, 1), (0, 0), (2, 1)),
+    "pad-not-last": ((0, 1), (1, 0)),
+    "pad-on-lower-index": ((1, 0), (0, 2)),
+}
+GOOD_FRAMES = {
+    "empty": (),
+    "one-padded": ((5, 3),),
+    "reversed": ((1, 2), (0, 0)),
+    "shuffled": ((0, 0), (3, 1), (2, 0)),
+}
+
+
+def ratio_package_text(**ratio) -> str:
+    """The file of malformed_package_text with the given column-ratio fields."""
+    document = json.loads(malformed_package_text("digits", 2))
+    document["packages"][0]["column_ratio"].update(ratio)
+    return json.dumps(document)
+
+
+# (a valid column ratio, a near miss that must not get the valid one's
+# interned check: 2.0 == 2 and True == 1 hash alike)
+NEAR_MISS_RATIOS = [
+    ({"value": "0.51", "digits": 2}, {"value": "0.51", "digits": 2.0}),
+    ({"value": "0.5", "digits": 1}, {"value": "0.5", "digits": True}),
+    ({"value": "0.51", "digits": 2}, {"value": "0.5", "digits": 2}),
+]
+
+
 class TestPackageFiles:
     def test_roundtrip_with_huge_entries(self):
         big = 10**40 + 12345  # far beyond 64-bit
@@ -118,6 +156,32 @@ class TestPackageFiles:
         text = malformed_package_text(field, value)
         with pytest.raises(FormatError):
             loads_packages(text)
+
+    @pytest.mark.parametrize(
+        "valid, near_miss", NEAR_MISS_RATIOS, ids=["digits-2.0", "digits-true", "value-0.5"]
+    )
+    def test_ratio_intern_is_type_exact(self, valid, near_miss):
+        (pkg,) = loads_packages(ratio_package_text(**valid))
+        assert pkg.column_ratio == ColumnRatioCheck(BOTTOM_OVER_TOP, **valid)
+        with pytest.raises(FormatError):
+            loads_packages(ratio_package_text(**near_miss))
+
+    @pytest.mark.parametrize(
+        "value", ["abc", "0.5", "-0.51", "0.510", ".51", "\u0660.\u0665\u0661"]
+    )
+    def test_ratio_value_checked_at_construction(self, value):
+        with pytest.raises(ValueError):
+            ColumnRatioCheck(BOTTOM_OVER_TOP, value, 2)
+
+    @pytest.mark.parametrize("frames", BAD_FRAMES.values(), ids=BAD_FRAMES)
+    def test_bad_framing_raises_format_error(self, frames):
+        with pytest.raises(FormatError):
+            loads_packages(framed_packages_text(*frames))
+
+    @pytest.mark.parametrize("frames", GOOD_FRAMES.values(), ids=GOOD_FRAMES)
+    def test_good_framing_loads(self, frames):
+        parsed = loads_packages(framed_packages_text(*frames))
+        assert [(p.block_index, p.pad_len) for p in parsed] == list(frames)
 
     def test_malformed_entries_list(self):
         with pytest.raises(FormatError):

@@ -6,7 +6,13 @@ from unicipher.channel import loads_key, loads_packages
 from unicipher.cli import main
 from unicipher.matrix import Mat2
 
-from test_channel import malformed_package_text
+from test_channel import (
+    BAD_FRAMES,
+    NEAR_MISS_RATIOS,
+    framed_packages_text,
+    malformed_package_text,
+    ratio_package_text,
+)
 
 
 def run(capsys, *argv):
@@ -149,6 +155,29 @@ class TestPipelines:
         pkg_file = tmp_path / "packages.json"
         pkg_file.write_text(malformed_package_text(field, value))
         code, _, err = run(capsys, "verify", "--key", str(key_file), "--in", str(pkg_file))
+        assert code == 1
+        assert "error[FormatError]" in err
+
+    def test_ratio_intern_is_type_exact(self, tmp_path, capsys):
+        key_file = tmp_path / "key.json"
+        run(capsys, "keygen", "--arnolds-cat", "--n", "4", "--out", str(key_file))
+        pkg_file = tmp_path / "packages.json"
+        for valid, near_miss in NEAR_MISS_RATIOS:
+            pkg_file.write_text(ratio_package_text(**valid))
+            code, out, _ = run(capsys, "verify", "--key", str(key_file), "--in", str(pkg_file))
+            assert code == 0 and "clean" in out
+            pkg_file.write_text(ratio_package_text(**near_miss))
+            code, _, err = run(capsys, "verify", "--key", str(key_file), "--in", str(pkg_file))
+            assert code == 1
+            assert "error[FormatError]" in err
+
+    @pytest.mark.parametrize("command", ["verify", "decrypt"])
+    @pytest.mark.parametrize("frames", BAD_FRAMES.values(), ids=BAD_FRAMES)
+    def test_bad_framing_is_a_format_error(self, tmp_path, capsys, command, frames):
+        key_file = self.make_key(tmp_path, capsys)
+        pkg_file = tmp_path / "packages.json"
+        pkg_file.write_text(framed_packages_text(*frames))
+        code, _, err = run(capsys, command, "--key", str(key_file), "--in", str(pkg_file))
         assert code == 1
         assert "error[FormatError]" in err
 

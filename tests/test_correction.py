@@ -331,6 +331,13 @@ class TestPipeline:
         assert report.residual_failure.startswith("uncorrectable")
         assert len(report.attempts) >= 6
 
+    def test_empty_pair_stages_name_the_pinned_range(self):
+        key = CipherKey.golden(10)
+        report = correct(CipherPackage(Mat2(9991, 8882, 7773, 1283), 84), key)
+        attempts = dict(report.attempts)
+        assert attempts["diagonal"] == attempts["anti-diagonal"] == "no-factor-in-range"
+        assert attempts["column-left"] == attempts["column-right"] == "no-solution-in-range"
+
     def test_full_row_pipeline_with_ratio(self):
         key = CipherKey.arnolds_cat(4)
         pkg = CipherPackage(

