@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from .cipher import CipherKey, PlaintextMatrix
 from .errors import NoMatchInBounds, NotGoldenOracle
-from .matrix import Mat2
+from .matrix import Mat2, coding_entries
 
 UNIT_PROBE = Mat2(1, 0, 0, 0)
 
@@ -50,26 +50,20 @@ class KGoldenAttackResult:
     queries: int = 1
 
 
-def _k_sequence_pairs(k: int, n_max: int):
-    """(F(n+1), F(n)) for the recurrence F(n+1) = k*F(n) + F(n-1), n = 0.."""
-    prev, cur = 0, 1
-    for n in range(n_max + 1):
-        yield n, (cur, prev)
-        prev, cur = cur, k * cur + prev
-
-
 def attack_golden(oracle: EncryptionOracle, n_max: int = 512) -> GoldenAttackResult:
     """Recover the exponent of a Fibonacci-power key from one query.
 
     The top row of the unit-probe ciphertext must be a consecutive Fibonacci
     pair; the smallest matching index is returned (the pair (1, 1) occurs
     only at n = 1, so the classical F(1) = F(2) ambiguity never surfaces).
+    The pairs are the top rows of the coding matrices of [[1, 1], [1, 0]]
+    with seed (0, 1), which are its powers.
     """
     c = oracle.query(UNIT_PROBE)
     top = (c.a11, c.a12)
-    for n, pair in _k_sequence_pairs(1, n_max):
-        if pair == top:
-            return GoldenAttackResult(n, pair)
+    for n, (f1, f0, _, _) in zip(range(n_max + 1), coding_entries(1, 1, 1, 0, 0, 1)):
+        if (f1, f0) == top:
+            return GoldenAttackResult(n, top)
     raise NotGoldenOracle(
         f"top row {top} is not a consecutive Fibonacci pair within n <= {n_max}"
     )
@@ -82,10 +76,10 @@ def attack_k_golden(
     c = oracle.query(UNIT_PROBE)
     top = (c.a11, c.a12)
     for k in range(1, k_max + 1):
-        for n, pair in _k_sequence_pairs(k, n_max):
-            if pair == top:
-                return KGoldenAttackResult(k, n, pair)
-            if pair[0] > top[0] and pair[1] > top[1]:
+        for n, (f1, f0, _, _) in zip(range(n_max + 1), coding_entries(k, 1, 1, 0, 0, 1)):
+            if (f1, f0) == top:
+                return KGoldenAttackResult(k, n, top)
+            if f1 > top[0] and f0 > top[1]:
                 break
     raise NoMatchInBounds(
         f"top row {top} matches no k-sequence pair with k <= {k_max}, n <= {n_max}"
@@ -123,35 +117,39 @@ def measure_unimodular_resistance(
     """Count oracle-consistent keys in the box after 1..q chosen plaintexts.
 
     This is a measurement of search-space narrowing, not a security proof.
-    Candidates are raw parameter tuples restricted to determinant +/-1; the
-    enumeration stops (and is flagged) once `cap` candidates were weighed.
+    Candidates are raw parameter tuples restricted to determinant +/-1, one
+    per distinct exponent; the enumeration stops (and is flagged) once `cap`
+    candidates were weighed.  A negative exponent is a ValueError.
     """
-    observed = [oracle.query(p) for p in queries]
+    exponents = sorted(set(box.exponents))
+    if exponents and exponents[0] < 0:
+        raise ValueError(f"exponents must be non-negative, got {exponents[0]}")
+    wanted = [(p.entries(), oracle.query(p).entries()) for p in queries]
     counts = [0] * len(queries)
     enumerated = 0
     truncated = False
-    exponents = sorted(set(box.exponents))
     for alpha, beta, gamma, delta, a0, b0 in itertools.product(
         box.alphas, box.betas, box.gammas, box.deltas, box.seeds_a, box.seeds_b
     ):
-        u = Mat2(alpha, beta, gamma, delta)
-        if u.det() not in (1, -1):
+        if alpha * delta - beta * gamma not in (1, -1):
             continue
-        m_prev = Mat2(
-            alpha * a0 + beta * b0, a0,
-            gamma * a0 + delta * b0, b0,
-        )
-        prev_n = 0
+        walk = coding_entries(alpha, beta, gamma, delta, a0, b0)
+        m11, m12, m21, m22 = next(walk)
+        at = 0
         for n in exponents:
             if enumerated >= cap:
                 truncated = True
                 break
             enumerated += 1
-            for _ in range(n - prev_n):
-                m_prev = u @ m_prev
-            prev_n = n
-            for q, (probe, want) in enumerate(zip(queries, observed)):
-                if probe @ m_prev != want:
+            for _ in range(n - at):
+                m11, m12, m21, m22 = next(walk)
+            at = n
+            for q, ((p11, p12, p21, p22), want) in enumerate(wanted):
+                got = (
+                    p11 * m11 + p12 * m21, p11 * m12 + p12 * m22,
+                    p21 * m11 + p22 * m21, p21 * m12 + p22 * m22,
+                )
+                if got != want:
                     break
                 counts[q] += 1
         if truncated:

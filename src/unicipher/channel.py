@@ -84,7 +84,13 @@ def _alphabet_from_dict(document: dict) -> Alphabet:
     if kind == "bytes":
         return Alphabet.bytes_mode()
     if kind == "custom":
-        return Alphabet.custom(_need(document, "symbols"))
+        symbols = _need(document, "symbols")
+        if not isinstance(symbols, str):
+            raise FormatError(f"alphabet symbols must be a string, got {type(symbols).__name__}")
+        try:
+            return Alphabet.custom(symbols)
+        except ValueError as exc:
+            raise FormatError(f"malformed alphabet: {exc}") from None
     raise FormatError(f"unknown alphabet kind {kind!r}")
 
 

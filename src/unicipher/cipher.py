@@ -12,29 +12,14 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import attrgetter, itemgetter
-from typing import NamedTuple
 
-from .errors import (
-    InvalidKey,
-    NegativePlaintext,
-    NonIntegralPlaintext,
-    UnknownSymbol,
-    ZeroSequenceEntry,
-)
-from .matrix import (
-    DEFAULT_MAX_EXPONENT,
-    CodingMatrix,
-    KeyMatrix,
-    Mat2,
-    SeedPair,
-    build_coding_matrix,
-    mu_of_seed,
-)
-from .ratios import BOTTOM_OVER_TOP, TOP_OVER_BOTTOM, round_half_even_ratio, row_ratio_bounds
+from .errors import InvalidKey, NegativePlaintext, NonIntegralPlaintext, UnknownSymbol
+from .matrix import CodingMatrix, KeyMatrix, Mat2, SeedPair, build_coding_matrix
+from .ratios import BOTTOM_OVER_TOP, TOP_OVER_BOTTOM, round_half_even_ratio
 
 IDENTITY_PERM = (0, 1, 2, 3)
 # Cap on transmitted column-ratio digits, so 10**digits stays small on hostile input.
@@ -181,9 +166,18 @@ class ColumnRatioCheck:
 
 # Shared ColumnRatioCheck per (orientation, value, digits): a message repeats
 # a few hundred values at 2 digits, so most blocks skip construction.  typed
-# keeps 2.0 and True from hitting the entries of 2 and 1; maxsize bounds what
-# hostile input can make it hold.
-_ratio_check = lru_cache(maxsize=4096, typed=True)(ColumnRatioCheck)
+# keeps 2.0 and True from hitting the entries of 2 and 1; maxsize bounds how
+# many checks hostile input can make it hold, and _ratio_check keeps long
+# values (the integer part has no limit) out of it.
+_interned_ratio_check = lru_cache(maxsize=4096, typed=True)(ColumnRatioCheck)
+_MAX_INTERNED_VALUE = 2 * MAX_RATIO_DIGITS
+
+
+def _ratio_check(orientation: str, value: str, digits: int) -> ColumnRatioCheck:
+    """The interned check for a value of at most _MAX_INTERNED_VALUE characters, else a new one."""
+    if type(value) is str and len(value) <= _MAX_INTERNED_VALUE:
+        return _interned_ratio_check(orientation, value, digits)
+    return ColumnRatioCheck(orientation, value, digits)
 
 
 @dataclass(frozen=True)
@@ -226,49 +220,27 @@ class CipherPackage:
         })
 
 
-class _CompiledKey(NamedTuple):
-    """Plain-int view of a key's coding matrix, for the per-block kernel."""
-
-    m: tuple[int, int, int, int]  # M(n) = [[A(n+1), A(n)], [B(n+1), B(n)]], row-major
-    adj: tuple[int, int, int, int]  # adjugate of M(n), row-major
-    det: int
-    # row-ratio interval as ((lo_num, lo_den), (hi_num, hi_den)), denominators
-    # positive; None when a sequence entry at index n is not positive
-    bounds: tuple[tuple[int, int], tuple[int, int]] | None
-
-
 @dataclass(frozen=True)
 class CipherKey:
-    """Secret key: multiplier matrix, sequence seed, exponent, block permutation."""
+    """Secret key: multiplier matrix, sequence seed, exponent, block permutation.
+
+    The coding matrix is built, and the exponent checked, once at construction.
+    """
 
     u: KeyMatrix
     seed: SeedPair
     n: int
     perm: tuple[int, int, int, int] = IDENTITY_PERM
+    coding_matrix: CodingMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "perm", _check_perm(self.perm))
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 0:
-            raise InvalidKey("exponent must be a non-negative integer")
-        if self.n > DEFAULT_MAX_EXPONENT:
-            raise InvalidKey(f"exponent {self.n} exceeds the cap {DEFAULT_MAX_EXPONENT}")
+        cm = build_coding_matrix(self.u, self.seed, self.n)
         if (self.seed.a0 == 0 or self.seed.b0 == 0) and self.n < 1:
             raise InvalidKey("a seed with a zero component needs n >= 1")
-        if mu_of_seed(self.u, self.seed) == 0:
+        if cm.seed_det == 0:
             raise InvalidKey("seed gives a singular index-0 coding matrix")
-
-    @cached_property
-    def coding_matrix(self) -> CodingMatrix:
-        return build_coding_matrix(self.u, self.seed, self.n)
-
-    @cached_property
-    def _compiled(self) -> _CompiledKey:
-        cm = self.coding_matrix
-        try:
-            bounds = row_ratio_bounds(cm)
-        except ZeroSequenceEntry:
-            bounds = None
-        return _CompiledKey(cm.matrix.entries(), cm.matrix.adjugate().entries(), cm.det, bounds)
+        object.__setattr__(self, "coding_matrix", cm)
 
     @classmethod
     def golden(cls, n: int, perm=IDENTITY_PERM) -> "CipherKey":
@@ -308,13 +280,13 @@ def _decode(blocks, pad_len: int, alphabet: Alphabet, perm):
 
 
 def _encrypt_blocks(
-    blocks, ck: _CompiledKey, emit_column_ratio: bool, ratio_digits: int,
+    blocks, cm: CodingMatrix, emit_column_ratio: bool, ratio_digits: int,
     first_index: int, pad_len: int,
 ) -> tuple[CipherPackage, ...]:
     """C = P @ M(n) per block, numbered from first_index; the last block carries pad_len."""
     if emit_column_ratio:
         _check_digits(ratio_digits)
-    m11, m12, m21, m22 = ck.m
+    m11, m12, m21, m22 = cm.matrix.entries()
     last = first_index + len(blocks) - 1
     packages = []
     for i, (p11, p12, p21, p22) in enumerate(blocks, first_index):
@@ -336,10 +308,10 @@ def _encrypt_blocks(
     return tuple(packages)
 
 
-def _decrypt_block(c: Mat2, ck: _CompiledKey) -> tuple[int, int, int, int]:
+def _decrypt_block(c: Mat2, cm: CodingMatrix) -> tuple[int, int, int, int]:
     """Row-major plaintext entries C @ adj(M(n)) / det M(n), demanding exact division."""
-    j11, j12, j21, j22 = ck.adj
-    det = ck.det
+    j11, j12, j21, j22 = cm.adj
+    det = cm.det
     raw = (
         c.a11 * j11 + c.a12 * j21,
         c.a11 * j12 + c.a12 * j22,
@@ -407,14 +379,14 @@ def encrypt(
     The ratio check is silently omitted when a top-row entry is zero.
     """
     (pkg,) = _encrypt_blocks(
-        (p.p.entries(),), key._compiled, emit_column_ratio, ratio_digits, block_index, pad_len
+        (p.p.entries(),), key.coding_matrix, emit_column_ratio, ratio_digits, block_index, pad_len
     )
     return pkg
 
 
 def decrypt(pkg: CipherPackage, key: CipherKey, alphabet_size: int = 26) -> PlaintextMatrix:
     """P = C @ adj(M(n)) / det(M(n)), demanding exact divisibility."""
-    return PlaintextMatrix(Mat2(*_decrypt_block(pkg.c, key._compiled)), alphabet_size)
+    return PlaintextMatrix(Mat2(*_decrypt_block(pkg.c, key.coding_matrix)), alphabet_size)
 
 
 class VerifyStatus(Enum):
@@ -461,11 +433,11 @@ def verify_package(pkg: CipherPackage, key: CipherKey) -> VerifyResult:
     encrypts to a zero row).  The interval check is skipped when the coding
     sequences are not yet positive (tiny n with a zero-component seed).
     """
-    ck = key._compiled
+    cm = key.coding_matrix
     c = pkg.c
-    expected = ck.det * pkg.det_p
+    expected = cm.det * pkg.det_p
     observed = c.a11 * c.a22 - c.a12 * c.a21
-    bounds = ck.bounds
+    bounds = cm.bounds
     if bounds is None:
         bad = _BAD_ROWS[0]
     else:
@@ -490,13 +462,13 @@ def encrypt_message(
     """Encode, then encrypt block by block; blocks are independent."""
     alphabet = alphabet if alphabet is not None else Alphabet.latin()
     blocks, pad = _encode(message, alphabet, key.perm)
-    return _encrypt_blocks(blocks, key._compiled, emit_column_ratio, ratio_digits, 0, pad)
+    return _encrypt_blocks(blocks, key.coding_matrix, emit_column_ratio, ratio_digits, 0, pad)
 
 
 def decrypt_message(packages, key: CipherKey, alphabet: Alphabet | None = None):
     """Decrypt, reorder by block index, decode, strip final padding."""
     alphabet = alphabet if alphabet is not None else Alphabet.latin()
-    ck = key._compiled
+    cm = key.coding_matrix
     ordered = sorted(packages, key=attrgetter("block_index"))
     pad = ordered[-1].pad_len if ordered else 0
-    return _decode((_decrypt_block(pkg.c, ck) for pkg in ordered), pad, alphabet, key.perm)
+    return _decode((_decrypt_block(pkg.c, cm) for pkg in ordered), pad, alphabet, key.perm)

@@ -25,7 +25,7 @@ from .cipher import (
     verify_package,
 )
 from .correction import correct
-from .errors import CipherError, NoMatchInBounds, NotGoldenOracle
+from .errors import CipherError, FormatError, NoMatchInBounds, NotGoldenOracle
 from .matrix import KeyMatrix, Mat2
 from .ratios import RatioParams, fixed_points, ratio_iterate
 
@@ -52,7 +52,10 @@ def _alphabet_from_flag(value: str) -> Alphabet:
         return Alphabet.latin()
     if value == "bytes":
         return Alphabet.bytes_mode()
-    return Alphabet.custom(value)
+    try:
+        return Alphabet.custom(value)
+    except ValueError as exc:
+        raise CipherError(f"--alphabet {value!r}: {exc}") from None
 
 
 def _ratio_digits(flag: int | None) -> int:
@@ -123,6 +126,10 @@ def _cmd_encrypt(args) -> int:
 def _cmd_decrypt(args) -> int:
     key, alphabet = _load_key(args.key)
     packages = channel.loads_packages(_read(args.infile))
+    indices = sorted(pkg.block_index for pkg in packages)
+    if indices != list(range(len(packages))):
+        missing = sorted(set(range(indices[-1] + 1)) - set(indices))
+        raise FormatError(f"decrypt needs every block 0..{indices[-1]}; missing {missing}")
     message = decrypt_message(packages, key, alphabet)
     if isinstance(message, bytes):
         sys.stdout.buffer.write(message)
@@ -212,7 +219,10 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_ratios(args) -> int:
-    params = RatioParams(args.t, args.d, Fraction(args.a0))
+    try:
+        params = RatioParams(args.t, args.d, Fraction(args.a0))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CipherError(f"--a0 must be a nonzero rational, got {args.a0!r}: {exc}") from None
     orbit = ratio_iterate(params, args.steps)
     fp = fixed_points(args.t, args.d)
     print(f"fixed point: {fp.phi_plus_decimal(12)}")

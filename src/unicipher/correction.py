@@ -136,7 +136,7 @@ class CorrectionContext:
         check = pkg.column_ratio
         if check is not None and check.orientation == BOTTOM_OVER_TOP:
             rho = (check.units, 10**check.digits)
-        return cls(key, key._compiled.det * pkg.det_p, rho, plaintext_bound)
+        return cls(key, key.coding_matrix.det * pkg.det_p, rho, plaintext_bound)
 
 
 def plaintext_bounds(ctx: CorrectionContext) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -147,7 +147,7 @@ def plaintext_bounds(ctx: CorrectionContext) -> tuple[tuple[int, int], tuple[int
     """
     if ctx.plaintext_bound is None:
         raise ValueError("context has no plaintext bound")
-    m11, m12, m21, m22 = ctx.key._compiled.m
+    m11, m12, m21, m22 = ctx.key.coding_matrix.matrix.entries()
     s = ctx.plaintext_bound - 1
     return (0, s * (m11 + m21)), (0, s * (m12 + m22))
 
@@ -159,9 +159,9 @@ def _repair_passes(mat: Mat2, ctx: CorrectionContext) -> bool:
         return False
     if c11 * c22 - c12 * c21 != ctx.expected_det:
         return False
-    ck = ctx.key._compiled
-    if ck.bounds is not None and not (
-        _row_in_interval(c11, c12, ck.bounds) and _row_in_interval(c21, c22, ck.bounds)
+    cm = ctx.key.coding_matrix
+    if cm.bounds is not None and not (
+        _row_in_interval(c11, c12, cm.bounds) and _row_in_interval(c21, c22, cm.bounds)
     ):
         return False
     if ctx.rho is not None:
@@ -169,7 +169,7 @@ def _repair_passes(mat: Mat2, ctx: CorrectionContext) -> bool:
         if c11 <= 0 or not (2 * r - 1) * c11 <= 2 * d * c21 <= (2 * r + 1) * c11:
             return False
     try:
-        entries = _decrypt_block(mat, ck)
+        entries = _decrypt_block(mat, cm)
     except (NonIntegralPlaintext, NegativePlaintext):
         return False
     return ctx.plaintext_bound is None or max(entries) < ctx.plaintext_bound
@@ -256,7 +256,7 @@ def _pin(e: tuple[int, ...], ctx: CorrectionContext, pos, other) -> tuple[int, i
     lo, hi = 0, inf
     if ctx.plaintext_bound is not None:
         hi = plaintext_bounds(ctx)[j][1]
-    bounds = ctx.key._compiled.bounds
+    bounds = ctx.key.coding_matrix.bounds
     if bounds is not None and (i, 1 - j) != other:
         # row-ratio interval; its four bound terms are positive for every admissible key
         (lo_num, lo_den), (hi_num, hi_den) = bounds

@@ -3,10 +3,13 @@
 Everything stays in arbitrary-precision integer arithmetic: products,
 determinants, adjugates, powers, and the two-sequence coding matrices
 [[A(n+1), A(n)], [B(n+1), B(n)]] that multiply plaintext blocks.
+coding_entries is the one recurrence behind every M(n) the package
+computes, and build_coding_matrix the one place that validates and views it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -209,24 +212,39 @@ class SeedPair:
 
 
 def mu_of_seed(key: KeyMatrix, seed: SeedPair) -> int:
-    """Determinant of the index-0 coding matrix for this key and seed."""
-    closed = (
-        (key.alpha - key.delta) * seed.a0 * seed.b0
-        + key.beta * seed.b0 * seed.b0
-        - key.gamma * seed.a0 * seed.a0
-    )
+    """Determinant A(1)*B(0) - A(0)*B(1) of the index-0 coding matrix."""
     a1 = key.alpha * seed.a0 + key.beta * seed.b0
     b1 = key.gamma * seed.a0 + key.delta * seed.b0
-    assert closed == a1 * seed.b0 - seed.a0 * b1
-    return closed
+    return a1 * seed.b0 - seed.a0 * b1
+
+
+def coding_entries(alpha: int, beta: int, gamma: int, delta: int, a0: int, b0: int):
+    """Row-major entries (A(n+1), A(n), B(n+1), B(n)) of M(0), M(1), M(2), ...
+
+    M(0) = [[alpha*a0 + beta*b0, a0], [gamma*a0 + delta*b0, b0]], and both
+    columns advance by x(n+1) = t*x(n) - d*x(n-1) with t and d the trace and
+    determinant of U = [[alpha, beta], [gamma, delta]] (Cayley-Hamilton), so
+    M(n) = U^n @ M(0).  The parameters are plain ints with no admissibility
+    check: the attacks walk multipliers that KeyMatrix rejects.
+    """
+    t, d = alpha + delta, alpha * delta - beta * gamma
+    a_prev, b_prev = a0, b0
+    a_cur, b_cur = alpha * a0 + beta * b0, gamma * a0 + delta * b0
+    while True:
+        yield a_cur, a_prev, b_cur, b_prev
+        a_prev, a_cur = a_cur, t * a_cur - d * a_prev
+        b_prev, b_cur = b_cur, t * b_cur - d * b_prev
 
 
 @dataclass(frozen=True)
 class CodingMatrix:
-    """Encryption multiplier [[A(n+1), A(n)], [B(n+1), B(n)]].
+    """Encryption multiplier [[A(n+1), A(n)], [B(n+1), B(n)]] and its plain-int view.
 
     Both columns advance by the same recurrence x(n+1) = t*x(n) - d*x(n-1),
-    so det shrinks to seed_det * unit_det^n exactly.
+    so det = seed_det * unit_det^n exactly.  build_coding_matrix stores, once,
+    what every block reads: det, the adjugate's row-major entries, and the
+    row-ratio interval as ((lo_num, lo_den), (hi_num, hi_den)) with positive
+    denominators, or None when A(n) or B(n) is not positive.
     """
 
     matrix: Mat2
@@ -234,10 +252,9 @@ class CodingMatrix:
     trace: int
     unit_det: int
     seed_det: int
-
-    @property
-    def det(self) -> int:
-        return self.seed_det * (self.unit_det ** self.n)
+    det: int
+    adj: tuple[int, int, int, int]
+    bounds: tuple[tuple[int, int], tuple[int, int]] | None
 
     @property
     def ratio_limit(self) -> float:
@@ -246,43 +263,42 @@ class CodingMatrix:
         return (self.trace + math.sqrt(disc)) / 2.0
 
 
-def build_coding_matrix(
-    key: KeyMatrix,
-    seed: SeedPair,
-    n: int,
-    max_n: int = DEFAULT_MAX_EXPONENT,
-) -> CodingMatrix:
-    """Run both seeded sequences out to index n + 1.
+def build_coding_matrix(key: KeyMatrix, seed: SeedPair, n: int) -> CodingMatrix:
+    """Entry n of coding_entries for this key and seed, with its plain-int view.
 
     Equals (key.m ** n) @ M0 entrywise; entries grow geometrically with n,
-    hence the configurable cap.
+    hence the cap DEFAULT_MAX_EXPONENT.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise InvalidKey("exponent must be a non-negative integer")
-    if n > max_n:
-        raise InvalidKey(f"exponent {n} exceeds the cap {max_n}")
-    a_prev, b_prev = seed.a0, seed.b0
-    a_cur = key.alpha * seed.a0 + key.beta * seed.b0
-    b_cur = key.gamma * seed.a0 + key.delta * seed.b0
+    if n > DEFAULT_MAX_EXPONENT:
+        raise InvalidKey(f"exponent {n} exceeds the cap {DEFAULT_MAX_EXPONENT}")
+    m = key.m
+    walk = coding_entries(m.a11, m.a12, m.a21, m.a22, seed.a0, seed.b0)
+    a1, a0, b1, b0 = next(itertools.islice(walk, n, None))
     t, d = key.trace, key.det
-    for _ in range(n):
-        a_prev, a_cur = a_cur, t * a_cur - d * a_prev
-        b_prev, b_cur = b_cur, t * b_cur - d * b_prev
-    return CodingMatrix(Mat2(a_cur, a_prev, b_cur, b_prev), n, t, d, mu_of_seed(key, seed))
+    seed_det = mu_of_seed(key, seed)
+    bounds = None
+    if a0 > 0 and b0 > 0:
+        ra, rb = (a1, a0), (b1, b0)
+        bounds = (ra, rb) if a1 * b0 <= b1 * a0 else (rb, ra)
+    return CodingMatrix(
+        Mat2(a1, a0, b1, b0), n, t, d, seed_det, seed_det * d**n, (b0, -a0, -b1, a1), bounds
+    )
 
 
-def k_golden_matrix(k: int, n: int, max_n: int = DEFAULT_MAX_EXPONENT) -> CodingMatrix:
+def k_golden_matrix(k: int, n: int) -> CodingMatrix:
     """n-th power of [[k, 1], [1, 0]] arranged as a coding matrix."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise InvalidKey("k must be a positive integer")
     if n < 1:
         raise InvalidKey("need n >= 1 so the bottom-right sequence entry exists")
-    return build_coding_matrix(KeyMatrix(Mat2(k, 1, 1, 0)), SeedPair(0, 1), n, max_n)
+    return build_coding_matrix(KeyMatrix(Mat2(k, 1, 1, 0)), SeedPair(0, 1), n)
 
 
-def golden_matrix(n: int, max_n: int = DEFAULT_MAX_EXPONENT) -> CodingMatrix:
+def golden_matrix(n: int) -> CodingMatrix:
     """Coding matrix of consecutive Fibonacci numbers (the k = 1 case)."""
-    return k_golden_matrix(1, n, max_n)
+    return k_golden_matrix(1, n)
 
 
 def s_matrix(t: int, d: int) -> Mat2:

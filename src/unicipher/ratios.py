@@ -203,27 +203,16 @@ def exponential_rate(errors: Sequence[float], floor: float = 1e-250) -> float:
     return max(ratios) if ratios else 0.0
 
 
-def row_ratio_bounds(cm: CodingMatrix) -> tuple[tuple[int, int], tuple[int, int]]:
-    """row_ratio_interval as two (numerator, positive denominator) pairs.
-
-    Callers on the hot path compare a row c1/c2 (c2 > 0) against a bound
-    n/d by cross-multiplication, n*c2 <= c1*d, with no Fraction built.
-    """
-    m = cm.matrix
-    if m.a12 <= 0 or m.a22 <= 0:
-        raise ZeroSequenceEntry("both sequences must be positive at index n")
-    ra, rb = (m.a11, m.a12), (m.a21, m.a22)
-    return (ra, rb) if m.a11 * m.a22 <= m.a21 * m.a12 else (rb, ra)
-
-
 def row_ratio_interval(cm: CodingMatrix) -> tuple[Fraction, Fraction]:
-    """Closed interval spanned by A(n+1)/A(n) and B(n+1)/B(n).
+    """Closed interval spanned by A(n+1)/A(n) and B(n+1)/B(n): cm.bounds as Fractions.
 
     Each row of an honest ciphertext (non-negative plaintext, row not all
     zero) has c_row1/c_row2 inside this interval, because the ciphertext
     ratio is a non-negatively weighted mediant of the two column ratios.
     """
-    lo, hi = row_ratio_bounds(cm)
+    if cm.bounds is None:
+        raise ZeroSequenceEntry("both sequences must be positive at index n")
+    lo, hi = cm.bounds
     return Fraction(*lo), Fraction(*hi)
 
 

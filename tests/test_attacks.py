@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from unicipher.attacks import (
     UNIT_PROBE,
     EncryptionOracle,
     ParamBox,
+    ResistanceStats,
     attack_golden,
     attack_k_golden,
     measure_unimodular_resistance,
@@ -21,6 +23,30 @@ def k_sequence(k, count):
     while len(seq) < count:
         seq.append(k * seq[-1] + seq[-2])
     return seq
+
+
+def brute_force_resistance(oracle, box, queries, cap):
+    """Reference for measure_unimodular_resistance: M(n) = U**n @ M(0) by Mat2.__pow__."""
+    observed = [oracle.query(p) for p in queries]
+    counts = [0] * len(queries)
+    enumerated = 0
+    for alpha, beta, gamma, delta, a0, b0 in itertools.product(
+        box.alphas, box.betas, box.gammas, box.deltas, box.seeds_a, box.seeds_b
+    ):
+        u = Mat2(alpha, beta, gamma, delta)
+        if u.det() not in (1, -1):
+            continue
+        m0 = Mat2(alpha * a0 + beta * b0, a0, gamma * a0 + delta * b0, b0)
+        for n in sorted(set(box.exponents)):
+            if enumerated >= cap:
+                return ResistanceStats(tuple(counts), enumerated, True)
+            enumerated += 1
+            m = (u ** n) @ m0
+            for q, (probe, want) in enumerate(zip(queries, observed)):
+                if probe @ m != want:
+                    break
+                counts[q] += 1
+    return ResistanceStats(tuple(counts), enumerated, False)
 
 
 class TestGoldenAttack:
@@ -128,3 +154,22 @@ class TestUnimodularResistance:
         stats = measure_unimodular_resistance(oracle, box, cap=500)
         assert stats.truncated
         assert stats.enumerated >= 500
+
+    # 5 distinct exponents per seeded multiplier: a cap of 272 stops partway
+    # through one, after the first keys consistent with all three probes
+    @pytest.mark.parametrize("cap", [10_000_000, 272])
+    def test_matches_brute_force_reference(self, cap):
+        oracle = EncryptionOracle.from_key(CipherKey.arnolds_cat(3))
+        probes = (UNIT_PROBE, Mat2(0, 0, 1, 0), Mat2(1, 1, 0, 0))
+        box = ParamBox(range(0, 3), range(0, 3), range(0, 3), range(0, 3),
+                       range(0, 2), range(0, 2), (5, 0, 3, 3, 1, 2, 0))
+        stats = measure_unimodular_resistance(oracle, box, queries=probes, cap=cap)
+        assert stats == brute_force_resistance(oracle, box, probes, cap)
+        assert stats.truncated == (cap == 272)
+        assert stats.consistent_counts[2] >= 1
+
+    def test_negative_exponent_rejected(self):
+        oracle = EncryptionOracle.from_key(CipherKey.golden(1))
+        box = ParamBox((1,), (1,), (1,), (0,), (0,), (1,), (-1, 0))
+        with pytest.raises(ValueError):
+            measure_unimodular_resistance(oracle, box)

@@ -21,6 +21,7 @@ from unicipher.cipher import (
     CipherPackage,
     ColumnRatioCheck,
     PlaintextMatrix,
+    _interned_ratio_check,
     encrypt,
     encrypt_message,
 )
@@ -28,6 +29,16 @@ from unicipher.errors import FormatError
 from unicipher.matrix import KeyMatrix, Mat2, SeedPair
 from unicipher.ratios import BOTTOM_OVER_TOP
 from unicipher.sampling import random_cipher_key, random_plaintext
+
+
+# custom-alphabet symbols a key file must not accept
+MALFORMED_SYMBOLS = ["AA", "A", "", 5, None, ["A", "B"]]
+
+
+def custom_alphabet_key_text(symbols) -> str:
+    key_dict = key_to_dict(CipherKey.golden(4))
+    key_dict["alphabet"] = {"kind": "custom", "symbols": symbols}
+    return json.dumps(key_dict)
 
 
 class TestKeyFiles:
@@ -70,6 +81,11 @@ class TestKeyFiles:
         text = dumps_key(CipherKey.golden(4)).replace('"1"', '"one"', 1)
         with pytest.raises(FormatError):
             loads_key(text)
+
+    @pytest.mark.parametrize("symbols", MALFORMED_SYMBOLS)
+    def test_malformed_alphabet(self, symbols):
+        with pytest.raises(FormatError):
+            loads_key(custom_alphabet_key_text(symbols))
 
 
 def malformed_package_text(field: str, value) -> str:
@@ -172,6 +188,17 @@ class TestPackageFiles:
     def test_ratio_value_checked_at_construction(self, value):
         with pytest.raises(ValueError):
             ColumnRatioCheck(BOTTOM_OVER_TOP, value, 2)
+
+    def test_long_ratio_values_are_not_interned(self):
+        long_value = "1" * 999_997 + ".51"
+        _interned_ratio_check.cache_clear()
+        (pkg,) = loads_packages(ratio_package_text(value=long_value, digits=2))
+        assert pkg.column_ratio == ColumnRatioCheck(BOTTOM_OVER_TOP, long_value, 2)
+        assert _interned_ratio_check.cache_info().currsize == 0
+        for _ in range(2):
+            loads_packages(ratio_package_text(value="0.51", digits=2))
+        info = _interned_ratio_check.cache_info()
+        assert (info.currsize, info.hits) == (1, 1)
 
     @pytest.mark.parametrize("frames", BAD_FRAMES.values(), ids=BAD_FRAMES)
     def test_bad_framing_raises_format_error(self, frames):

@@ -8,7 +8,9 @@ from unicipher.matrix import Mat2
 
 from test_channel import (
     BAD_FRAMES,
+    MALFORMED_SYMBOLS,
     NEAR_MISS_RATIOS,
+    custom_alphabet_key_text,
     framed_packages_text,
     malformed_package_text,
     ratio_package_text,
@@ -51,6 +53,12 @@ class TestKeygen:
         )
         assert code == 1
         assert "error[InvalidKey]" in err
+
+    @pytest.mark.parametrize("alphabet", ["A", "AA"])
+    def test_invalid_alphabet_is_reported(self, capsys, alphabet):
+        code, out, err = run(capsys, "keygen", "--golden", "--n", "4", "--alphabet", alphabet)
+        assert code == 1 and out == ""
+        assert "error[CipherError]" in err
 
 
 class TestPipelines:
@@ -181,6 +189,38 @@ class TestPipelines:
         assert code == 1
         assert "error[FormatError]" in err
 
+    @pytest.mark.parametrize("drop", [[0], [1], [0, 1]])
+    def test_decrypt_needs_every_block(self, tmp_path, capsys, drop):
+        key_file = self.make_key(tmp_path, capsys)
+        pkg_file = tmp_path / "packages.json"
+        run(capsys, "encrypt", "--key", str(key_file), "--in", "MATHEMATICS",
+            "--out", str(pkg_file))
+        document = json.loads(pkg_file.read_text())
+        document["packages"] = [p for i, p in enumerate(document["packages"]) if i not in drop]
+        pkg_file.write_text(json.dumps(document))
+        code, out, err = run(capsys, "decrypt", "--key", str(key_file), "--in", str(pkg_file))
+        assert code == 1 and out == ""
+        assert "error[FormatError]" in err
+
+    def test_decrypt_takes_blocks_in_any_order(self, tmp_path, capsys):
+        key_file = self.make_key(tmp_path, capsys)
+        pkg_file = tmp_path / "packages.json"
+        run(capsys, "encrypt", "--key", str(key_file), "--in", "MATHEMATICS",
+            "--out", str(pkg_file))
+        document = json.loads(pkg_file.read_text())
+        document["packages"].reverse()
+        pkg_file.write_text(json.dumps(document))
+        code, out, _ = run(capsys, "decrypt", "--key", str(key_file), "--in", str(pkg_file))
+        assert code == 0 and out.strip() == "MATHEMATICS"
+
+    @pytest.mark.parametrize("symbols", MALFORMED_SYMBOLS)
+    def test_malformed_alphabet_is_a_format_error(self, tmp_path, capsys, symbols):
+        key_file = tmp_path / "key.json"
+        key_file.write_text(custom_alphabet_key_text(symbols))
+        code, _, err = run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH")
+        assert code == 1
+        assert "error[FormatError]" in err
+
     def test_malformed_perm_is_a_format_error(self, tmp_path, capsys):
         key_file = self.make_key(tmp_path, capsys)
         document = json.loads(key_file.read_text())
@@ -247,6 +287,12 @@ class TestRatiosCommand:
         assert len(lines) == 2 + 6  # header rows plus orbit
         last = float(lines[-1].split()[-1])
         assert abs(last - 1.618033988749895) < 2e-3
+
+    @pytest.mark.parametrize("a0", ["0", "abc", "1/0"])
+    def test_bad_a0_is_reported(self, capsys, a0):
+        code, out, err = run(capsys, "ratios", "--t", "3", "--d", "1", "--a0", a0)
+        assert code == 1 and out == ""
+        assert "error[CipherError]" in err
 
     def test_rational_a0(self, capsys):
         code, out, _ = run(capsys, "ratios", "--t", "3", "--d", "1",

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -226,9 +227,7 @@ class TestCodingMatrices:
         cat = KeyMatrix(Mat2(2, 1, 1, 1))
         with pytest.raises(InvalidKey):
             build_coding_matrix(cat, SeedPair(1, 1), DEFAULT_MAX_EXPONENT + 1)
-        build_coding_matrix(cat, SeedPair(1, 1), 20, max_n=20)
-        with pytest.raises(InvalidKey):
-            build_coding_matrix(cat, SeedPair(1, 1), 21, max_n=20)
+        build_coding_matrix(cat, SeedPair(1, 1), DEFAULT_MAX_EXPONENT)
 
     def test_mu_examples(self):
         cat = KeyMatrix(Mat2(2, 1, 1, 1))
@@ -275,6 +274,38 @@ class TestCodingMatrices:
             prev = build_coding_matrix(key, sp, n - 1)
             assert cur.matrix.a11 == t * cur.matrix.a12 - d * prev.matrix.a12
             assert cur.matrix.a21 == t * cur.matrix.a22 - d * prev.matrix.a22
+
+
+def assert_view_matches_matrix(cm):
+    """The stored det, adjugate and row-ratio bounds, recomputed from the entries."""
+    m = cm.matrix
+    assert cm.det == m.det()
+    assert cm.adj == m.adjugate().entries()
+    if m.a12 <= 0 or m.a22 <= 0:
+        assert cm.bounds is None
+        return
+    (lo_num, lo_den), (hi_num, hi_den) = cm.bounds
+    assert lo_den > 0 and hi_den > 0
+    interval = sorted((Fraction(m.a11, m.a12), Fraction(m.a21, m.a22)))
+    assert [Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)] == interval
+
+
+class TestStoredView:
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=120, deadline=None)
+    def test_random_keys(self, seed):
+        rng = random.Random(seed)
+        assert_view_matches_matrix(random_cipher_key(rng, n_lo=1, n_hi=64).coding_matrix)
+        # seeds with a zero component give non-positive entries at small n
+        key, a0 = random_key_matrix(rng), rng.randint(0, 1)
+        sp = SeedPair(a0, rng.randint(1 - a0, 3))
+        for n in range(4):
+            assert_view_matches_matrix(build_coding_matrix(key, sp, n))
+
+    def test_golden_n1_has_no_bounds(self):
+        cm = golden_matrix(1)
+        assert cm.bounds is None
+        assert_view_matches_matrix(cm)
 
 
 def test_random_cipher_key_is_always_admissible():
