@@ -275,6 +275,8 @@ class CorruptionSpec:
             raise ValueError(f"unknown corruption mode {self.mode!r}")
         if self.model not in ("additive", "digit-flip"):
             raise ValueError(f"unknown magnitude model {self.model!r}")
+        if self.max_delta is not None and self.max_delta < 1:
+            raise ValueError(f"max_delta must be at least 1, got {self.max_delta}")
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,16 @@ from enum import Enum
 from functools import lru_cache
 from operator import attrgetter, itemgetter
 
-from .errors import InvalidKey, NegativePlaintext, NonIntegralPlaintext, UnknownSymbol
+from .errors import FormatError, InvalidKey, NegativePlaintext, NonIntegralPlaintext, UnknownSymbol
 from .matrix import CodingMatrix, KeyMatrix, Mat2, SeedPair, build_coding_matrix
 from .ratios import BOTTOM_OVER_TOP, TOP_OVER_BOTTOM, round_half_even_ratio
 
 IDENTITY_PERM = (0, 1, 2, 3)
 # Cap on transmitted column-ratio digits, so 10**digits stays small on hostile input.
 MAX_RATIO_DIGITS = 100
+# Most digits ColumnRatioCheck.units converts: Python's default limit on
+# str-to-int conversion, which also caps each entry the package loader reads.
+_MAX_UNITS_DIGITS = 4300
 # A column ratio as round_half_even_ratio writes it for non-negative entries:
 # decimal digits, then a point and the fractional places when there are any.
 _RATIO_VALUE = re.compile(r"[0-9]+(?:\.([0-9]+))?")
@@ -160,8 +163,13 @@ class ColumnRatioCheck:
 
     @property
     def units(self) -> int:
-        """The value in units of 10**-digits."""
-        return int(self.value.replace(".", ""))
+        """The value in units of 10**-digits; FormatError past _MAX_UNITS_DIGITS digits."""
+        units = self.value.replace(".", "")
+        if len(units) > _MAX_UNITS_DIGITS:
+            raise FormatError(
+                f"column-ratio value has {len(units)} digits, more than {_MAX_UNITS_DIGITS}"
+            )
+        return int(units)
 
 
 # Shared ColumnRatioCheck per (orientation, value, digits): a message repeats

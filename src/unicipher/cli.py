@@ -33,18 +33,26 @@ RATIO_DIGITS_ENV = "UNICIPHER_RATIO_DIGITS"
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise CipherError(f"cannot read {path!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CipherError(f"cannot read {path!r}: {exc}") from None
 
 
 def _write(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CipherError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
 def _alphabet_from_flag(value: str) -> Alphabet:
@@ -109,7 +117,7 @@ def _load_key(path: str):
 
 def _cmd_encrypt(args) -> int:
     key, alphabet = _load_key(args.key)
-    message = sys.stdin.read() if args.infile == "-" else args.infile
+    message = _read("-") if args.infile == "-" else args.infile
     if alphabet.symbols is None and isinstance(message, str):
         message = message.encode("utf-8")
     packages = encrypt_message(
@@ -153,7 +161,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_corrupt(args) -> int:
     packages = channel.loads_packages(_read(args.infile))
-    spec = channel.CorruptionSpec(args.spec, args.seed, args.model, args.max_delta)
+    try:
+        spec = channel.CorruptionSpec(args.spec, args.seed, args.model, args.max_delta)
+    except ValueError as exc:
+        raise CipherError(str(exc)) from None
     corrupted, diffs = channel.corrupt_packages(packages, spec)
     _write(args.out, channel.dumps_packages(corrupted))
     if args.diff:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import inf
+from math import gcd, inf
 
 from .cipher import CipherKey, CipherPackage, _decrypt_block, _row_in_interval, verify_package
 from .errors import NegativePlaintext, NoDiophantineSolution, NonIntegralPlaintext
@@ -84,38 +84,28 @@ class DiophantineFamily:
         return (self.base[0] + k * self.step[0], self.base[1] + k * self.step[1])
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with a*s + b*t = g and g = gcd(a, b) >= 0."""
-    r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0 < 0:
-        r0, s0, t0 = -r0, -s0, -t0
-    return r0, s0, t0
+def _diophantine_gcd(a: int, b: int, c: int) -> int:
+    """gcd(a, b); raises unless a*x - b*y = c has integer solutions."""
+    if a == 0 and b == 0:
+        raise ValueError("a and b cannot both be zero")
+    g = gcd(a, b)
+    if c % g:
+        raise NoDiophantineSolution(f"gcd({a}, {b}) = {g} does not divide {c}")
+    return g
+
+
+def _family(a: int, b: int, c: int, g: int) -> DiophantineFamily:
+    """The normalized family of a*x - b*y = c, with g = _diophantine_gcd(a, b, c)."""
+    if b == 0:
+        return DiophantineFamily((c // a, 0), (0, 1))
+    m = abs(b) // g
+    x = c // g * pow(a // g, -1, m) % m  # pow(., -1, 1) is 0
+    return DiophantineFamily((x, (a * x - c) // b), (m, a // g if b > 0 else -a // g))
 
 
 def solve_linear_diophantine(a: int, b: int, c: int) -> DiophantineFamily:
     """General integer solution family of a*x - b*y = c."""
-    if a == 0 and b == 0:
-        raise ValueError("a and b cannot both be zero")
-    g, s, t = _ext_gcd(a, -b)
-    if c % g:
-        raise NoDiophantineSolution(f"gcd({a}, {b}) = {g} does not divide {c}")
-    scale = c // g
-    x0, y0 = s * scale, t * scale
-    dx, dy = -b // g, -a // g
-    if dx < 0 or (dx == 0 and dy < 0):
-        dx, dy = -dx, -dy
-    if dx:
-        shift = x0 // dx
-    elif dy:
-        shift = y0 // dy
-    else:
-        shift = 0
-    return DiophantineFamily((x0 - shift * dx, y0 - shift * dy), (dx, dy))
+    return _family(a, b, c, _diophantine_gcd(a, b, c))
 
 
 @dataclass(frozen=True)
@@ -246,16 +236,15 @@ def correct_single(c: Mat2, ctx: CorrectionContext, positions=None) -> Correctio
 # two errors: one pin table, then a factor scan or a Diophantine family
 
 
-def _pin(e: tuple[int, ...], ctx: CorrectionContext, pos, other) -> tuple[int, int | float]:
+def _pin(e: tuple[int, ...], ctx: CorrectionContext, caps, pos, other) -> tuple[int, int | float]:
     """Integer range [lo, hi] of the entry at pos, the other unknown at `other`.
 
     Intersects every exact check whose other entry is known; hi is inf when
     nothing bounds the entry from above.  Known entries are non-negative.
+    caps is plaintext_bounds(ctx), or None without an alphabet bound.
     """
     i, j = pos
-    lo, hi = 0, inf
-    if ctx.plaintext_bound is not None:
-        hi = plaintext_bounds(ctx)[j][1]
+    lo, hi = 0, inf if caps is None else caps[j][1]
     bounds = ctx.key.coding_matrix.bounds
     if bounds is not None and (i, 1 - j) != other:
         # row-ratio interval; its four bound terms are positive for every admissible key
@@ -311,7 +300,8 @@ def correct_pair(c: Mat2, ctx: CorrectionContext, positions) -> CorrectionReport
     if min(e[2 * i + j] for i, j in _ALL_POSITIONS if (i, j) not in (first, second)) < 0:
         return _failure(cls, 0, fail)  # every candidate keeps the negative entry
     E = ctx.expected_det
-    (xlo, xhi), (ylo, yhi) = _pin(e, ctx, first, second), _pin(e, ctx, second, first)
+    caps = None if ctx.plaintext_bound is None else plaintext_bounds(ctx)
+    (xlo, xhi), (ylo, yhi) = _pin(e, ctx, caps, first, second), _pin(e, ctx, caps, second, first)
     if product:
         # x * y = target, so y's range bounds x as well
         target = E + c.a12 * c.a21 if cls is ErrorClass.DIAGONAL else c.a11 * c.a22 - E
@@ -328,14 +318,16 @@ def correct_pair(c: Mat2, ctx: CorrectionContext, positions) -> CorrectionReport
 
     else:
         # x * partner(x) - y * partner(y) = E; partners are known, so both steps are >= 0
+        a, b = e[3 - 2 * first[0] - first[1]], e[3 - 2 * second[0] - second[1]]
         try:
-            family = solve_linear_diophantine(
-                e[3 - 2 * first[0] - first[1]], e[3 - 2 * second[0] - second[1]], E
-            )
+            g = _diophantine_gcd(a, b, E)
         except ValueError:
             return _failure(cls, 0, "degenerate-equation")
         except NoDiophantineSolution as exc:
             return _failure(cls, 0, f"no-diophantine-solution: {exc}")
+        if xlo > xhi or ylo > yhi:  # no k can land in an empty pin
+            return _failure(cls, 0, fail)
+        family = _family(a, b, E, g)
         (bx, by), (dx, dy) = family.base, family.step
         (klo_x, khi_x), (klo_y, khi_y) = _k_range(bx, dx, xlo, xhi), _k_range(by, dy, ylo, yhi)
         lo, hi = max(klo_x, klo_y), min(khi_x, khi_y)

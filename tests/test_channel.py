@@ -283,6 +283,17 @@ class TestCorruption:
         with pytest.raises(ValueError):
             CorruptionSpec("pepper", seed=1)
 
+    @pytest.mark.parametrize("max_delta", [-3, 0])
+    def test_max_delta_below_one_rejected(self, max_delta):
+        with pytest.raises(ValueError, match="max_delta"):
+            CorruptionSpec("single", seed=1, max_delta=max_delta)
+
+    def test_max_delta_bounds_the_change(self):
+        pkg = CipherPackage(Mat2(1068, 660, 2076, 1283), 84)
+        for seed in range(20):
+            _, diff = corrupt_package(pkg, CorruptionSpec("random", seed=seed, max_delta=1))
+            assert all(abs(new - old) == 1 for _, old, new in diff.entries)
+
     def test_diff_serialization(self):
         pkg = CipherPackage(Mat2(1068, 660, 2076, 1283), 84)
         _, diff = corrupt_package(pkg, CorruptionSpec("column_left", seed=2))

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -242,6 +244,59 @@ class TestPipelines:
                            "--emit-column-ratio")
         assert code == 1
         assert "error[CipherError]" in err
+
+    def test_overlong_ratio_value_is_a_format_error(self, tmp_path, capsys):
+        # loads and verifies, but is longer than a ratio's units can be read
+        key_file = tmp_path / "key.json"
+        run(capsys, "keygen", "--golden", "--n", "3", "--out", str(key_file))
+        pkg_file = tmp_path / "packages.json"
+        run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH",
+            "--out", str(pkg_file), "--emit-column-ratio")
+        document = json.loads(pkg_file.read_text())
+        (package,) = document["packages"]
+        package["column_ratio"]["value"] = "1" * 5000 + ".51"
+        package["c"][1] = str(int(package["c"][1]) + 1)
+        pkg_file.write_text(json.dumps(document))
+        code, out, err = run(capsys, "correct", "--key", str(key_file), "--in", str(pkg_file))
+        assert code == 1 and out == ""
+        assert "error[FormatError]" in err
+
+    @pytest.mark.parametrize("max_delta", ["-3", "0"])
+    def test_corrupt_rejects_max_delta_below_one(self, tmp_path, capsys, max_delta):
+        key_file = self.make_key(tmp_path, capsys)
+        pkg_file, bad_file = tmp_path / "packages.json", tmp_path / "bad.json"
+        run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH", "--out", str(pkg_file))
+        code, _, err = run(capsys, "corrupt", "--in", str(pkg_file), "--out", str(bad_file),
+                           "--spec", "single", "--seed", "1", "--max-delta", max_delta)
+        assert code == 1 and not bad_file.exists()
+        assert "error[CipherError]" in err and "max_delta" in err
+
+    @pytest.mark.parametrize(
+        "broken",
+        ["missing-in", "missing-key", "binary-in", "binary-stdin", "binary-stdin-message",
+         "unwritable-out"],
+    )
+    def test_unusable_files_are_reported(self, tmp_path, capsys, monkeypatch, broken):
+        key_file = self.make_key(tmp_path, capsys)
+        pkg_file = tmp_path / "packages.json"
+        run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH", "--out", str(pkg_file))
+        bad_path = str(tmp_path / "missing.json")
+        argv = ["verify", "--key", str(key_file), "--in", bad_path]
+        if broken == "missing-key":
+            argv = ["verify", "--key", bad_path, "--in", str(pkg_file)]
+        elif broken == "binary-in":
+            (tmp_path / "missing.json").write_bytes(b"\xff\xfe")
+        elif broken.startswith("binary-stdin"):
+            bad_path = "-"
+            argv[0], argv[-1] = "encrypt" if broken.endswith("message") else "verify", bad_path
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff"), "utf-8"))
+        elif broken == "unwritable-out":
+            bad_path = str(tmp_path / "no-such-dir" / "bad.json")
+            argv = ["corrupt", "--in", str(pkg_file), "--out", bad_path,
+                    "--spec", "single", "--seed", "1"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "error[CipherError]" in err and repr(bad_path) in err
 
     def test_unknown_symbol_error_category(self, tmp_path, capsys):
         key_file = self.make_key(tmp_path, capsys)

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -32,6 +34,53 @@ from unicipher.sampling import random_cipher_key, random_key_matrix, random_plai
 
 def brute_force_solutions(a, b, c, lo=-500, hi=500):
     return {(x, y) for x in range(lo, hi) for y in range(lo, hi) if a * x - b * y == c}
+
+
+# --- reference solver -------------------------------------------------------
+# The extended-Euclid solver that math.gcd and pow(x, -1, m) replaced.  Its
+# family is normalized, hence unique, so the library must match it exactly.
+
+
+def ref_ext_gcd(a, b):
+    """(g, s, t) with a*s + b*t = g and g = gcd(a, b) >= 0."""
+    r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0 < 0:
+        r0, s0, t0 = -r0, -s0, -t0
+    return r0, s0, t0
+
+
+def ref_solve_linear_diophantine(a, b, c):
+    if a == 0 and b == 0:
+        raise ValueError("a and b cannot both be zero")
+    g, s, t = ref_ext_gcd(a, -b)
+    if c % g:
+        raise NoDiophantineSolution(f"gcd({a}, {b}) = {g} does not divide {c}")
+    scale = c // g
+    x0, y0 = s * scale, t * scale
+    dx, dy = -b // g, -a // g
+    if dx < 0 or (dx == 0 and dy < 0):
+        dx, dy = -dx, -dy
+    if dx:
+        shift = x0 // dx
+    elif dy:
+        shift = y0 // dy
+    else:
+        shift = 0
+    return (x0 - shift * dx, y0 - shift * dy), (dx, dy)
+
+
+def solver_outcome(solve, a, b, c):
+    """(base, step) of the family, or the exception's type and message."""
+    try:
+        result = solve(a, b, c)
+    except (ValueError, NoDiophantineSolution) as exc:
+        return type(exc), str(exc)
+    return result if isinstance(result, tuple) else (result.base, result.step)
 
 
 class TestDiophantine:
@@ -88,6 +137,42 @@ class TestDiophantine:
             assert 0 <= fam.base[0] < dx
         else:
             assert 0 <= fam.base[1] < dy
+
+
+class TestDiophantineAgainstReference:
+    EDGE_CASES = [
+        (0, 0, 5), (0, 0, 0),                               # degenerate
+        (0, 7, 21), (0, -7, 21), (0, 7, 5), (0, 1, 0),      # a = 0
+        (5, 0, 15), (-5, 0, 15), (5, 0, 7), (1, 0, -9),     # b = 0
+        (6, 3, 9), (6, -3, 9), (-6, 3, -9), (7, 1, 4),      # |b|/g = 1
+        (-7, -1, 4), (10**40, 10**20, 10**20),
+        (162, 263, 0), (-162, 263, 0), (4, -6, 0),          # c = 0
+        (2, 4, 3), (-6, 10, 5), (6, -10, -3), (12, 18, 1),  # g does not divide c
+    ]
+
+    @pytest.mark.parametrize("a,b,c", EDGE_CASES)
+    def test_edge_cases(self, a, b, c):
+        assert solver_outcome(solve_linear_diophantine, a, b, c) == solver_outcome(
+            ref_solve_linear_diophantine, a, b, c
+        )
+
+    def test_random_wide_operands_in_every_sign(self):
+        rng = random.Random(8)
+        solved = 0
+        for _ in range(100):
+            # a shared factor, and c a multiple of it half the time
+            f = rng.getrandbits(rng.randint(1, 64)) or 1
+            a = f * rng.getrandbits(rng.randint(1, 1500))
+            b = f * rng.getrandbits(rng.randint(1, 1500))
+            c = rng.getrandbits(rng.randint(1, 1500))
+            if rng.random() < 0.5:
+                c *= f
+            for sa, sb, sc in itertools.product((1, -1), repeat=3):
+                args = (sa * a, sb * b, sc * c)
+                expected = solver_outcome(ref_solve_linear_diophantine, *args)
+                assert solver_outcome(solve_linear_diophantine, *args) == expected, args
+                solved += expected[0] is not NoDiophantineSolution
+        assert 0 < solved < 800
 
 
 class TestPlaintextBounds:
@@ -403,3 +488,36 @@ class TestPipeline:
             report = correct(bad, key, plaintext_bound=26)
             if report.success:
                 assert report.repaired == pkg.c
+
+
+class TestRecordedOutcomes:
+    """Repair outcomes on a seeded corpus, pinned to the values the code gave
+    when they were recorded.  A change to correction that moves any of them
+    must say which outcomes it changed, and why, before updating these."""
+
+    TALLY = {
+        "single": 73, "diagonal": 76, "anti-diagonal": 69, "column-left": 84,
+        "column-right": 56, "row-top": 65, "row-bottom": 86, "ambiguous": 3,
+    }
+    DIGEST = "febdcc7ad7ce79da6a2ea797f35e299cbb768cb1f3c171cda81c77573ee39428"
+
+    def test_random_n100_corpus(self):
+        rng = random.Random(100)
+        digest, tally = hashlib.sha256(), {}
+        for _ in range(64):
+            key = random_cipher_key(rng, n_lo=100, n_hi=100)
+            for _ in range(8):
+                pkg = encrypt(random_plaintext(rng, alphabet_size=256), key,
+                              emit_column_ratio=True)
+                bad, _ = corrupt_package(pkg, CorruptionSpec("random", seed=rng.randrange(2**30)))
+                r = correct(bad, key, plaintext_bound=256)
+                digest.update(repr((
+                    r.assumed_class.value, r.candidates_examined,
+                    r.repaired and r.repaired.entries(), r.residual_failure, r.ambiguous,
+                    r.attempts,
+                )).encode())
+                outcome = r.assumed_class.value if r.success else (
+                    "ambiguous" if r.ambiguous else "uncorrectable")
+                tally[outcome] = tally.get(outcome, 0) + 1
+        assert tally == self.TALLY
+        assert digest.hexdigest() == self.DIGEST
