@@ -36,13 +36,6 @@ class EncryptionOracle:
 
 
 @dataclass(frozen=True)
-class GoldenAttackResult:
-    n: int
-    matched_pair: tuple[int, int]
-    queries: int = 1
-
-
-@dataclass(frozen=True)
 class KGoldenAttackResult:
     k: int
     n: int
@@ -50,23 +43,17 @@ class KGoldenAttackResult:
     queries: int = 1
 
 
-def attack_golden(oracle: EncryptionOracle, n_max: int = 512) -> GoldenAttackResult:
-    """Recover the exponent of a Fibonacci-power key from one query.
+def attack_golden(oracle: EncryptionOracle, n_max: int = 512) -> KGoldenAttackResult:
+    """Recover the exponent of a Fibonacci-power key: attack_k_golden with k = 1.
 
-    The top row of the unit-probe ciphertext must be a consecutive Fibonacci
-    pair; the smallest matching index is returned (the pair (1, 1) occurs
-    only at n = 1, so the classical F(1) = F(2) ambiguity never surfaces).
-    The pairs are the top rows of the coding matrices of [[1, 1], [1, 0]]
-    with seed (0, 1), which are its powers.
+    The top rows of the powers of [[1, 1], [1, 0]] are consecutive Fibonacci
+    pairs; the pair (1, 1) occurs only at n = 1, so the classical
+    F(1) = F(2) ambiguity never surfaces.  A miss is NotGoldenOracle.
     """
-    c = oracle.query(UNIT_PROBE)
-    top = (c.a11, c.a12)
-    for n, (f1, f0, _, _) in zip(range(n_max + 1), coding_entries(1, 1, 1, 0, 0, 1)):
-        if (f1, f0) == top:
-            return GoldenAttackResult(n, top)
-    raise NotGoldenOracle(
-        f"top row {top} is not a consecutive Fibonacci pair within n <= {n_max}"
-    )
+    try:
+        return attack_k_golden(oracle, k_max=1, n_max=n_max)
+    except NoMatchInBounds as exc:
+        raise NotGoldenOracle(str(exc)) from None
 
 
 def attack_k_golden(
@@ -79,7 +66,7 @@ def attack_k_golden(
         for n, (f1, f0, _, _) in zip(range(n_max + 1), coding_entries(k, 1, 1, 0, 0, 1)):
             if (f1, f0) == top:
                 return KGoldenAttackResult(k, n, top)
-            if f1 > top[0] and f0 > top[1]:
+            if f1 > top[0] or f0 > top[1]:  # neither entry decreases with n
                 break
     raise NoMatchInBounds(
         f"top row {top} matches no k-sequence pair with k <= {k_max}, n <= {n_max}"

@@ -60,6 +60,13 @@ def _parse_int(value) -> int:
     raise FormatError(f"expected a decimal string, got {type(value).__name__}")
 
 
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc}") from None
+
+
 def _check_version(document: dict, expected: int) -> None:
     version = _need(document, "version")
     if version != expected:
@@ -141,11 +148,7 @@ def dumps_key(key: CipherKey, alphabet: Alphabet | None = None) -> str:
 
 
 def loads_key(text: str) -> tuple[CipherKey, Alphabet]:
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from None
-    return key_from_dict(document)
+    return key_from_dict(_parse_json(text))
 
 
 # --- packages ---------------------------------------------------------------
@@ -192,7 +195,7 @@ def _package_text(pkg: CipherPackage) -> str:
     """One package as json.dumps(package_to_dict(pkg), indent=2) prints it, nested two deep.
 
     Nothing is escaped: the entries and det_p are ints, and a
-    ColumnRatioCheck holds a known orientation and a decimal value.
+    ColumnRatioCheck holds BOTTOM_OVER_TOP and a decimal value.
     """
     c, check = pkg.c, pkg.column_ratio
     if check is None:
@@ -235,10 +238,7 @@ def dumps_packages(packages) -> str:
 def loads_packages(text: str) -> tuple[CipherPackage, ...]:
     """Parse a package file; block indices must be unique, and only the
     block with the highest index may carry padding."""
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from None
+    document = _parse_json(text)
     _check_version(document, PACKAGE_FORMAT_VERSION)
     packages = _need(document, "packages")
     if not isinstance(packages, list):

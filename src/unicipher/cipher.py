@@ -18,8 +18,8 @@ from functools import lru_cache
 from operator import attrgetter, itemgetter
 
 from .errors import FormatError, InvalidKey, NegativePlaintext, NonIntegralPlaintext, UnknownSymbol
-from .matrix import CodingMatrix, KeyMatrix, Mat2, SeedPair, build_coding_matrix
-from .ratios import BOTTOM_OVER_TOP, TOP_OVER_BOTTOM, round_half_even_ratio
+from .matrix import CodingMatrix, KeyMatrix, Mat2, SeedPair, _require_int, build_coding_matrix
+from .ratios import BOTTOM_OVER_TOP, round_half_even_ratio
 
 IDENTITY_PERM = (0, 1, 2, 3)
 # Cap on transmitted column-ratio digits, so 10**digits stays small on hostile input.
@@ -120,13 +120,8 @@ class PlaintextMatrix:
         return bool(self.zero_rows)
 
 
-def _require_plain_int(name: str, value) -> None:
-    if type(value) is not int:
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-
-
 def _check_digits(digits) -> None:
-    _require_plain_int("digits", digits)
+    _require_int("digits", digits)
     if not 0 <= digits <= MAX_RATIO_DIGITS:
         raise ValueError(f"digits must be in 0..{MAX_RATIO_DIGITS}, got {digits}")
 
@@ -135,10 +130,12 @@ def _check_digits(digits) -> None:
 class ColumnRatioCheck:
     """Rounded column ratio as transmitted: orientation, decimal string, digits.
 
-    The value must be a non-negative decimal with exactly `digits`
-    fractional places, the form the sender writes, so an instance holds only
-    ASCII digits and a point.  As in Mat2, the hand-written __init__ checks
-    the arguments and stores every field in one step.
+    The orientation must be BOTTOM_OVER_TOP (c21/c11), the one the sender
+    writes and repair reads.  The value must be a str (no subclass) holding
+    a non-negative decimal with exactly `digits` fractional places, the form
+    the sender writes, so an instance holds only ASCII digits and a point.
+    As in Mat2, the hand-written __init__ checks the arguments and stores
+    every field in one step.
     """
 
     orientation: str
@@ -146,9 +143,11 @@ class ColumnRatioCheck:
     digits: int
 
     def __init__(self, orientation: str, value: str, digits: int):
-        if orientation not in (BOTTOM_OVER_TOP, TOP_OVER_BOTTOM):
-            raise ValueError(f"unknown column-ratio orientation {orientation!r}")
-        if not isinstance(value, str):
+        if orientation != BOTTOM_OVER_TOP:
+            raise ValueError(
+                f"column-ratio orientation must be {BOTTOM_OVER_TOP!r}, got {orientation!r}"
+            )
+        if type(value) is not str:
             raise TypeError(f"value must be a str, got {type(value).__name__}")
         _check_digits(digits)
         match = _RATIO_VALUE.fullmatch(value)
@@ -158,7 +157,7 @@ class ColumnRatioCheck:
                 f"places, got {value!r}"
             )
         object.__setattr__(
-            self, "__dict__", {"orientation": orientation, "value": value, "digits": digits}
+            self, "__dict__", {"orientation": BOTTOM_OVER_TOP, "value": value, "digits": digits}
         )
 
     @property
@@ -213,9 +212,9 @@ class CipherPackage:
         if not isinstance(c, Mat2):
             raise TypeError(f"c must be a Mat2, got {type(c).__name__}")
         if not (type(det_p) is type(block_index) is type(pad_len) is int):
-            _require_plain_int("det_p", det_p)
-            _require_plain_int("block_index", block_index)
-            _require_plain_int("pad_len", pad_len)
+            _require_int("det_p", det_p)
+            _require_int("block_index", block_index)
+            _require_int("pad_len", pad_len)
         if column_ratio is not None and not isinstance(column_ratio, ColumnRatioCheck):
             raise TypeError("column_ratio must be a ColumnRatioCheck or None")
         if not 0 <= pad_len <= 3:
@@ -252,7 +251,7 @@ class CipherKey:
 
     @classmethod
     def golden(cls, n: int, perm=IDENTITY_PERM) -> "CipherKey":
-        return cls(KeyMatrix(Mat2(1, 1, 1, 0)), SeedPair(0, 1), n, perm)
+        return cls.k_golden(1, n, perm)
 
     @classmethod
     def k_golden(cls, k: int, n: int, perm=IDENTITY_PERM) -> "CipherKey":

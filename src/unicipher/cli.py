@@ -1,13 +1,16 @@
 """Command-line surface: keygen | encrypt | decrypt | verify | corrupt | correct | attack | ratios.
 
 Exit codes: 0 success; 1 on any structured error (category printed to
-stderr); `correct` additionally uses 2 when a package is uncorrectable and
-3 when only ambiguous repairs were found.
+stderr), and from `verify` when any package is not clean; `correct`
+additionally uses 2 when a package is uncorrectable and 3 when only
+ambiguous repairs were found.  `correct` bounds repair candidates by the
+key file's alphabet.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -81,10 +84,8 @@ def _ratio_digits(flag: int | None) -> int:
 
 
 def _cmd_keygen(args) -> int:
-    preset = args.golden or args.k_golden is not None or args.arnolds_cat
-    if args.golden:
-        u = KeyMatrix(Mat2(1, 1, 1, 0))
-    elif args.k_golden is not None:
+    preset = args.k_golden is not None or args.arnolds_cat
+    if args.k_golden is not None:
         u = KeyMatrix(Mat2(args.k_golden, 1, 1, 0))
     elif args.arnolds_cat:
         u = KeyMatrix(Mat2(2, 1, 1, 1))
@@ -101,14 +102,11 @@ def _cmd_keygen(args) -> int:
     return 0
 
 
-def _parse_perm(text: str) -> tuple[int, int, int, int]:
+def _parse_perm(text: str) -> tuple[int, ...]:
     try:
-        parts = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise CipherError(f"perm must be four comma-separated integers, got {text!r}") from None
-    if len(parts) != 4:
-        raise CipherError("perm must have exactly four positions")
-    return parts
 
 
 def _load_key(path: str):
@@ -118,8 +116,6 @@ def _load_key(path: str):
 def _cmd_encrypt(args) -> int:
     key, alphabet = _load_key(args.key)
     message = _read("-") if args.infile == "-" else args.infile
-    if alphabet.symbols is None and isinstance(message, str):
-        message = message.encode("utf-8")
     packages = encrypt_message(
         message,
         key,
@@ -175,12 +171,11 @@ def _cmd_corrupt(args) -> int:
 def _cmd_correct(args) -> int:
     key, alphabet = _load_key(args.key)
     packages = channel.loads_packages(_read(args.infile))
-    bound = alphabet.size if args.use_plaintext_bounds else None
     repaired_packages = []
     worst = 0
     reports = []
     for pkg in packages:
-        report = correct(pkg, key, plaintext_bound=bound)
+        report = correct(pkg, key, plaintext_bound=alphabet.size)
         reports.append(
             {
                 "block_index": pkg.block_index,
@@ -196,12 +191,7 @@ def _cmd_correct(args) -> int:
             }
         )
         if report.success:
-            repaired_packages.append(
-                channel.CipherPackage(
-                    report.repaired, pkg.det_p, pkg.column_ratio,
-                    pkg.block_index, pkg.pad_len,
-                )
-            )
+            repaired_packages.append(dataclasses.replace(pkg, c=report.repaired))
             continue
         worst = max(worst, 3 if report.ambiguous else 2)
     print(json.dumps({"reports": reports}, indent=2))
@@ -262,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet", default="latin",
                    help="latin, bytes, or an explicit symbol string")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--golden", action="store_true")
+    group.add_argument("--golden", action="store_const", dest="k_golden", const=1,
+                       help="the k = 1 case of --k-golden")
     group.add_argument("--k-golden", type=int, default=None, metavar="K")
     group.add_argument("--arnolds-cat", action="store_true")
     p.add_argument("--out", default="-")
@@ -301,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None, help="write repaired packages here")
-    p.add_argument("--use-plaintext-bounds", action="store_true",
-                   help="filter candidates by the alphabet-implied entry ranges")
     p.set_defaults(func=_cmd_correct)
 
     p = sub.add_parser("attack", help="chosen-plaintext attack against a key file")

@@ -31,7 +31,6 @@ from math import gcd, inf
 from .cipher import CipherKey, CipherPackage, _decrypt_block, _row_in_interval, verify_package
 from .errors import NegativePlaintext, NoDiophantineSolution, NonIntegralPlaintext
 from .matrix import Mat2
-from .ratios import BOTTOM_OVER_TOP
 
 # The widest range of candidates one repair stage scans.
 MAX_CANDIDATES = 100_000
@@ -122,10 +121,8 @@ class CorrectionContext:
     def from_package(
         cls, pkg: CipherPackage, key: CipherKey, *, plaintext_bound: int | None = None
     ) -> "CorrectionContext":
-        rho = None
         check = pkg.column_ratio
-        if check is not None and check.orientation == BOTTOM_OVER_TOP:
-            rho = (check.units, 10**check.digits)
+        rho = None if check is None else (check.units, 10**check.digits)
         return cls(key, key.coding_matrix.det * pkg.det_p, rho, plaintext_bound)
 
 

@@ -21,7 +21,8 @@ DEFAULT_MAX_EXPONENT = 512
 
 
 def _require_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
+    """The package's one integer rule: exactly int, so no bool and no int subclass."""
+    if type(value) is not int:
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
@@ -40,7 +41,7 @@ class Mat2:
     a22: int
 
     def __init__(self, a11: int, a12: int, a21: int, a22: int):
-        # Fast path for the common case; the loop accepts and rejects the same values.
+        # Fast path for the common case; the loop names the first entry that is not an int.
         if not (type(a11) is type(a12) is type(a21) is type(a22) is int):
             for name, value in (("a11", a11), ("a12", a12), ("a21", a21), ("a22", a22)):
                 _require_int(name, value)

@@ -218,15 +218,11 @@ def row_ratio_interval(cm: CodingMatrix) -> tuple[Fraction, Fraction]:
 
 @dataclass(frozen=True)
 class ColumnRatios:
-    """Both per-column ratios of a ciphertext matrix, plus their mean."""
+    """Both per-column ratios of a ciphertext matrix, in a display orientation."""
 
     left: Fraction
     right: Fraction
     orientation: str = BOTTOM_OVER_TOP
-
-    @property
-    def mean(self) -> Fraction:
-        return (self.left + self.right) / 2
 
     def flipped(self) -> "ColumnRatios":
         if self.left == 0 or self.right == 0:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from unicipher import attacks
 from unicipher.attacks import (
     UNIT_PROBE,
     EncryptionOracle,
@@ -75,6 +76,28 @@ class TestGoldenAttack:
         for n in range(2, 61):
             result = attack_golden(EncryptionOracle.from_key(CipherKey.golden(n)))
             assert result.n == n
+
+    def test_is_the_k1_scan(self):
+        oracle = EncryptionOracle.from_key(CipherKey.golden(23))
+        assert attack_golden(oracle) == attack_k_golden(oracle, k_max=1)
+
+    def test_miss_stops_early(self, monkeypatch):
+        # the top row of the cat key passes the Fibonacci pairs after a few
+        # dozen steps, so a miss must not walk on to n_max
+        pairs = 0
+        walk = attacks.coding_entries
+
+        def counting_entries(*args):
+            nonlocal pairs
+            for entries in walk(*args):
+                pairs += 1
+                yield entries
+
+        monkeypatch.setattr(attacks, "coding_entries", counting_entries)
+        oracle = EncryptionOracle.from_key(CipherKey.arnolds_cat(9))
+        with pytest.raises(NotGoldenOracle):
+            attack_golden(oracle, n_max=100_000)
+        assert 0 < pairs <= 30
 
 
 class TestKGoldenAttack:

@@ -189,6 +189,18 @@ class TestPackageFiles:
         with pytest.raises(ValueError):
             ColumnRatioCheck(BOTTOM_OVER_TOP, value, 2)
 
+    def test_only_bottom_over_top_checks_load(self):
+        with pytest.raises(FormatError):
+            loads_packages(ratio_package_text(orientation="top-over-bottom"))
+
+    def test_ratio_value_must_be_a_plain_str(self):
+        class FormattedStr(str):
+            def __format__(self, spec):
+                return 'x"y'
+
+        with pytest.raises(TypeError):
+            ColumnRatioCheck(BOTTOM_OVER_TOP, FormattedStr("0.51"), 2)
+
     def test_long_ratio_values_are_not_interned(self):
         long_value = "1" * 999_997 + ".51"
         _interned_ratio_check.cache_clear()

@@ -56,6 +56,16 @@ class TestKeygen:
         assert code == 1
         assert "error[InvalidKey]" in err
 
+    def test_golden_is_k_golden_one(self, capsys):
+        code, golden, _ = run(capsys, "keygen", "--golden", "--n", "7")
+        assert code == 0
+        assert run(capsys, "keygen", "--k-golden", "1", "--n", "7")[1] == golden
+
+    def test_perm_must_permute_four_positions(self, capsys):
+        code, out, err = run(capsys, "keygen", "--golden", "--n", "4", "--perm", "0,1,2")
+        assert code == 1 and out == ""
+        assert "error[InvalidKey]" in err
+
     @pytest.mark.parametrize("alphabet", ["A", "AA"])
     def test_invalid_alphabet_is_reported(self, capsys, alphabet):
         code, out, err = run(capsys, "keygen", "--golden", "--n", "4", "--alphabet", alphabet)
@@ -141,6 +151,57 @@ class TestPipelines:
         report = json.loads(out)["reports"][0]
         assert report["status"] == "uncorrectable"
         assert any("column-ratio-missing" in a[1] for a in report["attempts"])
+
+    def test_correct_bounds_by_the_key_alphabet(self, tmp_path, capsys):
+        # RBUX at golden n = 2 with its bottom row corrupted: without the
+        # alphabet bound an anti-diagonal candidate outside the alphabet wins
+        key_file = tmp_path / "key.json"
+        run(capsys, "keygen", "--golden", "--n", "2", "--out", str(key_file))
+        pkg_file, fixed_file = tmp_path / "packages.json", tmp_path / "fixed.json"
+        run(capsys, "encrypt", "--key", str(key_file), "--in", "RBUX",
+            "--out", str(pkg_file), "--emit-column-ratio")
+        document = json.loads(pkg_file.read_text())
+        (package,) = document["packages"]
+        assert package["c"] == ["35", "18", "63", "43"]
+        package["c"] = ["35", "18", "58", "52"]
+        pkg_file.write_text(json.dumps(document))
+        code, out, _ = run(capsys, "correct", "--key", str(key_file), "--in", str(pkg_file),
+                           "--out", str(fixed_file))
+        assert code == 0
+        assert json.loads(out)["reports"][0]["assumed_class"] == "row-bottom"
+        code, out, _ = run(capsys, "decrypt", "--key", str(key_file), "--in", str(fixed_file))
+        assert code == 0 and out.strip() == "RBUX"
+
+    def test_top_over_bottom_check_is_a_format_error(self, tmp_path, capsys):
+        # the golden n = 6 row-top example repairs with the orientation the
+        # sender writes; the other one is refused, not silently ignored
+        key_file = tmp_path / "key.json"
+        run(capsys, "keygen", "--golden", "--n", "6", "--out", str(key_file))
+        pkg_file = tmp_path / "packages.json"
+        package = {
+            "c": ["9999", "9999", "263", "162"], "det_p": "-440",
+            "column_ratio": {"orientation": "bottom-over-top", "value": "0.9", "digits": 1},
+            "block_index": 0, "pad_len": 0,
+        }
+        document = {"version": 1, "packages": [package]}
+        pkg_file.write_text(json.dumps(document))
+        code, out, _ = run(capsys, "correct", "--key", str(key_file), "--in", str(pkg_file))
+        assert code == 0
+        assert json.loads(out)["reports"][0]["repaired"] == ["296", "184", "263", "162"]
+        package["column_ratio"]["orientation"] = "top-over-bottom"
+        pkg_file.write_text(json.dumps(document))
+        code, out, err = run(capsys, "correct", "--key", str(key_file), "--in", str(pkg_file))
+        assert code == 1 and out == ""
+        assert "error[FormatError]" in err
+
+    def test_bytes_alphabet_encrypts_utf8_text(self, tmp_path, capsys):
+        key_file = self.make_key(tmp_path, capsys, "--alphabet", "bytes")
+        pkg_file = tmp_path / "packages.json"
+        code, _, _ = run(capsys, "encrypt", "--key", str(key_file), "--in", "Grüße",
+                         "--out", str(pkg_file))
+        assert code == 0
+        code, out, _ = run(capsys, "decrypt", "--key", str(key_file), "--in", str(pkg_file))
+        assert code == 0 and out == "Grüße"
 
     def test_ratio_digits_env_default(self, tmp_path, capsys, monkeypatch):
         key_file = tmp_path / "key.json"

@@ -32,7 +32,7 @@ from unicipher.cipher import (
 )
 from unicipher.errors import NegativePlaintext, NonIntegralPlaintext
 from unicipher.matrix import KeyMatrix, Mat2, SeedPair
-from unicipher.ratios import BOTTOM_OVER_TOP, TOP_OVER_BOTTOM, round_half_even_ratio
+from unicipher.ratios import BOTTOM_OVER_TOP, round_half_even_ratio
 from unicipher.sampling import random_cipher_key
 
 PERMS = tuple(itertools.permutations(range(4)))
@@ -309,7 +309,7 @@ def ref_dumps(packages) -> str:
             )
         ],
         [
-            CipherPackage(Mat2(1, 1, 1, 1), 0, ColumnRatioCheck(TOP_OVER_BOTTOM, "7", 0)),
+            CipherPackage(Mat2(1, 1, 1, 1), 0, ColumnRatioCheck(BOTTOM_OVER_TOP, "7", 0)),
             CipherPackage(
                 Mat2(5, 6, 7, 8), 2, ColumnRatioCheck(BOTTOM_OVER_TOP, "0." + "5" * 100, 100), 1
             ),

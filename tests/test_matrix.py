@@ -119,6 +119,22 @@ class TestMat2:
             Mat2(True, 0, 0, 1)
 
 
+class FormattedInt(int):
+    """An int that prints as text no JSON reader accepts, as the canonical writer formats it."""
+
+    def __format__(self, spec):
+        return 'x"y'
+
+
+@pytest.mark.parametrize("make", [lambda v: Mat2(v, 2, 3, 4), lambda v: SeedPair(v, 1)],
+                         ids=["Mat2", "SeedPair"])
+def test_only_plain_ints_are_accepted(make):
+    assert make(5) == make(5)
+    for bad in (FormattedInt(5), True):
+        with pytest.raises(TypeError):
+            make(bad)
+
+
 # --- bare-power classification ----------------------------------------------
 
 class TestPowerForm:

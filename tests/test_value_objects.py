@@ -21,7 +21,7 @@ from unicipher.cipher import (
     VerifyStatus,
 )
 from unicipher.matrix import Mat2
-from unicipher.ratios import BOTTOM_OVER_TOP, TOP_OVER_BOTTOM
+from unicipher.ratios import BOTTOM_OVER_TOP
 
 RATIO = ColumnRatioCheck(BOTTOM_OVER_TOP, "0.51", 2)
 
@@ -39,7 +39,7 @@ def cases():
             RATIO,
             ColumnRatioCheck(orientation=BOTTOM_OVER_TOP, value="0.51", digits=2),
             f"ColumnRatioCheck(orientation={BOTTOM_OVER_TOP!r}, value='0.51', digits=2)",
-            {"orientation": TOP_OVER_BOTTOM, "value": "1.96"},
+            {"value": "1.96"},
         ),
         (
             CipherPackage(Mat2(1450, 554, 733, 280), -82, RATIO, 3, 1),
