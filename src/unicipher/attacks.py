@@ -59,10 +59,16 @@ def attack_golden(oracle: EncryptionOracle, n_max: int = 512) -> KGoldenAttackRe
 def attack_k_golden(
     oracle: EncryptionOracle, k_max: int = 10, n_max: int = 512
 ) -> KGoldenAttackResult:
-    """Recover (k, n) of a bare-power key [[k,1],[1,0]]^n from one query."""
+    """Recover (k, n) of a bare-power key [[k,1],[1,0]]^n from one query.
+
+    The top row is (A(n+1), A(n)), and for n >= 1 A(n+1) = k*A(n) + A(n-1)
+    with 0 <= A(n-1) <= A(n), so k is q = A(n+1) // A(n) or q - 1: at most
+    two k are walked.  A row with A(n) <= 0 can only be n = 0, so k = 1.
+    """
     c = oracle.query(UNIT_PROBE)
     top = (c.a11, c.a12)
-    for k in range(1, k_max + 1):
+    q = top[0] // top[1] if top[1] > 0 else 1
+    for k in range(max(q - 1, 1), min(q, k_max) + 1):
         for n, (f1, f0, _, _) in zip(range(n_max + 1), coding_entries(k, 1, 1, 0, 0, 1)):
             if (f1, f0) == top:
                 return KGoldenAttackResult(k, n, top)

@@ -129,7 +129,7 @@ def key_from_dict(document: dict) -> tuple[CipherKey, Alphabet]:
         _parse_int(_need(u, "delta")),
     )
     n = _need(document, "n")
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise FormatError("n must be a plain integer")
     perm = _need(document, "perm")
     if not isinstance(perm, list) or any(type(p) is not int for p in perm):

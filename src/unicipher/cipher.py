@@ -266,8 +266,7 @@ class CipherKey:
 
 
 def _encode(message, alphabet: Alphabet, perm) -> tuple[list[tuple[int, int, int, int]], int]:
-    """Row-major plaintext entries of each block, and the pad length."""
-    perm = _check_perm(perm)
+    """Row-major plaintext entries of each block, and the pad length; perm is already checked."""
     idx = alphabet.indices(message)
     pad = (-len(idx)) % 4
     idx.extend([0] * pad)
@@ -277,7 +276,7 @@ def _encode(message, alphabet: Alphabet, perm) -> tuple[list[tuple[int, int, int
 
 def _decode(blocks, pad_len: int, alphabet: Alphabet, perm):
     """Inverse of _encode: un-permute row-major entries, strip the padding, render."""
-    unpermute = itemgetter(*_check_perm(perm))
+    unpermute = itemgetter(*perm)
     indices: list[int] = []
     for entries in blocks:
         indices.extend(unpermute(entries))
@@ -360,7 +359,7 @@ def encode_text(
     returned so decryption can strip it.
     """
     alphabet = alphabet if alphabet is not None else Alphabet.latin()
-    blocks, pad = _encode(message, alphabet, perm)
+    blocks, pad = _encode(message, alphabet, _check_perm(perm))
     return tuple(PlaintextMatrix(Mat2(*b), alphabet.size) for b in blocks), pad
 
 
@@ -369,7 +368,7 @@ def decode_text(
 ):
     """Inverse of encode_text: un-permute blocks and strip the final padding."""
     alphabet = alphabet if alphabet is not None else Alphabet.latin()
-    return _decode((block.p.entries() for block in blocks), pad_len, alphabet, perm)
+    return _decode((block.p.entries() for block in blocks), pad_len, alphabet, _check_perm(perm))
 
 
 def encrypt(

@@ -18,19 +18,11 @@ from fractions import Fraction
 
 from . import channel
 from .attacks import EncryptionOracle, attack_golden, attack_k_golden
-from .cipher import (
-    MAX_RATIO_DIGITS,
-    Alphabet,
-    CipherKey,
-    SeedPair,
-    decrypt_message,
-    encrypt_message,
-    verify_package,
-)
+from .cipher import Alphabet, CipherKey, SeedPair, decrypt_message, encrypt_message, verify_package
 from .correction import correct
 from .errors import CipherError, FormatError, NoMatchInBounds, NotGoldenOracle
 from .matrix import KeyMatrix, Mat2
-from .ratios import RatioParams, fixed_points, ratio_iterate
+from .ratios import RatioParams, ratio_iterate
 
 RATIO_DIGITS_ENV = "UNICIPHER_RATIO_DIGITS"
 
@@ -70,17 +62,14 @@ def _alphabet_from_flag(value: str) -> Alphabet:
 
 
 def _ratio_digits(flag: int | None) -> int:
-    """--ratio-digits, else $UNICIPHER_RATIO_DIGITS, else 2; within 0..MAX_RATIO_DIGITS."""
-    digits = flag
-    if digits is None:
-        raw = os.environ.get(RATIO_DIGITS_ENV, "2")
-        try:
-            digits = int(raw)
-        except ValueError:
-            raise CipherError(f"{RATIO_DIGITS_ENV} must be an integer, got {raw!r}") from None
-    if not 0 <= digits <= MAX_RATIO_DIGITS:
-        raise CipherError(f"ratio digits must be in 0..{MAX_RATIO_DIGITS}, got {digits}")
-    return digits
+    """--ratio-digits, else $UNICIPHER_RATIO_DIGITS, else 2; the library checks the range."""
+    if flag is not None:
+        return flag
+    raw = os.environ.get(RATIO_DIGITS_ENV, "2")
+    try:
+        return int(raw)
+    except ValueError:
+        raise CipherError(f"{RATIO_DIGITS_ENV} must be an integer, got {raw!r}") from None
 
 
 def _cmd_keygen(args) -> int:
@@ -116,13 +105,14 @@ def _load_key(path: str):
 def _cmd_encrypt(args) -> int:
     key, alphabet = _load_key(args.key)
     message = _read("-") if args.infile == "-" else args.infile
-    packages = encrypt_message(
-        message,
-        key,
-        alphabet,
-        emit_column_ratio=args.emit_column_ratio,
-        ratio_digits=_ratio_digits(args.ratio_digits),
-    )
+    emit = args.emit_column_ratio or args.ratio_digits is not None  # --ratio-digits implies it
+    digits = _ratio_digits(args.ratio_digits) if emit else 2
+    try:
+        packages = encrypt_message(
+            message, key, alphabet, emit_column_ratio=emit, ratio_digits=digits
+        )
+    except ValueError as exc:  # digits outside the library's range
+        raise CipherError(str(exc)) from None
     _write(args.out, channel.dumps_packages(packages))
     return 0
 
@@ -225,8 +215,7 @@ def _cmd_ratios(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         raise CipherError(f"--a0 must be a nonzero rational, got {args.a0!r}: {exc}") from None
     orbit = ratio_iterate(params, args.steps)
-    fp = fixed_points(args.t, args.d)
-    print(f"fixed point: {fp.phi_plus_decimal(12)}")
+    print(f"fixed point: {params.fixed.phi_plus_decimal(12)}")
     print(f"{'step':>4}  {'ratio':>24}  {'decimal':>18}")
     for i, a in enumerate(orbit):
         print(f"{i:>4}  {str(a):>24}  {float(a):>18.12f}")
@@ -265,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="literal message text, or - for stdin")
     p.add_argument("--out", default="-")
     p.add_argument("--emit-column-ratio", action="store_true")
-    p.add_argument("--ratio-digits", type=int, default=None)
+    p.add_argument("--ratio-digits", type=int, default=None,
+                   help="digits of the column ratio; implies --emit-column-ratio")
     p.set_defaults(func=_cmd_encrypt)
 
     p = sub.add_parser("decrypt", help="decrypt a packages file")

@@ -183,6 +183,18 @@ def _failure(cls: ErrorClass, examined: int, reason: str, ambiguous: bool = Fals
     return CorrectionReport(cls, examined, None, residual_failure=reason, ambiguous=ambiguous)
 
 
+def _decide(cls: ErrorClass, examined: int, passing, fail: str, tie: str) -> CorrectionReport:
+    """The one tie rule over (position, candidate) pairs: none fails, several
+    distinct ones are ambiguous (tie names what they count), one is the repair."""
+    distinct = {cand.entries() for _, cand in passing}
+    if not distinct:
+        return _failure(cls, examined, fail)
+    if len(distinct) > 1:
+        return _failure(cls, examined, f"ambiguous: {len(distinct)} {tie}", ambiguous=True)
+    pos, cand = passing[0]
+    return CorrectionReport(cls, examined, cand, position=pos)
+
+
 # ---------------------------------------------------------------------------
 # single error: four linear determinant equations
 
@@ -215,18 +227,9 @@ def correct_single(c: Mat2, ctx: CorrectionContext, positions=None) -> Correctio
         cand = _with_entries(c, {pos: q})
         if _repair_passes(cand, ctx):
             passing.append((pos, cand))
-    distinct = {cand.entries() for _, cand in passing}
-    if not distinct:
-        return _failure(ErrorClass.SINGLE, examined, "no-single-candidate")
-    if len(distinct) > 1:
-        return _failure(
-            ErrorClass.SINGLE,
-            examined,
-            f"ambiguous: {len(distinct)} positions admit a repair",
-            ambiguous=True,
-        )
-    pos, cand = passing[0]
-    return CorrectionReport(ErrorClass.SINGLE, examined, cand, position=pos)
+    return _decide(
+        ErrorClass.SINGLE, examined, passing, "no-single-candidate", "positions admit a repair"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +342,8 @@ def correct_pair(c: Mat2, ctx: CorrectionContext, positions) -> CorrectionReport
         if xy is not None:
             cand = _with_entries(c, {first: xy[0], second: xy[1]})
             if _repair_passes(cand, ctx):
-                passing.append(cand)
-    examined = hi - lo + 1
-    if not passing:
-        return _failure(cls, examined, fail)
-    if len(passing) > 1:
-        return _failure(
-            cls, examined, f"ambiguous: {len(passing)} candidate repairs tie", ambiguous=True
-        )
-    return CorrectionReport(cls, examined, passing[0])
+                passing.append((None, cand))
+    return _decide(cls, hi - lo + 1, passing, fail, "candidate repairs tie")
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +353,20 @@ def correct_pair(c: Mat2, ctx: CorrectionContext, positions) -> CorrectionReport
 def correct(
     pkg: CipherPackage, key: CipherKey, *, plaintext_bound: int | None = None
 ) -> CorrectionReport:
-    """Verify, then escalate: single, diagonal, anti-diagonal, columns, rows.
+    """Check, then escalate: single, diagonal, anti-diagonal, columns, rows.
 
-    The first stage with exactly one surviving candidate wins.  Rows the
-    interval check flagged are tried first.  The returned report carries the
-    full attempt log and the total candidate count.
+    A block is clean only if it passes verify_package and every check a
+    repair must pass, so a row error that keeps det P and the row intervals
+    still meets the column ratio.  Otherwise the first stage with exactly one
+    surviving candidate wins; rows the interval check flagged go first.  The
+    report carries the full attempt log and the total candidate count.
     """
     outcome = verify_package(pkg, key)
-    if outcome.clean:
+    ctx = CorrectionContext.from_package(pkg, key, plaintext_bound=plaintext_bound)
+    if outcome.clean and _repair_passes(pkg.c, ctx):
         return CorrectionReport(
             ErrorClass.NONE, 0, pkg.c, attempts=(("verify", "clean"),)
         )
-    ctx = CorrectionContext.from_package(pkg, key, plaintext_bound=plaintext_bound)
     flagged = sorted(outcome.bad_rows)
     attempts: list[tuple[str, str]] = [
         ("verify", f"{outcome.status.value}, flagged rows {flagged}")

@@ -92,7 +92,8 @@ class Mat2:
         return self.adjugate(), d
 
     def __pow__(self, n: int) -> "Mat2":
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        _require_int("exponent", n)
+        if n < 0:
             raise ValueError("exponent must be a non-negative integer")
         result = Mat2.identity()
         base = self
@@ -249,7 +250,6 @@ class CodingMatrix:
     """
 
     matrix: Mat2
-    n: int
     trace: int
     unit_det: int
     seed_det: int
@@ -270,7 +270,8 @@ def build_coding_matrix(key: KeyMatrix, seed: SeedPair, n: int) -> CodingMatrix:
     Equals (key.m ** n) @ M0 entrywise; entries grow geometrically with n,
     hence the cap DEFAULT_MAX_EXPONENT.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+    _require_int("exponent", n)
+    if n < 0:
         raise InvalidKey("exponent must be a non-negative integer")
     if n > DEFAULT_MAX_EXPONENT:
         raise InvalidKey(f"exponent {n} exceeds the cap {DEFAULT_MAX_EXPONENT}")
@@ -284,14 +285,12 @@ def build_coding_matrix(key: KeyMatrix, seed: SeedPair, n: int) -> CodingMatrix:
         ra, rb = (a1, a0), (b1, b0)
         bounds = (ra, rb) if a1 * b0 <= b1 * a0 else (rb, ra)
     return CodingMatrix(
-        Mat2(a1, a0, b1, b0), n, t, d, seed_det, seed_det * d**n, (b0, -a0, -b1, a1), bounds
+        Mat2(a1, a0, b1, b0), t, d, seed_det, seed_det * d**n, (b0, -a0, -b1, a1), bounds
     )
 
 
 def k_golden_matrix(k: int, n: int) -> CodingMatrix:
-    """n-th power of [[k, 1], [1, 0]] arranged as a coding matrix."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise InvalidKey("k must be a positive integer")
+    """n-th power of [[k, 1], [1, 0]] arranged as a coding matrix; KeyMatrix rejects k < 1."""
     if n < 1:
         raise InvalidKey("need n >= 1 so the bottom-right sequence entry exists")
     return build_coding_matrix(KeyMatrix(Mat2(k, 1, 1, 0)), SeedPair(0, 1), n)

@@ -104,8 +104,7 @@ class RatioParams:
         object.__setattr__(self, "a0", Fraction(self.a0))
         if self.a0 == 0:
             raise ValueError("a0 must be nonzero")
-        if self.d > 0 and self.t * self.t < 4 * self.d:
-            raise ComplexFixedPoints("no real fixed points: the ratios diverge")
+        fixed_points(self.t, self.d)  # ComplexFixedPoints: the ratios diverge
 
     @property
     def fixed(self) -> FixedPoints:

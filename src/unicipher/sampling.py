@@ -25,10 +25,7 @@ def _divisor_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def random_key_matrix(
-    rng: random.Random,
-    unit_det: int | None = None,
-    max_entry: int = 12,
-    allow_bare_power: bool = True,
+    rng: random.Random, max_entry: int = 12, allow_bare_power: bool = True
 ) -> KeyMatrix:
     """Admissible key matrix with small entries.
 
@@ -38,7 +35,7 @@ def random_key_matrix(
     """
     if allow_bare_power and rng.random() < 0.25:
         return KeyMatrix(Mat2(rng.randint(1, max_entry), 1, 1, 0))
-    d = unit_det if unit_det is not None else rng.choice((1, -1))
+    d = rng.choice((1, -1))
     while True:
         alpha = rng.randint(1, max_entry)
         delta = rng.randint(1, max_entry)
@@ -56,29 +53,21 @@ def random_seed_pair(rng: random.Random, lo: int = 1, hi: int = 20) -> SeedPair:
 
 
 def random_cipher_key(
-    rng: random.Random,
-    n_lo: int = 1,
-    n_hi: int = 24,
-    max_entry: int = 12,
-    allow_bare_power: bool = True,
-    unit_det: int | None = None,
+    rng: random.Random, n_lo: int = 1, n_hi: int = 24, allow_bare_power: bool = True
 ) -> CipherKey:
-    u = random_key_matrix(rng, unit_det=unit_det, max_entry=max_entry,
-                          allow_bare_power=allow_bare_power)
+    u = random_key_matrix(rng, allow_bare_power=allow_bare_power)
     seed = random_seed_pair(rng)
     perm = list(range(4))
     rng.shuffle(perm)
     return CipherKey(u, seed, rng.randint(n_lo, n_hi), tuple(perm))
 
 
-def random_plaintext(
-    rng: random.Random, alphabet_size: int = 26, nonzero_rows: bool = True
-) -> PlaintextMatrix:
-    """Uniform symbol block; by default each row keeps at least one nonzero."""
+def random_plaintext(rng: random.Random, alphabet_size: int = 26) -> PlaintextMatrix:
+    """Uniform symbol block in which each row keeps at least one nonzero."""
     def row():
         while True:
             r = (rng.randrange(alphabet_size), rng.randrange(alphabet_size))
-            if not nonzero_rows or r != (0, 0) or alphabet_size == 1:
+            if r != (0, 0) or alphabet_size == 1:
                 return r
 
     (a, b), (c, d) = row(), row()

@@ -124,6 +124,49 @@ class TestKGoldenAttack:
                 result = attack_k_golden(oracle)
                 assert (result.k, result.n) == (k, n)
 
+    def test_miss_walks_at_most_two_sequences(self, monkeypatch):
+        # the top row's quotient leaves two candidate k, however large k_max is
+        walks = 0
+        walk = attacks.coding_entries
+
+        def counting_entries(*args):
+            nonlocal walks
+            walks += 1
+            yield from walk(*args)
+
+        monkeypatch.setattr(attacks, "coding_entries", counting_entries)
+        oracle = EncryptionOracle.from_key(CipherKey.arnolds_cat(9))
+        with pytest.raises(NoMatchInBounds):
+            attack_k_golden(oracle, k_max=10**6)
+        assert 0 < walks <= 2
+
+    def test_matches_ascending_k_scan(self):
+        # reference: every (k, n) of the k-sequences up to the largest bounds,
+        # listed in ascending k, then n; the first within bounds is the answer
+        k_top, n_top = 20, 29
+        matches = {}
+        for k in range(1, k_top + 1):
+            seq = k_sequence(k, n_top + 2)
+            for n in range(n_top + 1):
+                matches.setdefault((seq[n + 1], seq[n]), []).append((k, n))
+        rng = random.Random(17)
+        rows = {(x, y) for x in range(-3, 40) for y in range(-3, 20)} | set(matches)
+        for _ in range(40):
+            c = random_cipher_key(rng, n_lo=1, n_hi=12).coding_matrix.matrix
+            rows.add((c.a11, c.a12))
+        for row in sorted(rows):
+            oracle = EncryptionOracle(lambda p, c=Mat2(row[0], row[1], 0, 0): c)
+            for k_max in (0, 1, 2, 7, k_top):
+                for n_max in (0, 1, 9, n_top):
+                    want = next((kn for kn in matches.get(row, ())
+                                 if kn[0] <= k_max and kn[1] <= n_max), None)
+                    try:
+                        result = attack_k_golden(oracle, k_max=k_max, n_max=n_max)
+                        got = (result.k, result.n)
+                    except NoMatchInBounds:
+                        got = None
+                    assert got == want, (row, k_max, n_max)
+
 
 class TestUnimodularResistance:
     def test_seeded_keys_yield_failures_not_wrong_answers(self):

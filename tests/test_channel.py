@@ -77,6 +77,13 @@ class TestKeyFiles:
         with pytest.raises(FormatError):
             loads_key(json.dumps(key_dict))
 
+    @pytest.mark.parametrize("n", [True, False, 4.0, "4", None])
+    def test_exponent_must_be_a_plain_int(self, n):
+        key_dict = key_to_dict(CipherKey.golden(4))
+        key_dict["n"] = n
+        with pytest.raises(FormatError):
+            loads_key(json.dumps(key_dict))
+
     def test_non_decimal_entry(self):
         text = dumps_key(CipherKey.golden(4)).replace('"1"', '"one"', 1)
         with pytest.raises(FormatError):

@@ -172,6 +172,30 @@ class TestPipelines:
         code, out, _ = run(capsys, "decrypt", "--key", str(key_file), "--in", str(fixed_file))
         assert code == 0 and out.strip() == "RBUX"
 
+    def test_row_error_that_verifies_clean_is_repaired(self, tmp_path, capsys):
+        # MATH at golden n = 2: the row-bottom corruption keeps det P and both
+        # row intervals, so only the column ratio (1.88 against 53/24) shows it
+        key_file = tmp_path / "key.json"
+        run(capsys, "keygen", "--golden", "--n", "2", "--out", str(key_file))
+        pkg_file, bad_file, fixed_file = (tmp_path / f for f in ("p.json", "bad.json", "fixed.json"))
+        run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH",
+            "--out", str(pkg_file), "--emit-column-ratio")
+        code, _, _ = run(capsys, "corrupt", "--in", str(pkg_file), "--out", str(bad_file),
+                         "--spec", "row_bottom", "--seed", "46")
+        assert code == 0
+        ((original,), (bad,)) = (loads_packages(f.read_text()) for f in (pkg_file, bad_file))
+        assert (original.c, bad.c) == (Mat2(24, 12, 45, 26), Mat2(24, 12, 53, 30))
+        code, out, _ = run(capsys, "verify", "--key", str(key_file), "--in", str(bad_file))
+        assert code == 0 and out.strip() == "block 0: clean"
+        code, out, _ = run(capsys, "correct", "--key", str(key_file), "--in", str(bad_file),
+                           "--out", str(fixed_file))
+        assert code == 0
+        report = json.loads(out)["reports"][0]
+        assert report["assumed_class"] == "row-bottom"
+        assert report["repaired"] == ["24", "12", "45", "26"]
+        code, out, _ = run(capsys, "decrypt", "--key", str(key_file), "--in", str(fixed_file))
+        assert code == 0 and out.strip() == "MATH"
+
     def test_top_over_bottom_check_is_a_format_error(self, tmp_path, capsys):
         # the golden n = 6 row-top example repairs with the orientation the
         # sender writes; the other one is refused, not silently ignored
@@ -305,6 +329,26 @@ class TestPipelines:
                            "--emit-column-ratio")
         assert code == 1
         assert "error[CipherError]" in err
+
+    def test_ratio_digits_read_only_when_emitting(self, tmp_path, capsys, monkeypatch):
+        key_file = self.make_key(tmp_path, capsys)
+        monkeypatch.setenv("UNICIPHER_RATIO_DIGITS", "abc")
+        code, out, _ = run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH")
+        assert code == 0
+        assert [pkg.column_ratio for pkg in loads_packages(out)] == [None]
+        code, _, err = run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH",
+                           "--emit-column-ratio")
+        assert code == 1
+        assert "error[CipherError]" in err
+
+    def test_ratio_digits_imply_emitting(self, tmp_path, capsys):
+        key_file = self.make_key(tmp_path, capsys)
+        code, out, _ = run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH",
+                           "--ratio-digits", "5")
+        assert code == 0
+        (pkg,) = loads_packages(out)
+        assert pkg.column_ratio.digits == 5
+        assert len(pkg.column_ratio.value.split(".")[1]) == 5
 
     def test_overlong_ratio_value_is_a_format_error(self, tmp_path, capsys):
         # loads and verifies, but is longer than a ratio's units can be read

@@ -477,6 +477,25 @@ class TestPipeline:
                 exact += 1
         assert exact >= trials * 0.97
 
+    def test_clean_means_every_repair_check_passes(self):
+        # A row error can keep det P and both row intervals; only the column
+        # ratio and divisibility show it.  Before `correct` applied every
+        # repair check to the received block, 4 of these 4,000 golden blocks
+        # were passed through as clean although a repair check rejects them.
+        rng = random.Random(10)
+        passed_through = 0
+        for _ in range(4000):
+            perm = list(range(4))
+            rng.shuffle(perm)
+            key = CipherKey.golden(rng.randint(1, 10), tuple(perm))
+            pkg = encrypt(random_plaintext(rng), key, emit_column_ratio=True)
+            bad, _ = corrupt_package(pkg, CorruptionSpec("random", seed=rng.randrange(2**30)))
+            report = correct(bad, key, plaintext_bound=26)
+            ctx = CorrectionContext.from_package(bad, key, plaintext_bound=26)
+            if report.assumed_class is ErrorClass.NONE and report.success:
+                passed_through += not _repair_passes(bad.c, ctx)
+        assert passed_through == 0
+
     def test_row_without_ratio_never_silently_wrong(self):
         rng = random.Random(4242)
         for _ in range(150):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unicipher.cipher import CipherKey
 from unicipher.errors import DegenerateConvergenceWarning, InvalidKey, SingularMatrix
 from unicipher.matrix import (
     DEFAULT_MAX_EXPONENT,
@@ -131,6 +132,18 @@ class FormattedInt(int):
 def test_only_plain_ints_are_accepted(make):
     assert make(5) == make(5)
     for bad in (FormattedInt(5), True):
+        with pytest.raises(TypeError):
+            make(bad)
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: Mat2(2, 1, 1, 1) ** n,
+    lambda n: build_coding_matrix(KeyMatrix(Mat2(2, 1, 1, 1)), SeedPair(0, 1), n),
+    lambda n: CipherKey.arnolds_cat(n),
+], ids=["Mat2.__pow__", "build_coding_matrix", "CipherKey"])
+def test_exponents_follow_the_plain_int_rule(make):
+    assert make(3) == make(3)
+    for bad in (FormattedInt(3), True, 3.0):
         with pytest.raises(TypeError):
             make(bad)
 
