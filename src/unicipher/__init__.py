@@ -37,6 +37,7 @@ from .correction import (
     solve_linear_diophantine,
 )
 from .errors import (
+    CheckNumberMismatch,
     CipherError,
     ComplexFixedPoints,
     DegenerateConvergenceWarning,
@@ -50,7 +51,6 @@ from .errors import (
     NotGoldenOracle,
     SingularMatrix,
     UnknownSymbol,
-    ZeroDenominator,
     ZeroSequenceEntry,
 )
 from .matrix import (
@@ -69,13 +69,10 @@ from .matrix import (
 )
 from .ratios import (
     BOTTOM_OVER_TOP,
-    TOP_OVER_BOTTOM,
-    ColumnRatios,
     ConvergenceMode,
     ConvergenceProfile,
     FixedPoints,
     RatioParams,
-    column_ratio,
     convergence_profile,
     exponential_rate,
     fixed_points,

@@ -2,10 +2,11 @@
 
 A message is chopped into 4-symbol blocks, each block permuted into a
 plaintext matrix and multiplied by the coding matrix.  det P rides along as
-a check number; optionally a rounded column ratio does too.  Decryption
-multiplies by the exact adjugate and demands clean divisibility, so any
-corruption that survives the determinant check still tends to surface as a
-non-integral or negative plaintext.
+a check number; optionally a rounded column ratio does too.  Decryption,
+`correct`'s clean test and every repair candidate ask one exact question,
+_intact, and decryption raises the error naming the first check a block
+fails.  verify_package is the paper's diagnostic: det C and the row-ratio
+intervals, with the rows it flags.
 """
 
 from __future__ import annotations
@@ -14,17 +15,18 @@ import re
 import string
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import attrgetter, itemgetter
 
-from .errors import FormatError, InvalidKey, NegativePlaintext, NonIntegralPlaintext, UnknownSymbol
+from .errors import CheckNumberMismatch, CipherError, FormatError, InvalidKey
+from .errors import NegativePlaintext, NonIntegralPlaintext, UnknownSymbol
 from .matrix import CodingMatrix, KeyMatrix, Mat2, SeedPair, _require_int, build_coding_matrix
 from .ratios import BOTTOM_OVER_TOP, round_half_even_ratio
 
 IDENTITY_PERM = (0, 1, 2, 3)
 # Cap on transmitted column-ratio digits, so 10**digits stays small on hostile input.
 MAX_RATIO_DIGITS = 100
-# Most digits ColumnRatioCheck.units converts: Python's default limit on
+# Most digits ColumnRatioCheck.grid converts: Python's default limit on
 # str-to-int conversion, which also caps each entry the package loader reads.
 _MAX_UNITS_DIGITS = 4300
 # A column ratio as round_half_even_ratio writes it for non-negative entries:
@@ -160,15 +162,15 @@ class ColumnRatioCheck:
             self, "__dict__", {"orientation": BOTTOM_OVER_TOP, "value": value, "digits": digits}
         )
 
-    @property
-    def units(self) -> int:
-        """The value in units of 10**-digits; FormatError past _MAX_UNITS_DIGITS digits."""
+    @cached_property
+    def grid(self) -> tuple[int, int]:
+        """(R, D) with value = R/D, D = 10**digits; FormatError past _MAX_UNITS_DIGITS digits."""
         units = self.value.replace(".", "")
         if len(units) > _MAX_UNITS_DIGITS:
             raise FormatError(
                 f"column-ratio value has {len(units)} digits, more than {_MAX_UNITS_DIGITS}"
             )
-        return int(units)
+        return int(units), 10**self.digits
 
 
 # Shared ColumnRatioCheck per (orientation, value, digits): a message repeats
@@ -301,7 +303,7 @@ def _encrypt_blocks(
         c21 = p21 * m11 + p22 * m21
         c22 = p21 * m12 + p22 * m22
         check = None
-        if emit_column_ratio and c11 and c12:
+        if emit_column_ratio and c11:
             check = _ratio_check(
                 BOTTOM_OVER_TOP, round_half_even_ratio(c21, c11, ratio_digits), ratio_digits
             )
@@ -314,30 +316,67 @@ def _encrypt_blocks(
     return tuple(packages)
 
 
-def _decrypt_block(c: Mat2, cm: CodingMatrix) -> tuple[int, int, int, int]:
-    """Row-major plaintext entries C @ adj(M(n)) / det M(n), demanding exact division."""
+def _intact(c: Mat2, det_p: int, cm: CodingMatrix, grid, bound) -> tuple[int, int, int, int] | None:
+    """Row-major entries of P = C @ adj(M(n)) / det M(n) if the block is intact, else None.
+
+    Intact: P is integral and non-negative, det P = det_p, every entry is
+    below bound (None skips it), and with grid = (R, D) c11 > 0 and
+    (2R - 1) * c11 <= 2D * c21 <= (2R + 1) * c11.  That implies C >= 0, both
+    row ratios inside the row interval (each is a non-negatively weighted
+    mediant of M(n)'s column ratios) and det C = det M(n) * det P.
+    """
     j11, j12, j21, j22 = cm.adj
     det = cm.det
-    raw = (
-        c.a11 * j11 + c.a12 * j21,
-        c.a11 * j12 + c.a12 * j22,
-        c.a21 * j11 + c.a22 * j21,
-        c.a21 * j12 + c.a22 * j22,
-    )
-    q11, r11 = divmod(raw[0], det)
-    q12, r12 = divmod(raw[1], det)
-    q21, r21 = divmod(raw[2], det)
-    q22, r22 = divmod(raw[3], det)
-    if r11 or r12 or r21 or r22:
-        e = next(e for e in raw if e % det)
-        raise NonIntegralPlaintext(
-            f"entry {e} is not divisible by det {det}; ciphertext is corrupt"
-        )
-    if q11 < 0 or q12 < 0 or q21 < 0 or q22 < 0:
-        raise NegativePlaintext(
+    c11, c21 = c.a11, c.a21
+    p11, r11 = divmod(c11 * j11 + c.a12 * j21, det)
+    p12, r12 = divmod(c11 * j12 + c.a12 * j22, det)
+    p21, r21 = divmod(c21 * j11 + c.a22 * j21, det)
+    p22, r22 = divmod(c21 * j12 + c.a22 * j22, det)
+    if r11 or r12 or r21 or r22 or p11 < 0 or p12 < 0 or p21 < 0 or p22 < 0:
+        return None
+    if p11 * p22 - p12 * p21 != det_p:
+        return None
+    if grid is not None:
+        r, d = grid
+        if c11 <= 0 or not (2 * r - 1) * c11 <= 2 * d * c21 <= (2 * r + 1) * c11:
+            return None
+    if bound is not None and max(p11, p12, p21, p22) >= bound:
+        return None
+    return p11, p12, p21, p22
+
+
+def _rejection(pkg: CipherPackage, cm: CodingMatrix, bound) -> CipherError:
+    """The error naming the first check that a block _intact rejects fails."""
+    det, check = cm.det, pkg.column_ratio
+    raw = (pkg.c @ Mat2(*cm.adj)).entries()
+    for e in raw:
+        if e % det:
+            return NonIntegralPlaintext(
+                f"entry {e} is not divisible by det {det}; ciphertext is corrupt"
+            )
+    p = Mat2(*(e // det for e in raw))
+    if min(p.entries()) < 0:
+        return NegativePlaintext(
             "decryption produced negative entries; ciphertext corrupt or key wrong"
         )
-    return q11, q12, q21, q22
+    if p.det() != pkg.det_p:
+        return CheckNumberMismatch(
+            f"det P of the decrypted block is {p.det()}, the package says {pkg.det_p}"
+        )
+    if check is not None and _intact(pkg.c, pkg.det_p, cm, check.grid, None) is None:
+        return CheckNumberMismatch(
+            f"c21/c11 of the block does not round to the column ratio {check.value}"
+        )
+    return UnknownSymbol(f"plaintext entry {max(p.entries())} is not below the bound {bound}")
+
+
+def _plaintext(pkg: CipherPackage, cm: CodingMatrix) -> tuple[int, int, int, int]:
+    """Row-major plaintext entries of an intact package; else raises _rejection's error."""
+    check = pkg.column_ratio
+    entries = _intact(pkg.c, pkg.det_p, cm, None if check is None else check.grid, None)
+    if entries is None:
+        raise _rejection(pkg, cm, None)
+    return entries
 
 
 def _row_in_interval(c1: int, c2: int, bounds) -> bool:
@@ -380,9 +419,9 @@ def encrypt(
     block_index: int = 0,
     pad_len: int = 0,
 ) -> CipherPackage:
-    """C = P @ M(n), det P as check number, optional rounded column ratio.
+    """C = P @ M(n), det P as check number, optional rounded column ratio c21/c11.
 
-    The ratio check is silently omitted when a top-row entry is zero.
+    The ratio needs c11 > 0, so a block with c11 = 0 carries none.
     """
     (pkg,) = _encrypt_blocks(
         (p.p.entries(),), key.coding_matrix, emit_column_ratio, ratio_digits, block_index, pad_len
@@ -391,8 +430,12 @@ def encrypt(
 
 
 def decrypt(pkg: CipherPackage, key: CipherKey, alphabet_size: int = 26) -> PlaintextMatrix:
-    """P = C @ adj(M(n)) / det(M(n)), demanding exact divisibility."""
-    return PlaintextMatrix(Mat2(*_decrypt_block(pkg.c, key.coding_matrix)), alphabet_size)
+    """P = C @ adj(M(n)) / det(M(n)) of an intact package (alphabet_size is not checked).
+
+    Otherwise raises NonIntegralPlaintext, NegativePlaintext, or
+    CheckNumberMismatch when P disagrees with det_p or the column ratio.
+    """
+    return PlaintextMatrix(Mat2(*_plaintext(pkg, key.coding_matrix)), alphabet_size)
 
 
 class VerifyStatus(Enum):
@@ -472,9 +515,12 @@ def encrypt_message(
 
 
 def decrypt_message(packages, key: CipherKey, alphabet: Alphabet | None = None):
-    """Decrypt, reorder by block index, decode, strip final padding."""
+    """Reorder by block index, decrypt each block as decrypt does, decode, strip final padding.
+
+    An index outside the alphabet is UnknownSymbol from Alphabet.render.
+    """
     alphabet = alphabet if alphabet is not None else Alphabet.latin()
     cm = key.coding_matrix
     ordered = sorted(packages, key=attrgetter("block_index"))
     pad = ordered[-1].pad_len if ordered else 0
-    return _decode((_decrypt_block(pkg.c, cm) for pkg in ordered), pad, alphabet, key.perm)
+    return _decode((_plaintext(pkg, cm) for pkg in ordered), pad, alphabet, key.perm)

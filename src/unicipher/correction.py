@@ -15,11 +15,11 @@ Each unknown's integer range is the intersection of every exact check whose
 other entry is known: non-negativity, the alphabet bound of its column, the
 row-ratio interval and the column-ratio grid.  A range wider than
 MAX_CANDIDATES is reported, never clipped.  A repair is accepted only if the
-whole matrix passes every check an intact ciphertext must pass, including
-exact plaintext divisibility, and only if it is the one candidate that does:
-several are reported as ambiguity.  A row pair needs the transmitted column
-ratio; without it every family member has a row ratio near the fixed point,
-so the determinant alone cannot decide.
+whole matrix is intact by cipher._intact, the question decryption asks, and
+only if it is the one candidate that is: several are reported as ambiguity.
+A row pair needs the transmitted column ratio; without it every family
+member has a row ratio near the fixed point, so the determinant alone
+cannot decide.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from math import gcd, inf
 
-from .cipher import CipherKey, CipherPackage, _decrypt_block, _row_in_interval, verify_package
-from .errors import NegativePlaintext, NoDiophantineSolution, NonIntegralPlaintext
+from .cipher import CipherKey, CipherPackage, _intact, _rejection, verify_package
+from .errors import NoDiophantineSolution
 from .matrix import Mat2
 
 # The widest range of candidates one repair stage scans.
@@ -112,7 +112,7 @@ class CorrectionContext:
     """Everything a repair needs, computed once per package."""
 
     key: CipherKey
-    expected_det: int
+    det_p: int
     # transmitted c21/c11 as (R, D): the check is |c21/c11 - R/D| <= 1/(2D), D = 10**digits
     rho: tuple[int, int] | None = None
     plaintext_bound: int | None = None
@@ -122,8 +122,12 @@ class CorrectionContext:
         cls, pkg: CipherPackage, key: CipherKey, *, plaintext_bound: int | None = None
     ) -> "CorrectionContext":
         check = pkg.column_ratio
-        rho = None if check is None else (check.units, 10**check.digits)
-        return cls(key, key.coding_matrix.det * pkg.det_p, rho, plaintext_bound)
+        return cls(key, pkg.det_p, None if check is None else check.grid, plaintext_bound)
+
+    @property
+    def expected_det(self) -> int:
+        """det C of an intact block: det M(n) * det P."""
+        return self.key.coding_matrix.det * self.det_p
 
 
 def plaintext_bounds(ctx: CorrectionContext) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -137,29 +141,6 @@ def plaintext_bounds(ctx: CorrectionContext) -> tuple[tuple[int, int], tuple[int
     m11, m12, m21, m22 = ctx.key.coding_matrix.matrix.entries()
     s = ctx.plaintext_bound - 1
     return (0, s * (m11 + m21)), (0, s * (m12 + m22))
-
-
-def _repair_passes(mat: Mat2, ctx: CorrectionContext) -> bool:
-    """All checks an intact ciphertext must satisfy, in exact arithmetic."""
-    c11, c12, c21, c22 = mat.entries()
-    if c11 < 0 or c12 < 0 or c21 < 0 or c22 < 0:
-        return False
-    if c11 * c22 - c12 * c21 != ctx.expected_det:
-        return False
-    cm = ctx.key.coding_matrix
-    if cm.bounds is not None and not (
-        _row_in_interval(c11, c12, cm.bounds) and _row_in_interval(c21, c22, cm.bounds)
-    ):
-        return False
-    if ctx.rho is not None:
-        r, d = ctx.rho
-        if c11 <= 0 or not (2 * r - 1) * c11 <= 2 * d * c21 <= (2 * r + 1) * c11:
-            return False
-    try:
-        entries = _decrypt_block(mat, cm)
-    except (NonIntegralPlaintext, NegativePlaintext):
-        return False
-    return ctx.plaintext_bound is None or max(entries) < ctx.plaintext_bound
 
 
 @dataclass(frozen=True)
@@ -210,10 +191,11 @@ def correct_single(c: Mat2, ctx: CorrectionContext, positions=None) -> Correctio
     """Try each candidate position: the determinant equation is linear in it.
 
     A candidate is kept only if the solution is a non-negative integer and
-    the repaired matrix passes every intact-ciphertext check.  Two distinct
-    surviving repairs are reported as ambiguity, never guessed between.
+    the repaired matrix is intact.  Two distinct surviving repairs are
+    reported as ambiguity, never guessed between.
     """
     positions = tuple(positions) if positions else _ALL_POSITIONS
+    det_p, cm, rho, bound = ctx.det_p, ctx.key.coding_matrix, ctx.rho, ctx.plaintext_bound
     examined = 0
     passing: list[tuple[tuple[int, int], Mat2]] = []
     for pos in positions:
@@ -225,7 +207,7 @@ def correct_single(c: Mat2, ctx: CorrectionContext, positions=None) -> Correctio
         if r or q < 0:
             continue
         cand = _with_entries(c, {pos: q})
-        if _repair_passes(cand, ctx):
+        if _intact(cand, det_p, cm, rho, bound) is not None:
             passing.append((pos, cand))
     return _decide(
         ErrorClass.SINGLE, examined, passing, "no-single-candidate", "positions admit a repair"
@@ -285,7 +267,7 @@ def correct_pair(c: Mat2, ctx: CorrectionContext, positions) -> CorrectionReport
     """Repair two wrong entries at `positions` (a diagonal, a column or a row).
 
     Scans every value of the unknowns inside their pinned ranges and accepts
-    the single candidate that passes every check.  A row pair needs the
+    the single candidate that is intact.  A row pair needs the
     transmitted column ratio (column-ratio-missing without a positive one).
     """
     cls = _PAIR_CLASS.get(frozenset(positions))
@@ -336,12 +318,13 @@ def correct_pair(c: Mat2, ctx: CorrectionContext, positions) -> CorrectionReport
         return _failure(cls, 0, fail)
     if hi - lo >= MAX_CANDIDATES:
         return _failure(cls, 0, "search-range-too-wide")
+    det_p, cm, rho, bound = ctx.det_p, ctx.key.coding_matrix, ctx.rho, ctx.plaintext_bound
     passing = []
     for t in range(lo, hi + 1):
         xy = member(t)
         if xy is not None:
             cand = _with_entries(c, {first: xy[0], second: xy[1]})
-            if _repair_passes(cand, ctx):
+            if _intact(cand, det_p, cm, rho, bound) is not None:
                 passing.append((None, cand))
     return _decide(cls, hi - lo + 1, passing, fail, "candidate repairs tie")
 
@@ -355,22 +338,25 @@ def correct(
 ) -> CorrectionReport:
     """Check, then escalate: single, diagonal, anti-diagonal, columns, rows.
 
-    A block is clean only if it passes verify_package and every check a
-    repair must pass, so a row error that keeps det P and the row intervals
-    still meets the column ratio.  Otherwise the first stage with exactly one
-    surviving candidate wins; rows the interval check flagged go first.  The
-    report carries the full attempt log and the total candidate count.
+    A block is clean only if it is intact, the question decryption asks.
+    Otherwise the first log entry gives verify_package's status and the rows
+    it flags out of their interval, or, when it flags nothing (a row error
+    can keep det P and both intervals), the first failing check as decrypt
+    names it.  The first stage with exactly one surviving candidate wins;
+    flagged rows go first.  The report carries the full attempt log and the
+    total candidate count.
     """
-    outcome = verify_package(pkg, key)
     ctx = CorrectionContext.from_package(pkg, key, plaintext_bound=plaintext_bound)
-    if outcome.clean and _repair_passes(pkg.c, ctx):
-        return CorrectionReport(
-            ErrorClass.NONE, 0, pkg.c, attempts=(("verify", "clean"),)
-        )
+    if _intact(pkg.c, pkg.det_p, key.coding_matrix, ctx.rho, plaintext_bound) is not None:
+        return CorrectionReport(ErrorClass.NONE, 0, pkg.c, attempts=(("verify", "clean"),))
+    outcome = verify_package(pkg, key)
     flagged = sorted(outcome.bad_rows)
-    attempts: list[tuple[str, str]] = [
-        ("verify", f"{outcome.status.value}, flagged rows {flagged}")
-    ]
+    if outcome.clean:
+        error = _rejection(pkg, key.coding_matrix, plaintext_bound)
+        verdict = f"{type(error).__name__}: {error}"
+    else:
+        verdict = f"{outcome.status.value}, flagged rows {flagged}"
+    attempts: list[tuple[str, str]] = [("verify", verdict)]
     if len(flagged) > 1:
         attempts.append(("single", "skipped: both rows flagged"))
     rows = (ErrorClass.ROW_TOP, ErrorClass.ROW_BOTTOM)

@@ -25,10 +25,6 @@ class ZeroSequenceEntry(CipherError):
     pass
 
 
-class ZeroDenominator(CipherError):
-    pass
-
-
 class UnknownSymbol(CipherError):
     pass
 
@@ -39,6 +35,10 @@ class NonIntegralPlaintext(CipherError):
 
 class NegativePlaintext(CipherError):
     pass
+
+
+class CheckNumberMismatch(CipherError):
+    """A block decrypts exactly but disagrees with its det P or column ratio."""
 
 
 class NoDiophantineSolution(CipherError):

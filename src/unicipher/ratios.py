@@ -15,16 +15,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (
-    ComplexFixedPoints,
-    DivisionByZeroInOrbit,
-    ZeroDenominator,
-    ZeroSequenceEntry,
-)
-from .matrix import CodingMatrix, Mat2
+from .errors import ComplexFixedPoints, DivisionByZeroInOrbit, ZeroSequenceEntry
+from .matrix import CodingMatrix
 
 BOTTOM_OVER_TOP = "bottom-over-top"
-TOP_OVER_BOTTOM = "top-over-bottom"
 
 DEFAULT_ORBIT_STEPS = 64
 
@@ -213,31 +207,6 @@ def row_ratio_interval(cm: CodingMatrix) -> tuple[Fraction, Fraction]:
         raise ZeroSequenceEntry("both sequences must be positive at index n")
     lo, hi = cm.bounds
     return Fraction(*lo), Fraction(*hi)
-
-
-@dataclass(frozen=True)
-class ColumnRatios:
-    """Both per-column ratios of a ciphertext matrix, in a display orientation."""
-
-    left: Fraction
-    right: Fraction
-    orientation: str = BOTTOM_OVER_TOP
-
-    def flipped(self) -> "ColumnRatios":
-        if self.left == 0 or self.right == 0:
-            raise ZeroDenominator("cannot invert a zero column ratio")
-        other = TOP_OVER_BOTTOM if self.orientation == BOTTOM_OVER_TOP else BOTTOM_OVER_TOP
-        return ColumnRatios(1 / self.left, 1 / self.right, other)
-
-
-def column_ratio(c: Mat2) -> ColumnRatios:
-    """Bottom-over-top column ratios (c21/c11, c22/c12).
-
-    Use .flipped() for the top-over-bottom orientation.
-    """
-    if c.a11 == 0 or c.a12 == 0:
-        raise ZeroDenominator("top-row entry is zero; column ratio undefined")
-    return ColumnRatios(Fraction(c.a21, c.a11), Fraction(c.a22, c.a12))
 
 
 def round_half_even_ratio(num: int, den: int, digits: int) -> str:

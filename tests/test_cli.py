@@ -187,14 +187,37 @@ class TestPipelines:
         assert (original.c, bad.c) == (Mat2(24, 12, 45, 26), Mat2(24, 12, 53, 30))
         code, out, _ = run(capsys, "verify", "--key", str(key_file), "--in", str(bad_file))
         assert code == 0 and out.strip() == "block 0: clean"
+        code, _, err = run(capsys, "decrypt", "--key", str(key_file), "--in", str(bad_file))
+        assert code == 1 and "error[CheckNumberMismatch]" in err and "column ratio" in err
         code, out, _ = run(capsys, "correct", "--key", str(key_file), "--in", str(bad_file),
                            "--out", str(fixed_file))
         assert code == 0
         report = json.loads(out)["reports"][0]
+        assert report["attempts"][0] == [
+            "verify", "CheckNumberMismatch: c21/c11 of the block does not round to the "
+            "column ratio 1.88",
+        ]
         assert report["assumed_class"] == "row-bottom"
         assert report["repaired"] == ["24", "12", "45", "26"]
         code, out, _ = run(capsys, "decrypt", "--key", str(key_file), "--in", str(fixed_file))
         assert code == 0 and out.strip() == "MATH"
+
+    def test_decrypt_refuses_a_block_that_fails_det_p(self, tmp_path, capsys):
+        # MATHEMATICS at golden n = 2 (det M = 1): a one-off single error per
+        # block keeps every block integral and non-negative (they divide into
+        # LBTHEMBRJBS), so only det P shows it
+        key_file = tmp_path / "key.json"
+        run(capsys, "keygen", "--golden", "--n", "2", "--out", str(key_file))
+        pkg_file, bad_file = tmp_path / "p.json", tmp_path / "bad.json"
+        run(capsys, "encrypt", "--key", str(key_file), "--in", "MATHEMATICS", "--out", str(pkg_file))
+        code, _, _ = run(capsys, "corrupt", "--in", str(pkg_file), "--out", str(bad_file),
+                         "--spec", "single", "--seed", "3", "--max-delta", "1")
+        assert code == 0
+        code, out, err = run(capsys, "decrypt", "--key", str(key_file), "--in", str(bad_file))
+        assert code == 1 and out == ""
+        assert "error[CheckNumberMismatch]" in err and "det P" in err
+        code, out, _ = run(capsys, "decrypt", "--key", str(key_file), "--in", str(pkg_file))
+        assert code == 0 and out.strip() == "MATHEMATICS"
 
     def test_top_over_bottom_check_is_a_format_error(self, tmp_path, capsys):
         # the golden n = 6 row-top example repairs with the orientation the

@@ -13,23 +13,26 @@ from unicipher.cipher import (
     CipherPackage,
     ColumnRatioCheck,
     PlaintextMatrix,
+    _intact,
+    _row_in_interval,
     encrypt,
     verify_package,
 )
 from unicipher.correction import (
     CorrectionContext,
     ErrorClass,
-    _repair_passes,
     correct,
     correct_pair,
     correct_single,
     plaintext_bounds,
     solve_linear_diophantine,
 )
-from unicipher.errors import InvalidKey, NoDiophantineSolution
-from unicipher.matrix import KeyMatrix, Mat2, SeedPair
+from unicipher.errors import InvalidKey, NegativePlaintext, NoDiophantineSolution, NonIntegralPlaintext
+from unicipher.matrix import CodingMatrix, KeyMatrix, Mat2, SeedPair
 from unicipher.ratios import BOTTOM_OVER_TOP
 from unicipher.sampling import random_cipher_key, random_key_matrix, random_plaintext
+
+from test_kernel import shear, tamper
 
 
 def brute_force_solutions(a, b, c, lo=-500, hi=500):
@@ -333,6 +336,95 @@ class TestRow:
         assert feasible[0] == (158, 60)
 
 
+# --- reference intact test ---------------------------------------------------
+# The repair check and block decryption that cipher._intact replaced: every
+# check an intact ciphertext must pass, each tested on its own.
+
+
+def ref_decrypt_block(c: Mat2, cm: CodingMatrix) -> tuple[int, int, int, int]:
+    """Row-major plaintext entries C @ adj(M(n)) / det M(n), demanding exact division."""
+    j11, j12, j21, j22 = cm.adj
+    det = cm.det
+    raw = (
+        c.a11 * j11 + c.a12 * j21,
+        c.a11 * j12 + c.a12 * j22,
+        c.a21 * j11 + c.a22 * j21,
+        c.a21 * j12 + c.a22 * j22,
+    )
+    q11, r11 = divmod(raw[0], det)
+    q12, r12 = divmod(raw[1], det)
+    q21, r21 = divmod(raw[2], det)
+    q22, r22 = divmod(raw[3], det)
+    if r11 or r12 or r21 or r22:
+        e = next(e for e in raw if e % det)
+        raise NonIntegralPlaintext(
+            f"entry {e} is not divisible by det {det}; ciphertext is corrupt"
+        )
+    if q11 < 0 or q12 < 0 or q21 < 0 or q22 < 0:
+        raise NegativePlaintext(
+            "decryption produced negative entries; ciphertext corrupt or key wrong"
+        )
+    return q11, q12, q21, q22
+
+
+def ref_repair_passes(mat: Mat2, ctx: CorrectionContext) -> bool:
+    """All checks an intact ciphertext must satisfy, in exact arithmetic."""
+    c11, c12, c21, c22 = mat.entries()
+    if c11 < 0 or c12 < 0 or c21 < 0 or c22 < 0:
+        return False
+    if c11 * c22 - c12 * c21 != ctx.expected_det:
+        return False
+    cm = ctx.key.coding_matrix
+    if cm.bounds is not None and not (
+        _row_in_interval(c11, c12, cm.bounds) and _row_in_interval(c21, c22, cm.bounds)
+    ):
+        return False
+    if ctx.rho is not None:
+        r, d = ctx.rho
+        if c11 <= 0 or not (2 * r - 1) * c11 <= 2 * d * c21 <= (2 * r + 1) * c11:
+            return False
+    try:
+        entries = ref_decrypt_block(mat, cm)
+    except (NonIntegralPlaintext, NegativePlaintext):
+        return False
+    return ctx.plaintext_bound is None or max(entries) < ctx.plaintext_bound
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(("golden", "cat", "random")),
+    st.one_of(st.integers(1, 24), st.just(100)),
+    st.sampled_from((None, 0, 1, 2, 3)),
+    st.sampled_from((26, 256, None)),
+    st.sampled_from(("clean", "channel", "tamper", "shear")),
+)
+@settings(max_examples=400, deadline=None)
+def test_intact_matches_reference(seed, family, n, digits, bound, damage):
+    """_intact accepts exactly the blocks that verify clean and pass every
+    reference repair check, and returns their decrypted entries."""
+    rng = random.Random(seed)
+    if family == "golden":
+        key = CipherKey.golden(n)
+    elif family == "cat":
+        key = CipherKey.arnolds_cat(n)
+    else:
+        key = random_cipher_key(rng, n_lo=n, n_hi=n)
+    # a few symbols past the bound, so the bound check rejects some blocks
+    p = random_plaintext(rng, alphabet_size=300 if bound is None else bound + 4)
+    pkg = encrypt(p, key, emit_column_ratio=digits is not None, ratio_digits=digits or 0)
+    if damage == "channel":
+        pkg, _ = corrupt_package(pkg, CorruptionSpec("random", seed=rng.randrange(2**30)))
+    elif damage != "clean":
+        pkg = {"tamper": tamper, "shear": shear}[damage](pkg, rng)
+    cm = key.coding_matrix
+    ctx = CorrectionContext.from_package(pkg, key, plaintext_bound=bound)
+    expected = verify_package(pkg, key).clean and ref_repair_passes(pkg.c, ctx)
+    entries = _intact(pkg.c, pkg.det_p, cm, ctx.rho, bound)
+    assert (entries is not None) == expected
+    if expected:
+        assert entries == ref_decrypt_block(pkg.c, cm)
+
+
 def brute_force_pair(c, ctx, positions):
     """Every matrix passing all checks with the entries at positions replaced.
 
@@ -356,7 +448,7 @@ def brute_force_pair(c, ctx, positions):
             ys = [y] if not r and 0 <= y <= bounds[l][1] else []
         else:
             ys = range(bounds[l][1] + 1) if a == ctx.expected_det else []
-        found += [matrix(x, y) for y in ys if _repair_passes(matrix(x, y), ctx)]
+        found += [matrix(x, y) for y in ys if ref_repair_passes(matrix(x, y), ctx)]
     return found
 
 
@@ -493,8 +585,24 @@ class TestPipeline:
             report = correct(bad, key, plaintext_bound=26)
             ctx = CorrectionContext.from_package(bad, key, plaintext_bound=26)
             if report.assumed_class is ErrorClass.NONE and report.success:
-                passed_through += not _repair_passes(bad.c, ctx)
+                passed_through += not ref_repair_passes(bad.c, ctx)
         assert passed_through == 0
+
+    def test_ratio_is_sent_when_only_c12_is_zero(self):
+        # golden n = 1 has M = [[1, 1], [1, 0]], so p11 = 0 gives c12 = 0; the
+        # ratio reads c21/c11 only.  Without it correct repairs all 200 of
+        # these blocks wrongly.  The 19 wrong repairs left are diagonal fits
+        # that the stage order tries before the row.
+        key = CipherKey.golden(1)
+        pkg = encrypt(PlaintextMatrix(Mat2(0, 5, 3, 7)), key, emit_column_ratio=True)
+        assert pkg.c == Mat2(5, 0, 10, 3) and pkg.column_ratio.value == "2.00"
+        outcomes = {}
+        for seed in range(200):
+            bad, _ = corrupt_package(pkg, CorruptionSpec("row_bottom", seed=seed))
+            r = correct(bad, key, plaintext_bound=26)
+            outcome = (r.assumed_class.value, r.repaired == pkg.c)
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        assert outcomes == {("row-bottom", True): 181, ("diagonal", False): 19}
 
     def test_row_without_ratio_never_silently_wrong(self):
         rng = random.Random(4242)

@@ -3,7 +3,8 @@
 The references below are the per-block algorithms the kernel replaced:
 Mat2 products, exact Fraction comparisons, round() on a Fraction, and
 json.dumps of the package document.  The library must agree with them on
-packages, verify results, decrypted messages and raised exceptions.
+packages, verify results, decrypted messages and raised exceptions;
+decryption also checks det P and the column ratio of every block.
 """
 
 import itertools
@@ -30,7 +31,7 @@ from unicipher.cipher import (
     encrypt_message,
     verify_package,
 )
-from unicipher.errors import NegativePlaintext, NonIntegralPlaintext
+from unicipher.errors import CheckNumberMismatch, NegativePlaintext, NonIntegralPlaintext
 from unicipher.matrix import KeyMatrix, Mat2, SeedPair
 from unicipher.ratios import BOTTOM_OVER_TOP, round_half_even_ratio
 from unicipher.sampling import random_cipher_key
@@ -50,7 +51,7 @@ def ref_decimal(value: Fraction, digits: int) -> str:
 def ref_encrypt(p: Mat2, key, emit, digits, block_index=0, pad_len=0) -> CipherPackage:
     c = p @ key.coding_matrix.matrix
     check = None
-    if emit and c.a11 != 0 and c.a12 != 0:
+    if emit and c.a11 != 0:
         check = ColumnRatioCheck(
             BOTTOM_OVER_TOP, ref_decimal(Fraction(c.a21, c.a11), digits), digits
         )
@@ -106,6 +107,19 @@ def ref_decrypt(pkg: CipherPackage, key) -> tuple[int, ...]:
         raise NegativePlaintext(
             "decryption produced negative entries; ciphertext corrupt or key wrong"
         )
+    det_p = Mat2(*values).det()
+    if det_p != pkg.det_p:
+        raise CheckNumberMismatch(
+            f"det P of the decrypted block is {det_p}, the package says {pkg.det_p}"
+        )
+    check, c = pkg.column_ratio, pkg.c
+    if check is not None and (
+        c.a11 <= 0
+        or abs(Fraction(c.a21, c.a11) - Fraction(check.value)) > Fraction(1, 2 * 10**check.digits)
+    ):
+        raise CheckNumberMismatch(
+            f"c21/c11 of the block does not round to the column ratio {check.value}"
+        )
     return tuple(values)
 
 
@@ -152,6 +166,22 @@ def tamper(pkg: CipherPackage, rng: random.Random) -> CipherPackage:
     return CipherPackage(Mat2(*entries), det_p, pkg.column_ratio, pkg.block_index, pkg.pad_len)
 
 
+def shear(pkg: CipherPackage, rng: random.Random) -> CipherPackage:
+    """Add k != 0 times one row to the other and maybe change det_p.
+
+    det C and exact divisibility survive, so only the signs, det P or the
+    column ratio can show the change.
+    """
+    c11, c12, c21, c22 = pkg.c.entries()
+    k = rng.choice((-2, -1, 1, 2, 3))
+    if rng.random() < 0.5:
+        entries = (c11, c12, c21 + k * c11, c22 + k * c12)
+    else:
+        entries = (c11 + k * c21, c12 + k * c22, c21, c22)
+    det_p = pkg.det_p + rng.choice((0, 0, 1, -1))
+    return CipherPackage(Mat2(*entries), det_p, pkg.column_ratio, pkg.block_index, pkg.pad_len)
+
+
 # --- encrypt / verify / decrypt ---------------------------------------------
 
 
@@ -171,7 +201,7 @@ def test_message_kernel_matches_reference(seed, n, perm, emit, digits, message):
     packages = encrypt_message(message, key, alphabet, emit_column_ratio=emit, ratio_digits=digits)
     assert packages == ref_encrypt_message(message, key, alphabet, emit, digits)
     assert outcome(decrypt_message, packages, key, alphabet) == message
-    received = [tamper(p, rng) if rng.random() < 0.5 else p for p in packages]
+    received = [rng.choice((tamper, shear))(p, rng) if rng.random() < 0.5 else p for p in packages]
     rng.shuffle(received)
     for pkg in received:
         assert verify_package(pkg, key) == ref_verify(pkg, key)
@@ -233,7 +263,7 @@ def test_single_block_wrappers_match_reference():
         )
         assert pkg == ref_encrypt(p, key, emit, digits, index, pad)
         assert decrypt(pkg, key).p == p
-        bad = tamper(pkg, rng)
+        bad = rng.choice((tamper, shear))(pkg, rng)
         assert outcome(lambda: decrypt(bad, key).p.entries()) == outcome(ref_decrypt, bad, key)
 
 

@@ -7,19 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unicipher.cipher import CipherKey, PlaintextMatrix, encrypt
-from unicipher.errors import (
-    ComplexFixedPoints,
-    DivisionByZeroInOrbit,
-    ZeroDenominator,
-    ZeroSequenceEntry,
-)
+from unicipher.errors import ComplexFixedPoints, DivisionByZeroInOrbit, ZeroSequenceEntry
 from unicipher.matrix import Mat2, golden_matrix
 from unicipher.ratios import (
-    BOTTOM_OVER_TOP,
-    TOP_OVER_BOTTOM,
     ConvergenceMode,
     RatioParams,
-    column_ratio,
     convergence_profile,
     exponential_rate,
     fixed_points,
@@ -195,35 +187,28 @@ class TestRowRatioInterval:
 
 
 class TestColumnRatio:
+    """The paper's column ratios, bottom over top (c21/c11, c22/c12) unless named."""
+
     def test_final_example_values(self):
-        ratios = column_ratio(Mat2(1450, 554, 733, 280))
-        assert ratios.left == Fraction(733, 1450)
-        assert ratios.right == Fraction(280, 554)
-        assert abs(float(ratios.left) - 0.5055) < 5e-4
-        assert abs(float(ratios.right) - 0.5054) < 5e-4
+        c11, c12, c21, c22 = 1450, 554, 733, 280
+        assert abs(float(Fraction(c21, c11)) - 0.5055) < 5e-4
+        assert abs(float(Fraction(c22, c12)) - 0.5054) < 5e-4
 
-    def test_both_orientations(self):
-        c1 = column_ratio(Mat2(251, 96, 128, 49))
-        assert c1.orientation == BOTTOM_OVER_TOP
-        flipped = c1.flipped()
-        assert flipped.orientation == TOP_OVER_BOTTOM
-        assert flipped.left == Fraction(251, 128)
-        assert round(float(flipped.left), 2) == 1.96
-        c2 = column_ratio(Mat2(1761, 673, 128, 49)).flipped()
-        assert round(float(c2.left), 1) == 13.8
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDenominator):
-            column_ratio(Mat2(0, 5, 1, 1))
+    def test_top_over_bottom_examples(self):
+        # first-column ratios c11/c21 of C1 = [[251, 96], [128, 49]] and C2 = [[1761, 673], [128, 49]]
+        m3 = CipherKey.arnolds_cat(3).coding_matrix.matrix
+        c1, c2 = Mat2(7, 8, 3, 5) @ m3, Mat2(56, 45, 3, 5) @ m3
+        assert (c1, c2) == (Mat2(251, 96, 128, 49), Mat2(1761, 673, 128, 49))
+        assert round(float(Fraction(c1.a11, c1.a21)), 2) == 1.96
+        assert round(float(Fraction(c2.a11, c2.a21)), 1) == 13.8
 
     def test_closeness_shrinks_with_exponent(self):
         # |c21/c11 - c22/c12| = |det P| / (c11 * c12) decays as entries grow
         p = PlaintextMatrix(Mat2(14, 20, 9, 7))
         gaps = []
         for n in range(2, 21):
-            pkg = encrypt(p, CipherKey.arnolds_cat(n))
-            r = column_ratio(pkg.c)
-            gaps.append(abs(r.left - r.right))
+            c = encrypt(p, CipherKey.arnolds_cat(n)).c
+            gaps.append(abs(Fraction(c.a21, c.a11) - Fraction(c.a22, c.a12)))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < Fraction(1, 10**10)
 
