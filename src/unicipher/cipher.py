@@ -4,9 +4,13 @@ A message is chopped into 4-symbol blocks, each block permuted into a
 plaintext matrix and multiplied by the coding matrix.  det P rides along as
 a check number; optionally a rounded column ratio does too.  Decryption,
 `correct`'s clean test and every repair candidate ask one exact question,
-_intact, and decryption raises the error naming the first check a block
-fails.  verify_package is the paper's diagnostic: det C and the row-ratio
-intervals, with the rows it flags.
+_intact, and decryption raises the error naming the block and the first
+check it fails.  verify_package is the paper's diagnostic: det C and the
+row-ratio intervals, with the rows it flags.  For keys with big entries
+(CodingMatrix.adj_mod_q is set) both first find P modulo the prime
+2^61 - 1 and prove P @ M(n) = C over the integers (_forward), so only
+small-by-big products touch the big entries; exact division, det C and the
+intervals remain for the blocks that proof cannot settle.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from operator import attrgetter, itemgetter
 
 from .errors import CheckNumberMismatch, CipherError, FormatError, InvalidKey
 from .errors import NegativePlaintext, NonIntegralPlaintext, UnknownSymbol
-from .matrix import CodingMatrix, KeyMatrix, Mat2, SeedPair, _require_int, build_coding_matrix
+from .matrix import FORWARD_PRIME, CodingMatrix, KeyMatrix, Mat2, SeedPair, _require_int
+from .matrix import build_coding_matrix
 from .ratios import BOTTOM_OVER_TOP, round_half_even_ratio
 
 IDENTITY_PERM = (0, 1, 2, 3)
@@ -316,6 +321,45 @@ def _encrypt_blocks(
     return tuple(packages)
 
 
+def _forward(c: Mat2, cm: CodingMatrix) -> tuple[int, int, int, int] | None:
+    """Row-major entries of the P with entries in [0, q) and P @ M(n) == C exactly, else None.
+
+    q = FORWARD_PRIME and cm.adj_mod_q must be set.  P mod q is
+    (C mod q) @ adj_mod_q, and the exact forward product proves it: M(n) is
+    invertible, so P @ M(n) = C has one solution, and a P that passes is it.
+    A P with entries in [0, q) is always found.  Only small-by-big products
+    touch the big entries of C and M(n).
+    """
+    q = FORWARD_PRIME
+    k11, k12, k21, k22 = cm.adj_mod_q
+    m11, m12, m21, m22 = cm.matrix.entries()
+    c11, c12 = c.a11, c.a12
+    x1, x2 = c11 % q, c12 % q
+    p11, p12 = (x1 * k11 + x2 * k21) % q, (x1 * k12 + x2 * k22) % q
+    if p11 * m11 + p12 * m21 != c11 or p11 * m12 + p12 * m22 != c12:
+        return None
+    c21, c22 = c.a21, c.a22
+    x1, x2 = c21 % q, c22 % q
+    p21, p22 = (x1 * k11 + x2 * k21) % q, (x1 * k12 + x2 * k22) % q
+    if p21 * m11 + p22 * m21 != c21 or p21 * m12 + p22 * m22 != c22:
+        return None
+    return p11, p12, p21, p22
+
+
+def _divide(c: Mat2, cm: CodingMatrix) -> tuple[int, int, int, int] | None:
+    """Row-major entries of P = C @ adj(M(n)) / det M(n) if integral and non-negative, else None."""
+    j11, j12, j21, j22 = cm.adj
+    det = cm.det
+    c11, c12, c21, c22 = c.a11, c.a12, c.a21, c.a22
+    p11, r11 = divmod(c11 * j11 + c12 * j21, det)
+    p12, r12 = divmod(c11 * j12 + c12 * j22, det)
+    p21, r21 = divmod(c21 * j11 + c22 * j21, det)
+    p22, r22 = divmod(c21 * j12 + c22 * j22, det)
+    if r11 or r12 or r21 or r22 or p11 < 0 or p12 < 0 or p21 < 0 or p22 < 0:
+        return None
+    return p11, p12, p21, p22
+
+
 def _intact(c: Mat2, det_p: int, cm: CodingMatrix, grid, bound) -> tuple[int, int, int, int] | None:
     """Row-major entries of P = C @ adj(M(n)) / det M(n) if the block is intact, else None.
 
@@ -324,35 +368,42 @@ def _intact(c: Mat2, det_p: int, cm: CodingMatrix, grid, bound) -> tuple[int, in
     (2R - 1) * c11 <= 2D * c21 <= (2R + 1) * c11.  That implies C >= 0, both
     row ratios inside the row interval (each is a non-negatively weighted
     mediant of M(n)'s column ratios) and det C = det M(n) * det P.
+
+    A key with adj_mod_q finds P by the forward product (_forward).  When
+    that fails and bound <= q, the block is not intact, since an intact P
+    has entries below q; otherwise exact division decides, so raw entries
+    of q or more still decrypt.
     """
-    j11, j12, j21, j22 = cm.adj
-    det = cm.det
-    c11, c21 = c.a11, c.a21
-    p11, r11 = divmod(c11 * j11 + c.a12 * j21, det)
-    p12, r12 = divmod(c11 * j12 + c.a12 * j22, det)
-    p21, r21 = divmod(c21 * j11 + c.a22 * j21, det)
-    p22, r22 = divmod(c21 * j12 + c.a22 * j22, det)
-    if r11 or r12 or r21 or r22 or p11 < 0 or p12 < 0 or p21 < 0 or p22 < 0:
-        return None
+    p = None
+    if cm.adj_mod_q is not None:
+        p = _forward(c, cm)
+        if p is None and bound is not None and bound <= FORWARD_PRIME:
+            return None
+    if p is None:
+        p = _divide(c, cm)
+        if p is None:
+            return None
+    p11, p12, p21, p22 = p
     if p11 * p22 - p12 * p21 != det_p:
         return None
     if grid is not None:
         r, d = grid
-        if c11 <= 0 or not (2 * r - 1) * c11 <= 2 * d * c21 <= (2 * r + 1) * c11:
+        c11 = c.a11
+        if c11 <= 0 or not (2 * r - 1) * c11 <= 2 * d * c.a21 <= (2 * r + 1) * c11:
             return None
-    if bound is not None and max(p11, p12, p21, p22) >= bound:
+    if bound is not None and max(p) >= bound:
         return None
-    return p11, p12, p21, p22
+    return p
 
 
 def _rejection(pkg: CipherPackage, cm: CodingMatrix, bound) -> CipherError:
     """The error naming the first check that a block _intact rejects fails."""
     det, check = cm.det, pkg.column_ratio
     raw = (pkg.c @ Mat2(*cm.adj)).entries()
-    for e in raw:
+    for i, e in enumerate(raw):
         if e % det:
             return NonIntegralPlaintext(
-                f"entry {e} is not divisible by det {det}; ciphertext is corrupt"
+                f"entry {divmod(i, 2)} of C·adj M is not divisible by det {det}"
             )
     p = Mat2(*(e // det for e in raw))
     if min(p.entries()) < 0:
@@ -371,11 +422,13 @@ def _rejection(pkg: CipherPackage, cm: CodingMatrix, bound) -> CipherError:
 
 
 def _plaintext(pkg: CipherPackage, cm: CodingMatrix) -> tuple[int, int, int, int]:
-    """Row-major plaintext entries of an intact package; else raises _rejection's error."""
+    """Row-major plaintext entries of an intact package; else raises _rejection's
+    error, its message prefixed with the block index."""
     check = pkg.column_ratio
     entries = _intact(pkg.c, pkg.det_p, cm, None if check is None else check.grid, None)
     if entries is None:
-        raise _rejection(pkg, cm, None)
+        error = _rejection(pkg, cm, None)
+        raise type(error)(f"block {pkg.block_index}: {error}")
     return entries
 
 
@@ -481,10 +534,24 @@ def verify_package(pkg: CipherPackage, key: CipherKey) -> VerifyResult:
     Rows that are entirely zero are vacuously fine (a zero plaintext row
     encrypts to a zero row).  The interval check is skipped when the coding
     sequences are not yet positive (tiny n with a zero-component seed).
+
+    A key with adj_mod_q first tries the forward product (_forward).  When
+    it proves C = P @ M(n) with P >= 0, det C = det M(n) * det P, and each
+    row of C is zero or a mediant of M(n)'s row ratios, so no row is
+    flagged; the result is built from P without det C or the intervals.
+    Otherwise both are computed from C.
     """
     cm = key.coding_matrix
     c = pkg.c
     expected = cm.det * pkg.det_p
+    if cm.adj_mod_q is not None:
+        p = _forward(c, cm)
+        if p is not None:
+            p11, p12, p21, p22 = p
+            observed = cm.det * (p11 * p22 - p12 * p21)
+            ok = observed == expected
+            status = VerifyStatus.CLEAN if ok else VerifyStatus.DETERMINANT_MISMATCH
+            return VerifyResult(status, _BAD_ROWS[0], observed, expected, cm.bounds is not None)
     observed = c.a11 * c.a22 - c.a12 * c.a21
     bounds = cm.bounds
     if bounds is None:

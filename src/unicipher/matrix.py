@@ -18,6 +18,17 @@ from enum import Enum
 from .errors import DegenerateConvergenceWarning, InvalidKey, SingularMatrix
 
 DEFAULT_MAX_EXPONENT = 512
+# The prime q of the forward product: cipher._forward finds P mod q, then
+# proves P @ M(n) = C over the integers.
+FORWARD_PRIME = (1 << 61) - 1
+# Keys whose largest M(n) entry has more bits than this get adj_mod_q.  Per
+# block, C @ adj(M(n)) costs big-by-big products and the forward product
+# small-by-big ones plus reductions mod q.  For verify_package plus _intact
+# on random keys the two cost the same near 380 bits, and the forward
+# product costs a quarter at 1,800 bits (n = 500); 512 keeps every n = 100
+# random key (at most ~470 bits) on exact division, where it would save
+# less than a sixth.
+FORWARD_MIN_BITS = 512
 
 
 def _require_int(name: str, value) -> None:
@@ -244,9 +255,11 @@ class CodingMatrix:
 
     Both columns advance by the same recurrence x(n+1) = t*x(n) - d*x(n-1),
     so det = seed_det * unit_det^n exactly.  build_coding_matrix stores, once,
-    what every block reads: det, the adjugate's row-major entries, and the
+    what every block reads: det, the adjugate's row-major entries, the
     row-ratio interval as ((lo_num, lo_den), (hi_num, hi_den)) with positive
-    denominators, or None when A(n) or B(n) is not positive.
+    denominators, or None when A(n) or B(n) is not positive, and adj_mod_q,
+    the row-major entries of adj(M(n)) * det^-1 mod FORWARD_PRIME, or None
+    when the largest entry has at most FORWARD_MIN_BITS bits or q divides det.
     """
 
     matrix: Mat2
@@ -256,6 +269,7 @@ class CodingMatrix:
     det: int
     adj: tuple[int, int, int, int]
     bounds: tuple[tuple[int, int], tuple[int, int]] | None
+    adj_mod_q: tuple[int, int, int, int] | None
 
     @property
     def ratio_limit(self) -> float:
@@ -280,13 +294,16 @@ def build_coding_matrix(key: KeyMatrix, seed: SeedPair, n: int) -> CodingMatrix:
     a1, a0, b1, b0 = next(itertools.islice(walk, n, None))
     t, d = key.trace, key.det
     seed_det = mu_of_seed(key, seed)
+    det, adj = seed_det * d**n, (b0, -a0, -b1, a1)
     bounds = None
     if a0 > 0 and b0 > 0:
         ra, rb = (a1, a0), (b1, b0)
         bounds = (ra, rb) if a1 * b0 <= b1 * a0 else (rb, ra)
-    return CodingMatrix(
-        Mat2(a1, a0, b1, b0), t, d, seed_det, seed_det * d**n, (b0, -a0, -b1, a1), bounds
-    )
+    adj_mod_q = None
+    if max(a1, a0, b1, b0).bit_length() > FORWARD_MIN_BITS and det % FORWARD_PRIME:
+        inv = pow(det, -1, FORWARD_PRIME)
+        adj_mod_q = tuple(e * inv % FORWARD_PRIME for e in adj)
+    return CodingMatrix(Mat2(a1, a0, b1, b0), t, d, seed_det, det, adj, bounds, adj_mod_q)
 
 
 def k_golden_matrix(k: int, n: int) -> CodingMatrix:

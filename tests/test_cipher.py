@@ -11,6 +11,7 @@ from unicipher.cipher import (
     ColumnRatioCheck,
     PlaintextMatrix,
     VerifyStatus,
+    _intact,
     decode_text,
     decrypt,
     decrypt_message,
@@ -25,7 +26,7 @@ from unicipher.errors import (
     NonIntegralPlaintext,
     UnknownSymbol,
 )
-from unicipher.matrix import KeyMatrix, Mat2, SeedPair
+from unicipher.matrix import FORWARD_PRIME, KeyMatrix, Mat2, SeedPair
 from unicipher.sampling import random_cipher_key, random_plaintext
 
 
@@ -195,6 +196,58 @@ class TestVerify:
         key = CipherKey.golden(6)
         pkg = encrypt(PlaintextMatrix(Mat2(0, 0, 1, 2)), key)
         assert verify_package(pkg, key).clean
+
+
+class TestForwardProduct:
+    """Blocks of keys with adj_mod_q that the forward product mod q must leave
+    to exact division, or must reject exactly."""
+
+    def test_raw_entries_of_q_or_more_decrypt_exactly(self):
+        key = CipherKey.arnolds_cat(500)
+        cm = key.coding_matrix
+        assert cm.adj_mod_q is not None
+        p = Mat2(2**61, FORWARD_PRIME, 3, 2**70 + 5)
+        pkg = encrypt(PlaintextMatrix(p, 2**71), key, emit_column_ratio=True, block_index=4)
+        assert decrypt(pkg, key).p == p
+        assert verify_package(pkg, key).clean
+        grid = pkg.column_ratio.grid
+        assert _intact(pkg.c, pkg.det_p, cm, grid, None) == p.entries()
+        assert _intact(pkg.c, pkg.det_p, cm, grid, 2**71) == p.entries()
+        assert _intact(pkg.c, pkg.det_p, cm, grid, 2**70 + 5) is None
+        assert _intact(pkg.c, pkg.det_p, cm, grid, 256) is None
+
+    def test_det_divisible_by_q_keeps_exact_division(self):
+        # seed (0, q): det M(500) = q**2 has no inverse mod q
+        key = CipherKey(KeyMatrix(Mat2(2, 1, 1, 1)), SeedPair(0, FORWARD_PRIME), 500)
+        assert key.coding_matrix.adj_mod_q is None
+        packages = encrypt_message("MATHEMATICS", key, emit_column_ratio=True)
+        assert decrypt_message(packages, key) == "MATHEMATICS"
+        assert all(verify_package(pkg, key).clean for pkg in packages)
+
+    def test_shift_by_a_multiple_of_q_is_caught(self):
+        # C mod q, hence the lifted P, is unchanged; P @ M(n) = C is not
+        key = CipherKey.arnolds_cat(500)
+        pkg = encrypt(PlaintextMatrix(Mat2(12, 0, 19, 7)), key)
+        for i in range(4):
+            entries = list(pkg.c.entries())
+            entries[i] += FORWARD_PRIME
+            bad = CipherPackage(Mat2(*entries), pkg.det_p)
+            assert verify_package(bad, key).status is VerifyStatus.BOTH
+            for bound in (26, None):
+                assert _intact(bad.c, bad.det_p, key.coding_matrix, None, bound) is None
+            with pytest.raises(NegativePlaintext):
+                decrypt(bad, key)
+
+    def test_errors_name_the_block_and_the_entry(self):
+        # det M(500) = 5 for the cat key with seed (1, 2): the message names
+        # the entry's position, not its ~1,100-digit value
+        key = CipherKey(KeyMatrix(Mat2(2, 1, 1, 1)), SeedPair(1, 2), 500)
+        packages = encrypt_message("MATHEMATICS", key)
+        c = packages[2].c
+        bad = CipherPackage(Mat2(c.a11, c.a12 + 1, c.a21, c.a22), packages[2].det_p, None, 2, 1)
+        with pytest.raises(NonIntegralPlaintext) as info:
+            decrypt_message(packages[:2] + (bad,), key)
+        assert str(info.value) == "block 2: entry (0, 0) of C·adj M is not divisible by det 5"
 
 
 @given(st.integers(0, 10**9))

@@ -215,8 +215,38 @@ class TestPipelines:
         assert code == 0
         code, out, err = run(capsys, "decrypt", "--key", str(key_file), "--in", str(bad_file))
         assert code == 1 and out == ""
-        assert "error[CheckNumberMismatch]" in err and "det P" in err
+        assert err.strip() == (
+            "error[CheckNumberMismatch]: block 0: det P of the decrypted block is 58, "
+            "the package says 84"
+        )
         code, out, _ = run(capsys, "decrypt", "--key", str(key_file), "--in", str(pkg_file))
+        assert code == 0 and out.strip() == "MATHEMATICS"
+
+    def test_n500_tour(self, tmp_path, capsys):
+        # the key's largest entry has ~1,800 bits, so verify, decrypt and
+        # correct decide by the forward product mod q; det M(500) = 143
+        key_file = tmp_path / "key.json"
+        run(capsys, "keygen", "--alpha", "3", "--beta", "2", "--gamma", "1", "--delta", "1",
+            "--seed-a", "5", "--seed-b", "7", "--n", "500", "--out", str(key_file))
+        key, _ = loads_key(key_file.read_text())
+        assert key.coding_matrix.adj_mod_q is not None and key.coding_matrix.det == 143
+        pkg_file, bad_file, fixed_file = (tmp_path / f for f in ("p.json", "bad.json", "fixed.json"))
+        run(capsys, "encrypt", "--key", str(key_file), "--in", "MATHEMATICS",
+            "--emit-column-ratio", "--out", str(pkg_file))
+        code, out, _ = run(capsys, "verify", "--key", str(key_file), "--in", str(pkg_file))
+        assert code == 0 and out.split("\n")[:3] == [f"block {i}: clean" for i in range(3)]
+        run(capsys, "corrupt", "--in", str(pkg_file), "--out", str(bad_file),
+            "--spec", "single", "--seed", "7")
+        code, out, err = run(capsys, "decrypt", "--key", str(key_file), "--in", str(bad_file))
+        assert code == 1 and out == ""
+        assert err.strip() == (
+            "error[NonIntegralPlaintext]: block 0: entry (0, 0) of C·adj M is not divisible "
+            "by det 143"
+        )
+        code, _, _ = run(capsys, "correct", "--key", str(key_file), "--in", str(bad_file),
+                         "--out", str(fixed_file))
+        assert code == 0
+        code, out, _ = run(capsys, "decrypt", "--key", str(key_file), "--in", str(fixed_file))
         assert code == 0 and out.strip() == "MATHEMATICS"
 
     def test_top_over_bottom_check_is_a_format_error(self, tmp_path, capsys):

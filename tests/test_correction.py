@@ -13,6 +13,8 @@ from unicipher.cipher import (
     CipherPackage,
     ColumnRatioCheck,
     PlaintextMatrix,
+    VerifyResult,
+    VerifyStatus,
     _intact,
     _row_in_interval,
     encrypt,
@@ -28,7 +30,7 @@ from unicipher.correction import (
     solve_linear_diophantine,
 )
 from unicipher.errors import InvalidKey, NegativePlaintext, NoDiophantineSolution, NonIntegralPlaintext
-from unicipher.matrix import CodingMatrix, KeyMatrix, Mat2, SeedPair
+from unicipher.matrix import FORWARD_PRIME, CodingMatrix, KeyMatrix, Mat2, SeedPair
 from unicipher.ratios import BOTTOM_OVER_TOP
 from unicipher.sampling import random_cipher_key, random_key_matrix, random_plaintext
 
@@ -419,6 +421,82 @@ def test_intact_matches_reference(seed, family, n, digits, bound, damage):
     cm = key.coding_matrix
     ctx = CorrectionContext.from_package(pkg, key, plaintext_bound=bound)
     expected = verify_package(pkg, key).clean and ref_repair_passes(pkg.c, ctx)
+    entries = _intact(pkg.c, pkg.det_p, cm, ctx.rho, bound)
+    assert (entries is not None) == expected
+    if expected:
+        assert entries == ref_decrypt_block(pkg.c, cm)
+
+
+def ref_verify_package(pkg: CipherPackage, key: CipherKey) -> VerifyResult:
+    """det C against det M(n) * det P, and each row against the interval of
+    M(n)'s row ratios by cross-multiplication, both on C itself."""
+    m11, m12, m21, m22 = key.coding_matrix.matrix.entries()
+    c11, c12, c21, c22 = pkg.c.entries()
+    expected = (m11 * m22 - m12 * m21) * pkg.det_p
+    observed = c11 * c22 - c12 * c21
+    checked = m12 > 0 and m22 > 0
+    bad = set()
+    if checked:
+        # a/b <= c/d as a*d <= c*b for positive b, d
+        lo, hi = ((m11, m12), (m21, m22)) if m11 * m22 <= m21 * m12 else ((m21, m22), (m11, m12))
+        for i, (x, y) in enumerate(((c11, c12), (c21, c22))):
+            if (x, y) != (0, 0) and (
+                x < 0 or y <= 0 or lo[0] * y > x * lo[1] or x * hi[1] > hi[0] * y
+            ):
+                bad.add(i)
+    if observed == expected:
+        status = VerifyStatus.INTERVAL_VIOLATION if bad else VerifyStatus.CLEAN
+    else:
+        status = VerifyStatus.BOTH if bad else VerifyStatus.DETERMINANT_MISMATCH
+    return VerifyResult(status, frozenset(bad), observed, expected, checked)
+
+
+# Plaintexts are drawn a few symbols past each bound; with no bound, from
+# [0, 2**62), so about half the blocks hold an entry of at least
+# FORWARD_PRIME that only exact division recovers.
+_DRAW = {26: 30, 256: 260, 2**64: 2**64 + 4, None: 2**62}
+
+
+def shift_by_q(pkg: CipherPackage, rng: random.Random) -> CipherPackage:
+    """Add a small multiple of FORWARD_PRIME to one entry: C mod q, and so
+    the lifted P, stay the same, and only the exact forward product sees it."""
+    entries = list(pkg.c.entries())
+    entries[rng.randrange(4)] += rng.choice((-2, -1, 1, 2)) * FORWARD_PRIME
+    return CipherPackage(Mat2(*entries), pkg.det_p, pkg.column_ratio, pkg.block_index, pkg.pad_len)
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(("golden", "cat", "random")),
+    st.sampled_from((150, 300, 500)),
+    st.sampled_from((None, 0, 2)),
+    st.sampled_from((26, 256, 2**64, None)),
+    st.sampled_from(("clean", "channel", "tamper", "shear", "shift_by_q")),
+)
+@settings(max_examples=300, deadline=None)
+def test_forward_product_matches_reference(seed, family, n, digits, bound, damage):
+    """Above FORWARD_MIN_BITS (cat keys from n = 369, most random keys at
+    n >= 150; golden keys never, under the exponent cap) _intact and
+    verify_package use the forward product mod FORWARD_PRIME.  Both must
+    still agree with the exact references."""
+    rng = random.Random(seed)
+    if family == "golden":
+        key = CipherKey.golden(n)
+    elif family == "cat":
+        key = CipherKey.arnolds_cat(n)
+    else:
+        key = random_cipher_key(rng, n_lo=n, n_hi=n)
+    p = random_plaintext(rng, alphabet_size=_DRAW[bound])
+    pkg = encrypt(p, key, emit_column_ratio=digits is not None, ratio_digits=digits or 0)
+    if damage == "channel":
+        pkg, _ = corrupt_package(pkg, CorruptionSpec("random", seed=rng.randrange(2**30)))
+    elif damage != "clean":
+        pkg = {"tamper": tamper, "shear": shear, "shift_by_q": shift_by_q}[damage](pkg, rng)
+    cm = key.coding_matrix
+    ctx = CorrectionContext.from_package(pkg, key, plaintext_bound=bound)
+    verified = ref_verify_package(pkg, key)
+    assert verify_package(pkg, key) == verified
+    expected = verified.clean and ref_repair_passes(pkg.c, ctx)
     entries = _intact(pkg.c, pkg.det_p, cm, ctx.rho, bound)
     assert (entries is not None) == expected
     if expected:

@@ -4,7 +4,8 @@ The references below are the per-block algorithms the kernel replaced:
 Mat2 products, exact Fraction comparisons, round() on a Fraction, and
 json.dumps of the package document.  The library must agree with them on
 packages, verify results, decrypted messages and raised exceptions;
-decryption also checks det P and the column ratio of every block.
+decryption also checks det P and the column ratio of every block, and its
+errors name the block.
 """
 
 import itertools
@@ -95,22 +96,23 @@ def ref_verify(pkg: CipherPackage, key) -> VerifyResult:
 
 def ref_decrypt(pkg: CipherPackage, key) -> tuple[int, ...]:
     adj, det = key.coding_matrix.matrix.inverse_exact()
+    block = f"block {pkg.block_index}: "
     values = []
-    for e in (pkg.c @ adj).entries():
+    for (i, j), e in zip(itertools.product((0, 1), repeat=2), (pkg.c @ adj).entries()):
         q, r = divmod(e, det)
         if r != 0:
             raise NonIntegralPlaintext(
-                f"entry {e} is not divisible by det {det}; ciphertext is corrupt"
+                f"{block}entry ({i}, {j}) of C·adj M is not divisible by det {det}"
             )
         values.append(q)
     if any(v < 0 for v in values):
         raise NegativePlaintext(
-            "decryption produced negative entries; ciphertext corrupt or key wrong"
+            f"{block}decryption produced negative entries; ciphertext corrupt or key wrong"
         )
     det_p = Mat2(*values).det()
     if det_p != pkg.det_p:
         raise CheckNumberMismatch(
-            f"det P of the decrypted block is {det_p}, the package says {pkg.det_p}"
+            f"{block}det P of the decrypted block is {det_p}, the package says {pkg.det_p}"
         )
     check, c = pkg.column_ratio, pkg.c
     if check is not None and (
@@ -118,7 +120,7 @@ def ref_decrypt(pkg: CipherPackage, key) -> tuple[int, ...]:
         or abs(Fraction(c.a21, c.a11) - Fraction(check.value)) > Fraction(1, 2 * 10**check.digits)
     ):
         raise CheckNumberMismatch(
-            f"c21/c11 of the block does not round to the column ratio {check.value}"
+            f"{block}c21/c11 of the block does not round to the column ratio {check.value}"
         )
     return tuple(values)
 

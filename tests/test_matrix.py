@@ -9,6 +9,8 @@ from unicipher.cipher import CipherKey
 from unicipher.errors import DegenerateConvergenceWarning, InvalidKey, SingularMatrix
 from unicipher.matrix import (
     DEFAULT_MAX_EXPONENT,
+    FORWARD_MIN_BITS,
+    FORWARD_PRIME,
     KeyMatrix,
     Mat2,
     PowerForm,
@@ -306,10 +308,15 @@ class TestCodingMatrices:
 
 
 def assert_view_matches_matrix(cm):
-    """The stored det, adjugate and row-ratio bounds, recomputed from the entries."""
+    """The stored det, adjugate (also mod q) and row-ratio bounds, recomputed from the entries."""
     m = cm.matrix
     assert cm.det == m.det()
     assert cm.adj == m.adjugate().entries()
+    q = FORWARD_PRIME
+    if max(m.entries()).bit_length() > FORWARD_MIN_BITS and cm.det % q:
+        assert all(0 <= k < q and (k * cm.det - e) % q == 0 for k, e in zip(cm.adj_mod_q, cm.adj))
+    else:
+        assert cm.adj_mod_q is None
     if m.a12 <= 0 or m.a22 <= 0:
         assert cm.bounds is None
         return
@@ -330,6 +337,21 @@ class TestStoredView:
         sp = SeedPair(a0, rng.randint(1 - a0, 3))
         for n in range(4):
             assert_view_matches_matrix(build_coding_matrix(key, sp, n))
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=40, deadline=None)
+    def test_big_keys(self, seed):
+        key = random_cipher_key(random.Random(seed), n_lo=100, n_hi=500)
+        assert_view_matches_matrix(key.coding_matrix)
+
+    def test_adj_mod_q_needs_big_entries_and_det_prime_to_q(self):
+        # golden entries stay below FORWARD_MIN_BITS up to the exponent cap
+        assert golden_matrix(DEFAULT_MAX_EXPONENT).adj_mod_q is None
+        assert build_coding_matrix(KeyMatrix(Mat2(2, 1, 1, 1)), SeedPair(0, 1), 500).adj_mod_q
+        # seed (0, q) on the cat key: det M(n) = q**2 has no inverse mod q
+        cm = build_coding_matrix(KeyMatrix(Mat2(2, 1, 1, 1)), SeedPair(0, FORWARD_PRIME), 500)
+        assert cm.det == FORWARD_PRIME**2 and cm.adj_mod_q is None
+        assert_view_matches_matrix(cm)
 
     def test_golden_n1_has_no_bounds(self):
         cm = golden_matrix(1)
