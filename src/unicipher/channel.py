@@ -12,7 +12,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .cipher import Alphabet, CipherKey, CipherPackage, _ratio_check
+from .cipher import _MAX_DECIMAL_DIGITS, Alphabet, CipherKey, CipherPackage, _ratio_check
 from .errors import FormatError
 from .matrix import KeyMatrix, Mat2, SeedPair
 
@@ -56,6 +56,8 @@ def _parse_int(value) -> int:
         try:
             return int(value, 10)
         except ValueError:
+            if len(value) > _MAX_DECIMAL_DIGITS:
+                raise FormatError(f"integer past the {_MAX_DECIMAL_DIGITS}-digit limit") from None
             raise FormatError(f"not a decimal integer: {value!r}") from None
     raise FormatError(f"expected a decimal string, got {type(value).__name__}")
 
@@ -208,20 +210,25 @@ def _package_text(pkg: CipherPackage) -> str:
             f'        "digits": {check.digits}\n'
             "      }"
         )
-    return (
-        "    {\n"
-        '      "c": [\n'
-        f'        "{c.a11}",\n'
-        f'        "{c.a12}",\n'
-        f'        "{c.a21}",\n'
-        f'        "{c.a22}"\n'
-        "      ],\n"
-        f'      "det_p": "{pkg.det_p}",\n'
-        f'      "column_ratio": {ratio},\n'
-        f'      "block_index": {pkg.block_index},\n'
-        f'      "pad_len": {pkg.pad_len}\n'
-        "    }"
-    )
+    try:
+        return (
+            "    {\n"
+            '      "c": [\n'
+            f'        "{c.a11}",\n'
+            f'        "{c.a12}",\n'
+            f'        "{c.a21}",\n'
+            f'        "{c.a22}"\n'
+            "      ],\n"
+            f'      "det_p": "{pkg.det_p}",\n'
+            f'      "column_ratio": {ratio},\n'
+            f'      "block_index": {pkg.block_index},\n'
+            f'      "pad_len": {pkg.pad_len}\n'
+            "    }"
+        )
+    except ValueError:  # str() of an int past Python's int-str digit limit
+        raise FormatError(
+            f"block {pkg.block_index}: an integer has more than {_MAX_DECIMAL_DIGITS} digits"
+        ) from None
 
 
 def dumps_packages(packages) -> str:
@@ -229,6 +236,8 @@ def dumps_packages(packages) -> str:
 
     Byte-identical to json.dumps(document, indent=2) + "\\n" of the document
     package_to_dict describes; CipherPackage's field types make that safe.
+    An integer past Python's int-str digit limit is a FormatError naming
+    its block.
     """
     body = ",\n".join(_package_text(pkg) for pkg in packages)
     packages_text = f"[\n{body}\n  ]" if body else "[]"
@@ -304,13 +313,15 @@ def _mutate(value: int, spec: CorruptionSpec, rng: random.Random) -> int:
 
 
 def corrupt_package(
-    pkg: CipherPackage, spec: CorruptionSpec, rng: random.Random | None = None
+    pkg: CipherPackage, spec: CorruptionSpec
 ) -> tuple[CipherPackage, CorruptionDiff]:
     """Mutate exactly the entries the mode dictates; checks stay untouched.
 
-    Every mutated entry is guaranteed to differ from the original.
+    Every mutated entry is guaranteed to differ from the original.  The
+    draws come from random.Random(spec.seed * 1_000_003 + block_index), so a
+    block's corruption depends only on the spec and the block itself.
     """
-    rng = rng if rng is not None else random.Random(spec.seed * 1_000_003 + pkg.block_index)
+    rng = random.Random(spec.seed * 1_000_003 + pkg.block_index)
     mode = spec.mode
     if mode == "random":
         mode = rng.choice(CORRUPTION_MODES[:-1])

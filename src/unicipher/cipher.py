@@ -31,9 +31,9 @@ from .ratios import BOTTOM_OVER_TOP, round_half_even_ratio
 IDENTITY_PERM = (0, 1, 2, 3)
 # Cap on transmitted column-ratio digits, so 10**digits stays small on hostile input.
 MAX_RATIO_DIGITS = 100
-# Most digits ColumnRatioCheck.grid converts: Python's default limit on
-# str-to-int conversion, which also caps each entry the package loader reads.
-_MAX_UNITS_DIGITS = 4300
+# Python's default limit on int-str conversion: the most digits
+# ColumnRatioCheck.grid converts and the package reader and writer handle.
+_MAX_DECIMAL_DIGITS = 4300
 # A column ratio as round_half_even_ratio writes it for non-negative entries:
 # decimal digits, then a point and the fractional places when there are any.
 _RATIO_VALUE = re.compile(r"[0-9]+(?:\.([0-9]+))?")
@@ -106,25 +106,14 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class PlaintextMatrix:
-    """Non-negative 2x2 block of symbol indices (or raw numbers)."""
+    """Non-negative 2x2 block of symbol indices (or raw numbers), with no alphabet:
+    Alphabet.render and correct's plaintext_bound check the entries' bound."""
 
     p: Mat2
-    alphabet_size: int = 26
 
     def __post_init__(self):
         if any(e < 0 for e in self.p.entries()):
             raise ValueError("plaintext entries must be non-negative")
-        if self.alphabet_size < 1:
-            raise ValueError("alphabet_size must be positive")
-
-    @property
-    def zero_rows(self) -> tuple[int, ...]:
-        return tuple(i for i, row in enumerate(self.p.rows()) if row == (0, 0))
-
-    @property
-    def is_degenerate(self) -> bool:
-        """A zero row survives encryption as a zero row, so its ratio check is vacuous."""
-        return bool(self.zero_rows)
 
 
 def _check_digits(digits) -> None:
@@ -169,11 +158,11 @@ class ColumnRatioCheck:
 
     @cached_property
     def grid(self) -> tuple[int, int]:
-        """(R, D) with value = R/D, D = 10**digits; FormatError past _MAX_UNITS_DIGITS digits."""
+        """(R, D) with value = R/D, D = 10**digits; FormatError past _MAX_DECIMAL_DIGITS digits."""
         units = self.value.replace(".", "")
-        if len(units) > _MAX_UNITS_DIGITS:
+        if len(units) > _MAX_DECIMAL_DIGITS:
             raise FormatError(
-                f"column-ratio value has {len(units)} digits, more than {_MAX_UNITS_DIGITS}"
+                f"column-ratio value has {len(units)} digits, more than {_MAX_DECIMAL_DIGITS}"
             )
         return int(units), 10**self.digits
 
@@ -293,16 +282,15 @@ def _decode(blocks, pad_len: int, alphabet: Alphabet, perm):
 
 
 def _encrypt_blocks(
-    blocks, cm: CodingMatrix, emit_column_ratio: bool, ratio_digits: int,
-    first_index: int, pad_len: int,
+    blocks, cm: CodingMatrix, emit_column_ratio: bool, ratio_digits: int, pad_len: int
 ) -> tuple[CipherPackage, ...]:
-    """C = P @ M(n) per block, numbered from first_index; the last block carries pad_len."""
+    """C = P @ M(n) per block, numbered from 0; the last block carries pad_len."""
     if emit_column_ratio:
         _check_digits(ratio_digits)
     m11, m12, m21, m22 = cm.matrix.entries()
-    last = first_index + len(blocks) - 1
+    last = len(blocks) - 1
     packages = []
-    for i, (p11, p12, p21, p22) in enumerate(blocks, first_index):
+    for i, (p11, p12, p21, p22) in enumerate(blocks):
         c11 = p11 * m11 + p12 * m21
         c12 = p11 * m12 + p12 * m22
         c21 = p21 * m11 + p22 * m21
@@ -452,7 +440,7 @@ def encode_text(
     """
     alphabet = alphabet if alphabet is not None else Alphabet.latin()
     blocks, pad = _encode(message, alphabet, _check_perm(perm))
-    return tuple(PlaintextMatrix(Mat2(*b), alphabet.size) for b in blocks), pad
+    return tuple(PlaintextMatrix(Mat2(*b)) for b in blocks), pad
 
 
 def decode_text(
@@ -469,26 +457,24 @@ def encrypt(
     *,
     emit_column_ratio: bool = False,
     ratio_digits: int = 2,
-    block_index: int = 0,
-    pad_len: int = 0,
 ) -> CipherPackage:
-    """C = P @ M(n), det P as check number, optional rounded column ratio c21/c11.
-
-    The ratio needs c11 > 0, so a block with c11 = 0 carries none.
+    """The paper's per-block step: C = P @ M(n), det P as check number, optional
+    rounded column ratio c21/c11 (none when c11 = 0).  The package is block 0
+    without padding: numbering and padding blocks is encrypt_message's job.
     """
-    (pkg,) = _encrypt_blocks(
-        (p.p.entries(),), key.coding_matrix, emit_column_ratio, ratio_digits, block_index, pad_len
-    )
+    cm = key.coding_matrix
+    (pkg,) = _encrypt_blocks((p.p.entries(),), cm, emit_column_ratio, ratio_digits, 0)
     return pkg
 
 
-def decrypt(pkg: CipherPackage, key: CipherKey, alphabet_size: int = 26) -> PlaintextMatrix:
-    """P = C @ adj(M(n)) / det(M(n)) of an intact package (alphabet_size is not checked).
+def decrypt(pkg: CipherPackage, key: CipherKey) -> PlaintextMatrix:
+    """The paper's per-block step: P = C @ adj(M(n)) / det(M(n)) of an intact package.
 
     Otherwise raises NonIntegralPlaintext, NegativePlaintext, or
     CheckNumberMismatch when P disagrees with det_p or the column ratio.
+    No alphabet bound is checked and pad_len is ignored: that is decrypt_message's job.
     """
-    return PlaintextMatrix(Mat2(*_plaintext(pkg, key.coding_matrix)), alphabet_size)
+    return PlaintextMatrix(Mat2(*_plaintext(pkg, key.coding_matrix)))
 
 
 class VerifyStatus(Enum):
@@ -578,7 +564,7 @@ def encrypt_message(
     """Encode, then encrypt block by block; blocks are independent."""
     alphabet = alphabet if alphabet is not None else Alphabet.latin()
     blocks, pad = _encode(message, alphabet, key.perm)
-    return _encrypt_blocks(blocks, key.coding_matrix, emit_column_ratio, ratio_digits, 0, pad)
+    return _encrypt_blocks(blocks, key.coding_matrix, emit_column_ratio, ratio_digits, pad)
 
 
 def decrypt_message(packages, key: CipherKey, alphabet: Alphabet | None = None):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -23,8 +22,6 @@ from .correction import correct
 from .errors import CipherError, FormatError, NoMatchInBounds, NotGoldenOracle
 from .matrix import KeyMatrix, Mat2
 from .ratios import RatioParams, ratio_iterate
-
-RATIO_DIGITS_ENV = "UNICIPHER_RATIO_DIGITS"
 
 
 def _read(path: str) -> str:
@@ -61,17 +58,6 @@ def _alphabet_from_flag(value: str) -> Alphabet:
         raise CipherError(f"--alphabet {value!r}: {exc}") from None
 
 
-def _ratio_digits(flag: int | None) -> int:
-    """--ratio-digits, else $UNICIPHER_RATIO_DIGITS, else 2; the library checks the range."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get(RATIO_DIGITS_ENV, "2")
-    try:
-        return int(raw)
-    except ValueError:
-        raise CipherError(f"{RATIO_DIGITS_ENV} must be an integer, got {raw!r}") from None
-
-
 def _cmd_keygen(args) -> int:
     preset = args.k_golden is not None or args.arnolds_cat
     if args.k_golden is not None:
@@ -106,7 +92,7 @@ def _cmd_encrypt(args) -> int:
     key, alphabet = _load_key(args.key)
     message = _read("-") if args.infile == "-" else args.infile
     emit = args.emit_column_ratio or args.ratio_digits is not None  # --ratio-digits implies it
-    digits = _ratio_digits(args.ratio_digits) if emit else 2
+    digits = 2 if args.ratio_digits is None else args.ratio_digits
     try:
         packages = encrypt_message(
             message, key, alphabet, emit_column_ratio=emit, ratio_digits=digits
@@ -214,11 +200,16 @@ def _cmd_ratios(args) -> int:
         params = RatioParams(args.t, args.d, Fraction(args.a0))
     except (ValueError, ZeroDivisionError) as exc:
         raise CipherError(f"--a0 must be a nonzero rational, got {args.a0!r}: {exc}") from None
-    orbit = ratio_iterate(params, args.steps)
-    print(f"fixed point: {params.fixed.phi_plus_decimal(12)}")
-    print(f"{'step':>4}  {'ratio':>24}  {'decimal':>18}")
-    for i, a in enumerate(orbit):
-        print(f"{i:>4}  {str(a):>24}  {float(a):>18.12f}")
+    try:
+        lines = [
+            f"fixed point: {params.fixed.phi_plus_decimal(12)}",
+            f"{'step':>4}  {'ratio':>24}  {'decimal':>18}",
+        ]
+        for i, a in enumerate(ratio_iterate(params, args.steps)):
+            lines.append(f"{i:>4}  {str(a):>24}  {float(a):>18.12f}")
+    except (ValueError, OverflowError):  # past the int-str digit limit or the float range
+        raise CipherError("the orbit holds a number too large to print") from None
+    print("\n".join(lines))
     return 0
 
 

@@ -285,8 +285,8 @@ def correct_pair(c: Mat2, ctx: CorrectionContext, positions) -> CorrectionReport
     caps = None if ctx.plaintext_bound is None else plaintext_bounds(ctx)
     (xlo, xhi), (ylo, yhi) = _pin(e, ctx, caps, first, second), _pin(e, ctx, caps, second, first)
     if product:
-        # x * y = target, so y's range bounds x as well
-        target = E + c.a12 * c.a21 if cls is ErrorClass.DIAGONAL else c.a11 * c.a22 - E
+        # x * y = target, the single-error numerator at `first`; y's range bounds x as well
+        target = _SINGLE_NUM_DEN[first](c, E)[0]
         if target <= 0:
             return _failure(cls, 0, "non-positive-target")
         if yhi < 1:

@@ -21,6 +21,8 @@ from .matrix import CodingMatrix
 BOTTOM_OVER_TOP = "bottom-over-top"
 
 DEFAULT_ORBIT_STEPS = 64
+# exponential_rate skips steps whose error is this small: float underflow, not a rate.
+_RATE_FLOOR = 1e-250
 
 
 class ConvergenceMode(Enum):
@@ -186,12 +188,13 @@ def convergence_profile(
     return ConvergenceProfile(mode, orbit, errors)
 
 
-def exponential_rate(errors: Sequence[float], floor: float = 1e-250) -> float:
-    """Worst observed per-step error ratio; < 1 means geometric decay."""
+def exponential_rate(errors: Sequence[float]) -> float:
+    """Worst observed per-step error ratio; < 1 means geometric decay.
+    Steps from an error of at most _RATE_FLOOR, or to an error of 0, are skipped."""
     ratios = [
         nxt / cur
         for cur, nxt in zip(errors, errors[1:])
-        if cur > floor and nxt > 0.0
+        if cur > _RATE_FLOOR and nxt > 0.0
     ]
     return max(ratios) if ratios else 0.0
 

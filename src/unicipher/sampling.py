@@ -48,8 +48,9 @@ def random_key_matrix(
         return KeyMatrix(Mat2(alpha, beta, gamma, delta))
 
 
-def random_seed_pair(rng: random.Random, lo: int = 1, hi: int = 20) -> SeedPair:
-    return SeedPair(rng.randint(lo, hi), rng.randint(lo, hi))
+def random_seed_pair(rng: random.Random) -> SeedPair:
+    """Seed (a0, b0) with both components drawn uniformly from 1..20, a0 first."""
+    return SeedPair(rng.randint(1, 20), rng.randint(1, 20))
 
 
 def random_cipher_key(
@@ -63,7 +64,8 @@ def random_cipher_key(
 
 
 def random_plaintext(rng: random.Random, alphabet_size: int = 26) -> PlaintextMatrix:
-    """Uniform symbol block in which each row keeps at least one nonzero."""
+    """Block with entries drawn uniformly from 0..alphabet_size-1, each row
+    keeping at least one nonzero (unless alphabet_size is 1)."""
     def row():
         while True:
             r = (rng.randrange(alphabet_size), rng.randrange(alphabet_size))
@@ -71,4 +73,4 @@ def random_plaintext(rng: random.Random, alphabet_size: int = 26) -> PlaintextMa
                 return r
 
     (a, b), (c, d) = row(), row()
-    return PlaintextMatrix(Mat2(a, b, c, d), alphabet_size)
+    return PlaintextMatrix(Mat2(a, b, c, d))

@@ -280,17 +280,6 @@ class TestPipelines:
         code, out, _ = run(capsys, "decrypt", "--key", str(key_file), "--in", str(pkg_file))
         assert code == 0 and out == "Grüße"
 
-    def test_ratio_digits_env_default(self, tmp_path, capsys, monkeypatch):
-        key_file = tmp_path / "key.json"
-        run(capsys, "keygen", "--arnolds-cat", "--n", "4", "--out", str(key_file))
-        pkg_file = tmp_path / "packages.json"
-        monkeypatch.setenv("UNICIPHER_RATIO_DIGITS", "4")
-        code, _, _ = run(capsys, "encrypt", "--key", str(key_file), "--in", "OXEN",
-                         "--out", str(pkg_file), "--emit-column-ratio")
-        assert code == 0
-        (pkg,) = loads_packages(pkg_file.read_text())
-        assert pkg.column_ratio.digits == 4
-
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -371,28 +360,24 @@ class TestPipelines:
         assert "error[FormatError]" in err
 
     @pytest.mark.parametrize("digits", ["-3", "101"])
-    def test_ratio_digits_out_of_range(self, tmp_path, capsys, monkeypatch, digits):
+    def test_ratio_digits_out_of_range(self, tmp_path, capsys, digits):
         key_file = self.make_key(tmp_path, capsys)
         code, _, err = run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH",
                            "--emit-column-ratio", "--ratio-digits", digits)
         assert code == 1
         assert "error[CipherError]" in err
-        monkeypatch.setenv("UNICIPHER_RATIO_DIGITS", digits)
-        code, _, err = run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH",
-                           "--emit-column-ratio")
-        assert code == 1
-        assert "error[CipherError]" in err
 
     def test_ratio_digits_read_only_when_emitting(self, tmp_path, capsys, monkeypatch):
+        # digits come from --ratio-digits or are 2; the environment is not read
         key_file = self.make_key(tmp_path, capsys)
         monkeypatch.setenv("UNICIPHER_RATIO_DIGITS", "abc")
         code, out, _ = run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH")
         assert code == 0
         assert [pkg.column_ratio for pkg in loads_packages(out)] == [None]
-        code, _, err = run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH",
+        code, out, _ = run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH",
                            "--emit-column-ratio")
-        assert code == 1
-        assert "error[CipherError]" in err
+        assert code == 0
+        assert [pkg.column_ratio.digits for pkg in loads_packages(out)] == [2]
 
     def test_ratio_digits_imply_emitting(self, tmp_path, capsys):
         key_file = self.make_key(tmp_path, capsys)
@@ -456,6 +441,29 @@ class TestPipelines:
         assert code == 1 and out == ""
         assert "error[CipherError]" in err and repr(bad_path) in err
 
+    def test_ciphertext_past_the_digit_limit_is_a_format_error(self, tmp_path, capsys):
+        # det U = 1, but M(512)'s entries have about 15,300 bits: over 4,300 digits
+        key_file = tmp_path / "key.json"
+        code, _, _ = run(capsys, "keygen", "--alpha", "1000000000", "--beta", "1",
+                         "--gamma", "999999999", "--delta", "1", "--n", "512",
+                         "--out", str(key_file))
+        assert code == 0
+        code, out, err = run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH")
+        assert code == 1 and out == ""
+        assert "error[FormatError]: block 0: " in err and "4300 digits" in err
+
+    def test_integer_past_the_digit_limit_names_the_limit(self, tmp_path, capsys):
+        key_file = self.make_key(tmp_path, capsys)
+        pkg_file = tmp_path / "packages.json"
+        run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH", "--out", str(pkg_file))
+        document = json.loads(pkg_file.read_text())
+        document["packages"][0]["c"][0] = "7" * 5000
+        pkg_file.write_text(json.dumps(document))
+        code, out, err = run(capsys, "verify", "--key", str(key_file), "--in", str(pkg_file))
+        assert code == 1 and out == ""
+        assert "error[FormatError]" in err and "4300-digit limit" in err
+        assert "not a decimal integer" not in err and "7" * 100 not in err
+
     def test_unknown_symbol_error_category(self, tmp_path, capsys):
         key_file = self.make_key(tmp_path, capsys)
         code, _, err = run(capsys, "encrypt", "--key", str(key_file), "--in", "math")
@@ -504,6 +512,17 @@ class TestRatiosCommand:
     @pytest.mark.parametrize("a0", ["0", "abc", "1/0"])
     def test_bad_a0_is_reported(self, capsys, a0):
         code, out, err = run(capsys, "ratios", "--t", "3", "--d", "1", "--a0", a0)
+        assert code == 1 and out == ""
+        assert "error[CipherError]" in err
+
+    @pytest.mark.parametrize(
+        "t, steps",
+        [("1000", "1500"), ("9" * 400, "2"), ("9" * 4299, "2")],
+        ids=["term-past-digit-limit", "float-overflow", "fixed-point-past-digit-limit"],
+    )
+    def test_orbit_too_large_to_print_is_reported(self, capsys, t, steps):
+        code, out, err = run(capsys, "ratios", "--t", t, "--d", "1",
+                             "--a0", "5/3", "--steps", steps)
         assert code == 1 and out == ""
         assert "error[CipherError]" in err
 
