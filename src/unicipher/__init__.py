@@ -51,7 +51,6 @@ from .errors import (
     NotGoldenOracle,
     SingularMatrix,
     UnknownSymbol,
-    ZeroSequenceEntry,
 )
 from .matrix import (
     DEFAULT_MAX_EXPONENT,
@@ -62,8 +61,6 @@ from .matrix import (
     SeedPair,
     build_coding_matrix,
     classify_power_form,
-    golden_matrix,
-    k_golden_matrix,
     mu_of_seed,
     s_matrix,
 )
@@ -78,7 +75,6 @@ from .ratios import (
     fixed_points,
     ratio_iterate,
     round_half_even,
-    row_ratio_interval,
 )
 
 __version__ = "0.1.0"

@@ -103,9 +103,9 @@ def _alphabet_from_dict(document: dict) -> Alphabet:
     raise FormatError(f"unknown alphabet kind {kind!r}")
 
 
-def key_to_dict(key: CipherKey, alphabet: Alphabet | None = None) -> dict:
+def dumps_key(key: CipherKey, alphabet: Alphabet | None = None) -> str:
     alphabet = alphabet if alphabet is not None else Alphabet.latin()
-    return {
+    return _dump({
         "version": KEY_FORMAT_VERSION,
         "u": {
             "alpha": str(key.u.alpha),
@@ -117,10 +117,11 @@ def key_to_dict(key: CipherKey, alphabet: Alphabet | None = None) -> dict:
         "n": key.n,
         "perm": list(key.perm),
         "alphabet": _alphabet_to_dict(alphabet),
-    }
+    })
 
 
-def key_from_dict(document: dict) -> tuple[CipherKey, Alphabet]:
+def loads_key(text: str) -> tuple[CipherKey, Alphabet]:
+    document = _parse_json(text)
     _check_version(document, KEY_FORMAT_VERSION)
     u = _need(document, "u")
     seed = _need(document, "seed")
@@ -145,59 +146,17 @@ def key_from_dict(document: dict) -> tuple[CipherKey, Alphabet]:
     return key, _alphabet_from_dict(_need(document, "alphabet"))
 
 
-def dumps_key(key: CipherKey, alphabet: Alphabet | None = None) -> str:
-    return _dump(key_to_dict(key, alphabet))
-
-
-def loads_key(text: str) -> tuple[CipherKey, Alphabet]:
-    return key_from_dict(_parse_json(text))
-
-
 # --- packages ---------------------------------------------------------------
 
 
-def package_to_dict(pkg: CipherPackage) -> dict:
-    ratio = None
-    if pkg.column_ratio is not None:
-        ratio = {
-            "orientation": pkg.column_ratio.orientation,
-            "value": pkg.column_ratio.value,
-            "digits": pkg.column_ratio.digits,
-        }
-    return {
-        "c": [str(e) for e in pkg.c.entries()],
-        "det_p": str(pkg.det_p),
-        "column_ratio": ratio,
-        "block_index": pkg.block_index,
-        "pad_len": pkg.pad_len,
-    }
-
-
-def package_from_dict(document: dict) -> CipherPackage:
-    entries = _need(document, "c")
-    if not isinstance(entries, list) or len(entries) != 4:
-        raise FormatError("c must be a list of four decimal strings")
-    a11, a12, a21, a22 = entries
-    c = Mat2(_parse_int(a11), _parse_int(a12), _parse_int(a21), _parse_int(a22))
-    det_p = _parse_int(_need(document, "det_p"))
-    block_index, pad_len = _need(document, "block_index"), _need(document, "pad_len")
-    ratio = document.get("column_ratio")
-    try:
-        check = None
-        if ratio is not None:
-            check = _ratio_check(
-                _need(ratio, "orientation"), _need(ratio, "value"), _need(ratio, "digits")
-            )
-        return CipherPackage(c, det_p, check, block_index, pad_len)
-    except (ValueError, TypeError) as exc:
-        raise FormatError(f"malformed package: {exc}") from None
-
-
 def _package_text(pkg: CipherPackage) -> str:
-    """One package as json.dumps(package_to_dict(pkg), indent=2) prints it, nested two deep.
+    """One package's document as json.dumps(..., indent=2) prints it, nested two deep.
 
-    Nothing is escaped: the entries and det_p are ints, and a
-    ColumnRatioCheck holds BOTTOM_OVER_TOP and a decimal value.
+    The document holds c as four decimal strings, det_p as a decimal
+    string, column_ratio as {orientation, value, digits} or null, and the
+    block_index and pad_len ints.  Nothing is escaped: the entries and
+    det_p are ints, and a ColumnRatioCheck holds BOTTOM_OVER_TOP and a
+    decimal value.
     """
     c, check = pkg.c, pkg.column_ratio
     if check is None:
@@ -235,7 +194,7 @@ def dumps_packages(packages) -> str:
     """Canonical package file, written directly.
 
     Byte-identical to json.dumps(document, indent=2) + "\\n" of the document
-    package_to_dict describes; CipherPackage's field types make that safe.
+    _package_text describes; CipherPackage's field types make that safe.
     An integer past Python's int-str digit limit is a FormatError naming
     its block.
     """
@@ -252,7 +211,25 @@ def loads_packages(text: str) -> tuple[CipherPackage, ...]:
     packages = _need(document, "packages")
     if not isinstance(packages, list):
         raise FormatError("packages must be a list")
-    parsed = tuple(package_from_dict(p) for p in packages)
+    parsed = []
+    for item in packages:
+        entries = _need(item, "c")
+        if not isinstance(entries, list) or len(entries) != 4:
+            raise FormatError("c must be a list of four decimal strings")
+        a11, a12, a21, a22 = entries
+        c = Mat2(_parse_int(a11), _parse_int(a12), _parse_int(a21), _parse_int(a22))
+        det_p = _parse_int(_need(item, "det_p"))
+        block_index, pad_len = _need(item, "block_index"), _need(item, "pad_len")
+        ratio = item.get("column_ratio")
+        try:
+            check = None
+            if ratio is not None:
+                check = _ratio_check(
+                    _need(ratio, "orientation"), _need(ratio, "value"), _need(ratio, "digits")
+                )
+            parsed.append(CipherPackage(c, det_p, check, block_index, pad_len))
+        except (ValueError, TypeError) as exc:
+            raise FormatError(f"malformed package: {exc}") from None
     indices = {pkg.block_index for pkg in parsed}
     if len(indices) != len(parsed):
         raise FormatError("duplicate block_index")
@@ -264,7 +241,7 @@ def loads_packages(text: str) -> tuple[CipherPackage, ...]:
                     f"pad_len {pkg.pad_len} on block {pkg.block_index}, "
                     "but only the last block is padded"
                 )
-    return parsed
+    return tuple(parsed)
 
 
 # --- corruption -------------------------------------------------------------
@@ -353,8 +330,8 @@ def corrupt_packages(
     return tuple(out), tuple(diffs)
 
 
-def diffs_to_dict(diffs) -> dict:
-    return {
+def dumps_diffs(diffs) -> str:
+    return _dump({
         "version": PACKAGE_FORMAT_VERSION,
         "diffs": [
             {
@@ -367,8 +344,4 @@ def diffs_to_dict(diffs) -> dict:
             }
             for d in diffs
         ],
-    }
-
-
-def dumps_diffs(diffs) -> str:
-    return _dump(diffs_to_dict(diffs))
+    })

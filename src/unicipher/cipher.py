@@ -486,24 +486,13 @@ class VerifyStatus(Enum):
 
 @dataclass(frozen=True)
 class VerifyResult:
+    """verify_package's verdict: the status and the rows out of their interval."""
+
     status: VerifyStatus
     bad_rows: frozenset[int]
-    det_observed: int
-    det_expected: int
-    interval_checked: bool = True
 
-    def __init__(
-        self,
-        status: VerifyStatus,
-        bad_rows: frozenset[int],
-        det_observed: int,
-        det_expected: int,
-        interval_checked: bool = True,
-    ):
-        object.__setattr__(self, "__dict__", {
-            "status": status, "bad_rows": bad_rows, "det_observed": det_observed,
-            "det_expected": det_expected, "interval_checked": interval_checked,
-        })
+    def __init__(self, status: VerifyStatus, bad_rows: frozenset[int]):
+        object.__setattr__(self, "__dict__", {"status": status, "bad_rows": bad_rows})
 
     @property
     def clean(self) -> bool:
@@ -524,21 +513,18 @@ def verify_package(pkg: CipherPackage, key: CipherKey) -> VerifyResult:
     A key with adj_mod_q first tries the forward product (_forward).  When
     it proves C = P @ M(n) with P >= 0, det C = det M(n) * det P, and each
     row of C is zero or a mediant of M(n)'s row ratios, so no row is
-    flagged; the result is built from P without det C or the intervals.
-    Otherwise both are computed from C.
+    flagged and det P is compared with det_p directly.  Otherwise det C and
+    the intervals are computed from C.
     """
     cm = key.coding_matrix
     c = pkg.c
-    expected = cm.det * pkg.det_p
     if cm.adj_mod_q is not None:
         p = _forward(c, cm)
         if p is not None:
             p11, p12, p21, p22 = p
-            observed = cm.det * (p11 * p22 - p12 * p21)
-            ok = observed == expected
+            ok = p11 * p22 - p12 * p21 == pkg.det_p
             status = VerifyStatus.CLEAN if ok else VerifyStatus.DETERMINANT_MISMATCH
-            return VerifyResult(status, _BAD_ROWS[0], observed, expected, cm.bounds is not None)
-    observed = c.a11 * c.a22 - c.a12 * c.a21
+            return VerifyResult(status, _BAD_ROWS[0])
     bounds = cm.bounds
     if bounds is None:
         bad = _BAD_ROWS[0]
@@ -546,11 +532,11 @@ def verify_package(pkg: CipherPackage, key: CipherKey) -> VerifyResult:
         top_bad = not _row_in_interval(c.a11, c.a12, bounds)
         bottom_bad = not _row_in_interval(c.a21, c.a22, bounds)
         bad = _BAD_ROWS[top_bad + 2 * bottom_bad]
-    if observed == expected:
+    if c.a11 * c.a22 - c.a12 * c.a21 == cm.det * pkg.det_p:
         status = VerifyStatus.INTERVAL_VIOLATION if bad else VerifyStatus.CLEAN
     else:
         status = VerifyStatus.BOTH if bad else VerifyStatus.DETERMINANT_MISMATCH
-    return VerifyResult(status, bad, observed, expected, bounds is not None)
+    return VerifyResult(status, bad)
 
 
 def encrypt_message(

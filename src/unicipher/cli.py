@@ -4,13 +4,15 @@ Exit codes: 0 success; 1 on any structured error (category printed to
 stderr), and from `verify` when any package is not clean; `correct`
 additionally uses 2 when a package is uncorrectable and 3 when only
 ambiguous repairs were found.  `correct` bounds repair candidates by the
-key file's alphabet.
+key file's alphabet.  `decrypt` of an incomplete file names its first
+missing block, and `ratios --steps` is at most MAX_ORBIT_STEPS.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -21,7 +23,12 @@ from .cipher import Alphabet, CipherKey, SeedPair, decrypt_message, encrypt_mess
 from .correction import correct
 from .errors import CipherError, FormatError, NoMatchInBounds, NotGoldenOracle
 from .matrix import KeyMatrix, Mat2
-from .ratios import RatioParams, ratio_iterate
+from .ratios import RatioParams, ratio_orbit
+
+# Most orbit steps `ratios` prints.  The exact terms grow by a fixed number of
+# digits per step, so the work grows faster than the steps; each term is
+# printed as it is computed, so the digit limit also ends the work.
+MAX_ORBIT_STEPS = 2000
 
 
 def _read(path: str) -> str:
@@ -107,9 +114,13 @@ def _cmd_decrypt(args) -> int:
     key, alphabet = _load_key(args.key)
     packages = channel.loads_packages(_read(args.infile))
     indices = sorted(pkg.block_index for pkg in packages)
-    if indices != list(range(len(packages))):
-        missing = sorted(set(range(indices[-1] + 1)) - set(indices))
-        raise FormatError(f"decrypt needs every block 0..{indices[-1]}; missing {missing}")
+    # loads_packages makes the indices unique, so the first position that
+    # holds a larger index names a missing block
+    missing = next((i for i, index in enumerate(indices) if i != index), None)
+    if missing is not None:
+        raise FormatError(
+            f"decrypt needs every block 0..{indices[-1]}; block {missing} is missing"
+        )
     message = decrypt_message(packages, key, alphabet)
     if isinstance(message, bytes):
         sys.stdout.buffer.write(message)
@@ -196,6 +207,8 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_ratios(args) -> int:
+    if not 0 <= args.steps <= MAX_ORBIT_STEPS:
+        raise CipherError(f"--steps must be in 0..{MAX_ORBIT_STEPS}, got {args.steps}")
     try:
         params = RatioParams(args.t, args.d, Fraction(args.a0))
     except (ValueError, ZeroDivisionError) as exc:
@@ -205,7 +218,7 @@ def _cmd_ratios(args) -> int:
             f"fixed point: {params.fixed.phi_plus_decimal(12)}",
             f"{'step':>4}  {'ratio':>24}  {'decimal':>18}",
         ]
-        for i, a in enumerate(ratio_iterate(params, args.steps)):
+        for i, a in enumerate(itertools.islice(ratio_orbit(params), args.steps + 1)):
             lines.append(f"{i:>4}  {str(a):>24}  {float(a):>18.12f}")
     except (ValueError, OverflowError):  # past the int-str digit limit or the float range
         raise CipherError("the orbit holds a number too large to print") from None
@@ -286,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--a0", required=True, help="rational, e.g. 3/2 or 1.5")
-    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--steps", type=int, default=10, help=f"0..{MAX_ORBIT_STEPS}")
     p.set_defaults(func=_cmd_ratios)
 
     return parser

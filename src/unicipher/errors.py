@@ -21,10 +21,6 @@ class DivisionByZeroInOrbit(CipherError):
     pass
 
 
-class ZeroSequenceEntry(CipherError):
-    pass
-
-
 class UnknownSymbol(CipherError):
     pass
 

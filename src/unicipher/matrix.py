@@ -4,18 +4,21 @@ Everything stays in arbitrary-precision integer arithmetic: products,
 determinants, adjugates, powers, and the two-sequence coding matrices
 [[A(n+1), A(n)], [B(n+1), B(n)]] that multiply plaintext blocks.
 coding_entries is the one recurrence behind every M(n) the package
-computes, and build_coding_matrix the one place that validates and views it.
+computes, and build_coding_matrix the one place that validates and views it;
+the golden and k-golden M(n) are CipherKey.golden(n).coding_matrix and
+CipherKey.k_golden(k, n).coding_matrix.  CodingMatrix.bounds is the one
+row-ratio interval.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DegenerateConvergenceWarning, InvalidKey, SingularMatrix
+from .ratios import FixedPoints
 
 DEFAULT_MAX_EXPONENT = 512
 # The prime q of the forward product: cipher._forward finds P mod q, then
@@ -274,8 +277,7 @@ class CodingMatrix:
     @property
     def ratio_limit(self) -> float:
         """Larger root of x^2 - t*x + d: the common limit of the column ratios."""
-        disc = self.trace * self.trace - 4 * self.unit_det
-        return (self.trace + math.sqrt(disc)) / 2.0
+        return FixedPoints(self.trace, self.unit_det).phi_plus
 
 
 def build_coding_matrix(key: KeyMatrix, seed: SeedPair, n: int) -> CodingMatrix:
@@ -304,18 +306,6 @@ def build_coding_matrix(key: KeyMatrix, seed: SeedPair, n: int) -> CodingMatrix:
         inv = pow(det, -1, FORWARD_PRIME)
         adj_mod_q = tuple(e * inv % FORWARD_PRIME for e in adj)
     return CodingMatrix(Mat2(a1, a0, b1, b0), t, d, seed_det, det, adj, bounds, adj_mod_q)
-
-
-def k_golden_matrix(k: int, n: int) -> CodingMatrix:
-    """n-th power of [[k, 1], [1, 0]] arranged as a coding matrix; KeyMatrix rejects k < 1."""
-    if n < 1:
-        raise InvalidKey("need n >= 1 so the bottom-right sequence entry exists")
-    return build_coding_matrix(KeyMatrix(Mat2(k, 1, 1, 0)), SeedPair(0, 1), n)
-
-
-def golden_matrix(n: int) -> CodingMatrix:
-    """Coding matrix of consecutive Fibonacci numbers (the k = 1 case)."""
-    return k_golden_matrix(1, n)
 
 
 def s_matrix(t: int, d: int) -> Mat2:

@@ -1,22 +1,22 @@
 """Ratio dynamics of the coding sequences.
 
 Successive-term ratios obey a(n+1) = t - d / a(n).  Their fixed points, how
-fast orbits settle onto the larger one, and the exact rational interval that
-brackets the row ratios of any honest ciphertext all live here.  Anything
-that gates correctness runs on exact rationals; floats appear only in
-estimates and display.
+fast orbits settle onto the larger one, and the exact half-even rounding of
+the transmitted column ratio live here; the row-ratio interval of a coding
+matrix is CodingMatrix.bounds.  Anything that gates correctness runs on
+exact rationals; floats appear only in estimates and display.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .errors import ComplexFixedPoints, DivisionByZeroInOrbit, ZeroSequenceEntry
-from .matrix import CodingMatrix
+from .errors import ComplexFixedPoints, DivisionByZeroInOrbit
 
 BOTTOM_OVER_TOP = "bottom-over-top"
 
@@ -107,16 +107,20 @@ class RatioParams:
         return FixedPoints(self.t, self.d)
 
 
-def ratio_iterate(params: RatioParams, steps: int) -> tuple[Fraction, ...]:
-    """Exact orbit a0, a1, ..., a(steps)."""
-    orbit = [params.a0]
+def ratio_orbit(params: RatioParams) -> Iterator[Fraction]:
+    """Exact orbit a0, a1, a2, ..., one term at a time and without end;
+    DivisionByZeroInOrbit when the term after a zero is asked for."""
     a = params.a0
-    for i in range(steps):
+    for i in itertools.count():
+        yield a
         if a == 0:
             raise DivisionByZeroInOrbit(f"orbit hit zero at step {i}")
         a = params.t - Fraction(params.d) / a
-        orbit.append(a)
-    return tuple(orbit)
+
+
+def ratio_iterate(params: RatioParams, steps: int) -> tuple[Fraction, ...]:
+    """Exact orbit a0, a1, ..., a(steps); just a0 when steps < 1."""
+    return tuple(itertools.islice(ratio_orbit(params), max(steps, 0) + 1))
 
 
 @dataclass(frozen=True)
@@ -197,19 +201,6 @@ def exponential_rate(errors: Sequence[float]) -> float:
         if cur > _RATE_FLOOR and nxt > 0.0
     ]
     return max(ratios) if ratios else 0.0
-
-
-def row_ratio_interval(cm: CodingMatrix) -> tuple[Fraction, Fraction]:
-    """Closed interval spanned by A(n+1)/A(n) and B(n+1)/B(n): cm.bounds as Fractions.
-
-    Each row of an honest ciphertext (non-negative plaintext, row not all
-    zero) has c_row1/c_row2 inside this interval, because the ciphertext
-    ratio is a non-negatively weighted mediant of the two column ratios.
-    """
-    if cm.bounds is None:
-        raise ZeroSequenceEntry("both sequences must be positive at index n")
-    lo, hi = cm.bounds
-    return Fraction(*lo), Fraction(*hi)
 
 
 def round_half_even_ratio(num: int, den: int, digits: int) -> str:

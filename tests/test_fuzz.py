@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from unicipher.channel import CORRUPTION_MODES, dumps_key, dumps_packages, loads_key
 from unicipher.channel import loads_packages
 from unicipher.cipher import Alphabet, CipherKey, decrypt_message, encrypt_message, verify_package
-from unicipher.cli import main
+from unicipher.cli import MAX_ORBIT_STEPS, main
 from unicipher.correction import correct
 from unicipher.errors import CipherError
 from unicipher.matrix import KeyMatrix, Mat2, SeedPair
@@ -149,7 +149,7 @@ GRAMMAR = {  # command: (required flags, optional flags); None marks a switch
     "ratios": (
         (("--t", ("1", "3", "1000", "-3", "0", "9" * 400)), ("--d", ("1", "-1", "0", "5")),
          ("--a0", ("1.5", "5/3", "0", "abc", "1/0", "-2"))),
-        (("--steps", ("0", "3", "10", "-1")),),
+        (("--steps", ("0", "3", "10", "-1", str(MAX_ORBIT_STEPS), str(MAX_ORBIT_STEPS + 1))),),
     ),
 }
 

@@ -17,8 +17,6 @@ from unicipher.matrix import (
     SeedPair,
     build_coding_matrix,
     classify_power_form,
-    golden_matrix,
-    k_golden_matrix,
     mu_of_seed,
     s_matrix,
 )
@@ -212,27 +210,31 @@ class TestSeedPair:
 class TestCodingMatrices:
     def test_golden_examples(self):
         fib = fibonacci(14)
-        assert golden_matrix(10).matrix == Mat2(89, 55, 55, 34)
-        assert golden_matrix(1).matrix == Mat2(1, 1, 1, 0)
+        golden = {n: CipherKey.golden(n).coding_matrix.matrix for n in (1, 6, 10)}
+        assert golden[10] == Mat2(89, 55, 55, 34)
+        assert golden[1] == Mat2(1, 1, 1, 0)
         n = 6
-        assert golden_matrix(n).matrix == Mat2(fib[n + 1], fib[n], fib[n], fib[n - 1])
-        assert golden_matrix(n).matrix == Mat2(13, 8, 8, 5)
+        assert golden[n] == Mat2(fib[n + 1], fib[n], fib[n], fib[n - 1])
+        assert golden[n] == Mat2(13, 8, 8, 5)
 
     def test_golden_det_alternates(self):
         for n in range(1, 31):
-            cm = golden_matrix(n)
+            cm = CipherKey.golden(n).coding_matrix
             assert cm.matrix.det() == (-1) ** n == cm.det
 
     def test_k_golden_examples(self):
-        assert k_golden_matrix(1, 10).matrix == golden_matrix(10).matrix
-        assert k_golden_matrix(2, 2).matrix == Mat2(2, 1, 1, 0) @ Mat2(2, 1, 1, 0) == Mat2(5, 2, 2, 1)
-        assert k_golden_matrix(3, 1).matrix == Mat2(3, 1, 1, 0)
+        def k_golden(k, n):
+            return CipherKey.k_golden(k, n).coding_matrix.matrix
+
+        assert k_golden(1, 10) == CipherKey.golden(10).coding_matrix.matrix
+        assert k_golden(2, 2) == Mat2(2, 1, 1, 0) @ Mat2(2, 1, 1, 0) == Mat2(5, 2, 2, 1)
+        assert k_golden(3, 1) == Mat2(3, 1, 1, 0)
 
     def test_k_golden_rejects_bad_arguments(self):
         with pytest.raises(InvalidKey):
-            k_golden_matrix(0, 3)
+            CipherKey.k_golden(0, 3)
         with pytest.raises(InvalidKey):
-            k_golden_matrix(2, 0)
+            CipherKey.k_golden(2, 0)
 
     def test_build_cat_example(self):
         # A: 0,1,3,8,21,55  B: 1,1,2,5,13,34 under t=3, d=1
@@ -346,7 +348,7 @@ class TestStoredView:
 
     def test_adj_mod_q_needs_big_entries_and_det_prime_to_q(self):
         # golden entries stay below FORWARD_MIN_BITS up to the exponent cap
-        assert golden_matrix(DEFAULT_MAX_EXPONENT).adj_mod_q is None
+        assert CipherKey.golden(DEFAULT_MAX_EXPONENT).coding_matrix.adj_mod_q is None
         assert build_coding_matrix(KeyMatrix(Mat2(2, 1, 1, 1)), SeedPair(0, 1), 500).adj_mod_q
         # seed (0, q) on the cat key: det M(n) = q**2 has no inverse mod q
         cm = build_coding_matrix(KeyMatrix(Mat2(2, 1, 1, 1)), SeedPair(0, FORWARD_PRIME), 500)
@@ -354,7 +356,7 @@ class TestStoredView:
         assert_view_matches_matrix(cm)
 
     def test_golden_n1_has_no_bounds(self):
-        cm = golden_matrix(1)
+        cm = CipherKey.golden(1).coding_matrix
         assert cm.bounds is None
         assert_view_matches_matrix(cm)
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unicipher.cipher import CipherKey, PlaintextMatrix, encrypt
-from unicipher.errors import ComplexFixedPoints, DivisionByZeroInOrbit, ZeroSequenceEntry
-from unicipher.matrix import Mat2, golden_matrix
+from unicipher.errors import ComplexFixedPoints, DivisionByZeroInOrbit
+from unicipher.matrix import Mat2
 from unicipher.ratios import (
     ConvergenceMode,
     RatioParams,
@@ -17,7 +17,6 @@ from unicipher.ratios import (
     fixed_points,
     ratio_iterate,
     round_half_even,
-    row_ratio_interval,
 )
 from unicipher.sampling import random_cipher_key, random_plaintext
 
@@ -148,14 +147,13 @@ class TestConvergenceProfile:
 
 
 class TestRowRatioInterval:
+    """CodingMatrix.bounds: the interval of M(n)'s row ratios as (num, den) pairs, low first."""
+
     def test_golden_n10(self):
-        lo, hi = row_ratio_interval(golden_matrix(10))
-        assert (lo, hi) == (Fraction(55, 34), Fraction(89, 55))
+        assert CipherKey.golden(10).coding_matrix.bounds == ((55, 34), (89, 55))
 
     def test_cat_interval_is_sorted(self):
-        cm = CipherKey.arnolds_cat(4).coding_matrix
-        lo, hi = row_ratio_interval(cm)
-        assert (lo, hi) == (Fraction(34, 13), Fraction(55, 21))
+        assert CipherKey.arnolds_cat(4).coding_matrix.bounds == ((34, 13), (55, 21))
 
     def test_single_point_interval(self):
         import warnings
@@ -165,13 +163,8 @@ class TestRowRatioInterval:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             identity_key = KeyMatrix(Mat2(1, 0, 0, 1))
-        cm = build_coding_matrix(identity_key, SeedPair(2, 3), 4)
-        lo, hi = row_ratio_interval(cm)
-        assert lo == hi == 1
-
-    def test_zero_entry_rejected(self):
-        with pytest.raises(ZeroSequenceEntry):
-            row_ratio_interval(golden_matrix(1))
+        lo, hi = build_coding_matrix(identity_key, SeedPair(2, 3), 4).bounds
+        assert Fraction(*lo) == Fraction(*hi) == 1
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=150, deadline=None)
@@ -180,7 +173,7 @@ class TestRowRatioInterval:
         rng = random.Random(seed)
         key = random_cipher_key(rng, n_lo=2, n_hi=24)
         p = random_plaintext(rng)
-        lo, hi = row_ratio_interval(key.coding_matrix)
+        lo, hi = (Fraction(*b) for b in key.coding_matrix.bounds)
         c = p.p @ key.coding_matrix.matrix
         for c1, c2 in c.rows():
             assert lo <= Fraction(c1, c2) <= hi

@@ -50,12 +50,10 @@ def cases():
             {"column_ratio": None, "pad_len": 0},
         ),
         (
-            VerifyResult(VerifyStatus.BOTH, frozenset({1}), 7, 8, False),
-            VerifyResult(status=VerifyStatus.BOTH, bad_rows=frozenset({1}), det_observed=7,
-                         det_expected=8, interval_checked=False),
-            f"VerifyResult(status={VerifyStatus.BOTH!r}, bad_rows=frozenset({{1}}), "
-            f"det_observed=7, det_expected=8, interval_checked=False)",
-            {"det_observed": 8},
+            VerifyResult(VerifyStatus.BOTH, frozenset({1})),
+            VerifyResult(status=VerifyStatus.BOTH, bad_rows=frozenset({1})),
+            f"VerifyResult(status={VerifyStatus.BOTH!r}, bad_rows=frozenset({{1}}))",
+            {"bad_rows": frozenset({0, 1})},
         ),
     ]
 
@@ -98,8 +96,8 @@ def test_replace_keeps_other_fields_and_validates():
 def test_defaults():
     pkg = CipherPackage(Mat2(1, 2, 3, 4), -2)
     assert (pkg.column_ratio, pkg.block_index, pkg.pad_len) == (None, 0, 0)
-    result = VerifyResult(VerifyStatus.CLEAN, frozenset(), 1, 1)
-    assert result.interval_checked is True and result.clean
+    assert VerifyResult(VerifyStatus.CLEAN, frozenset()).clean
+    assert not VerifyResult(VerifyStatus.INTERVAL_VIOLATION, frozenset({0})).clean
 
 
 def test_copy_and_pickle():
