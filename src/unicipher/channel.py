@@ -1,9 +1,15 @@
 """On-disk formats and the seeded noisy-channel corrupter.
 
 Key and package files are canonical JSON: fixed field order, two-space
-indent, trailing newline, and every payload integer (matrix entries, seeds,
-check numbers) written as a decimal string so values of any magnitude
-survive untouched.  parse -> serialize is byte-identical.
+indent, trailing newline.  Every payload integer is a string, so values of
+any magnitude survive any JSON reader.  Key files (version 1) write the
+matrix entries and seeds in decimal.  Package files (version 2) and the
+corruption diff write ciphertext entries and det_p in lowercase hex, with a
+leading "-" for negatives: CPython converts hex to and from int in linear
+time, decimal in quadratic time.  A package integer's hex string is at most
+MAX_HEX_CHARS characters long.  serialize -> parse -> serialize is
+byte-identical.  The reader accepts whatever int(s, 16) accepts ("0xff",
+"F_F", " ff"), so a hand-edited file need not write back as it was read.
 """
 
 from __future__ import annotations
@@ -17,7 +23,11 @@ from .errors import FormatError
 from .matrix import KeyMatrix, Mat2, SeedPair
 
 KEY_FORMAT_VERSION = 1
-PACKAGE_FORMAT_VERSION = 1
+PACKAGE_FORMAT_VERSION = 2
+# The longest hex string, its "-" included, of a package integer.  Every
+# value below 16**3571 has at most 4,300 decimal digits, so any integer a
+# package file holds also prints in decimal under Python's int-str limit.
+MAX_HEX_CHARS = 3571
 
 CORRUPTION_MODES = (
     "single",
@@ -72,7 +82,7 @@ def _parse_json(text: str):
 def _check_version(document: dict, expected: int) -> None:
     version = _need(document, "version")
     if version != expected:
-        raise FormatError(f"unsupported format version {version!r}")
+        raise FormatError(f"unsupported format version {version!r}; this reader reads {expected}")
 
 
 # --- keys -------------------------------------------------------------------
@@ -149,15 +159,29 @@ def loads_key(text: str) -> tuple[CipherKey, Alphabet]:
 # --- packages ---------------------------------------------------------------
 
 
-def _package_text(pkg: CipherPackage) -> str:
-    """One package's document as json.dumps(..., indent=2) prints it, nested two deep.
+# One package's document as json.dumps(..., indent=2) prints it, nested two
+# deep: c as four hex strings, det_p as a hex string, column_ratio as
+# {orientation, value, digits} or null, and the block_index and pad_len ints.
+# Nothing is escaped: the entries and det_p are ints, and a ColumnRatioCheck
+# holds BOTTOM_OVER_TOP and a decimal value.  One %-format is as fast for
+# small ints as printing them in decimal.
+_PACKAGE_TEXT = (
+    "    {\n"
+    '      "c": [\n'
+    '        "%x",\n'
+    '        "%x",\n'
+    '        "%x",\n'
+    '        "%x"\n'
+    "      ],\n"
+    '      "det_p": "%x",\n'
+    '      "column_ratio": %s,\n'
+    '      "block_index": %d,\n'
+    '      "pad_len": %d\n'
+    "    }"
+)
 
-    The document holds c as four decimal strings, det_p as a decimal
-    string, column_ratio as {orientation, value, digits} or null, and the
-    block_index and pad_len ints.  Nothing is escaped: the entries and
-    det_p are ints, and a ColumnRatioCheck holds BOTTOM_OVER_TOP and a
-    decimal value.
-    """
+
+def _package_text(pkg: CipherPackage) -> str:
     c, check = pkg.c, pkg.column_ratio
     if check is None:
         ratio = "null"
@@ -169,34 +193,26 @@ def _package_text(pkg: CipherPackage) -> str:
             f'        "digits": {check.digits}\n'
             "      }"
         )
-    try:
-        return (
-            "    {\n"
-            '      "c": [\n'
-            f'        "{c.a11}",\n'
-            f'        "{c.a12}",\n'
-            f'        "{c.a21}",\n'
-            f'        "{c.a22}"\n'
-            "      ],\n"
-            f'      "det_p": "{pkg.det_p}",\n'
-            f'      "column_ratio": {ratio},\n'
-            f'      "block_index": {pkg.block_index},\n'
-            f'      "pad_len": {pkg.pad_len}\n'
-            "    }"
-        )
-    except ValueError:  # str() of an int past Python's int-str digit limit
+    text = _PACKAGE_TEXT % (c.a11, c.a12, c.a21, c.a22, pkg.det_p, ratio, pkg.block_index,
+                            pkg.pad_len)
+    # a text within the limit holds no integer past it
+    if len(text) > MAX_HEX_CHARS and any(
+        len("%x" % x) > MAX_HEX_CHARS for x in (*c.entries(), pkg.det_p)
+    ):
         raise FormatError(
-            f"block {pkg.block_index}: an integer has more than {_MAX_DECIMAL_DIGITS} digits"
-        ) from None
+            f"block {pkg.block_index}: an integer's hex string is longer than the "
+            f"{MAX_HEX_CHARS}-character limit"
+        )
+    return text
 
 
 def dumps_packages(packages) -> str:
     """Canonical package file, written directly.
 
     Byte-identical to json.dumps(document, indent=2) + "\\n" of the document
-    _package_text describes; CipherPackage's field types make that safe.
-    An integer past Python's int-str digit limit is a FormatError naming
-    its block.
+    _PACKAGE_TEXT describes; CipherPackage's field types make that safe.
+    An integer whose hex string is longer than MAX_HEX_CHARS is a
+    FormatError naming its block.
     """
     body = ",\n".join(_package_text(pkg) for pkg in packages)
     packages_text = f"[\n{body}\n  ]" if body else "[]"
@@ -205,7 +221,13 @@ def dumps_packages(packages) -> str:
 
 def loads_packages(text: str) -> tuple[CipherPackage, ...]:
     """Parse a package file; block indices must be unique, and only the
-    block with the highest index may carry padding."""
+    block with the highest index may carry padding.
+
+    Every field is required.  A missing or malformed field is a FormatError
+    naming the package's position and the field ("framing" for block_index
+    and pad_len), and so is an integer whose hex string is longer than
+    MAX_HEX_CHARS.
+    """
     document = _parse_json(text)
     _check_version(document, PACKAGE_FORMAT_VERSION)
     packages = _need(document, "packages")
@@ -213,23 +235,33 @@ def loads_packages(text: str) -> tuple[CipherPackage, ...]:
         raise FormatError("packages must be a list")
     parsed = []
     for item in packages:
-        entries = _need(item, "c")
-        if not isinstance(entries, list) or len(entries) != 4:
-            raise FormatError("c must be a list of four decimal strings")
-        a11, a12, a21, a22 = entries
-        c = Mat2(_parse_int(a11), _parse_int(a12), _parse_int(a21), _parse_int(a22))
-        det_p = _parse_int(_need(item, "det_p"))
-        block_index, pad_len = _need(item, "block_index"), _need(item, "pad_len")
-        ratio = item.get("column_ratio")
+        # len() raises TypeError on JSON numbers, booleans and null, and
+        # int(x, 16) on lists and objects, so no isinstance check is needed.
+        field = "c"
         try:
-            check = None
-            if ratio is not None:
-                check = _ratio_check(
-                    _need(ratio, "orientation"), _need(ratio, "value"), _need(ratio, "digits")
-                )
-            parsed.append(CipherPackage(c, det_p, check, block_index, pad_len))
-        except (ValueError, TypeError) as exc:
-            raise FormatError(f"malformed package: {exc}") from None
+            a11, a12, a21, a22 = c = item["c"]  # ValueError unless four values
+            if type(c) is not list:
+                raise TypeError(f"expected a list of four hex strings, got {type(c).__name__}")
+            if (
+                len(a11) > MAX_HEX_CHARS or len(a12) > MAX_HEX_CHARS
+                or len(a21) > MAX_HEX_CHARS or len(a22) > MAX_HEX_CHARS
+            ):
+                raise _past_the_limit(len(parsed), field)
+            c = Mat2(int(a11, 16), int(a12, 16), int(a21, 16), int(a22, 16))
+            field = "det_p"
+            det_p = item["det_p"]
+            if len(det_p) > MAX_HEX_CHARS:
+                raise _past_the_limit(len(parsed), field)
+            det_p = int(det_p, 16)
+            field = "column_ratio"
+            check = item["column_ratio"]
+            if check is not None:
+                check = _ratio_check(check["orientation"], check["value"], check["digits"])
+            field = "framing"
+            parsed.append(CipherPackage(c, det_p, check, item["block_index"], item["pad_len"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            detail = f"missing field {exc}" if type(exc) is KeyError else exc
+            raise FormatError(f"package {len(parsed)}, {field}: {detail}") from None
     indices = {pkg.block_index for pkg in parsed}
     if len(indices) != len(parsed):
         raise FormatError("duplicate block_index")
@@ -242,6 +274,13 @@ def loads_packages(text: str) -> tuple[CipherPackage, ...]:
                     "but only the last block is padded"
                 )
     return tuple(parsed)
+
+
+def _past_the_limit(position: int, field: str) -> FormatError:
+    return FormatError(
+        f"package {position}, {field}: an integer's hex string is longer than the "
+        f"{MAX_HEX_CHARS}-character limit"
+    )
 
 
 # --- corruption -------------------------------------------------------------
@@ -338,7 +377,7 @@ def dumps_diffs(diffs) -> str:
                 "block_index": d.block_index,
                 "mode": d.mode,
                 "entries": [
-                    {"pos": list(pos), "old": str(old), "new": str(new)}
+                    {"pos": list(pos), "old": "%x" % old, "new": "%x" % new}
                     for pos, old, new in d.entries
                 ],
             }

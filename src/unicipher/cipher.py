@@ -32,7 +32,7 @@ IDENTITY_PERM = (0, 1, 2, 3)
 # Cap on transmitted column-ratio digits, so 10**digits stays small on hostile input.
 MAX_RATIO_DIGITS = 100
 # Python's default limit on int-str conversion: the most digits
-# ColumnRatioCheck.grid converts and the package reader and writer handle.
+# ColumnRatioCheck.grid converts and the key reader handles.
 _MAX_DECIMAL_DIGITS = 4300
 # A column ratio as round_half_even_ratio writes it for non-negative entries:
 # decimal digits, then a point and the fractional places when there are any.

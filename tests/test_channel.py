@@ -5,6 +5,8 @@ import pytest
 
 from unicipher.channel import (
     CORRUPTION_MODES,
+    MAX_HEX_CHARS,
+    PACKAGE_FORMAT_VERSION,
     CorruptionSpec,
     corrupt_package,
     corrupt_packages,
@@ -21,10 +23,11 @@ from unicipher.cipher import (
     ColumnRatioCheck,
     PlaintextMatrix,
     _interned_ratio_check,
+    decrypt_message,
     encrypt,
     encrypt_message,
 )
-from unicipher.errors import FormatError
+from unicipher.errors import CheckNumberMismatch, FormatError
 from unicipher.matrix import KeyMatrix, Mat2, SeedPair
 from unicipher.ratios import BOTTOM_OVER_TOP
 from unicipher.sampling import random_cipher_key, random_plaintext
@@ -228,9 +231,58 @@ class TestPackageFiles:
         parsed = loads_packages(framed_packages_text(*frames))
         assert [(p.block_index, p.pad_len) for p in parsed] == list(frames)
 
+    def test_integers_are_lowercase_hex(self):
+        pkg = CipherPackage(Mat2(35, 18, 63, 0), -440)
+        document = json.loads(dumps_packages([pkg]))
+        assert document["version"] == PACKAGE_FORMAT_VERSION == 2
+        assert document["packages"][0]["c"] == ["23", "12", "3f", "0"]
+        assert document["packages"][0]["det_p"] == "-1b8"
+
+    def test_version_1_is_a_format_error_naming_the_version(self):
+        document = json.loads(dumps_packages([CipherPackage(Mat2(1, 2, 3, 4), -2)]))
+        document["version"] = 1
+        with pytest.raises(FormatError, match="unsupported format version 1"):
+            loads_packages(json.dumps(document))
+
+    @pytest.mark.parametrize("field", ["c", "det_p"])
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_hex_length_limit_on_loading(self, field, sign):
+        # the limit counts the "-" of a negative integer
+        def text(length):
+            document = json.loads(dumps_packages([CipherPackage(Mat2(1, 2, 3, 4), -2)]))
+            value = sign + "f" * (length - len(sign))
+            if field == "c":
+                document["packages"][0]["c"][2] = value
+            else:
+                document["packages"][0]["det_p"] = value
+            return json.dumps(document)
+
+        loads_packages(text(MAX_HEX_CHARS))
+        with pytest.raises(FormatError, match=f"{field}: .*{MAX_HEX_CHARS}-character limit"):
+            loads_packages(text(MAX_HEX_CHARS + 1))
+
+    @pytest.mark.parametrize("at_limit, past_limit", [
+        (16**MAX_HEX_CHARS - 1, 16**MAX_HEX_CHARS),
+        (-(16 ** (MAX_HEX_CHARS - 1)) + 1, -(16 ** (MAX_HEX_CHARS - 1))),
+    ], ids=["positive", "negative"])
+    def test_hex_length_limit_on_writing(self, at_limit, past_limit):
+        text = dumps_packages([CipherPackage(Mat2(1, 2, at_limit, 4), at_limit, None, 3)])
+        assert loads_packages(text)[0].c.a21 == at_limit
+        with pytest.raises(FormatError, match=f"block 3: .*{MAX_HEX_CHARS}-character limit"):
+            dumps_packages([CipherPackage(Mat2(1, 2, 3, 4), past_limit, None, 3)])
+
+    def test_integers_within_the_limit_print_in_decimal(self):
+        # a det_p at the limit still fits in the message that names it
+        key = CipherKey.golden(2)
+        document = json.loads(dumps_packages(encrypt_message("MATH", key)))
+        document["packages"][0]["det_p"] = "f" * MAX_HEX_CHARS
+        packages = loads_packages(json.dumps(document))
+        with pytest.raises(CheckNumberMismatch, match=str(16**MAX_HEX_CHARS - 1)):
+            decrypt_message(packages, key, Alphabet.latin())
+
     def test_malformed_entries_list(self):
         with pytest.raises(FormatError):
-            loads_packages('{"version": 1, "packages": [{"c": ["1","2","3"], "det_p": "1", "column_ratio": null, "block_index": 0, "pad_len": 0}]}')
+            loads_packages('{"version": 2, "packages": [{"c": ["1","2","3"], "det_p": "1", "column_ratio": null, "block_index": 0, "pad_len": 0}]}')
 
 
 class TestCorruption:
@@ -315,8 +367,15 @@ class TestCorruption:
     def test_diff_serialization(self):
         pkg = CipherPackage(Mat2(1068, 660, 2076, 1283), 84)
         _, diff = corrupt_package(pkg, CorruptionSpec("column_left", seed=2))
-        text = dumps_diffs([diff])
-        assert '"mode": "column_left"' in text
+        document = json.loads(dumps_diffs([diff]))
+        (entry_0, entry_1) = document["diffs"][0]["entries"]
+        assert document["diffs"][0]["mode"] == "column_left"
+        assert (entry_0["pos"], entry_0["old"], entry_1["pos"], entry_1["old"]) == (
+            [0, 0], "42c", [1, 0], "81c"  # 1068 and 2076 in hex
+        )
+        assert [int(e["new"], 16) for e in (entry_0, entry_1)] == [
+            new for _, _, new in diff.entries
+        ]
 
 
 def test_random_keys_serialize_cleanly():

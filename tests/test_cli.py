@@ -163,8 +163,8 @@ class TestPipelines:
             "--out", str(pkg_file), "--emit-column-ratio")
         document = json.loads(pkg_file.read_text())
         (package,) = document["packages"]
-        assert package["c"] == ["35", "18", "63", "43"]
-        package["c"] = ["35", "18", "58", "52"]
+        assert package["c"] == ["23", "12", "3f", "2b"]  # 35, 18, 63, 43
+        package["c"] = ["23", "12", "3a", "34"]  # 35, 18, 58, 52
         pkg_file.write_text(json.dumps(document))
         code, out, _ = run(capsys, "correct", "--key", str(key_file), "--in", str(pkg_file),
                            "--out", str(fixed_file))
@@ -257,11 +257,11 @@ class TestPipelines:
         run(capsys, "keygen", "--golden", "--n", "6", "--out", str(key_file))
         pkg_file = tmp_path / "packages.json"
         package = {
-            "c": ["9999", "9999", "263", "162"], "det_p": "-440",
+            "c": ["270f", "270f", "107", "a2"], "det_p": "-1b8",  # 9999, 9999, 263, 162; -440
             "column_ratio": {"orientation": "bottom-over-top", "value": "0.9", "digits": 1},
             "block_index": 0, "pad_len": 0,
         }
-        document = {"version": 1, "packages": [package]}
+        document = {"version": 2, "packages": [package]}
         pkg_file.write_text(json.dumps(document))
         code, out, _ = run(capsys, "correct", "--key", str(key_file), "--in", str(pkg_file))
         assert code == 0
@@ -457,7 +457,7 @@ class TestPipelines:
         assert "error[CipherError]" in err and repr(bad_path) in err
 
     def test_ciphertext_past_the_digit_limit_is_a_format_error(self, tmp_path, capsys):
-        # det U = 1, but M(512)'s entries have about 15,300 bits: over 4,300 digits
+        # det U = 1, but M(512)'s entries have about 15,300 bits: about 3,800 hex digits
         key_file = tmp_path / "key.json"
         code, _, _ = run(capsys, "keygen", "--alpha", "1000000000", "--beta", "1",
                          "--gamma", "999999999", "--delta", "1", "--n", "512",
@@ -465,7 +465,7 @@ class TestPipelines:
         assert code == 0
         code, out, err = run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH")
         assert code == 1 and out == ""
-        assert "error[FormatError]: block 0: " in err and "4300 digits" in err
+        assert "error[FormatError]: block 0: " in err and "3571-character limit" in err
 
     def test_integer_past_the_digit_limit_names_the_limit(self, tmp_path, capsys):
         key_file = self.make_key(tmp_path, capsys)
@@ -476,8 +476,8 @@ class TestPipelines:
         pkg_file.write_text(json.dumps(document))
         code, out, err = run(capsys, "verify", "--key", str(key_file), "--in", str(pkg_file))
         assert code == 1 and out == ""
-        assert "error[FormatError]" in err and "4300-digit limit" in err
-        assert "not a decimal integer" not in err and "7" * 100 not in err
+        assert "error[FormatError]" in err and "3571-character limit" in err
+        assert "7" * 100 not in err
 
     def test_unknown_symbol_error_category(self, tmp_path, capsys):
         key_file = self.make_key(tmp_path, capsys)

@@ -1,5 +1,6 @@
 """Hypothesis fuzzing of the file loaders and the command line.
 
+Any packages the writer accepts write back byte-identical after a load.
 Mutated key and package documents may make loads_key and loads_packages
 raise only CipherError, and the same holds for verify_package, correct and
 decrypt_message on whatever loads.  cli.main over a small argv grammar may
@@ -18,20 +19,67 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from unicipher.channel import CORRUPTION_MODES, dumps_key, dumps_packages, loads_key
-from unicipher.channel import loads_packages
-from unicipher.cipher import Alphabet, CipherKey, decrypt_message, encrypt_message, verify_package
+from unicipher.channel import CORRUPTION_MODES, MAX_HEX_CHARS, dumps_key, dumps_packages
+from unicipher.channel import loads_key, loads_packages
+from unicipher.cipher import MAX_RATIO_DIGITS, Alphabet, CipherKey, CipherPackage
+from unicipher.cipher import ColumnRatioCheck, decrypt_message, encrypt_message, verify_package
 from unicipher.cli import MAX_ORBIT_STEPS, main
 from unicipher.correction import correct
 from unicipher.errors import CipherError
 from unicipher.matrix import KeyMatrix, Mat2, SeedPair
+from unicipher.ratios import BOTTOM_OVER_TOP
+
+# --- serialize -> parse -> serialize -----------------------------------------
+
+# the integers whose hex strings, "-" included, are at most MAX_HEX_CHARS long
+LOWEST, HIGHEST = -(16 ** (MAX_HEX_CHARS - 1)) + 1, 16**MAX_HEX_CHARS - 1
+HEX_INTEGERS = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.integers(LOWEST, HIGHEST),
+    st.sampled_from((0, LOWEST, HIGHEST)),
+)
+
+
+@st.composite
+def ratio_checks(draw):
+    digits = draw(st.integers(0, MAX_RATIO_DIGITS))
+    units = str(draw(st.integers(0, 10**120))).rjust(digits + 1, "0")
+    value = f"{units[:-digits]}.{units[-digits:]}" if digits else units
+    return ColumnRatioCheck(BOTTOM_OVER_TOP, value, digits)
+
+
+@st.composite
+def package_lists(draw):
+    """Packages with unique block indices, padding only on the highest."""
+    indices = draw(st.lists(st.integers(0, 2**64), max_size=4, unique=True))
+    last = max(indices, default=None)
+    return [
+        CipherPackage(
+            Mat2(*(draw(HEX_INTEGERS) for _ in range(4))),
+            draw(HEX_INTEGERS),
+            draw(st.none() | ratio_checks()),
+            index,
+            draw(st.integers(0, 3)) if index == last else 0,
+        )
+        for index in indices
+    ]
+
+
+@given(package_lists())
+@settings(max_examples=100, deadline=None)
+def test_serialize_parse_serialize_is_byte_identical(packages):
+    text = dumps_packages(packages)
+    parsed = loads_packages(text)
+    assert parsed == tuple(packages)
+    assert dumps_packages(parsed) == text
+
 
 # --- mutated documents -------------------------------------------------------
 
 DELETE = object()
 REPLACEMENTS = (
     None, True, False, 0, -1, 2**70, 1.5, 1e308, float("nan"), [], [1], {}, {"kind": 1},
-    "", "abc", "-1", "9" * 5000, "x" * 5000, DELETE,
+    "", "abc", "-1", "9" * 5000, "x" * 5000, "f" * MAX_HEX_CHARS, DELETE,
 )
 
 
@@ -111,8 +159,9 @@ def test_mutated_documents_raise_only_cipher_errors(data):
 # "@name" is a file in the work directory; gen_* files are what the CLI writes.
 KEYS = ("@key.json", "@key_bytes.json", "@key_true_n.json", "@key_bad_alphabet.json",
         "@gen_key.json", "@missing.json", "@binary.bin")
-PACKAGES = ("@pkgs.json", "@pkgs_long_ratio.json", "@pkgs_long_entry.json", "@gen_pkgs.json",
-            "@missing.json", "@binary.bin", "@key.json")
+PACKAGES = ("@pkgs.json", "@pkgs_long_ratio.json", "@pkgs_long_entry.json",
+            "@pkgs_widest_entry.json", "@gen_pkgs.json", "@missing.json", "@binary.bin",
+            "@key.json")
 PACKAGE_OUTS = ("@gen_pkgs.json", "-", "@no-such-dir/out.json")
 SMALL = ("0", "1", "2", "-3", "abc")
 
@@ -192,6 +241,8 @@ def workdir(tmp_path_factory):
     document = json.loads(text)
     document["packages"][0]["c"][0] = "7" * 5000
     (path / "pkgs_long_entry.json").write_text(json.dumps(document))
+    document["packages"][0]["c"][0] = "f" * MAX_HEX_CHARS
+    (path / "pkgs_widest_entry.json").write_text(json.dumps(document))
     (path / "binary.bin").write_bytes(b"\xff\xfe")
     return path
 

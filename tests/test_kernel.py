@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unicipher.channel import PACKAGE_FORMAT_VERSION, dumps_packages
+from unicipher.channel import MAX_HEX_CHARS, PACKAGE_FORMAT_VERSION, dumps_packages
 from unicipher.cipher import (
     Alphabet,
     CipherKey,
@@ -324,6 +324,10 @@ def test_round_half_even_ratio_exact_ties(k, digits):
 # --- the direct package writer ----------------------------------------------
 
 
+def ref_hex(value: int) -> str:
+    return hex(value).replace("0x", "", 1)  # "-0xff" -> "-ff"
+
+
 def package_to_dict(pkg: CipherPackage) -> dict:
     ratio = None
     if pkg.column_ratio is not None:
@@ -333,8 +337,8 @@ def package_to_dict(pkg: CipherPackage) -> dict:
             "digits": pkg.column_ratio.digits,
         }
     return {
-        "c": [str(e) for e in pkg.c.entries()],
-        "det_p": str(pkg.det_p),
+        "c": [ref_hex(e) for e in pkg.c.entries()],
+        "det_p": ref_hex(pkg.det_p),
         "column_ratio": ratio,
         "block_index": pkg.block_index,
         "pad_len": pkg.pad_len,
@@ -357,7 +361,9 @@ def ref_dumps(packages) -> str:
         [CipherPackage(Mat2(0, 0, 0, 0), 0, None, 7, 3)],
         [
             CipherPackage(
-                Mat2(10**400, -(10**300), 3, 10**401 + 7), -(10**500),
+                # hex strings of exactly MAX_HEX_CHARS characters, "-" included
+                Mat2(16**MAX_HEX_CHARS - 1, -(16 ** (MAX_HEX_CHARS - 1)) + 1, 3, 10**401 + 7),
+                -(10**500),
                 ColumnRatioCheck(BOTTOM_OVER_TOP, "0.51", 2), 2**70, 1,
             )
         ],
