@@ -2,8 +2,14 @@
 """Measure repair rates per error class over seeded random trials.
 
 The interesting contrasts: every class except row errors is repaired from
-the determinant check alone, and row errors flip from hopeless to routine
+the determinant check alone, and row errors go from mostly ties to routine
 once the rounded column ratio is transmitted.
+
+Two columns split out the wrong repairs, by Hamming distance alone:
+`undetected` counts received blocks that are intact yet differ from the
+sent block, and `beyond-radius` the other wrong repairs that are closer to
+the received block than the sent block is, so no minimum-weight decoder
+could return the sent one.
 
 Exits 1 when any class repaired with the transmitted ratio shows a wrong
 repair: a tie must be reported as ambiguity, never guessed.
@@ -26,23 +32,30 @@ from unicipher.sampling import random_cipher_key, random_plaintext
 CLASSES = CORRUPTION_MODES[:-1]  # every mode but "random"
 
 
+def distance(a, b):
+    return sum(x != y for x, y in zip(a.entries(), b.entries()))
+
+
 def run_trials(mode, trials, seed, with_ratio, digits, n_lo, n_hi, bound):
+    """Counts of exact, wrong, undetected, beyond-radius and reported blocks."""
     rng = random.Random(seed)
-    exact = wrong = reported = 0
+    exact = wrong = undetected = beyond = reported = 0
     for _ in range(trials):
         key = random_cipher_key(rng, n_lo=n_lo, n_hi=n_hi)
         p = random_plaintext(rng)
         pkg = encrypt(p, key, emit_column_ratio=with_ratio, ratio_digits=digits)
         bad, _ = corrupt_package(pkg, CorruptionSpec(mode, seed=rng.randrange(2**30)))
         report = correct(bad, key, plaintext_bound=bound)
-        if report.success:
-            if report.repaired == pkg.c:
-                exact += 1
-            else:
-                wrong += 1
-        else:
+        if not report.success:
             reported += 1
-    return exact, wrong, reported
+        elif report.repaired == pkg.c:
+            exact += 1
+        else:
+            wrong += 1
+            moved = distance(report.repaired, bad.c)
+            undetected += moved == 0
+            beyond += 0 < moved < distance(pkg.c, bad.c)
+    return exact, wrong, undetected, beyond, reported
 
 
 def main() -> int:
@@ -62,14 +75,16 @@ def main() -> int:
     for with_ratio in (True, False):
         label = "with transmitted ratio" if with_ratio else "determinant check only"
         print(f"\n--- {label} ---")
-        print(f"{'class':14s} {'exact':>7s} {'wrong':>7s} {'reported':>9s} {'rate':>8s}")
+        print(f"{'class':14s} {'exact':>7s} {'wrong':>7s} {'undetected':>11s} "
+              f"{'beyond-radius':>14s} {'reported':>9s} {'rate':>8s}")
         for mode in CLASSES:
-            exact, wrong, reported = run_trials(
+            exact, wrong, undetected, beyond, reported = run_trials(
                 mode, args.trials, args.seed, with_ratio,
                 args.ratio_digits, args.n_lo, args.n_hi, args.bound,
             )
             rate = exact / args.trials
-            print(f"{mode:14s} {exact:>7d} {wrong:>7d} {reported:>9d} {rate:>8.1%}")
+            print(f"{mode:14s} {exact:>7d} {wrong:>7d} {undetected:>11d} "
+                  f"{beyond:>14d} {reported:>9d} {rate:>8.1%}")
             if with_ratio and wrong:
                 wrong_with_ratio.append(mode)
     if wrong_with_ratio:

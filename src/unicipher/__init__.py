@@ -31,8 +31,6 @@ from .correction import (
     DiophantineFamily,
     ErrorClass,
     correct,
-    correct_pair,
-    correct_single,
     plaintext_bounds,
     solve_linear_diophantine,
 )

@@ -81,7 +81,7 @@ def _parse_json(text: str):
 
 def _check_version(document: dict, expected: int) -> None:
     version = _need(document, "version")
-    if version != expected:
+    if type(version) is not int or version != expected:
         raise FormatError(f"unsupported format version {version!r}; this reader reads {expected}")
 
 

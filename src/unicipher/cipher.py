@@ -7,10 +7,11 @@ a check number; optionally a rounded column ratio does too.  Decryption,
 _intact, and decryption raises the error naming the block and the first
 check it fails.  verify_package is the paper's diagnostic: det C and the
 row-ratio intervals, with the rows it flags.  For keys with big entries
-(CodingMatrix.adj_mod_q is set) both first find P modulo the prime
-2^61 - 1 and prove P @ M(n) = C over the integers (_forward), so only
-small-by-big products touch the big entries; exact division, det C and the
-intervals remain for the blocks that proof cannot settle.
+(CodingMatrix.adj_mod_q is set) both first find each row of P modulo the
+prime 2^61 - 1 and prove it times M(n) equals the row of C over the
+integers (_row_plaintext), so only small-by-big products touch the big
+entries; exact division, det C and the intervals remain for the blocks
+that proof cannot settle.
 """
 
 from __future__ import annotations
@@ -265,7 +266,7 @@ def _encode(message, alphabet: Alphabet, perm) -> tuple[list[tuple[int, int, int
     """Row-major plaintext entries of each block, and the pad length; perm is already checked."""
     idx = alphabet.indices(message)
     pad = (-len(idx)) % 4
-    idx.extend([0] * pad)
+    idx.extend([1] * pad)  # nonzero, so padding never leaves an all-zero row
     # perm maps block position -> matrix slot; slot s reads position perm.index(s)
     return list(zip(*(idx[perm.index(slot)::4] for slot in range(4)))), pad
 
@@ -309,69 +310,53 @@ def _encrypt_blocks(
     return tuple(packages)
 
 
-def _forward(c: Mat2, cm: CodingMatrix) -> tuple[int, int, int, int] | None:
-    """Row-major entries of the P with entries in [0, q) and P @ M(n) == C exactly, else None.
+def _row_plaintext(c1: int, c2: int, cm: CodingMatrix, bound) -> tuple[int, int] | None:
+    """(x, y) with (x, y) @ M(n) == (c1, c2) if both are integers in [0, bound), else None.
 
-    q = FORWARD_PRIME and cm.adj_mod_q must be set.  P mod q is
-    (C mod q) @ adj_mod_q, and the exact forward product proves it: M(n) is
-    invertible, so P @ M(n) = C has one solution, and a P that passes is it.
-    A P with entries in [0, q) is always found.  Only small-by-big products
-    touch the big entries of C and M(n).
+    bound None means no upper end.  A key with adj_mod_q first finds the row
+    mod q = FORWARD_PRIME, as (c1, c2) mod q @ adj_mod_q, and proves it by
+    the exact forward product: M(n) is invertible, so a row that passes is
+    the one solution, and a row with entries in [0, q) always passes.  Only
+    small-by-big products touch the big entries.  When the proof fails and
+    bound <= q, no row qualifies; otherwise exact division decides, so raw
+    entries of q or more still decrypt.
     """
-    q = FORWARD_PRIME
-    k11, k12, k21, k22 = cm.adj_mod_q
-    m11, m12, m21, m22 = cm.matrix.entries()
-    c11, c12 = c.a11, c.a12
-    x1, x2 = c11 % q, c12 % q
-    p11, p12 = (x1 * k11 + x2 * k21) % q, (x1 * k12 + x2 * k22) % q
-    if p11 * m11 + p12 * m21 != c11 or p11 * m12 + p12 * m22 != c12:
-        return None
-    c21, c22 = c.a21, c.a22
-    x1, x2 = c21 % q, c22 % q
-    p21, p22 = (x1 * k11 + x2 * k21) % q, (x1 * k12 + x2 * k22) % q
-    if p21 * m11 + p22 * m21 != c21 or p21 * m12 + p22 * m22 != c22:
-        return None
-    return p11, p12, p21, p22
-
-
-def _divide(c: Mat2, cm: CodingMatrix) -> tuple[int, int, int, int] | None:
-    """Row-major entries of P = C @ adj(M(n)) / det M(n) if integral and non-negative, else None."""
+    if cm.adj_mod_q is not None:
+        q = FORWARD_PRIME
+        k11, k12, k21, k22 = cm.adj_mod_q
+        m11, m12, m21, m22 = cm.matrix.entries()
+        x1, x2 = c1 % q, c2 % q
+        x, y = (x1 * k11 + x2 * k21) % q, (x1 * k12 + x2 * k22) % q
+        if x * m11 + y * m21 == c1 and x * m12 + y * m22 == c2:
+            return (x, y) if bound is None or (x < bound and y < bound) else None
+        if bound is not None and bound <= q:
+            return None
     j11, j12, j21, j22 = cm.adj
-    det = cm.det
-    c11, c12, c21, c22 = c.a11, c.a12, c.a21, c.a22
-    p11, r11 = divmod(c11 * j11 + c12 * j21, det)
-    p12, r12 = divmod(c11 * j12 + c12 * j22, det)
-    p21, r21 = divmod(c21 * j11 + c22 * j21, det)
-    p22, r22 = divmod(c21 * j12 + c22 * j22, det)
-    if r11 or r12 or r21 or r22 or p11 < 0 or p12 < 0 or p21 < 0 or p22 < 0:
+    x, rx = divmod(c1 * j11 + c2 * j21, cm.det)
+    y, ry = divmod(c1 * j12 + c2 * j22, cm.det)
+    if rx or ry or x < 0 or y < 0 or (bound is not None and (x >= bound or y >= bound)):
         return None
-    return p11, p12, p21, p22
+    return x, y
 
 
 def _intact(c: Mat2, det_p: int, cm: CodingMatrix, grid, bound) -> tuple[int, int, int, int] | None:
     """Row-major entries of P = C @ adj(M(n)) / det M(n) if the block is intact, else None.
 
-    Intact: P is integral and non-negative, det P = det_p, every entry is
-    below bound (None skips it), and with grid = (R, D) c11 > 0 and
-    (2R - 1) * c11 <= 2D * c21 <= (2R + 1) * c11.  That implies C >= 0, both
-    row ratios inside the row interval (each is a non-negatively weighted
-    mediant of M(n)'s column ratios) and det C = det M(n) * det P.
-
-    A key with adj_mod_q finds P by the forward product (_forward).  When
-    that fails and bound <= q, the block is not intact, since an intact P
-    has entries below q; otherwise exact division decides, so raw entries
-    of q or more still decrypt.
+    Intact: each row of P is integral, non-negative and below bound
+    (_row_plaintext; None skips the bound), det P = det_p, and with
+    grid = (R, D) c11 > 0 and (2R - 1) * c11 <= 2D * c21 <= (2R + 1) * c11.
+    That implies C >= 0, both row ratios inside the row interval (each is a
+    non-negatively weighted mediant of M(n)'s column ratios) and
+    det C = det M(n) * det P.
     """
-    p = None
-    if cm.adj_mod_q is not None:
-        p = _forward(c, cm)
-        if p is None and bound is not None and bound <= FORWARD_PRIME:
-            return None
-    if p is None:
-        p = _divide(c, cm)
-        if p is None:
-            return None
-    p11, p12, p21, p22 = p
+    top = _row_plaintext(c.a11, c.a12, cm, bound)
+    if top is None:
+        return None
+    bottom = _row_plaintext(c.a21, c.a22, cm, bound)
+    if bottom is None:
+        return None
+    p11, p12 = top
+    p21, p22 = bottom
     if p11 * p22 - p12 * p21 != det_p:
         return None
     if grid is not None:
@@ -379,9 +364,7 @@ def _intact(c: Mat2, det_p: int, cm: CodingMatrix, grid, bound) -> tuple[int, in
         c11 = c.a11
         if c11 <= 0 or not (2 * r - 1) * c11 <= 2 * d * c.a21 <= (2 * r + 1) * c11:
             return None
-    if bound is not None and max(p) >= bound:
-        return None
-    return p
+    return p11, p12, p21, p22
 
 
 def _rejection(pkg: CipherPackage, cm: CodingMatrix, bound) -> CipherError:
@@ -435,8 +418,9 @@ def encode_text(
 ) -> tuple[tuple[PlaintextMatrix, ...], int]:
     """Split a message into permuted 4-symbol blocks.
 
-    The final short block is padded with symbol index 0; the pad length is
-    returned so decryption can strip it.
+    The final short block is padded with symbol index 1 (every alphabet has
+    at least two symbols), so padding never leaves an all-zero row; the pad
+    length is returned so decryption can strip it.
     """
     alphabet = alphabet if alphabet is not None else Alphabet.latin()
     blocks, pad = _encode(message, alphabet, _check_perm(perm))
@@ -510,19 +494,20 @@ def verify_package(pkg: CipherPackage, key: CipherKey) -> VerifyResult:
     encrypts to a zero row).  The interval check is skipped when the coding
     sequences are not yet positive (tiny n with a zero-component seed).
 
-    A key with adj_mod_q first tries the forward product (_forward).  When
-    it proves C = P @ M(n) with P >= 0, det C = det M(n) * det P, and each
-    row of C is zero or a mediant of M(n)'s row ratios, so no row is
-    flagged and det P is compared with det_p directly.  Otherwise det C and
-    the intervals are computed from C.
+    A key with adj_mod_q first tries the forward product on both rows
+    (_row_plaintext with bound q, so it never divides).  When it proves
+    C = P @ M(n) with P >= 0, det C = det M(n) * det P, and each row of C is
+    zero or a mediant of M(n)'s row ratios, so no row is flagged and det P
+    is compared with det_p directly.  Otherwise det C and the intervals are
+    computed from C.
     """
     cm = key.coding_matrix
     c = pkg.c
     if cm.adj_mod_q is not None:
-        p = _forward(c, cm)
-        if p is not None:
-            p11, p12, p21, p22 = p
-            ok = p11 * p22 - p12 * p21 == pkg.det_p
+        top = _row_plaintext(c.a11, c.a12, cm, FORWARD_PRIME)
+        bottom = None if top is None else _row_plaintext(c.a21, c.a22, cm, FORWARD_PRIME)
+        if bottom is not None:
+            ok = top[0] * bottom[1] - top[1] * bottom[0] == pkg.det_p
             status = VerifyStatus.CLEAN if ok else VerifyStatus.DETERMINANT_MISMATCH
             return VerifyResult(status, _BAD_ROWS[0])
     bounds = cm.bounds

@@ -170,7 +170,7 @@ def _cmd_correct(args) -> int:
                 "assumed_class": report.assumed_class.value,
                 "position": list(report.position) if report.position else None,
                 "candidates_examined": report.candidates_examined,
-                "repaired": [str(e) for e in report.repaired.entries()]
+                "repaired": ["%x" % e for e in report.repaired.entries()]
                 if report.repaired
                 else None,
                 "residual_failure": report.residual_failure,

@@ -1,38 +1,44 @@
-"""Single- and double-error repair for received ciphertext matrices.
+"""Minimum-weight repair of received ciphertext matrices, decoded in plaintext space.
 
-The receiver holds det P (transmitted in clear), the coding matrix, and
-optionally a rounded column ratio.  With the wrong entries as unknowns, the
-determinant equation a11*a22 - a12*a21 = det M * det P is an exact integer
-problem:
+Row i of C is row i of P times M(n).  The receiver holds M(n), det P
+(transmitted in clear) and optionally a rounded column ratio, so a received
+row has three kinds of candidate P-row, all inside the box [0, bound)^2, or
+the non-negative quadrant without an alphabet bound:
 
-  * one wrong entry            -> a linear solve,
-  * two in one product term    -> a factor scan of the known product
-    (diagonal, anti-diagonal),
-  * two in different terms     -> a linear Diophantine family, scanned over
-    (a column, a row)             its parameter k.
+  * intact: the row times adj M / det M, if integral and in the box; at most one;
+  * entry j kept: a point of the line x*M[0][j] + y*M[1][j] = c_ij;
+  * both entries wrong: a point of the det-P line through the other row.
 
-Each unknown's integer range is the intersection of every exact check whose
-other entry is known: non-negativity, the alphabet bound of its column, the
-row-ratio interval and the column-ratio grid.  A range wider than
-MAX_CANDIDATES is reported, never clipped.  A repair is accepted only if the
-whole matrix is intact by cipher._intact, the question decryption asks, and
-only if it is the one candidate that is: several are reported as ambiguity.
-A row pair needs the transmitted column ratio; without it every family
-member has a row ratio near the fixed point, so the determinant alone
-cannot decide.
+A candidate block sits at the Hamming weight of its change to C:
+
+  * weight 1 (single): an intact row and a one-entry line of the other row,
+    meeting the det-P line in one solve;
+  * weight 2 across rows (diagonal, anti-diagonal, columns): a line point of
+    the top row, with the bottom row solved against its own line and det P;
+  * weight 2 within a row (rows): an intact row and the det-P line of the
+    other, cut to a k-interval by the box and the column-ratio grid.
+
+Every candidate must be intact by cipher._intact, the question decryption
+asks, and sit at exactly its weight.  The decoder decides at the lowest
+weight with a passing candidate: one is the repair, several are ambiguity,
+whatever their classes, so a weight stops at its second passing
+candidate.  A line that nothing bounds, or that holds more than
+MAX_CANDIDATES points, is never scanned: its class is reported
+(column-ratio-missing for a row with neither a grid nor a bound), and the
+weight that holds it is ambiguous, since that class cannot be ruled out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from math import gcd, inf
+from math import gcd
 
-from .cipher import CipherKey, CipherPackage, _intact, _rejection, verify_package
+from .cipher import CipherKey, CipherPackage, _intact, _rejection, _row_plaintext
 from .errors import NoDiophantineSolution
 from .matrix import Mat2
 
-# The widest range of candidates one repair stage scans.
+# The most points one line scan lists.
 MAX_CANDIDATES = 100_000
 
 
@@ -47,25 +53,15 @@ class ErrorClass(Enum):
     ROW_BOTTOM = "row-bottom"
 
 
-_ALL_POSITIONS = ((0, 0), (0, 1), (1, 0), (1, 1))
-_ROW_POSITIONS = {0: _ALL_POSITIONS[:2], 1: _ALL_POSITIONS[2:]}
-# Each pair names its unknown in the a11*a22 term first, where it has one.
-_PAIRS = {
-    ErrorClass.DIAGONAL: ((0, 0), (1, 1)),
-    ErrorClass.ANTI_DIAGONAL: ((0, 1), (1, 0)),
-    ErrorClass.COLUMN_LEFT: ((0, 0), (1, 0)),
-    ErrorClass.COLUMN_RIGHT: ((1, 1), (0, 1)),
-    ErrorClass.ROW_TOP: ((0, 0), (0, 1)),
-    ErrorClass.ROW_BOTTOM: ((1, 1), (1, 0)),
-}
-_PAIR_CLASS = {frozenset(pair): cls for cls, pair in _PAIRS.items()}
-
-
-def _with_entries(c: Mat2, updates: dict[tuple[int, int], int]) -> Mat2:
-    e = list(c.entries())
-    for (i, j), v in updates.items():
-        e[2 * i + j] = v
-    return Mat2(*e)
+# The decoder names classes by their ErrorClass values, since an Enum member
+# hashes in Python code and a str in C.  _KEPT gives the entries (j0, j1) of
+# the top and bottom row that a weight-2 change across rows keeps.
+_KEPT = {"diagonal": (1, 0), "anti-diagonal": (0, 1), "column-left": (1, 1), "column-right": (0, 0)}
+# Per weight, its classes in log order and the log entry of a class without a candidate.
+_WEIGHTS = (
+    (("single",), "no-single-candidate"),
+    ((*_KEPT, "row-top", "row-bottom"), "no-pair-candidate"),
+)
 
 
 @dataclass(frozen=True)
@@ -93,12 +89,15 @@ def _diophantine_gcd(a: int, b: int, c: int) -> int:
     return g
 
 
-def _family(a: int, b: int, c: int, g: int) -> DiophantineFamily:
-    """The normalized family of a*x - b*y = c, with g = _diophantine_gcd(a, b, c)."""
+def _family(a: int, b: int, c: int, g: int, inv: int | None = None) -> DiophantineFamily:
+    """The normalized family of a*x - b*y = c, with g = _diophantine_gcd(a, b, c)
+    and inv, when given, the inverse of a/g modulo |b|/g."""
     if b == 0:
         return DiophantineFamily((c // a, 0), (0, 1))
     m = abs(b) // g
-    x = c // g * pow(a // g, -1, m) % m  # pow(., -1, 1) is 0
+    if inv is None:
+        inv = pow(a // g, -1, m)  # pow(., -1, 1) is 0
+    x = c // g * inv % m
     return DiophantineFamily((x, (a * x - c) // b), (m, a // g if b > 0 else -a // g))
 
 
@@ -145,7 +144,7 @@ def plaintext_bounds(ctx: CorrectionContext) -> tuple[tuple[int, int], tuple[int
 
 @dataclass(frozen=True)
 class CorrectionReport:
-    """Outcome of one repair attempt (or of the whole pipeline)."""
+    """Outcome of one repair: the class and change of the repair, or why there is none."""
 
     assumed_class: ErrorClass
     candidates_examined: int
@@ -160,231 +159,205 @@ class CorrectionReport:
         return self.repaired is not None
 
 
-def _failure(cls: ErrorClass, examined: int, reason: str, ambiguous: bool = False) -> CorrectionReport:
-    return CorrectionReport(cls, examined, None, residual_failure=reason, ambiguous=ambiguous)
+def _points(u: int, v: int, w: int, bound, limit=None, inv=None):
+    """The points (x, y) of the line u*x + v*y = w in the box, and with
+    lo <= s*x + t*y <= hi when limit = (s, t, lo, hi) is given (hi None: no end).
 
-
-def _decide(cls: ErrorClass, examined: int, passing, fail: str, tie: str) -> CorrectionReport:
-    """The one tie rule over (position, candidate) pairs: none fails, several
-    distinct ones are ambiguous (tie names what they count), one is the repair."""
-    distinct = {cand.entries() for _, cand in passing}
-    if not distinct:
-        return _failure(cls, examined, fail)
-    if len(distinct) > 1:
-        return _failure(cls, examined, f"ambiguous: {len(distinct)} {tie}", ambiguous=True)
-    pos, cand = passing[0]
-    return CorrectionReport(cls, examined, cand, position=pos)
-
-
-# ---------------------------------------------------------------------------
-# single error: four linear determinant equations
-
-_SINGLE_NUM_DEN = {
-    (0, 0): lambda c, E: (E + c.a12 * c.a21, c.a22),
-    (0, 1): lambda c, E: (c.a11 * c.a22 - E, c.a21),
-    (1, 0): lambda c, E: (c.a11 * c.a22 - E, c.a12),
-    (1, 1): lambda c, E: (E + c.a12 * c.a21, c.a11),
-}
-
-
-def correct_single(c: Mat2, ctx: CorrectionContext, positions=None) -> CorrectionReport:
-    """Try each candidate position: the determinant equation is linear in it.
-
-    A candidate is kept only if the solution is a non-negative integer and
-    the repaired matrix is intact.  Two distinct surviving repairs are
-    reported as ambiguity, never guessed between.
+    u = v = 0 with w = 0 is the whole box, listed lazily.  None when nothing
+    ends the range or it holds more than MAX_CANDIDATES points.  inv is the
+    inverse _family takes, when the caller has it.
     """
-    positions = tuple(positions) if positions else _ALL_POSITIONS
-    det_p, cm, rho, bound = ctx.det_p, ctx.key.coding_matrix, ctx.rho, ctx.plaintext_bound
-    examined = 0
-    passing: list[tuple[tuple[int, int], Mat2]] = []
-    for pos in positions:
-        num, den = _SINGLE_NUM_DEN[pos](c, ctx.expected_det)
-        examined += 1
-        if den == 0:
+    if u == 0 and v == 0:
+        if w:
+            return []
+        if bound is None or bound * bound > MAX_CANDIDATES:
+            return None
+        s, t, lo, hi = limit or (0, 0, 0, None)
+        if hi is not None and lo > hi:
+            return []
+        return (
+            (x, y) for x in range(bound) for y in range(bound)
+            if lo <= s * x + t * y and (hi is None or s * x + t * y <= hi)
+        )
+    try:
+        family = _family(u, -v, w, _diophantine_gcd(u, -v, w), inv)
+    except NoDiophantineSolution:
+        return []
+    (bx, by), (dx, dy) = family.base, family.step
+    top = None if bound is None else bound - 1
+    klo = khi = None
+    for s, t, lo, hi in ((1, 0, 0, top), (0, 1, 0, top), *([limit] if limit else ())):
+        f, df = s * bx + t * by, s * dx + t * dy
+        if df < 0:
+            f, df, lo, hi = -f, -df, None if hi is None else -hi, -lo
+        if df == 0:
+            if (lo is not None and f < lo) or (hi is not None and f > hi):
+                return []
             continue
-        q, r = divmod(num, den)
-        if r or q < 0:
-            continue
-        cand = _with_entries(c, {pos: q})
-        if _intact(cand, det_p, cm, rho, bound) is not None:
-            passing.append((pos, cand))
-    return _decide(
-        ErrorClass.SINGLE, examined, passing, "no-single-candidate", "positions admit a repair"
-    )
+        if lo is not None:
+            k = -((f - lo) // df)
+            klo = k if klo is None else max(klo, k)
+        if hi is not None:
+            k = (hi - f) // df
+            khi = k if khi is None else min(khi, k)
+    if klo is None or khi is None or khi - klo >= MAX_CANDIDATES:
+        return None
+    return [(bx + k * dx, by + k * dy) for k in range(klo, khi + 1)]
 
 
-# ---------------------------------------------------------------------------
-# two errors: one pin table, then a factor scan or a Diophantine family
+def _det_line(i: int, known: tuple[int, int]) -> tuple[int, int]:
+    """(u, v) with det P = u*x + v*y for row i = (x, y) of P beside the known other row."""
+    kx, ky = known
+    return (ky, -kx) if i == 0 else (-ky, kx)
 
 
-def _pin(e: tuple[int, ...], ctx: CorrectionContext, caps, pos, other) -> tuple[int, int | float]:
-    """Integer range [lo, hi] of the entry at pos, the other unknown at `other`.
-
-    Intersects every exact check whose other entry is known; hi is inf when
-    nothing bounds the entry from above.  Known entries are non-negative.
-    caps is plaintext_bounds(ctx), or None without an alphabet bound.
-    """
-    i, j = pos
-    lo, hi = 0, inf if caps is None else caps[j][1]
-    bounds = ctx.key.coding_matrix.bounds
-    if bounds is not None and (i, 1 - j) != other:
-        # row-ratio interval; its four bound terms are positive for every admissible key
-        (lo_num, lo_den), (hi_num, hi_den) = bounds
-        v = e[2 * i + 1 - j]
-        if v == 0:  # only the all-zero row passes
-            hi = 0
-        elif j == 0:  # lo <= pos / v <= hi
-            lo = max(lo, -(-lo_num * v // lo_den))
-            hi = min(hi, hi_num * v // hi_den)
-        else:  # lo <= v / pos <= hi
-            lo = max(lo, -(-v * hi_den // hi_num))
-            hi = min(hi, v * lo_den // lo_num)
-    if j == 0 and ctx.rho is not None and (1 - i, 0) != other:
-        # column-ratio grid: (2R - 1) * c11 <= 2D * c21 <= (2R + 1) * c11, c11 > 0
-        r, d = ctx.rho
-        v = e[2 * (1 - i)]
-        if i == 0:
-            lo = max(lo, 1, -(-2 * d * v // (2 * r + 1)))
-            if r > 0:
-                hi = min(hi, 2 * d * v // (2 * r - 1))
-        elif v == 0:
-            hi = -1
-        else:
-            lo = max(lo, -(-(2 * r - 1) * v // (2 * d)))
-            hi = min(hi, (2 * r + 1) * v // (2 * d))
-    return lo, hi
-
-
-def _k_range(base: int, step: int, lo: int, hi) -> tuple:
-    """The k with lo <= base + k*step <= hi, for step >= 0."""
-    if step == 0:
-        return (-inf, inf) if lo <= base <= hi else (1, 0)
-    return -((base - lo) // step), inf if hi == inf else (hi - base) // step
-
-
-def correct_pair(c: Mat2, ctx: CorrectionContext, positions) -> CorrectionReport:
-    """Repair two wrong entries at `positions` (a diagonal, a column or a row).
-
-    Scans every value of the unknowns inside their pinned ranges and accepts
-    the single candidate that is intact.  A row pair needs the
-    transmitted column ratio (column-ratio-missing without a positive one).
-    """
-    cls = _PAIR_CLASS.get(frozenset(positions))
-    if cls is None:
-        raise ValueError(f"not a pair of distinct entries: {positions!r}")
-    first, second = _PAIRS[cls]
-    if cls in (ErrorClass.ROW_TOP, ErrorClass.ROW_BOTTOM) and (ctx.rho is None or ctx.rho[0] <= 0):
-        return _failure(cls, 0, "column-ratio-missing")
-    product = cls in (ErrorClass.DIAGONAL, ErrorClass.ANTI_DIAGONAL)
-    fail = "no-factor-in-range" if product else "no-solution-in-range"
-    e = c.entries()
-    if min(e[2 * i + j] for i, j in _ALL_POSITIONS if (i, j) not in (first, second)) < 0:
-        return _failure(cls, 0, fail)  # every candidate keeps the negative entry
-    E = ctx.expected_det
-    caps = None if ctx.plaintext_bound is None else plaintext_bounds(ctx)
-    (xlo, xhi), (ylo, yhi) = _pin(e, ctx, caps, first, second), _pin(e, ctx, caps, second, first)
-    if product:
-        # x * y = target, the single-error numerator at `first`; y's range bounds x as well
-        target = _SINGLE_NUM_DEN[first](c, E)[0]
-        if target <= 0:
-            return _failure(cls, 0, "non-positive-target")
-        if yhi < 1:
-            return _failure(cls, 0, fail)
-        lo = max(xlo, 1, 0 if yhi == inf else -(-target // yhi))
-        hi = min(xhi, target // max(ylo, 1))
-
-        def member(x: int):
-            y, r = divmod(target, x)
-            return None if r else (x, y)
-
-    else:
-        # x * partner(x) - y * partner(y) = E; partners are known, so both steps are >= 0
-        a, b = e[3 - 2 * first[0] - first[1]], e[3 - 2 * second[0] - second[1]]
-        try:
-            g = _diophantine_gcd(a, b, E)
-        except ValueError:
-            return _failure(cls, 0, "degenerate-equation")
-        except NoDiophantineSolution as exc:
-            return _failure(cls, 0, f"no-diophantine-solution: {exc}")
-        if xlo > xhi or ylo > yhi:  # no k can land in an empty pin
-            return _failure(cls, 0, fail)
-        family = _family(a, b, E, g)
-        (bx, by), (dx, dy) = family.base, family.step
-        (klo_x, khi_x), (klo_y, khi_y) = _k_range(bx, dx, xlo, xhi), _k_range(by, dy, ylo, yhi)
-        lo, hi = max(klo_x, klo_y), min(khi_x, khi_y)
-        member = family.at
-    if lo > hi:
-        return _failure(cls, 0, fail)
-    if hi - lo >= MAX_CANDIDATES:
-        return _failure(cls, 0, "search-range-too-wide")
-    det_p, cm, rho, bound = ctx.det_p, ctx.key.coding_matrix, ctx.rho, ctx.plaintext_bound
-    passing = []
-    for t in range(lo, hi + 1):
-        xy = member(t)
-        if xy is not None:
-            cand = _with_entries(c, {first: xy[0], second: xy[1]})
-            if _intact(cand, det_p, cm, rho, bound) is not None:
-                passing.append((None, cand))
-    return _decide(cls, hi - lo + 1, passing, fail, "candidate repairs tie")
-
-
-# ---------------------------------------------------------------------------
-# the pipeline
+def _grid_limit(i: int, e: tuple[int, ...], grid, m11: int, m21: int):
+    """The column-ratio grid on row i's first entry s*x + t*y, the other row kept:
+    c11 > 0 and (2R - 1) * c11 <= 2D * c21 <= (2R + 1) * c11."""
+    r, d = grid
+    if i == 0:  # c21 is known
+        lo = max(1, -(-2 * d * e[2] // (2 * r + 1)))
+        return m11, m21, lo, 2 * d * e[2] // (2 * r - 1) if r > 0 else None
+    if e[0] <= 0:  # no c21 passes
+        return m11, m21, 1, 0
+    return m11, m21, -(-(2 * r - 1) * e[0] // (2 * d)), (2 * r + 1) * e[0] // (2 * d)
 
 
 def correct(
     pkg: CipherPackage, key: CipherKey, *, plaintext_bound: int | None = None
 ) -> CorrectionReport:
-    """Check, then escalate: single, diagonal, anti-diagonal, columns, rows.
+    """Decode at the lowest weight that has an intact candidate (see the module docstring).
 
-    A block is clean only if it is intact, the question decryption asks.
-    Otherwise the first log entry gives verify_package's status and the rows
-    it flags out of their interval, or, when it flags nothing (a row error
-    can keep det P and both intervals), the first failing check as decrypt
-    names it.  The first stage with exactly one surviving candidate wins;
-    flagged rows go first.  The report carries the full attempt log and the
-    total candidate count.
+    A block is clean only if it is intact.  Otherwise the first log entry
+    names the first check it fails, as decrypt names it, and one entry
+    follows per class examined, in ErrorClass order, weight by weight.  A
+    weight stops at its second passing candidate, since the block is then
+    ambiguous whatever else it holds.  candidates_examined counts the solves
+    and the listed det-line points.
     """
     ctx = CorrectionContext.from_package(pkg, key, plaintext_bound=plaintext_bound)
-    if _intact(pkg.c, pkg.det_p, key.coding_matrix, ctx.rho, plaintext_bound) is not None:
-        return CorrectionReport(ErrorClass.NONE, 0, pkg.c, attempts=(("verify", "clean"),))
-    outcome = verify_package(pkg, key)
-    flagged = sorted(outcome.bad_rows)
-    if outcome.clean:
-        error = _rejection(pkg, key.coding_matrix, plaintext_bound)
-        verdict = f"{type(error).__name__}: {error}"
-    else:
-        verdict = f"{outcome.status.value}, flagged rows {flagged}"
-    attempts: list[tuple[str, str]] = [("verify", verdict)]
-    if len(flagged) > 1:
-        attempts.append(("single", "skipped: both rows flagged"))
-    rows = (ErrorClass.ROW_TOP, ErrorClass.ROW_BOTTOM)
-    pairs = [ErrorClass.DIAGONAL, ErrorClass.ANTI_DIAGONAL, ErrorClass.COLUMN_LEFT,
-             ErrorClass.COLUMN_RIGHT]
-    pairs += [rows[r] for r in flagged] + [rows[r] for r in (0, 1) if r not in flagged]
+    cm, c, det_p, grid, bound = key.coding_matrix, pkg.c, pkg.det_p, ctx.rho, plaintext_bound
+    if _intact(c, det_p, cm, grid, bound) is not None:
+        return CorrectionReport(ErrorClass.NONE, 0, c, attempts=(("verify", "clean"),))
+    error = _rejection(pkg, cm, bound)
+    attempts = [("verify", f"{type(error).__name__}: {error}")]
+    e = c.entries()
+    rows = (e[:2], e[2:])
+    intact = [_row_plaintext(c1, c2, cm, bound) for c1, c2 in rows]
+    m11, m12, m21, m22 = cm.matrix.entries()
+    columns = ((m11, m21), (m12, m22))
+    lines: dict[tuple[int, int], list | None] = {}
+    unscanned: dict[str, str] = {}
+    examined = 0
 
-    def stages():
-        if len(flagged) <= 1:
-            positions = _ROW_POSITIONS[flagged[0]] if flagged else _ALL_POSITIONS
-            yield "single", correct_single(pkg.c, ctx, positions)
-        for cls in pairs:
-            yield cls.value, correct_pair(pkg.c, ctx, _PAIRS[cls])
+    def line(i: int, j: int) -> list | None:
+        """The box points of row i that keep its entry j."""
+        if (i, j) not in lines:
+            lines[i, j] = _points(*columns[j], rows[i][j], bound, inv=cm.column_inverses[j])
+        return lines[i, j]
 
-    total = 0
-    any_ambiguous = False
-    for name, report in stages():
-        total += report.candidates_examined
-        if report.success:
-            attempts.append((name, "repaired"))
-            return replace(report, attempts=tuple(attempts), candidates_examined=total)
-        attempts.append((name, report.residual_failure))
-        any_ambiguous = any_ambiguous or report.ambiguous
-    return CorrectionReport(
-        ErrorClass.NONE,
-        total,
-        None,
-        residual_failure="uncorrectable: all strategies exhausted",
-        ambiguous=any_ambiguous,
-        attempts=tuple(attempts),
-    )
+    def meet(cls: str, i: int, j: int, known: tuple[int, int]) -> list:
+        """Points of line(i, j) on the det-P line beside the known other row: one
+        solve, or the whole line when the two coincide."""
+        nonlocal examined
+        u, v = _det_line(i, known)
+        (a, b), r = columns[j], rows[i][j]
+        den = a * v - b * u
+        if den:
+            examined += 1
+            x, rx = divmod(r * v - b * det_p, den)
+            y, ry = divmod(a * det_p - u * r, den)
+            return [] if rx or ry else [(x, y)]
+        if a * det_p != u * r or b * det_p != v * r:
+            return []
+        points = line(i, j)
+        if points is None:
+            unscanned[cls] = "search-range-too-wide"
+            return []
+        examined += len(points)
+        return points
+
+    def candidates(cls: str):
+        """(i, p, known, changed) per candidate of cls: row i of P is p, the other
+        row known, and changed lists the entries it must change."""
+        nonlocal examined
+        if cls == "single":
+            for i in (0, 1):
+                known = intact[1 - i]
+                if known is not None:
+                    for j in (0, 1):
+                        for p in meet(cls, i, j, known):
+                            yield i, p, known, (2 * i + 1 - j,)
+        elif cls in _KEPT:
+            j0, j1 = _KEPT[cls]
+            tops = line(0, j0)
+            if tops is None:
+                unscanned[cls] = "search-range-too-wide"
+                return
+            for top in tops:
+                for bottom in meet(cls, 1, j1, top):
+                    yield 1, bottom, top, (1 - j0, 3 - j1)
+        else:
+            i = 0 if cls == "row-top" else 1
+            known = intact[1 - i]
+            if known is None:
+                return
+            if grid is None and bound is None:
+                unscanned[cls] = "column-ratio-missing"
+                return
+            limit = None if grid is None else _grid_limit(i, e, grid, m11, m21)
+            points = _points(*_det_line(i, known), det_p, bound, limit)
+            if points is None:
+                unscanned[cls] = "search-range-too-wide"
+                return
+            for p in points:
+                examined += 1
+                yield i, p, known, (2 * i, 2 * i + 1)
+
+    def passes(i: int, p, known, changed: tuple[int, ...]) -> tuple[int, ...] | None:
+        """The entries of C for P with row i = p beside the known other row, if the
+        block is intact and changes exactly the entries at changed."""
+        (x0, y0), (x1, y1) = (p, known) if i == 0 else (known, p)
+        if min(x0, y0, x1, y1) < 0 or (bound is not None and max(x0, y0, x1, y1) >= bound):
+            return None
+        cand = (x0 * m11 + y0 * m21, x0 * m12 + y0 * m22, x1 * m11 + y1 * m21, x1 * m12 + y1 * m22)
+        if any((cand[k] != e[k]) != (k in changed) for k in range(4)):
+            return None
+        return None if _intact(Mat2(*cand), det_p, cm, grid, bound) is None else cand
+
+    for classes, none in _WEIGHTS:
+        found: dict[tuple[int, ...], tuple[str, tuple[int, int] | None]] = {}
+        examined_classes = []
+        for cls in classes:
+            examined_classes.append(cls)
+            for i, p, known, changed in candidates(cls):
+                cand = passes(i, p, known, changed)
+                if cand is not None:
+                    found[cand] = cls, divmod(changed[0], 2) if cls == "single" else None
+                    if len(found) > 1:
+                        break
+            if len(found) > 1:
+                break
+        blocked = [cls for cls in examined_classes if cls in unscanned]
+        if not found and not blocked:
+            attempts += [(cls, none) for cls in classes]
+            continue
+        holding = {cls for cls, _ in found.values()}
+        decided = len(found) == 1 and not blocked
+        outcome = "repaired" if decided else "ambiguous: candidate repairs tie"
+        for cls in examined_classes:
+            attempts.append((cls, unscanned.get(cls) or (outcome if cls in holding else none)))
+        if decided:
+            ((cand, (cls, position)),) = found.items()
+            return CorrectionReport(
+                ErrorClass(cls), examined, Mat2(*cand), position, attempts=tuple(attempts)
+            )
+        if len(found) > 1:
+            tying = ", ".join(cls for cls in classes if cls in holding)
+            reason = f"ambiguous: candidate repairs tie in {tying}"
+        else:
+            reason = f"ambiguous: {', '.join(blocked)} not scanned"
+        return CorrectionReport(ErrorClass.NONE, examined, None, residual_failure=reason,
+                                ambiguous=True, attempts=tuple(attempts))
+    return CorrectionReport(ErrorClass.NONE, examined, None, attempts=tuple(attempts),
+                            residual_failure="uncorrectable: no intact candidate at weight 1 or 2")

@@ -16,13 +16,15 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from math import gcd
 
 from .errors import DegenerateConvergenceWarning, InvalidKey, SingularMatrix
 from .ratios import FixedPoints
 
 DEFAULT_MAX_EXPONENT = 512
-# The prime q of the forward product: cipher._forward finds P mod q, then
-# proves P @ M(n) = C over the integers.
+# The prime q of the forward product: cipher._row_plaintext finds a row of P
+# mod q, then proves it times M(n) equals the row of C over the integers.
 FORWARD_PRIME = (1 << 61) - 1
 # Keys whose largest M(n) entry has more bits than this get adj_mod_q.  Per
 # block, C @ adj(M(n)) costs big-by-big products and the forward product
@@ -278,6 +280,20 @@ class CodingMatrix:
     def ratio_limit(self) -> float:
         """Larger root of x^2 - t*x + d: the common limit of the column ratios."""
         return FixedPoints(self.trace, self.unit_det).phi_plus
+
+    @cached_property
+    def column_inverses(self) -> tuple[int | None, int | None]:
+        """Per column j, the inverse of M[0][j]/g modulo M[1][j]/g, g their gcd
+        (None when M[1][j] = 0): what repair needs to list the points of the
+        line x*M[0][j] + y*M[1][j] = c.  A modular inverse of the big entries
+        costs about 50 us per column at n = 100, so it is computed on first
+        use, once per key, and never for keys that only encrypt and decrypt.
+        """
+        m11, m12, m21, m22 = self.matrix.entries()
+        return tuple(
+            None if b == 0 else pow(a // gcd(a, b), -1, b // gcd(a, b))
+            for a, b in ((m11, m21), (m12, m22))
+        )
 
 
 def build_coding_matrix(key: KeyMatrix, seed: SeedPair, n: int) -> CodingMatrix:

@@ -68,6 +68,14 @@ class TestKeyFiles:
         with pytest.raises(FormatError):
             loads_key(json.dumps(key_dict))
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_version_must_be_an_int(self, version):
+        # the integer rule: true and 1.0 compare equal to 1 but are not ints
+        key_dict = json.loads(dumps_key(CipherKey.golden(4)))
+        key_dict["version"] = version
+        with pytest.raises(FormatError, match="unsupported format version"):
+            loads_key(json.dumps(key_dict))
+
     def test_missing_field(self):
         with pytest.raises(FormatError):
             loads_key('{"version": 1, "u": {"alpha": "1"}}')
@@ -242,6 +250,13 @@ class TestPackageFiles:
         document = json.loads(dumps_packages([CipherPackage(Mat2(1, 2, 3, 4), -2)]))
         document["version"] = 1
         with pytest.raises(FormatError, match="unsupported format version 1"):
+            loads_packages(json.dumps(document))
+
+    @pytest.mark.parametrize("version", [2.0, True])
+    def test_version_must_be_an_int(self, version):
+        document = json.loads(dumps_packages([CipherPackage(Mat2(1, 2, 3, 4), -2)]))
+        document["version"] = version
+        with pytest.raises(FormatError, match="unsupported format version"):
             loads_packages(json.dumps(document))
 
     @pytest.mark.parametrize("field", ["c", "det_p"])

@@ -22,6 +22,7 @@ from unicipher.cipher import (
     verify_package,
 )
 from unicipher.errors import (
+    CheckNumberMismatch,
     InvalidKey,
     NegativePlaintext,
     NonIntegralPlaintext,
@@ -43,9 +44,10 @@ class TestEncodeText:
         assert blocks[0].p == Mat2(0, 0, 0, 0)
 
     def test_padding(self):
+        # index 1 pads, so padding never leaves an all-zero row
         blocks, pad = encode_text("MAT")
         assert pad == 1
-        assert blocks[0].p == Mat2(12, 0, 19, 0)
+        assert blocks[0].p == Mat2(12, 0, 19, 1)
 
     def test_unknown_symbol(self):
         with pytest.raises(UnknownSymbol):
@@ -65,7 +67,7 @@ class TestEncodeText:
         alphabet = Alphabet.bytes_mode()
         blocks, pad = encode_text(b"\x00\xff\x10", alphabet)
         assert pad == 1
-        assert blocks[0].p == Mat2(0, 255, 16, 0)
+        assert blocks[0].p == Mat2(0, 255, 16, 1)
         assert decode_text(blocks, pad, alphabet) == b"\x00\xff\x10"
 
     def test_custom_alphabet(self):
@@ -162,6 +164,18 @@ class TestDecrypt:
             decrypt(CipherPackage(bumped, pkg.det_p), key)
         with pytest.raises(NegativePlaintext):
             decrypt(CipherPackage(Mat2(660, 1068, 1283, 2076), 84), CipherKey.golden(10))
+
+    def test_padding_leaves_no_zero_row(self):
+        # Padded with index 0, MATHCS at golden n = 3 gave block 1 the zero
+        # row of [[42, 22], [0, 0]]: det P = 0 whatever the top row holds, so
+        # 42 -> 41 passed every check and decrypted to MATHDQ.
+        key = CipherKey.golden(3)
+        _, pkg = encrypt_message("MATHCS", key, emit_column_ratio=True)
+        assert pkg.c == Mat2(42, 22, 5, 3) and pkg.pad_len == 2
+        bad = dataclasses.replace(pkg, c=Mat2(41, 22, 5, 3))
+        with pytest.raises(CheckNumberMismatch):
+            decrypt(bad, key)
+        assert decrypt_message([pkg], key) == "CS"
 
 
 class TestVerify:

@@ -144,14 +144,27 @@ class TestPipelines:
         # clean input exits 0
         code, _, _ = run(capsys, "correct", "--key", str(key_file), "--in", str(pkg_file))
         assert code == 0
-        # a row error without a transmitted ratio cannot be repaired
+        # without a transmitted ratio the alphabet bound still ends the det-P
+        # line of a row: through the bottom row (19, 7) it has one box point
+        fixed_file = tmp_path / "fixed.json"
         run(capsys, "corrupt", "--in", str(pkg_file), "--out", str(bad_file),
             "--spec", "row_top", "--seed", "3")
-        code, out, _ = run(capsys, "correct", "--key", str(key_file), "--in", str(bad_file))
-        assert code == 2
+        code, out, _ = run(capsys, "correct", "--key", str(key_file), "--in", str(bad_file),
+                           "--out", str(fixed_file))
+        assert code == 0
+        assert json.loads(out)["reports"][0]["assumed_class"] == "row-top"
+        code, out, _ = run(capsys, "decrypt", "--key", str(key_file), "--in", str(fixed_file))
+        assert code == 0 and out.strip() == "MATH"
+        # through the top row (12, 0) det P = 12 * p22 leaves p21 free: a tie, exit 3
+        run(capsys, "corrupt", "--in", str(pkg_file), "--out", str(bad_file),
+            "--spec", "row_bottom", "--seed", "0")
+        code, out, _ = run(capsys, "correct", "--key", str(key_file), "--in", str(bad_file),
+                           "--out", str(fixed_file))
+        assert code == 3
         report = json.loads(out)["reports"][0]
         assert report["status"] == "uncorrectable"
-        assert any("column-ratio-missing" in a[1] for a in report["attempts"])
+        assert report["residual_failure"].startswith("ambiguous: ")
+        assert dict(report["attempts"])["row-bottom"].startswith("ambiguous: ")
 
     def test_correct_bounds_by_the_key_alphabet(self, tmp_path, capsys):
         # RBUX at golden n = 2 with its bottom row corrupted: without the
@@ -199,7 +212,7 @@ class TestPipelines:
             "column ratio 1.88",
         ]
         assert report["assumed_class"] == "row-bottom"
-        assert report["repaired"] == ["24", "12", "45", "26"]
+        assert report["repaired"] == ["18", "c", "2d", "1a"]  # hex, as in the package files
         code, out, _ = run(capsys, "decrypt", "--key", str(key_file), "--in", str(fixed_file))
         assert code == 0 and out.strip() == "MATH"
 
@@ -265,7 +278,7 @@ class TestPipelines:
         pkg_file.write_text(json.dumps(document))
         code, out, _ = run(capsys, "correct", "--key", str(key_file), "--in", str(pkg_file))
         assert code == 0
-        assert json.loads(out)["reports"][0]["repaired"] == ["296", "184", "263", "162"]
+        assert json.loads(out)["reports"][0]["repaired"] == ["128", "b8", "107", "a2"]
         package["column_ratio"]["orientation"] = "top-over-bottom"
         pkg_file.write_text(json.dumps(document))
         code, out, err = run(capsys, "correct", "--key", str(key_file), "--in", str(pkg_file))

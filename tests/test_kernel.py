@@ -64,7 +64,7 @@ def ref_encrypt(p: Mat2, key, emit, digits, block_index=0, pad_len=0) -> CipherP
 def ref_encrypt_message(message, key, alphabet, emit, digits):
     idx = alphabet.indices(message)
     pad = (-len(idx)) % 4
-    idx.extend([0] * pad)
+    idx.extend([1] * pad)
     packages = []
     for i, start in enumerate(range(0, len(idx), 4)):
         slots = [0, 0, 0, 0]
