@@ -7,9 +7,9 @@ a check number; optionally a rounded column ratio does too.  Decryption,
 _intact, and decryption raises the error naming the block and the first
 check it fails.  verify_package is the paper's diagnostic: det C and the
 row-ratio intervals, with the rows it flags.  For keys with big entries
-(CodingMatrix.adj_mod_q is set) both first find each row of P modulo the
-prime 2^61 - 1 and prove it times M(n) equals the row of C over the
-integers (_row_plaintext), so only small-by-big products touch the big
+(CodingMatrix.forward is set) both first find each row of P from the low
+bits of C, a 2-adic solve, and prove it times M(n) equals the row of C over
+the integers (_row_plaintext), so only small-by-big products touch the big
 entries; exact division, det C and the intervals remain for the blocks
 that proof cannot settle.
 """
@@ -25,7 +25,7 @@ from operator import attrgetter, itemgetter
 
 from .errors import CheckNumberMismatch, CipherError, FormatError, InvalidKey
 from .errors import NegativePlaintext, NonIntegralPlaintext, UnknownSymbol
-from .matrix import FORWARD_PRIME, CodingMatrix, KeyMatrix, Mat2, SeedPair, _require_int
+from .matrix import FORWARD_BITS, CodingMatrix, KeyMatrix, Mat2, SeedPair, _require_int
 from .matrix import build_coding_matrix
 from .ratios import BOTTOM_OVER_TOP, round_half_even_ratio
 
@@ -310,26 +310,34 @@ def _encrypt_blocks(
     return tuple(packages)
 
 
+# Every row the forward product proves has both entries below this.
+_FORWARD_BOUND = 1 << FORWARD_BITS
+
+
 def _row_plaintext(c1: int, c2: int, cm: CodingMatrix, bound) -> tuple[int, int] | None:
     """(x, y) with (x, y) @ M(n) == (c1, c2) if both are integers in [0, bound), else None.
 
-    bound None means no upper end.  A key with adj_mod_q first finds the row
-    mod q = FORWARD_PRIME, as (c1, c2) mod q @ adj_mod_q, and proves it by
-    the exact forward product: M(n) is invertible, so a row that passes is
-    the one solution, and a row with entries in [0, q) always passes.  Only
-    small-by-big products touch the big entries.  When the proof fails and
-    bound <= q, no row qualifies; otherwise exact division decides, so raw
-    entries of q or more still decrypt.
+    bound None means no upper end.  A key with a forward table first finds
+    the row mod 2^FORWARD_BITS: (c1, c2) @ adj(M(n)) = det * (x, y), so with
+    det = 2^s * odd, the low bits (c1, c2) & mask times k are 2^s * (x, y)
+    mod 2^(FORWARD_BITS + s), and the shift by s leaves (x, y) mod
+    2^FORWARD_BITS (Python's & gives a negative entry's residue too).  The
+    exact forward product then proves the row: M(n) is invertible, so a row
+    that passes is the one solution, and a row with entries in
+    [0, 2^FORWARD_BITS) always passes.  Only small-by-big products touch the
+    big entries.  When the proof fails and bound <= 2^FORWARD_BITS, no row
+    qualifies; otherwise exact division decides, so raw entries of
+    2^FORWARD_BITS or more still decrypt.
     """
-    if cm.adj_mod_q is not None:
-        q = FORWARD_PRIME
-        k11, k12, k21, k22 = cm.adj_mod_q
+    if cm.forward is not None:
+        s, mask, k11, k12, k21, k22 = cm.forward
         m11, m12, m21, m22 = cm.matrix.entries()
-        x1, x2 = c1 % q, c2 % q
-        x, y = (x1 * k11 + x2 * k21) % q, (x1 * k12 + x2 * k22) % q
+        x1, x2 = c1 & mask, c2 & mask
+        x = ((x1 * k11 + x2 * k21) & mask) >> s
+        y = ((x1 * k12 + x2 * k22) & mask) >> s
         if x * m11 + y * m21 == c1 and x * m12 + y * m22 == c2:
             return (x, y) if bound is None or (x < bound and y < bound) else None
-        if bound is not None and bound <= q:
+        if bound is not None and bound <= _FORWARD_BOUND:
             return None
     j11, j12, j21, j22 = cm.adj
     x, rx = divmod(c1 * j11 + c2 * j21, cm.det)
@@ -368,14 +376,22 @@ def _intact(c: Mat2, det_p: int, cm: CodingMatrix, grid, bound) -> tuple[int, in
 
 
 def _rejection(pkg: CipherPackage, cm: CodingMatrix, bound) -> CipherError:
-    """The error naming the first check that a block _intact rejects fails."""
+    """The error naming the first check that a block _intact rejects fails.
+
+    Divisibility by det is decided on C and adj M reduced mod det, so the
+    big-by-big product C @ adj M is formed only for a block that passes it.
+    """
     det, check = cm.det, pkg.column_ratio
-    raw = (pkg.c @ Mat2(*cm.adj)).entries()
-    for i, e in enumerate(raw):
+    c11, c12, c21, c22 = (e % det for e in pkg.c.entries())
+    j11, j12, j21, j22 = (e % det for e in cm.adj)
+    residues = (c11 * j11 + c12 * j21, c11 * j12 + c12 * j22,
+                c21 * j11 + c22 * j21, c21 * j12 + c22 * j22)
+    for i, e in enumerate(residues):
         if e % det:
             return NonIntegralPlaintext(
                 f"entry {divmod(i, 2)} of C·adj M is not divisible by det {det}"
             )
+    raw = (pkg.c @ Mat2(*cm.adj)).entries()
     p = Mat2(*(e // det for e in raw))
     if min(p.entries()) < 0:
         return NegativePlaintext(
@@ -494,18 +510,18 @@ def verify_package(pkg: CipherPackage, key: CipherKey) -> VerifyResult:
     encrypts to a zero row).  The interval check is skipped when the coding
     sequences are not yet positive (tiny n with a zero-component seed).
 
-    A key with adj_mod_q first tries the forward product on both rows
-    (_row_plaintext with bound q, so it never divides).  When it proves
-    C = P @ M(n) with P >= 0, det C = det M(n) * det P, and each row of C is
-    zero or a mediant of M(n)'s row ratios, so no row is flagged and det P
-    is compared with det_p directly.  Otherwise det C and the intervals are
-    computed from C.
+    A key with a forward table first tries the forward product on both rows
+    (_row_plaintext with bound 2^FORWARD_BITS, so it never divides).  When it
+    proves C = P @ M(n) with P >= 0, det C = det M(n) * det P, and each row
+    of C is zero or a mediant of M(n)'s row ratios, so no row is flagged and
+    det P is compared with det_p directly.  Otherwise det C and the
+    intervals are computed from C.
     """
     cm = key.coding_matrix
     c = pkg.c
-    if cm.adj_mod_q is not None:
-        top = _row_plaintext(c.a11, c.a12, cm, FORWARD_PRIME)
-        bottom = None if top is None else _row_plaintext(c.a21, c.a22, cm, FORWARD_PRIME)
+    if cm.forward is not None:
+        top = _row_plaintext(c.a11, c.a12, cm, _FORWARD_BOUND)
+        bottom = None if top is None else _row_plaintext(c.a21, c.a22, cm, _FORWARD_BOUND)
         if bottom is not None:
             ok = top[0] * bottom[1] - top[1] * bottom[0] == pkg.det_p
             status = VerifyStatus.CLEAN if ok else VerifyStatus.DETERMINANT_MISMATCH

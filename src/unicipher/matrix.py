@@ -23,16 +23,18 @@ from .errors import DegenerateConvergenceWarning, InvalidKey, SingularMatrix
 from .ratios import FixedPoints
 
 DEFAULT_MAX_EXPONENT = 512
-# The prime q of the forward product: cipher._row_plaintext finds a row of P
-# mod q, then proves it times M(n) equals the row of C over the integers.
-FORWARD_PRIME = (1 << 61) - 1
-# Keys whose largest M(n) entry has more bits than this get adj_mod_q.  Per
-# block, C @ adj(M(n)) costs big-by-big products and the forward product
-# small-by-big ones plus reductions mod q.  For verify_package plus _intact
-# on random keys the two cost the same near 380 bits, and the forward
-# product costs a quarter at 1,800 bits (n = 500); 512 keeps every n = 100
-# random key (at most ~470 bits) on exact division, where it would save
-# less than a sixth.
+# The forward product finds each row of P mod 2^FORWARD_BITS from the low bits
+# of C (cipher._row_plaintext), then proves it times M(n) equals the row of C
+# over the integers.
+FORWARD_BITS = 64
+# Keys whose largest M(n) entry has more bits than this get the forward table.
+# Per row, exact division costs big-by-big products and the forward product
+# small-by-big ones plus two masks.  On random keys with intact rows the two
+# cost the same near 230 bits (n = 60: 1.14 us against 1.12 us); the forward
+# row is the cheaper at n = 100 (~370 bits: 1.16 us against 1.65 us) and far
+# cheaper at n = 500 (~1,860 bits: 1.53 us against 19.0 us), and it loses at
+# n = 10 (0.98 us against 0.57 us).  512 keeps every n = 100 random key (at
+# most ~470 bits) on exact division, so moving it would move repair_n100.
 FORWARD_MIN_BITS = 512
 
 
@@ -262,9 +264,13 @@ class CodingMatrix:
     so det = seed_det * unit_det^n exactly.  build_coding_matrix stores, once,
     what every block reads: det, the adjugate's row-major entries, the
     row-ratio interval as ((lo_num, lo_den), (hi_num, hi_den)) with positive
-    denominators, or None when A(n) or B(n) is not positive, and adj_mod_q,
-    the row-major entries of adj(M(n)) * det^-1 mod FORWARD_PRIME, or None
-    when the largest entry has at most FORWARD_MIN_BITS bits or q divides det.
+    denominators, or None when A(n) or B(n) is not positive, and forward, the
+    table of cipher._row_plaintext.  forward is (s, mask, k11, k12, k21, k22):
+    s the 2-adic valuation of det, mask = 2^(FORWARD_BITS + s) - 1 and k the
+    row-major entries of adj(M(n)) * (det >> s)^-1 mod 2^(FORWARD_BITS + s),
+    so (c1, c2) @ k = 2^s * (x, y) modulo mask + 1 for every row
+    (c1, c2) = (x, y) @ M(n).  It is None when det is 0 or the largest entry
+    has at most FORWARD_MIN_BITS bits.
     """
 
     matrix: Mat2
@@ -274,7 +280,7 @@ class CodingMatrix:
     det: int
     adj: tuple[int, int, int, int]
     bounds: tuple[tuple[int, int], tuple[int, int]] | None
-    adj_mod_q: tuple[int, int, int, int] | None
+    forward: tuple[int, int, int, int, int, int] | None
 
     @property
     def ratio_limit(self) -> float:
@@ -317,11 +323,13 @@ def build_coding_matrix(key: KeyMatrix, seed: SeedPair, n: int) -> CodingMatrix:
     if a0 > 0 and b0 > 0:
         ra, rb = (a1, a0), (b1, b0)
         bounds = (ra, rb) if a1 * b0 <= b1 * a0 else (rb, ra)
-    adj_mod_q = None
-    if max(a1, a0, b1, b0).bit_length() > FORWARD_MIN_BITS and det % FORWARD_PRIME:
-        inv = pow(det, -1, FORWARD_PRIME)
-        adj_mod_q = tuple(e * inv % FORWARD_PRIME for e in adj)
-    return CodingMatrix(Mat2(a1, a0, b1, b0), t, d, seed_det, det, adj, bounds, adj_mod_q)
+    forward = None
+    if det and max(a1, a0, b1, b0).bit_length() > FORWARD_MIN_BITS:
+        s = (det & -det).bit_length() - 1
+        mask = (1 << (FORWARD_BITS + s)) - 1
+        inv = pow(det >> s, -1, mask + 1)
+        forward = (s, mask, *(e * inv & mask for e in adj))
+    return CodingMatrix(Mat2(a1, a0, b1, b0), t, d, seed_det, det, adj, bounds, forward)
 
 
 def s_matrix(t: int, d: int) -> Mat2:

@@ -28,7 +28,7 @@ from unicipher.errors import (
     NonIntegralPlaintext,
     UnknownSymbol,
 )
-from unicipher.matrix import FORWARD_PRIME, KeyMatrix, Mat2, SeedPair
+from unicipher.matrix import FORWARD_BITS, KeyMatrix, Mat2, SeedPair
 from unicipher.sampling import random_cipher_key, random_plaintext
 
 
@@ -212,14 +212,17 @@ class TestVerify:
 
 
 class TestForwardProduct:
-    """Blocks of keys with adj_mod_q that the forward product mod q must leave
-    to exact division, or must reject exactly."""
+    """Blocks of keys with a forward table that the forward product must leave
+    to exact division, or must reject exactly.  q = 2**FORWARD_BITS, the
+    modulus of the table of an odd-det key such as the cat key."""
+
+    q = 2**FORWARD_BITS
 
     def test_raw_entries_of_q_or_more_decrypt_exactly(self):
         key = CipherKey.arnolds_cat(500)
         cm = key.coding_matrix
-        assert cm.adj_mod_q is not None
-        p = Mat2(2**61, FORWARD_PRIME, 3, 2**70 + 5)
+        assert cm.forward is not None
+        p = Mat2(self.q, self.q - 1, 3, 2**70 + 5)
         pkg = dataclasses.replace(
             encrypt(PlaintextMatrix(p), key, emit_column_ratio=True), block_index=4
         )
@@ -229,23 +232,24 @@ class TestForwardProduct:
         assert _intact(pkg.c, pkg.det_p, cm, grid, None) == p.entries()
         assert _intact(pkg.c, pkg.det_p, cm, grid, 2**71) == p.entries()
         assert _intact(pkg.c, pkg.det_p, cm, grid, 2**70 + 5) is None
+        assert _intact(pkg.c, pkg.det_p, cm, grid, self.q) is None
         assert _intact(pkg.c, pkg.det_p, cm, grid, 256) is None
 
-    def test_det_divisible_by_q_keeps_exact_division(self):
-        # seed (0, q): det M(500) = q**2 has no inverse mod q
-        key = CipherKey(KeyMatrix(Mat2(2, 1, 1, 1)), SeedPair(0, FORWARD_PRIME), 500)
-        assert key.coding_matrix.adj_mod_q is None
+    def test_even_det_takes_the_forward_product(self):
+        # seed (0, 2**64) on the cat multiplier: det M(500) = 2**128, s = 128
+        key = CipherKey(KeyMatrix(Mat2(2, 1, 1, 1)), SeedPair(0, 2**64), 500)
+        assert key.coding_matrix.det == 2**128 and key.coding_matrix.forward[0] == 128
         packages = encrypt_message("MATHEMATICS", key, emit_column_ratio=True)
         assert decrypt_message(packages, key) == "MATHEMATICS"
         assert all(verify_package(pkg, key).clean for pkg in packages)
 
     def test_shift_by_a_multiple_of_q_is_caught(self):
-        # C mod q, hence the lifted P, is unchanged; P @ M(n) = C is not
+        # the low bits of C, hence the lifted P, are unchanged; P @ M(n) = C is not
         key = CipherKey.arnolds_cat(500)
         pkg = encrypt(PlaintextMatrix(Mat2(12, 0, 19, 7)), key)
         for i in range(4):
             entries = list(pkg.c.entries())
-            entries[i] += FORWARD_PRIME
+            entries[i] += self.q
             bad = CipherPackage(Mat2(*entries), pkg.det_p)
             assert verify_package(bad, key).status is VerifyStatus.BOTH
             for bound in (26, None):

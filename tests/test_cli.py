@@ -238,12 +238,12 @@ class TestPipelines:
 
     def test_n500_tour(self, tmp_path, capsys):
         # the key's largest entry has ~1,800 bits, so verify, decrypt and
-        # correct decide by the forward product mod q; det M(500) = 143
+        # correct decide by the 2-adic forward product; det M(500) = 143
         key_file = tmp_path / "key.json"
         run(capsys, "keygen", "--alpha", "3", "--beta", "2", "--gamma", "1", "--delta", "1",
             "--seed-a", "5", "--seed-b", "7", "--n", "500", "--out", str(key_file))
         key, _ = loads_key(key_file.read_text())
-        assert key.coding_matrix.adj_mod_q is not None and key.coding_matrix.det == 143
+        assert key.coding_matrix.forward is not None and key.coding_matrix.det == 143
         pkg_file, bad_file, fixed_file = (tmp_path / f for f in ("p.json", "bad.json", "fixed.json"))
         run(capsys, "encrypt", "--key", str(key_file), "--in", "MATHEMATICS",
             "--emit-column-ratio", "--out", str(pkg_file))

@@ -13,6 +13,7 @@ from unicipher.cipher import (
     ColumnRatioCheck,
     PlaintextMatrix,
     _intact,
+    decrypt,
     encrypt,
     verify_package,
 )
@@ -25,11 +26,11 @@ from unicipher.correction import (
 )
 from unicipher.errors import CheckNumberMismatch, InvalidKey, NegativePlaintext
 from unicipher.errors import NoDiophantineSolution, NonIntegralPlaintext
-from unicipher.matrix import FORWARD_PRIME, KeyMatrix, Mat2, SeedPair
+from unicipher.matrix import FORWARD_BITS, KeyMatrix, Mat2, SeedPair
 from unicipher.ratios import BOTTOM_OVER_TOP
 from unicipher.sampling import random_cipher_key, random_key_matrix, random_plaintext
 
-from test_kernel import ref_bad_rows, ref_decrypt, ref_verify, shear, tamper
+from test_kernel import outcome, ref_bad_rows, ref_decrypt, ref_verify, shear, tamper
 
 
 def brute_force_solutions(a, b, c, lo=-500, hi=500):
@@ -414,47 +415,58 @@ def test_intact_matches_reference(seed, family, n, digits, bound, damage):
 
 
 # Plaintexts are drawn a few symbols past each bound; with no bound, from
-# [0, 2**62), so about half the blocks hold an entry of at least
-# FORWARD_PRIME that only exact division recovers.
-_DRAW = {26: 30, 256: 260, 2**64: 2**64 + 4, None: 2**62}
+# [0, 2**65), so about half the entries are 2**FORWARD_BITS or more, which
+# only exact division recovers.
+_DRAW = {26: 30, 256: 260, 2**64: 2**64 + 4, None: 2**65}
 
 
-def shift_by_q(pkg: CipherPackage, rng: random.Random) -> CipherPackage:
-    """Add a small multiple of FORWARD_PRIME to one entry: C mod q, and so
-    the lifted P, stay the same, and only the exact forward product sees it."""
+def shift_by_modulus(pkg: CipherPackage, rng: random.Random, cm) -> CipherPackage:
+    """Add a small multiple of the forward table's modulus 2**(FORWARD_BITS + s)
+    to one entry: the residues, and so the lifted P, stay the same, and only
+    the exact forward product sees it."""
+    modulus = 2**FORWARD_BITS if cm.forward is None else cm.forward[1] + 1
     entries = list(pkg.c.entries())
-    entries[rng.randrange(4)] += rng.choice((-2, -1, 1, 2)) * FORWARD_PRIME
+    entries[rng.randrange(4)] += rng.choice((-2, -1, 1, 2)) * modulus
     return CipherPackage(Mat2(*entries), pkg.det_p, pkg.column_ratio, pkg.block_index, pkg.pad_len)
+
+
+def forward_key(family: str, n: int, rng: random.Random) -> CipherKey:
+    """A golden, cat, even-det cat or random key at exponent n.  The even-det
+    family is the cat multiplier with seed (0, 2**k), so det M(n) = 4**k."""
+    if family == "golden":
+        return CipherKey.golden(n)
+    if family == "cat":
+        return CipherKey.arnolds_cat(n)
+    if family == "cat_even":
+        return CipherKey(KeyMatrix(Mat2(2, 1, 1, 1)), SeedPair(0, 2 ** rng.randint(1, 100)), n)
+    return random_cipher_key(rng, n_lo=n, n_hi=n)
 
 
 @given(
     st.integers(0, 2**32),
-    st.sampled_from(("golden", "cat", "random")),
+    st.sampled_from(("golden", "cat", "cat_even", "random")),
     st.sampled_from((150, 300, 500)),
     st.sampled_from((None, 0, 2)),
     st.sampled_from((26, 256, 2**64, None)),
-    st.sampled_from(("clean", "channel", "tamper", "shear", "shift_by_q")),
+    st.sampled_from(("clean", "channel", "tamper", "shear", "shift_by_modulus")),
 )
 @settings(max_examples=300, deadline=None)
 def test_forward_product_matches_reference(seed, family, n, digits, bound, damage):
     """Above FORWARD_MIN_BITS (cat keys from n = 369, most random keys at
     n >= 150; golden keys never, under the exponent cap) _intact and
-    verify_package use the forward product mod FORWARD_PRIME.  Both must
-    still agree with the exact references."""
+    verify_package use the 2-adic forward product.  Both must still agree
+    with the exact references."""
     rng = random.Random(seed)
-    if family == "golden":
-        key = CipherKey.golden(n)
-    elif family == "cat":
-        key = CipherKey.arnolds_cat(n)
-    else:
-        key = random_cipher_key(rng, n_lo=n, n_hi=n)
+    key = forward_key(family, n, rng)
+    cm = key.coding_matrix
     p = random_plaintext(rng, alphabet_size=_DRAW[bound])
     pkg = encrypt(p, key, emit_column_ratio=digits is not None, ratio_digits=digits or 0)
     if damage == "channel":
         pkg, _ = corrupt_package(pkg, CorruptionSpec("random", seed=rng.randrange(2**30)))
+    elif damage == "shift_by_modulus":
+        pkg = shift_by_modulus(pkg, rng, cm)
     elif damage != "clean":
-        pkg = {"tamper": tamper, "shear": shear, "shift_by_q": shift_by_q}[damage](pkg, rng)
-    cm = key.coding_matrix
+        pkg = {"tamper": tamper, "shear": shear}[damage](pkg, rng)
     ctx = CorrectionContext.from_package(pkg, key, plaintext_bound=bound)
     verified = ref_verify(pkg, key)
     assert verify_package(pkg, key) == verified
@@ -463,6 +475,28 @@ def test_forward_product_matches_reference(seed, family, n, digits, bound, damag
     assert (entries is not None) == expected
     if expected:
         assert entries == ref_decrypt(pkg, key)
+
+
+@pytest.mark.parametrize("family", ["cat", "cat_even", "random"])
+@pytest.mark.parametrize("i", range(4))
+def test_negative_entry_on_a_big_key_matches_reference(family, i):
+    """A negative ciphertext entry reaches the forward product as its residue
+    (Python's &), fails the exact check and falls to the same verdicts as the
+    exact references, in verify_package, _intact and decrypt."""
+    rng = random.Random(i)
+    key = forward_key(family, 500, rng)
+    cm = key.coding_matrix
+    assert cm.forward is not None
+    pkg = encrypt(PlaintextMatrix(Mat2(12, 0, 19, 7)), key, emit_column_ratio=True)
+    for entries in (list(pkg.c.entries()), [0, 0, 0, 0]):
+        entries[i] = -pkg.c.entries()[i]
+        bad = CipherPackage(Mat2(*entries), pkg.det_p, pkg.column_ratio)
+        assert verify_package(bad, key) == ref_verify(bad, key)
+        for bound in (26, 2**64, None):
+            ctx = CorrectionContext.from_package(bad, key, plaintext_bound=bound)
+            assert _intact(bad.c, bad.det_p, cm, ctx.rho, bound) is None
+            assert not ref_repair_passes(bad.c, ctx)
+        assert outcome(lambda: decrypt(bad, key).p.entries()) == outcome(ref_decrypt, bad, key)
 
 
 # --- brute-force oracle -------------------------------------------------------

@@ -9,8 +9,8 @@ from unicipher.cipher import CipherKey
 from unicipher.errors import DegenerateConvergenceWarning, InvalidKey, SingularMatrix
 from unicipher.matrix import (
     DEFAULT_MAX_EXPONENT,
+    FORWARD_BITS,
     FORWARD_MIN_BITS,
-    FORWARD_PRIME,
     KeyMatrix,
     Mat2,
     PowerForm,
@@ -310,15 +310,18 @@ class TestCodingMatrices:
 
 
 def assert_view_matches_matrix(cm):
-    """The stored det, adjugate (also mod q) and row-ratio bounds, recomputed from the entries."""
+    """The stored det, adjugate, forward table and row-ratio bounds, recomputed from the entries."""
     m = cm.matrix
     assert cm.det == m.det()
     assert cm.adj == m.adjugate().entries()
-    q = FORWARD_PRIME
-    if max(m.entries()).bit_length() > FORWARD_MIN_BITS and cm.det % q:
-        assert all(0 <= k < q and (k * cm.det - e) % q == 0 for k, e in zip(cm.adj_mod_q, cm.adj))
+    if cm.det and max(m.entries()).bit_length() > FORWARD_MIN_BITS:
+        s, mask, *k = cm.forward
+        # det = 2^s * odd, and k * odd = adj mod 2^(FORWARD_BITS + s)
+        odd, modulus = cm.det // 2**s, 2 ** (FORWARD_BITS + s)
+        assert cm.det % 2**s == 0 and odd % 2 == 1 and mask == modulus - 1
+        assert all(0 <= ki < modulus and (ki * odd - e) % modulus == 0 for ki, e in zip(k, cm.adj))
     else:
-        assert cm.adj_mod_q is None
+        assert cm.forward is None
     if m.a12 <= 0 or m.a22 <= 0:
         assert cm.bounds is None
         return
@@ -346,13 +349,19 @@ class TestStoredView:
         key = random_cipher_key(random.Random(seed), n_lo=100, n_hi=500)
         assert_view_matches_matrix(key.coding_matrix)
 
-    def test_adj_mod_q_needs_big_entries_and_det_prime_to_q(self):
+    def test_forward_table_needs_big_entries(self):
         # golden entries stay below FORWARD_MIN_BITS up to the exponent cap
-        assert CipherKey.golden(DEFAULT_MAX_EXPONENT).coding_matrix.adj_mod_q is None
-        assert build_coding_matrix(KeyMatrix(Mat2(2, 1, 1, 1)), SeedPair(0, 1), 500).adj_mod_q
-        # seed (0, q) on the cat key: det M(n) = q**2 has no inverse mod q
-        cm = build_coding_matrix(KeyMatrix(Mat2(2, 1, 1, 1)), SeedPair(0, FORWARD_PRIME), 500)
-        assert cm.det == FORWARD_PRIME**2 and cm.adj_mod_q is None
+        assert CipherKey.golden(DEFAULT_MAX_EXPONENT).coding_matrix.forward is None
+        cm = build_coding_matrix(KeyMatrix(Mat2(2, 1, 1, 1)), SeedPair(0, 1), 500)
+        assert cm.forward[:2] == (0, 2**FORWARD_BITS - 1)
+        # an even det: seed (0, 2**64) on the cat key gives det M(n) = 2**128,
+        # so s = 128 and the table works mod 2**192
+        cm = build_coding_matrix(KeyMatrix(Mat2(2, 1, 1, 1)), SeedPair(0, 2**64), 500)
+        assert cm.det == 2**128 and cm.forward[:2] == (128, 2 ** (FORWARD_BITS + 128) - 1)
+        assert_view_matches_matrix(cm)
+        # a negative det: seed (1, 0) on [[3, 2], [1, 1]] gives det M(n) = -1
+        cm = build_coding_matrix(KeyMatrix(Mat2(3, 2, 1, 1)), SeedPair(1, 0), 500)
+        assert cm.det == -1 and cm.forward[0] == 0
         assert_view_matches_matrix(cm)
 
     def test_golden_n1_has_no_bounds(self):
