@@ -3,9 +3,11 @@
 Exit codes: 0 success; 1 on any structured error (category printed to
 stderr), and from `verify` when any package is not clean; `correct`
 additionally uses 2 when a package is uncorrectable and 3 when only
-ambiguous repairs were found.  `correct` bounds repair candidates by the
-key file's alphabet.  `decrypt` of an incomplete file names its first
-missing block, and `ratios --steps` is at most MAX_ORBIT_STEPS.
+ambiguous repairs were found; its JSON report gives each block the status
+clean, repaired, ambiguous or uncorrectable.  `correct` bounds repair
+candidates by the key file's alphabet.  `decrypt` of an incomplete file
+names its first missing block, and `ratios --steps` is at most
+MAX_ORBIT_STEPS.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from . import channel
 from .attacks import EncryptionOracle, attack_golden, attack_k_golden
 from .cipher import Alphabet, CipherKey, SeedPair, decrypt_message, encrypt_message, verify_package
-from .correction import correct
+from .correction import ErrorClass, correct
 from .errors import CipherError, FormatError, NoMatchInBounds, NotGoldenOracle
 from .matrix import KeyMatrix, Mat2
 from .ratios import RatioParams, ratio_orbit
@@ -29,6 +31,9 @@ from .ratios import RatioParams, ratio_orbit
 # digits per step, so the work grows faster than the steps; each term is
 # printed as it is computed, so the digit limit also ends the work.
 MAX_ORBIT_STEPS = 2000
+# `correct`'s status for a block, and the exit code it asks for; the run exits
+# with the largest.
+_CORRECT_EXIT_CODES = {"clean": 0, "repaired": 0, "uncorrectable": 2, "ambiguous": 3}
 
 
 def _read(path: str) -> str:
@@ -163,14 +168,18 @@ def _cmd_correct(args) -> int:
     reports = []
     for pkg in packages:
         report = correct(pkg, key, plaintext_bound=alphabet.size)
+        if report.success:
+            status = "clean" if report.assumed_class is ErrorClass.NONE else "repaired"
+        else:
+            status = "ambiguous" if report.ambiguous else "uncorrectable"
         reports.append(
             {
                 "block_index": pkg.block_index,
-                "status": "repaired" if report.success else "uncorrectable",
+                "status": status,
                 "assumed_class": report.assumed_class.value,
                 "position": list(report.position) if report.position else None,
                 "candidates_examined": report.candidates_examined,
-                "repaired": ["%x" % e for e in report.repaired.entries()]
+                "repaired": [channel._hex(e) for e in report.repaired.entries()]
                 if report.repaired
                 else None,
                 "residual_failure": report.residual_failure,
@@ -179,8 +188,7 @@ def _cmd_correct(args) -> int:
         )
         if report.success:
             repaired_packages.append(dataclasses.replace(pkg, c=report.repaired))
-            continue
-        worst = max(worst, 3 if report.ambiguous else 2)
+        worst = max(worst, _CORRECT_EXIT_CODES[status])
     print(json.dumps({"reports": reports}, indent=2))
     if args.out and worst == 0:
         _write(args.out, channel.dumps_packages(repaired_packages))

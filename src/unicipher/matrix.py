@@ -33,9 +33,11 @@ FORWARD_BITS = 64
 # cost the same near 230 bits (n = 60: 1.14 us against 1.12 us); the forward
 # row is the cheaper at n = 100 (~370 bits: 1.16 us against 1.65 us) and far
 # cheaper at n = 500 (~1,860 bits: 1.53 us against 19.0 us), and it loses at
-# n = 10 (0.98 us against 0.57 us).  512 keeps every n = 100 random key (at
-# most ~470 bits) on exact division, so moving it would move repair_n100.
-FORWARD_MIN_BITS = 512
+# n = 10 (0.98 us against 0.57 us).  256 sits just above that crossover and
+# puts most n = 100 random keys on the table (121 of the 128 repair_n100 keys
+# at seed 1001); every correct report and verify result over that corpus's
+# 8,192 blocks is the same as with the earlier 512.
+FORWARD_MIN_BITS = 256
 
 
 def _require_int(name: str, value) -> None:

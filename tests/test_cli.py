@@ -142,8 +142,17 @@ class TestPipelines:
         run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH",
             "--out", str(pkg_file))
         # clean input exits 0
-        code, _, _ = run(capsys, "correct", "--key", str(key_file), "--in", str(pkg_file))
+        code, out, _ = run(capsys, "correct", "--key", str(key_file), "--in", str(pkg_file))
         assert code == 0
+        assert [r["status"] for r in json.loads(out)["reports"]] == ["clean"]
+        # all four entries off: no candidate within two changes, exit 2
+        document = json.loads(pkg_file.read_text())
+        package = document["packages"][0]
+        package["c"] = ["%x" % (int(e, 16) + 1) for e in package["c"]]
+        bad_file.write_text(json.dumps(document))
+        code, out, _ = run(capsys, "correct", "--key", str(key_file), "--in", str(bad_file))
+        assert code == 2
+        assert json.loads(out)["reports"][0]["status"] == "uncorrectable"
         # without a transmitted ratio the alphabet bound still ends the det-P
         # line of a row: through the bottom row (19, 7) it has one box point
         fixed_file = tmp_path / "fixed.json"
@@ -162,7 +171,7 @@ class TestPipelines:
                            "--out", str(fixed_file))
         assert code == 3
         report = json.loads(out)["reports"][0]
-        assert report["status"] == "uncorrectable"
+        assert report["status"] == "ambiguous"
         assert report["residual_failure"].startswith("ambiguous: ")
         assert dict(report["attempts"])["row-bottom"].startswith("ambiguous: ")
 

@@ -452,10 +452,10 @@ def forward_key(family: str, n: int, rng: random.Random) -> CipherKey:
 )
 @settings(max_examples=300, deadline=None)
 def test_forward_product_matches_reference(seed, family, n, digits, bound, damage):
-    """Above FORWARD_MIN_BITS (cat keys from n = 369, most random keys at
-    n >= 150; golden keys never, under the exponent cap) _intact and
-    verify_package use the 2-adic forward product.  Both must still agree
-    with the exact references."""
+    """Above FORWARD_MIN_BITS (cat keys from n = 185, golden keys from
+    n = 370, most random keys from n = 100) _intact and verify_package use
+    the 2-adic forward product.  Both must still agree with the exact
+    references."""
     rng = random.Random(seed)
     key = forward_key(family, n, rng)
     cm = key.coding_matrix

@@ -19,7 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unicipher.channel import MAX_HEX_CHARS, PACKAGE_FORMAT_VERSION, dumps_packages
+from unicipher.channel import (
+    HEX_MIN_BITS,
+    MAX_HEX_CHARS,
+    PACKAGE_FORMAT_VERSION,
+    _hex,
+    dumps_packages,
+)
 from unicipher.cipher import (
     Alphabet,
     CipherKey,
@@ -34,7 +40,12 @@ from unicipher.cipher import (
     encrypt_message,
     verify_package,
 )
-from unicipher.errors import CheckNumberMismatch, NegativePlaintext, NonIntegralPlaintext
+from unicipher.errors import (
+    CheckNumberMismatch,
+    FormatError,
+    NegativePlaintext,
+    NonIntegralPlaintext,
+)
 from unicipher.matrix import KeyMatrix, Mat2, SeedPair
 from unicipher.ratios import BOTTOM_OVER_TOP, round_half_even_ratio
 from unicipher.sampling import random_cipher_key
@@ -387,3 +398,36 @@ def test_dumps_packages_matches_json_on_real_packages(seed, n, message, emit):
     key = draw_key(rng, n, rng.choice(PERMS))
     packages = encrypt_message(message, key, Alphabet.bytes_mode(), emit_column_ratio=emit)
     assert dumps_packages(packages) == ref_dumps(packages)
+
+
+@st.composite
+def wide_ints(draw) -> int:
+    """An int of any bit length up to 4 * MAX_HEX_CHARS, of either sign.
+
+    Lengths near HEX_MIN_BITS put c11 and c12 on both sides of the writer's
+    switch, short lengths reach zero, and lengths of 1-4 mod 8 leave the top
+    byte's high nibble zero."""
+    bits = draw(st.one_of(
+        st.integers(0, 4 * MAX_HEX_CHARS),
+        st.integers(HEX_MIN_BITS - 9, HEX_MIN_BITS + 9),
+        st.integers(0, 9),
+    ))
+    x = draw(st.integers(1 << bits >> 1, (1 << bits) - 1))
+    return -x if draw(st.booleans()) else x
+
+
+@given(st.lists(st.tuples(*[wide_ints()] * 5, st.booleans()), max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_dumps_packages_matches_json_at_every_bit_length(blocks):
+    check = ColumnRatioCheck(BOTTOM_OVER_TOP, "0.51", 2)
+    packages = [
+        CipherPackage(Mat2(a, b, c, d), det_p, check if emit else None, i)
+        for i, (a, b, c, d, det_p, emit) in enumerate(blocks)
+    ]
+    values = [x for block in blocks for x in block[:5]]
+    assert [_hex(x) for x in values] == [ref_hex(x) for x in values]
+    if any(len(ref_hex(x)) > MAX_HEX_CHARS for x in values):
+        with pytest.raises(FormatError, match=f"{MAX_HEX_CHARS}-character limit"):
+            dumps_packages(packages)
+    else:
+        assert dumps_packages(packages) == ref_dumps(packages)

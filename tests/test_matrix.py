@@ -350,8 +350,11 @@ class TestStoredView:
         assert_view_matches_matrix(key.coding_matrix)
 
     def test_forward_table_needs_big_entries(self):
-        # golden entries stay below FORWARD_MIN_BITS up to the exponent cap
-        assert CipherKey.golden(DEFAULT_MAX_EXPONENT).coding_matrix.forward is None
+        # golden entries pass FORWARD_MIN_BITS at n = 370 (257 bits)
+        assert CipherKey.golden(369).coding_matrix.forward is None
+        cm = CipherKey.golden(370).coding_matrix
+        assert cm.forward[:2] == (0, 2**FORWARD_BITS - 1)
+        assert_view_matches_matrix(cm)
         cm = build_coding_matrix(KeyMatrix(Mat2(2, 1, 1, 1)), SeedPair(0, 1), 500)
         assert cm.forward[:2] == (0, 2**FORWARD_BITS - 1)
         # an even det: seed (0, 2**64) on the cat key gives det M(n) = 2**128,
