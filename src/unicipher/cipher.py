@@ -4,14 +4,21 @@ A message is chopped into 4-symbol blocks, each block permuted into a
 plaintext matrix and multiplied by the coding matrix.  det P rides along as
 a check number; optionally a rounded column ratio does too.  Decryption,
 `correct`'s clean test and every repair candidate ask one exact question,
-_intact, and decryption raises the error naming the block and the first
-check it fails.  verify_package is the paper's diagnostic: det C and the
-row-ratio intervals, with the rows it flags.  For keys with big entries
-(CodingMatrix.forward is set) both first find each row of P from the low
-bits of C, a 2-adic solve, and prove it times M(n) equals the row of C over
-the integers (_row_plaintext), so only small-by-big products touch the big
-entries; exact division, det C and the intervals remain for the blocks
-that proof cannot settle.
+_intact: both rows of P solved (_row_plaintext), then det P and the
+column-ratio grid checked on them (_checked).  Decryption raises the error
+naming the block and the first check it fails.  verify_package is the
+paper's diagnostic: det C and the row-ratio intervals, with the rows it
+flags.  Every key takes one path there: it first solves both rows of P,
+and when both solve, no row can be out of its interval and det P settles
+the status; det C and the intervals remain for the blocks that do not
+solve.  _row_plaintext finds each row of a key with big entries
+(CodingMatrix.forward is set) from the low bits of C, a 2-adic solve, and
+proves it times M(n) equals the row of C over the integers, so only
+small-by-big products touch the big entries; other keys divide exactly.
+A package remembers the rows it solved to (_package_rows), so
+verify_package and decryption under the same coding matrix solve each
+received block once; the memo lives in the package object, for as long as
+it does, and never leaves the process.
 """
 
 from __future__ import annotations
@@ -189,7 +196,9 @@ class CipherPackage:
     """Ciphertext block plus its check numbers and framing.
 
     The framing fields are plain ints, so the canonical writer can print
-    every field without asking the JSON encoder what it holds.
+    every field without asking the JSON encoder what it holds.  The
+    plaintext rows verify_package or decryption proves stay beside the
+    fields in __dict__ (_package_rows); __getstate__ leaves them out.
     """
 
     c: Mat2
@@ -222,6 +231,13 @@ class CipherPackage:
             "c": c, "det_p": det_p, "column_ratio": column_ratio,
             "block_index": block_index, "pad_len": pad_len,
         })
+
+    def __getstate__(self):
+        """The five fields, so pickles and copies carry no remembered plaintext rows."""
+        return {
+            "c": self.c, "det_p": self.det_p, "column_ratio": self.column_ratio,
+            "block_index": self.block_index, "pad_len": self.pad_len,
+        }
 
 
 @dataclass(frozen=True)
@@ -347,24 +363,11 @@ def _row_plaintext(c1: int, c2: int, cm: CodingMatrix, bound) -> tuple[int, int]
     return x, y
 
 
-def _intact(c: Mat2, det_p: int, cm: CodingMatrix, grid, bound) -> tuple[int, int, int, int] | None:
-    """Row-major entries of P = C @ adj(M(n)) / det M(n) if the block is intact, else None.
-
-    Intact: each row of P is integral, non-negative and below bound
-    (_row_plaintext; None skips the bound), det P = det_p, and with
-    grid = (R, D) c11 > 0 and (2R - 1) * c11 <= 2D * c21 <= (2R + 1) * c11.
-    That implies C >= 0, both row ratios inside the row interval (each is a
-    non-negatively weighted mediant of M(n)'s column ratios) and
-    det C = det M(n) * det P.
-    """
-    top = _row_plaintext(c.a11, c.a12, cm, bound)
-    if top is None:
-        return None
-    bottom = _row_plaintext(c.a21, c.a22, cm, bound)
-    if bottom is None:
-        return None
-    p11, p12 = top
-    p21, p22 = bottom
+def _checked(c: Mat2, rows, det_p: int, grid) -> tuple[int, int, int, int] | None:
+    """Row-major entries of P with rows = ((p11, p12), (p21, p22)) if det P = det_p
+    and, with grid = (R, D), c11 > 0 and (2R - 1) * c11 <= 2D * c21 <= (2R + 1) * c11;
+    else None."""
+    (p11, p12), (p21, p22) = rows
     if p11 * p22 - p12 * p21 != det_p:
         return None
     if grid is not None:
@@ -373,6 +376,50 @@ def _intact(c: Mat2, det_p: int, cm: CodingMatrix, grid, bound) -> tuple[int, in
         if c11 <= 0 or not (2 * r - 1) * c11 <= 2 * d * c.a21 <= (2 * r + 1) * c11:
             return None
     return p11, p12, p21, p22
+
+
+def _solve(c: Mat2, cm: CodingMatrix, bound):
+    """Both rows of P = C @ adj(M(n)) / det M(n), ((p11, p12), (p21, p22)), if each
+    is integral, non-negative and below bound (_row_plaintext), else None."""
+    top = _row_plaintext(c.a11, c.a12, cm, bound)
+    if top is None:
+        return None
+    bottom = _row_plaintext(c.a21, c.a22, cm, bound)
+    if bottom is None:
+        return None
+    return top, bottom
+
+
+def _intact(c: Mat2, det_p: int, cm: CodingMatrix, grid, bound) -> tuple[int, int, int, int] | None:
+    """Row-major entries of P = C @ adj(M(n)) / det M(n) if the block is intact, else None.
+
+    Intact: both rows of P solve (_solve; bound None skips the bound) and
+    pass _checked.  That implies C >= 0, both row ratios inside the row
+    interval (each is a non-negatively weighted mediant of M(n)'s column
+    ratios) and det C = det M(n) * det P.
+    """
+    rows = _solve(c, cm, bound)
+    return None if rows is None else _checked(c, rows, det_p, grid)
+
+
+def _package_rows(pkg: CipherPackage, cm: CodingMatrix, bound=None):
+    """The rows ((p11, p12), (p21, p22)) of P for pkg under cm if both are
+    integral and non-negative, else None.
+
+    The first solve that proves both rows keeps them in pkg.__dict__ as
+    (cm, rows); a later call returns them, whatever bound it passes, while
+    the stored cm is its cm.  Only proven rows are kept: a solve under a
+    bound (verify_package's 2^FORWARD_BITS, which spares it exact division)
+    can fail where decryption's unbounded one passes.  Equality, hash, repr
+    and __getstate__ read only the five fields.
+    """
+    memo = pkg.__dict__.get("_rows")
+    if memo is not None and memo[0] is cm:
+        return memo[1]
+    rows = _solve(pkg.c, cm, bound)
+    if rows is not None:
+        pkg.__dict__["_rows"] = (cm, rows)
+    return rows
 
 
 def _rejection(pkg: CipherPackage, cm: CodingMatrix, bound) -> CipherError:
@@ -397,11 +444,11 @@ def _rejection(pkg: CipherPackage, cm: CodingMatrix, bound) -> CipherError:
         return NegativePlaintext(
             "decryption produced negative entries; ciphertext corrupt or key wrong"
         )
-    if p.det() != pkg.det_p:
+    if _checked(pkg.c, p.rows(), pkg.det_p, None) is None:
         return CheckNumberMismatch(
             f"det P of the decrypted block is {p.det()}, the package says {pkg.det_p}"
         )
-    if check is not None and _intact(pkg.c, pkg.det_p, cm, check.grid, None) is None:
+    if check is not None and _checked(pkg.c, p.rows(), pkg.det_p, check.grid) is None:
         return CheckNumberMismatch(
             f"c21/c11 of the block does not round to the column ratio {check.value}"
         )
@@ -411,12 +458,14 @@ def _rejection(pkg: CipherPackage, cm: CodingMatrix, bound) -> CipherError:
 def _plaintext(pkg: CipherPackage, cm: CodingMatrix) -> tuple[int, int, int, int]:
     """Row-major plaintext entries of an intact package; else raises _rejection's
     error, its message prefixed with the block index."""
-    check = pkg.column_ratio
-    entries = _intact(pkg.c, pkg.det_p, cm, None if check is None else check.grid, None)
-    if entries is None:
-        error = _rejection(pkg, cm, None)
-        raise type(error)(f"block {pkg.block_index}: {error}")
-    return entries
+    rows = _package_rows(pkg, cm)
+    if rows is not None:
+        check = pkg.column_ratio
+        entries = _checked(pkg.c, rows, pkg.det_p, None if check is None else check.grid)
+        if entries is not None:
+            return entries
+    error = _rejection(pkg, cm, None)
+    raise type(error)(f"block {pkg.block_index}: {error}")
 
 
 def _row_in_interval(c1: int, c2: int, bounds) -> bool:
@@ -501,6 +550,16 @@ class VerifyResult:
 
 # bad_rows by (top row bad) + 2 * (bottom row bad)
 _BAD_ROWS = (frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1}))
+# Every verify_package result, at 2 * (index into _BAD_ROWS) + (det mismatch):
+# VerifyResult is frozen, so one of each is shared.
+_RESULTS = tuple(
+    VerifyResult(status, bad_rows)
+    for bad_rows in _BAD_ROWS
+    for status in (
+        (VerifyStatus.CLEAN, VerifyStatus.DETERMINANT_MISMATCH) if not bad_rows
+        else (VerifyStatus.INTERVAL_VIOLATION, VerifyStatus.BOTH)
+    )
+)
 
 
 def verify_package(pkg: CipherPackage, key: CipherKey) -> VerifyResult:
@@ -510,34 +569,28 @@ def verify_package(pkg: CipherPackage, key: CipherKey) -> VerifyResult:
     encrypts to a zero row).  The interval check is skipped when the coding
     sequences are not yet positive (tiny n with a zero-component seed).
 
-    A key with a forward table first tries the forward product on both rows
-    (_row_plaintext with bound 2^FORWARD_BITS, so it never divides).  When it
-    proves C = P @ M(n) with P >= 0, det C = det M(n) * det P, and each row
-    of C is zero or a mediant of M(n)'s row ratios, so no row is flagged and
-    det P is compared with det_p directly.  Otherwise det C and the
-    intervals are computed from C.
+    Every key first solves both rows of P (_package_rows with bound
+    2^FORWARD_BITS: exact division for keys without a forward table, the
+    forward product without division for keys with one).  When both solve,
+    C = P @ M(n) with P >= 0, so det C = det M(n) * det P and each row of C
+    is zero or a mediant of M(n)'s row ratios: no row is flagged, and det P
+    against det_p gives the status.  Otherwise det C and the intervals are
+    computed from C.  The rows stay on the package for decryption under the
+    same key (_package_rows).
     """
     cm = key.coding_matrix
+    rows = _package_rows(pkg, cm, _FORWARD_BOUND)
+    if rows is not None:
+        return _RESULTS[_checked(pkg.c, rows, pkg.det_p, None) is None]
     c = pkg.c
-    if cm.forward is not None:
-        top = _row_plaintext(c.a11, c.a12, cm, _FORWARD_BOUND)
-        bottom = None if top is None else _row_plaintext(c.a21, c.a22, cm, _FORWARD_BOUND)
-        if bottom is not None:
-            ok = top[0] * bottom[1] - top[1] * bottom[0] == pkg.det_p
-            status = VerifyStatus.CLEAN if ok else VerifyStatus.DETERMINANT_MISMATCH
-            return VerifyResult(status, _BAD_ROWS[0])
     bounds = cm.bounds
-    if bounds is None:
-        bad = _BAD_ROWS[0]
-    else:
-        top_bad = not _row_in_interval(c.a11, c.a12, bounds)
-        bottom_bad = not _row_in_interval(c.a21, c.a22, bounds)
-        bad = _BAD_ROWS[top_bad + 2 * bottom_bad]
-    if c.a11 * c.a22 - c.a12 * c.a21 == cm.det * pkg.det_p:
-        status = VerifyStatus.INTERVAL_VIOLATION if bad else VerifyStatus.CLEAN
-    else:
-        status = VerifyStatus.BOTH if bad else VerifyStatus.DETERMINANT_MISMATCH
-    return VerifyResult(status, bad)
+    bad = 0
+    if bounds is not None:
+        bad = (not _row_in_interval(c.a11, c.a12, bounds)) + 2 * (
+            not _row_in_interval(c.a21, c.a22, bounds)
+        )
+    mismatch = c.a11 * c.a22 - c.a12 * c.a21 != cm.det * pkg.det_p
+    return _RESULTS[2 * bad + mismatch]
 
 
 def encrypt_message(

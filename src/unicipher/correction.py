@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .cipher import CipherKey, CipherPackage, _intact, _rejection, _row_plaintext
+from .cipher import CipherKey, CipherPackage, _checked, _intact, _rejection, _row_plaintext
 from .errors import NoDiophantineSolution
 from .matrix import Mat2
 
@@ -228,22 +228,24 @@ def correct(
 ) -> CorrectionReport:
     """Decode at the lowest weight that has an intact candidate (see the module docstring).
 
-    A block is clean only if it is intact.  Otherwise the first log entry
-    names the first check it fails, as decrypt names it, and one entry
-    follows per class examined, in ErrorClass order, weight by weight.  A
-    weight stops at its second passing candidate, since the block is then
-    ambiguous whatever else it holds.  candidates_examined counts the solves
-    and the listed det-line points.
+    A block is clean only if it is intact: both received rows solve, once,
+    into the intact rows the classes reuse, and pass cipher._checked.
+    Otherwise the first log entry names the first check it fails, as
+    decrypt names it, and one entry follows per class examined, in
+    ErrorClass order, weight by weight.  A weight stops at its second
+    passing candidate, since the block is then ambiguous whatever else it
+    holds.  candidates_examined counts the solves and the listed det-line
+    points.
     """
     ctx = CorrectionContext.from_package(pkg, key, plaintext_bound=plaintext_bound)
     cm, c, det_p, grid, bound = key.coding_matrix, pkg.c, pkg.det_p, ctx.rho, plaintext_bound
-    if _intact(c, det_p, cm, grid, bound) is not None:
-        return CorrectionReport(ErrorClass.NONE, 0, c, attempts=(("verify", "clean"),))
-    error = _rejection(pkg, cm, bound)
-    attempts = [("verify", f"{type(error).__name__}: {error}")]
     e = c.entries()
     rows = (e[:2], e[2:])
     intact = [_row_plaintext(c1, c2, cm, bound) for c1, c2 in rows]
+    if None not in intact and _checked(c, intact, det_p, grid) is not None:
+        return CorrectionReport(ErrorClass.NONE, 0, c, attempts=(("verify", "clean"),))
+    error = _rejection(pkg, cm, bound)
+    attempts = [("verify", f"{type(error).__name__}: {error}")]
     m11, m12, m21, m22 = cm.matrix.entries()
     columns = ((m11, m21), (m12, m22))
     lines: dict[tuple[int, int], list | None] = {}

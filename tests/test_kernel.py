@@ -9,9 +9,11 @@ errors name the block.  test_correction uses the same references for rows,
 verify and decryption.
 """
 
+import copy
 import dataclasses
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -223,9 +225,31 @@ def test_message_kernel_matches_reference(seed, n, perm, emit, digits, message):
     rng.shuffle(received)
     for pkg in received:
         assert verify_package(pkg, key) == ref_verify(pkg, key)
+    # The rows verify_package solved under key must not answer for another key.
+    other = draw_key(rng, n, perm)
+    assert outcome(decrypt_message, received, other, alphabet) == outcome(
+        ref_decrypt_message, received, other, alphabet
+    )
     assert outcome(decrypt_message, received, key, alphabet) == outcome(
         ref_decrypt_message, received, key, alphabet
     )
+
+
+def test_copies_carry_no_remembered_rows():
+    """A verified and decrypted package keeps its plaintext rows in the
+    process only: every pickle protocol, copy and deepcopy give an equal
+    package that holds just the five fields."""
+    key = CipherKey.arnolds_cat(500)
+    (pkg,) = encrypt_message("MATH", key, emit_column_ratio=True)
+    assert verify_package(pkg, key).clean
+    assert decrypt_message([pkg], key) == "MATH"
+    fields = {f.name for f in dataclasses.fields(CipherPackage)}
+    assert pkg.__dict__.keys() > fields
+    copies = [pickle.loads(pickle.dumps(pkg, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in (*copies, copy.copy(pkg), copy.deepcopy(pkg)):
+        assert copied == pkg
+        assert hash(copied) == hash(pkg) and repr(copied) == repr(pkg)
+        assert copied.__dict__.keys() == fields
 
 
 @given(st.integers(0, 2**32), st.sampled_from(PERMS), st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ", max_size=13))
