@@ -2,23 +2,25 @@
 
 A message is chopped into 4-symbol blocks, each block permuted into a
 plaintext matrix and multiplied by the coding matrix.  det P rides along as
-a check number; optionally a rounded column ratio does too.  Decryption,
-`correct`'s clean test and every repair candidate ask one exact question,
-_intact: both rows of P solved (_row_plaintext), then det P and the
-column-ratio grid checked on them (_checked).  Decryption raises the error
-naming the block and the first check it fails.  verify_package is the
-paper's diagnostic: det C and the row-ratio intervals, with the rows it
-flags.  Every key takes one path there: it first solves both rows of P,
-and when both solve, no row can be out of its interval and det P settles
-the status; det C and the intervals remain for the blocks that do not
-solve.  _row_plaintext finds each row of a key with big entries
+a check number; optionally a rounded column ratio does too.  A block is
+intact when both rows of P solve (_solve, one _row_plaintext per row) and
+det P and the column-ratio grid hold on them (_checked); decryption and
+`correct`'s clean test ask exactly that, and a repair candidate, built as
+rows @ M(n), needs only _checked.  Decryption raises the error naming the
+block and the first check it fails.  verify_package is the paper's
+diagnostic: det C and the row-ratio intervals, with the rows it flags.
+Every key takes one path there: it first solves both rows of P, and when
+both solve, no row can be out of its interval and det P settles the
+status; det C and the intervals remain for the blocks that do not solve.
+_row_plaintext finds each row of a key with big entries
 (CodingMatrix.forward is set) from the low bits of C, a 2-adic solve, and
 proves it times M(n) equals the row of C over the integers, so only
 small-by-big products touch the big entries; other keys divide exactly.
-A package remembers the rows it solved to (_package_rows), so
-verify_package and decryption under the same coding matrix solve each
-received block once; the memo lives in the package object, for as long as
-it does, and never leaves the process.
+P depends only on C and M(n), so the ciphertext Mat2 remembers the rows it
+was proven to (_package_rows): verify_package and decryption under the same
+coding matrix solve each block once, and a package built around the same C
+(dataclasses.replace) shares its rows.  The memo lives in the Mat2 object,
+for as long as it does, and never leaves the process.
 """
 
 from __future__ import annotations
@@ -197,8 +199,8 @@ class CipherPackage:
 
     The framing fields are plain ints, so the canonical writer can print
     every field without asking the JSON encoder what it holds.  The
-    plaintext rows verify_package or decryption proves stay beside the
-    fields in __dict__ (_package_rows); __getstate__ leaves them out.
+    plaintext rows verify_package or decryption proves stay with c, not
+    here (_package_rows).
     """
 
     c: Mat2
@@ -231,13 +233,6 @@ class CipherPackage:
             "c": c, "det_p": det_p, "column_ratio": column_ratio,
             "block_index": block_index, "pad_len": pad_len,
         })
-
-    def __getstate__(self):
-        """The five fields, so pickles and copies carry no remembered plaintext rows."""
-        return {
-            "c": self.c, "det_p": self.det_p, "column_ratio": self.column_ratio,
-            "block_index": self.block_index, "pad_len": self.pad_len,
-        }
 
 
 @dataclass(frozen=True)
@@ -380,7 +375,13 @@ def _checked(c: Mat2, rows, det_p: int, grid) -> tuple[int, int, int, int] | Non
 
 def _solve(c: Mat2, cm: CodingMatrix, bound):
     """Both rows of P = C @ adj(M(n)) / det M(n), ((p11, p12), (p21, p22)), if each
-    is integral, non-negative and below bound (_row_plaintext), else None."""
+    is integral, non-negative and below bound (_row_plaintext), else None.
+
+    Rows that solve and pass _checked make the block intact.  That implies
+    C >= 0, both row ratios inside the row interval (each is a
+    non-negatively weighted mediant of M(n)'s column ratios) and
+    det C = det M(n) * det P.
+    """
     top = _row_plaintext(c.a11, c.a12, cm, bound)
     if top is None:
         return None
@@ -390,40 +391,31 @@ def _solve(c: Mat2, cm: CodingMatrix, bound):
     return top, bottom
 
 
-def _intact(c: Mat2, det_p: int, cm: CodingMatrix, grid, bound) -> tuple[int, int, int, int] | None:
-    """Row-major entries of P = C @ adj(M(n)) / det M(n) if the block is intact, else None.
-
-    Intact: both rows of P solve (_solve; bound None skips the bound) and
-    pass _checked.  That implies C >= 0, both row ratios inside the row
-    interval (each is a non-negatively weighted mediant of M(n)'s column
-    ratios) and det C = det M(n) * det P.
-    """
-    rows = _solve(c, cm, bound)
-    return None if rows is None else _checked(c, rows, det_p, grid)
-
-
 def _package_rows(pkg: CipherPackage, cm: CodingMatrix, bound=None):
     """The rows ((p11, p12), (p21, p22)) of P for pkg under cm if both are
     integral and non-negative, else None.
 
-    The first solve that proves both rows keeps them in pkg.__dict__ as
-    (cm, rows); a later call returns them, whatever bound it passes, while
-    the stored cm is its cm.  Only proven rows are kept: a solve under a
-    bound (verify_package's 2^FORWARD_BITS, which spares it exact division)
-    can fail where decryption's unbounded one passes.  Equality, hash, repr
-    and __getstate__ read only the five fields.
+    The rows live on the ciphertext pkg.c, since they depend only on C and
+    M(n): the first solve that proves both rows keeps them in c.__dict__ as
+    (cm, rows).  A later call returns them, whatever bound it passes, while
+    the stored cm is its cm.  Only proven rows are kept: a solve under a bound
+    (verify_package's 2^FORWARD_BITS, which spares it exact division) can
+    fail where decryption's unbounded one passes.  The caller applies its
+    package's own det_p and grid (_checked).  Equality, hash, repr and
+    Mat2.__getstate__ read only the four entries.
     """
-    memo = pkg.__dict__.get("_rows")
+    c = pkg.c
+    memo = c.__dict__.get("_rows")
     if memo is not None and memo[0] is cm:
         return memo[1]
-    rows = _solve(pkg.c, cm, bound)
+    rows = _solve(c, cm, bound)
     if rows is not None:
-        pkg.__dict__["_rows"] = (cm, rows)
+        c.__dict__["_rows"] = (cm, rows)
     return rows
 
 
 def _rejection(pkg: CipherPackage, cm: CodingMatrix, bound) -> CipherError:
-    """The error naming the first check that a block _intact rejects fails.
+    """The error naming the first check that a block that is not intact fails.
 
     Divisibility by det is decided on C and adj M reduced mod det, so the
     big-by-big product C @ adj M is formed only for a block that passes it.
@@ -575,8 +567,8 @@ def verify_package(pkg: CipherPackage, key: CipherKey) -> VerifyResult:
     C = P @ M(n) with P >= 0, so det C = det M(n) * det P and each row of C
     is zero or a mediant of M(n)'s row ratios: no row is flagged, and det P
     against det_p gives the status.  Otherwise det C and the intervals are
-    computed from C.  The rows stay on the package for decryption under the
-    same key (_package_rows).
+    computed from C.  The rows stay on the package's C for decryption under
+    the same key (_package_rows).
     """
     cm = key.coding_matrix
     rows = _package_rows(pkg, cm, _FORWARD_BOUND)

@@ -18,14 +18,17 @@ A candidate block sits at the Hamming weight of its change to C:
   * weight 2 within a row (rows): an intact row and the det-P line of the
     other, cut to a k-interval by the box and the column-ratio grid.
 
-Every candidate must be intact by cipher._intact, the question decryption
-asks, and sit at exactly its weight.  The decoder decides at the lowest
-weight with a passing candidate: one is the repair, several are ambiguity,
-whatever their classes, so a weight stops at its second passing
-candidate.  A line that nothing bounds, or that holds more than
-MAX_CANDIDATES points, is never scanned: its class is reported
-(column-ratio-missing for a row with neither a grid nor a bound), and the
-weight that holds it is ambiguous, since that class cannot be ruled out.
+Every candidate must be intact, as decryption asks, and sit at exactly its
+weight.  A candidate is built as rows @ M(n) from P-rows inside the box, and
+M(n) is invertible, so solving it would only give those rows back: it is
+intact when cipher._checked (det P and the column-ratio grid) passes on
+them.  The decoder decides at the lowest weight with a passing candidate:
+one is the repair, several are ambiguity, whatever their classes, so a
+weight stops at its second passing candidate.  A line that nothing bounds,
+or that holds more than MAX_CANDIDATES points, is never scanned: its class
+is reported (column-ratio-missing for a row with neither a grid nor a
+bound), and the weight that holds it is ambiguous, since that class cannot
+be ruled out.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .cipher import CipherKey, CipherPackage, _checked, _intact, _rejection, _row_plaintext
+from .cipher import CipherKey, CipherPackage, _checked, _rejection, _row_plaintext
 from .errors import NoDiophantineSolution
-from .matrix import Mat2
+from .matrix import Mat2, _require_int
 
 # The most points one line scan lists.
 MAX_CANDIDATES = 100_000
@@ -89,21 +92,23 @@ def _diophantine_gcd(a: int, b: int, c: int) -> int:
     return g
 
 
-def _family(a: int, b: int, c: int, g: int, inv: int | None = None) -> DiophantineFamily:
-    """The normalized family of a*x - b*y = c, with g = _diophantine_gcd(a, b, c)
-    and inv, when given, the inverse of a/g modulo |b|/g."""
+def _family(a: int, b: int, c: int, g: int, inv: int | None = None) -> tuple[int, int, int, int]:
+    """(base_x, base_y, step_x, step_y) of the normalized family of a*x - b*y = c,
+    with g = _diophantine_gcd(a, b, c) and inv, when given, the inverse of a/g
+    modulo |b|/g."""
     if b == 0:
-        return DiophantineFamily((c // a, 0), (0, 1))
+        return c // a, 0, 0, 1
     m = abs(b) // g
     if inv is None:
         inv = pow(a // g, -1, m)  # pow(., -1, 1) is 0
     x = c // g * inv % m
-    return DiophantineFamily((x, (a * x - c) // b), (m, a // g if b > 0 else -a // g))
+    return x, (a * x - c) // b, m, a // g if b > 0 else -a // g
 
 
 def solve_linear_diophantine(a: int, b: int, c: int) -> DiophantineFamily:
     """General integer solution family of a*x - b*y = c."""
-    return _family(a, b, c, _diophantine_gcd(a, b, c))
+    bx, by, dx, dy = _family(a, b, c, _diophantine_gcd(a, b, c))
+    return DiophantineFamily((bx, by), (dx, dy))
 
 
 @dataclass(frozen=True)
@@ -180,10 +185,9 @@ def _points(u: int, v: int, w: int, bound, limit=None, inv=None):
             if lo <= s * x + t * y and (hi is None or s * x + t * y <= hi)
         )
     try:
-        family = _family(u, -v, w, _diophantine_gcd(u, -v, w), inv)
+        bx, by, dx, dy = _family(u, -v, w, _diophantine_gcd(u, -v, w), inv)
     except NoDiophantineSolution:
         return []
-    (bx, by), (dx, dy) = family.base, family.step
     top = None if bound is None else bound - 1
     klo = khi = None
     for s, t, lo, hi in ((1, 0, 0, top), (0, 1, 0, top), *([limit] if limit else ())):
@@ -228,7 +232,8 @@ def correct(
 ) -> CorrectionReport:
     """Decode at the lowest weight that has an intact candidate (see the module docstring).
 
-    A block is clean only if it is intact: both received rows solve, once,
+    plaintext_bound is None (no upper end) or an int of at least 1.  A
+    block is clean only if it is intact: both received rows solve, once,
     into the intact rows the classes reuse, and pass cipher._checked.
     Otherwise the first log entry names the first check it fails, as
     decrypt names it, and one entry follows per class examined, in
@@ -237,11 +242,16 @@ def correct(
     holds.  candidates_examined counts the solves and the listed det-line
     points.
     """
-    ctx = CorrectionContext.from_package(pkg, key, plaintext_bound=plaintext_bound)
-    cm, c, det_p, grid, bound = key.coding_matrix, pkg.c, pkg.det_p, ctx.rho, plaintext_bound
+    if plaintext_bound is not None:
+        _require_int("plaintext_bound", plaintext_bound)
+        if plaintext_bound < 1:
+            raise ValueError(f"plaintext_bound must be at least 1, got {plaintext_bound}")
+    check = pkg.column_ratio
+    cm, c, det_p, bound = key.coding_matrix, pkg.c, pkg.det_p, plaintext_bound
+    grid = None if check is None else check.grid
     e = c.entries()
     rows = (e[:2], e[2:])
-    intact = [_row_plaintext(c1, c2, cm, bound) for c1, c2 in rows]
+    intact = (_row_plaintext(e[0], e[1], cm, bound), _row_plaintext(e[2], e[3], cm, bound))
     if None not in intact and _checked(c, intact, det_p, grid) is not None:
         return CorrectionReport(ErrorClass.NONE, 0, c, attempts=(("verify", "clean"),))
     error = _rejection(pkg, cm, bound)
@@ -316,19 +326,23 @@ def correct(
                 examined += 1
                 yield i, p, known, (2 * i, 2 * i + 1)
 
-    def passes(i: int, p, known, changed: tuple[int, ...]) -> tuple[int, ...] | None:
-        """The entries of C for P with row i = p beside the known other row, if the
-        block is intact and changes exactly the entries at changed."""
-        (x0, y0), (x1, y1) = (p, known) if i == 0 else (known, p)
+    def passes(i: int, p, known, changed: tuple[int, ...]) -> Mat2 | None:
+        """C for P with row i = p beside the known other row, if the block is
+        intact and changes exactly the entries at changed."""
+        block_rows = (p, known) if i == 0 else (known, p)
+        (x0, y0), (x1, y1) = block_rows
         if min(x0, y0, x1, y1) < 0 or (bound is not None and max(x0, y0, x1, y1) >= bound):
             return None
         cand = (x0 * m11 + y0 * m21, x0 * m12 + y0 * m22, x1 * m11 + y1 * m21, x1 * m12 + y1 * m22)
         if any((cand[k] != e[k]) != (k in changed) for k in range(4)):
             return None
-        return None if _intact(Mat2(*cand), det_p, cm, grid, bound) is None else cand
+        # block_rows are in the box and cand = block_rows @ M(n) exactly, so
+        # they are what solving cand would give: only _checked is left.
+        block = Mat2(*cand)
+        return None if _checked(block, block_rows, det_p, grid) is None else block
 
     for classes, none in _WEIGHTS:
-        found: dict[tuple[int, ...], tuple[str, tuple[int, int] | None]] = {}
+        found: dict[Mat2, tuple[str, tuple[int, int] | None]] = {}
         examined_classes = []
         for cls in classes:
             examined_classes.append(cls)
@@ -350,9 +364,9 @@ def correct(
         for cls in examined_classes:
             attempts.append((cls, unscanned.get(cls) or (outcome if cls in holding else none)))
         if decided:
-            ((cand, (cls, position)),) = found.items()
+            ((block, (cls, position)),) = found.items()
             return CorrectionReport(
-                ErrorClass(cls), examined, Mat2(*cand), position, attempts=tuple(attempts)
+                ErrorClass(cls), examined, block, position, attempts=tuple(attempts)
             )
         if len(found) > 1:
             tying = ", ".join(cls for cls in classes if cls in holding)

@@ -52,7 +52,9 @@ class Mat2:
 
     The hand-written __init__ (which dataclass keeps) checks the entries and
     stores all four in one step; eq, hash, repr and immutability are the
-    dataclass's.
+    dataclass's.  A ciphertext block may also keep the plaintext rows it
+    was proven to in __dict__ (cipher._package_rows); __getstate__ leaves
+    them out.
     """
 
     a11: int
@@ -66,6 +68,10 @@ class Mat2:
             for name, value in (("a11", a11), ("a12", a12), ("a21", a21), ("a22", a22)):
                 _require_int(name, value)
         object.__setattr__(self, "__dict__", {"a11": a11, "a12": a12, "a21": a21, "a22": a22})
+
+    def __getstate__(self):
+        """The four entries, so pickles and copies carry no remembered plaintext rows."""
+        return {"a11": self.a11, "a12": self.a12, "a21": self.a21, "a22": self.a22}
 
     @classmethod
     def identity(cls) -> "Mat2":

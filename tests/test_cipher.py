@@ -12,7 +12,6 @@ from unicipher.cipher import (
     ColumnRatioCheck,
     PlaintextMatrix,
     VerifyStatus,
-    _intact,
     decode_text,
     decrypt,
     decrypt_message,
@@ -30,6 +29,8 @@ from unicipher.errors import (
 )
 from unicipher.matrix import FORWARD_BITS, KeyMatrix, Mat2, SeedPair
 from unicipher.sampling import random_cipher_key, random_plaintext
+
+from test_kernel import intact
 
 
 class TestEncodeText:
@@ -229,11 +230,11 @@ class TestForwardProduct:
         assert decrypt(pkg, key).p == p
         assert verify_package(pkg, key).clean
         grid = pkg.column_ratio.grid
-        assert _intact(pkg.c, pkg.det_p, cm, grid, None) == p.entries()
-        assert _intact(pkg.c, pkg.det_p, cm, grid, 2**71) == p.entries()
-        assert _intact(pkg.c, pkg.det_p, cm, grid, 2**70 + 5) is None
-        assert _intact(pkg.c, pkg.det_p, cm, grid, self.q) is None
-        assert _intact(pkg.c, pkg.det_p, cm, grid, 256) is None
+        assert intact(pkg.c, pkg.det_p, cm, grid, None) == p.entries()
+        assert intact(pkg.c, pkg.det_p, cm, grid, 2**71) == p.entries()
+        assert intact(pkg.c, pkg.det_p, cm, grid, 2**70 + 5) is None
+        assert intact(pkg.c, pkg.det_p, cm, grid, self.q) is None
+        assert intact(pkg.c, pkg.det_p, cm, grid, 256) is None
 
     def test_even_det_takes_the_forward_product(self):
         # seed (0, 2**64) on the cat multiplier: det M(500) = 2**128, s = 128
@@ -253,7 +254,7 @@ class TestForwardProduct:
             bad = CipherPackage(Mat2(*entries), pkg.det_p)
             assert verify_package(bad, key).status is VerifyStatus.BOTH
             for bound in (26, None):
-                assert _intact(bad.c, bad.det_p, key.coding_matrix, None, bound) is None
+                assert intact(bad.c, bad.det_p, key.coding_matrix, None, bound) is None
             with pytest.raises(NegativePlaintext):
                 decrypt(bad, key)
 

@@ -12,9 +12,11 @@ from unicipher.cipher import (
     CipherPackage,
     ColumnRatioCheck,
     PlaintextMatrix,
-    _intact,
+    _checked,
+    _solve,
     decrypt,
     encrypt,
+    encrypt_message,
     verify_package,
 )
 from unicipher.correction import (
@@ -27,10 +29,10 @@ from unicipher.correction import (
 from unicipher.errors import CheckNumberMismatch, InvalidKey, NegativePlaintext
 from unicipher.errors import NoDiophantineSolution, NonIntegralPlaintext
 from unicipher.matrix import FORWARD_BITS, KeyMatrix, Mat2, SeedPair
-from unicipher.ratios import BOTTOM_OVER_TOP
+from unicipher.ratios import BOTTOM_OVER_TOP, round_half_even_ratio
 from unicipher.sampling import random_cipher_key, random_key_matrix, random_plaintext
 
-from test_kernel import outcome, ref_bad_rows, ref_decrypt, ref_verify, shear, tamper
+from test_kernel import intact, outcome, ref_bad_rows, ref_decrypt, ref_verify, shear, tamper
 
 
 def brute_force_solutions(a, b, c, lo=-500, hi=500):
@@ -354,9 +356,9 @@ class TestRow:
 
 
 # --- reference intact test ---------------------------------------------------
-# The repair check that cipher._intact replaced: every check an intact
-# ciphertext must pass, each tested on its own.  Rows, verify and decryption
-# use test_kernel's references.
+# The repair check that the intact test (_solve, then _checked) replaced:
+# every check an intact ciphertext must pass, each tested on its own.  Rows,
+# verify and decryption use test_kernel's references.
 
 
 def ref_repair_passes(mat: Mat2, ctx: CorrectionContext) -> bool:
@@ -389,7 +391,7 @@ def ref_repair_passes(mat: Mat2, ctx: CorrectionContext) -> bool:
 )
 @settings(max_examples=400, deadline=None)
 def test_intact_matches_reference(seed, family, n, digits, bound, damage):
-    """_intact accepts exactly the blocks that verify clean and pass every
+    """The intact test accepts exactly the blocks that verify clean and pass every
     reference repair check, and returns their decrypted entries."""
     rng = random.Random(seed)
     if family == "golden":
@@ -408,7 +410,7 @@ def test_intact_matches_reference(seed, family, n, digits, bound, damage):
     cm = key.coding_matrix
     ctx = CorrectionContext.from_package(pkg, key, plaintext_bound=bound)
     expected = verify_package(pkg, key).clean and ref_repair_passes(pkg.c, ctx)
-    entries = _intact(pkg.c, pkg.det_p, cm, ctx.rho, bound)
+    entries = intact(pkg.c, pkg.det_p, cm, ctx.rho, bound)
     assert (entries is not None) == expected
     if expected:
         assert entries == ref_decrypt(pkg, key)
@@ -453,7 +455,7 @@ def forward_key(family: str, n: int, rng: random.Random) -> CipherKey:
 @settings(max_examples=300, deadline=None)
 def test_forward_product_matches_reference(seed, family, n, digits, bound, damage):
     """Above FORWARD_MIN_BITS (cat keys from n = 185, golden keys from
-    n = 370, most random keys from n = 100) _intact and verify_package use
+    n = 370, most random keys from n = 100) _solve and verify_package use
     the 2-adic forward product; below it (n = 1, 10 and 60 for every
     family) they divide exactly, and verify_package solves P before it
     falls back to det C and the intervals on every key.  Both must still
@@ -473,7 +475,7 @@ def test_forward_product_matches_reference(seed, family, n, digits, bound, damag
     verified = ref_verify(pkg, key)
     assert verify_package(pkg, key) == verified
     expected = verified.clean and ref_repair_passes(pkg.c, ctx)
-    entries = _intact(pkg.c, pkg.det_p, cm, ctx.rho, bound)
+    entries = intact(pkg.c, pkg.det_p, cm, ctx.rho, bound)
     assert (entries is not None) == expected
     if expected:
         assert entries == ref_decrypt(pkg, key)
@@ -484,7 +486,7 @@ def test_forward_product_matches_reference(seed, family, n, digits, bound, damag
 def test_negative_entry_on_a_big_key_matches_reference(family, i):
     """A negative ciphertext entry reaches the forward product as its residue
     (Python's &), fails the exact check and falls to the same verdicts as the
-    exact references, in verify_package, _intact and decrypt."""
+    exact references, in verify_package, the intact test and decrypt."""
     rng = random.Random(i)
     key = forward_key(family, 500, rng)
     cm = key.coding_matrix
@@ -496,15 +498,66 @@ def test_negative_entry_on_a_big_key_matches_reference(family, i):
         assert verify_package(bad, key) == ref_verify(bad, key)
         for bound in (26, 2**64, None):
             ctx = CorrectionContext.from_package(bad, key, plaintext_bound=bound)
-            assert _intact(bad.c, bad.det_p, cm, ctx.rho, bound) is None
+            assert intact(bad.c, bad.det_p, cm, ctx.rho, bound) is None
             assert not ref_repair_passes(bad.c, ctx)
         assert outcome(lambda: decrypt(bad, key).p.entries()) == outcome(ref_decrypt, bad, key)
+
+
+def tiny_key(rng: random.Random, n: int) -> CipherKey:
+    """A key with entries and seeds at most 3, as test_pins_lose_no_candidate
+    draws them, so M(n) can have zero entries."""
+    while True:
+        try:
+            seed = SeedPair(rng.randint(0, 3), rng.randint(0, 3))
+            return CipherKey(random_key_matrix(rng, max_entry=3), seed, n)
+        except InvalidKey:
+            pass
+
+
+def box_entry(rng: random.Random, bound) -> int:
+    """0, bound - 1 or any entry below bound; without a bound, 0, a small entry
+    or one of 2**FORWARD_BITS or more, which only exact division solves."""
+    if bound is None:
+        return rng.choice((0, rng.randrange(300), 2**FORWARD_BITS + rng.randrange(2**FORWARD_BITS)))
+    return rng.choice((0, bound - 1, rng.randrange(bound)))
+
+
+@pytest.mark.parametrize("family,n", [
+    ("tiny", 1), ("tiny", 3),
+    *((family, n) for family in ("golden", "cat", "random") for n in (10, 100)),
+    *((family, 500) for family in ("golden", "cat", "cat_even", "random")),
+])
+@pytest.mark.parametrize("bound", (3, 26, 256, 2**64, None))
+def test_candidate_needs_no_second_solve(family, n, bound):
+    """correct builds each candidate as rows @ M(n) from rows in the box and
+    asks only _checked: solving the candidate must give those rows back, so
+    the full intact test and _checked on the rows agree, for det_p equal
+    to det P or not and for the true column-ratio grid, a shifted one and
+    none."""
+    rng = random.Random(f"{family} {n} {bound}")
+    for _ in range(4):
+        key = tiny_key(rng, n) if family == "tiny" else forward_key(family, n, rng)
+        cm = key.coding_matrix
+        for _ in range(25):
+            rows = tuple((box_entry(rng, bound), box_entry(rng, bound)) for _ in range(2))
+            c = Mat2.from_rows(rows) @ cm.matrix
+            assert _solve(c, cm, bound) == rows
+            if c.a11 > 0:
+                digits = rng.randint(0, 3)
+                value = round_half_even_ratio(c.a21, c.a11, digits)
+                r, d = ColumnRatioCheck(BOTTOM_OVER_TOP, value, digits).grid
+            else:
+                r, d = 0, 1
+            det_p = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+            for grid in (None, (r, d), (r + 1, d)):
+                for claimed in (det_p, det_p + 1):
+                    assert intact(c, claimed, cm, grid, bound) == _checked(c, rows, claimed, grid)
 
 
 # --- brute-force oracle -------------------------------------------------------
 # Every P-row in the box, times M(n), is a candidate ciphertext row.  The
 # oracle keeps the pairs of rows within Hamming distance 2 of C that have
-# det P = det_p and pass _intact, at their lowest distance: one codeword is
+# det P = det_p and pass the intact test, at their lowest distance: one codeword is
 # the repair, several are a tie, none is no repair.
 
 
@@ -528,7 +581,7 @@ def oracle_codewords(pkg, key, bound):
                 for (x1, y1), bottom in by_distance[1][weight - d0]:
                     if x0 * y1 - y0 * x1 == pkg.det_p:
                         cand = Mat2(*top, *bottom)
-                        if _intact(cand, pkg.det_p, cm, grid, bound) is not None:
+                        if intact(cand, pkg.det_p, cm, grid, bound) is not None:
                             found.add(cand)
         if found:
             return found
@@ -772,6 +825,23 @@ class TestPipeline:
             report = correct(bad, key, plaintext_bound=26)
             if report.success:
                 assert report.repaired == pkg.c
+
+
+@pytest.mark.parametrize("bound,error", [
+    (True, TypeError), (2.5, TypeError), (26.0, TypeError), ("26", TypeError),
+    (0, ValueError), (-5, ValueError),
+])
+def test_plaintext_bound_follows_the_integer_rule(bound, error):
+    # golden n = 5 MATH with one entry changed (corrupt --spec single --seed 3):
+    # the bound 26 repairs it; True once read as 1 and answered uncorrectable,
+    # 0 and -5 answered uncorrectable, and 2.5 raised from range()
+    key = CipherKey.golden(5)
+    (pkg,) = encrypt_message("MATH", key)
+    bad, _ = corrupt_package(pkg, CorruptionSpec("single", 3))
+    assert correct(bad, key, plaintext_bound=26).repaired == pkg.c
+    assert not correct(bad, key, plaintext_bound=1).success
+    with pytest.raises(error, match="plaintext_bound"):
+        correct(bad, key, plaintext_bound=bound)
 
 
 class TestRecordedOutcomes:

@@ -25,7 +25,9 @@ from unicipher.channel import (
     HEX_MIN_BITS,
     MAX_HEX_CHARS,
     PACKAGE_FORMAT_VERSION,
+    CorruptionSpec,
     _hex,
+    corrupt_packages,
     dumps_packages,
 )
 from unicipher.cipher import (
@@ -36,12 +38,15 @@ from unicipher.cipher import (
     PlaintextMatrix,
     VerifyResult,
     VerifyStatus,
+    _checked,
+    _solve,
     decrypt,
     decrypt_message,
     encrypt,
     encrypt_message,
     verify_package,
 )
+from unicipher.correction import correct
 from unicipher.errors import (
     CheckNumberMismatch,
     FormatError,
@@ -155,6 +160,13 @@ def ref_decrypt_message(packages, key, alphabet):
     return alphabet.render(indices)
 
 
+def intact(c: Mat2, det_p: int, cm, grid, bound):
+    """Row-major entries of P if the block is intact, as decryption asks:
+    both rows solve (_solve) and pass det P and the grid (_checked); else None."""
+    rows = _solve(c, cm, bound)
+    return None if rows is None else _checked(c, rows, det_p, grid)
+
+
 def outcome(fn, *args):
     """fn's result, or the type and text of what it raised."""
     try:
@@ -236,20 +248,71 @@ def test_message_kernel_matches_reference(seed, n, perm, emit, digits, message):
 
 
 def test_copies_carry_no_remembered_rows():
-    """A verified and decrypted package keeps its plaintext rows in the
-    process only: every pickle protocol, copy and deepcopy give an equal
-    package that holds just the five fields."""
+    """A verified and decrypted package keeps its plaintext rows on its C, in
+    the process only: every pickle protocol and deepcopy give an equal
+    package whose C holds just the four entries, and so does every copy of
+    the C itself.  A block correct repaired keeps its rows the same way once
+    a package built around it is decrypted."""
     key = CipherKey.arnolds_cat(500)
     (pkg,) = encrypt_message("MATH", key, emit_column_ratio=True)
     assert verify_package(pkg, key).clean
     assert decrypt_message([pkg], key) == "MATH"
+    bad = dataclasses.replace(pkg, c=Mat2(pkg.c.a11 + 1, pkg.c.a12, pkg.c.a21, pkg.c.a22))
+    repaired = correct(bad, key, plaintext_bound=26).repaired
+    assert repaired == pkg.c and repaired is not pkg.c
+    assert decrypt_message([dataclasses.replace(bad, c=repaired)], key) == "MATH"
     fields = {f.name for f in dataclasses.fields(CipherPackage)}
-    assert pkg.__dict__.keys() > fields
-    copies = [pickle.loads(pickle.dumps(pkg, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    entries = {f.name for f in dataclasses.fields(Mat2)}
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    assert pkg.__dict__.keys() == fields
+    for c in (pkg.c, repaired):
+        assert c.__dict__.keys() > entries
+        copies = [pickle.loads(pickle.dumps(c, proto)) for proto in protocols]
+        for copied in (*copies, copy.copy(c), copy.deepcopy(c)):
+            assert copied == c
+            assert hash(copied) == hash(c) and repr(copied) == repr(c)
+            assert copied.__dict__.keys() == entries
+    copies = [pickle.loads(pickle.dumps(pkg, proto)) for proto in protocols]
     for copied in (*copies, copy.copy(pkg), copy.deepcopy(pkg)):
         assert copied == pkg
         assert hash(copied) == hash(pkg) and repr(copied) == repr(pkg)
         assert copied.__dict__.keys() == fields
+    # a shallow copy shares C, and so its rows, which depend only on C and M(n)
+    assert copy.copy(pkg).c is pkg.c
+    for copied in (*copies, copy.deepcopy(pkg)):
+        assert copied.c.__dict__.keys() == entries
+
+
+@pytest.mark.parametrize("n", (1, 10, 100, 500))
+def test_repaired_rows_answer_only_for_their_key(n):
+    """Verifying the repaired packages leaves their rows on each repaired C;
+    decrypting them under a second key (another coding matrix) must still
+    give the reference's answer, error included, and under the key the
+    message."""
+    rng = random.Random(n)
+    alphabet = Alphabet.bytes_mode()
+    for _ in range(6):
+        perm = rng.choice(PERMS)
+        key, other = draw_key(rng, n, perm), draw_key(rng, n, perm)
+        message = rng.randbytes(rng.randint(1, 24))
+        packages = encrypt_message(message, key, alphabet, emit_column_ratio=True)
+        spec = CorruptionSpec("random", rng.randrange(2**30))
+        received, _ = corrupt_packages(packages, spec)
+        reports = [correct(pkg, key, plaintext_bound=256) for pkg in received]
+        repaired = [
+            dataclasses.replace(pkg, c=r.repaired)
+            for pkg, r in zip(received, reports) if r.repaired is not None
+        ]
+        assert all(verify_package(pkg, key).clean for pkg in repaired)
+        assert all(pkg.c.__dict__["_rows"][0] is key.coding_matrix for pkg in repaired)
+        assert outcome(decrypt_message, repaired, other, alphabet) == outcome(
+            ref_decrypt_message, repaired, other, alphabet
+        )
+        assert outcome(decrypt_message, repaired, key, alphabet) == outcome(
+            ref_decrypt_message, repaired, key, alphabet
+        )
+        if len(repaired) == len(packages):
+            assert decrypt_message(repaired, key, alphabet) == message
 
 
 @given(st.integers(0, 2**32), st.sampled_from(PERMS), st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ", max_size=13))
