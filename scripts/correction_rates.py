@@ -42,7 +42,7 @@ def run_trials(mode, trials, seed, with_ratio, digits, n_lo, n_hi, bound):
     exact = wrong = undetected = beyond = reported = 0
     for _ in range(trials):
         key = random_cipher_key(rng, n_lo=n_lo, n_hi=n_hi)
-        p = random_plaintext(rng)
+        p = random_plaintext(rng, alphabet_size=bound)
         pkg = encrypt(p, key, emit_column_ratio=with_ratio, ratio_digits=digits)
         bad, _ = corrupt_package(pkg, CorruptionSpec(mode, seed=rng.randrange(2**30)))
         report = correct(bad, key, plaintext_bound=bound)
@@ -66,8 +66,11 @@ def main() -> int:
     parser.add_argument("--n-lo", type=int, default=4)
     parser.add_argument("--n-hi", type=int, default=24)
     parser.add_argument("--bound", type=int, default=26,
-                        help="alphabet size used for candidate filtering")
+                        help="alphabet size: plaintext entries are drawn below it, "
+                             "and repair candidates are bounded by it")
     args = parser.parse_args()
+    if args.bound < 1:
+        parser.error(f"--bound must be at least 1, got {args.bound}")
 
     print(f"{args.trials} trials per class, exponents {args.n_lo}..{args.n_hi}, "
           f"ratio digits {args.ratio_digits}")

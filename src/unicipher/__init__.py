@@ -63,7 +63,6 @@ from .matrix import (
     s_matrix,
 )
 from .ratios import (
-    BOTTOM_OVER_TOP,
     ConvergenceMode,
     ConvergenceProfile,
     FixedPoints,

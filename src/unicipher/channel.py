@@ -3,8 +3,11 @@
 Key and package files are canonical JSON: fixed field order, two-space
 indent, trailing newline.  Every payload integer is a string, so values of
 any magnitude survive any JSON reader.  Key files (version 1) write the
-matrix entries and seeds in decimal.  Package files (version 2) and the
-corruption diff write ciphertext entries and det_p in lowercase hex, with a
+matrix entries and seeds in decimal.  A package file (version 3) holds one
+whole message: its header gives the block count k and the pad length, its
+packages carry block indices exactly 0..k-1 in any order, and only block
+k-1 is padded.  Package files and the corruption diff (which shares their
+version) write ciphertext entries and det_p in lowercase hex, with a
 leading "-" for negatives: CPython converts hex to and from int in linear
 time, decimal in quadratic time.  A big integer's hex is made by _hex,
 through bytes.hex(), since "%x" formats a long one nibble at a time: over
@@ -28,7 +31,7 @@ from .errors import FormatError
 from .matrix import KeyMatrix, Mat2, SeedPair
 
 KEY_FORMAT_VERSION = 1
-PACKAGE_FORMAT_VERSION = 2
+PACKAGE_FORMAT_VERSION = 3
 # The longest hex string, its "-" included, of a package integer.  Every
 # value below 16**3571 has at most 4,300 decimal digits, so any integer a
 # package file holds also prints in decimal under Python's int-str limit.
@@ -80,7 +83,7 @@ def _parse_int(value) -> int:
 def _parse_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or a number past Python's int-str limit
         raise FormatError(f"invalid JSON: {exc}") from None
 
 
@@ -165,11 +168,10 @@ def loads_key(text: str) -> tuple[CipherKey, Alphabet]:
 
 
 # One package's document as json.dumps(..., indent=2) prints it, nested two
-# deep: c as four hex strings, det_p as a hex string, column_ratio as
-# {orientation, value, digits} or null, and the block_index and pad_len ints.
-# Nothing is escaped: the entries and det_p are ints, and a ColumnRatioCheck
-# holds BOTTOM_OVER_TOP and a decimal value.  One %-format is as fast for
-# small ints as printing them in decimal.
+# deep: c as four hex strings, det_p as a hex string, column_ratio as a
+# decimal string or null, and the block_index int.  Nothing is escaped: the
+# entries and det_p are ints, and a ColumnRatioCheck holds a decimal value.
+# One %-format is as fast for small ints as printing them in decimal.
 _PACKAGE_TEXT = (
     "    {\n"
     '      "c": [\n'
@@ -180,8 +182,7 @@ _PACKAGE_TEXT = (
     "      ],\n"
     '      "det_p": "%x",\n'
     '      "column_ratio": %s,\n'
-    '      "block_index": %d,\n'
-    '      "pad_len": %d\n'
+    '      "block_index": %d\n'
     "    }"
 )
 # The same document with its five hex strings made beforehand, by _hex.
@@ -211,24 +212,14 @@ def _hex(x: int) -> str:
 
 def _package_text(pkg: CipherPackage) -> str:
     c, check = pkg.c, pkg.column_ratio
-    if check is None:
-        ratio = "null"
-    else:
-        ratio = (
-            "{\n"
-            f'        "orientation": "{check.orientation}",\n'
-            f'        "value": "{check.value}",\n'
-            f'        "digits": {check.digits}\n'
-            "      }"
-        )
+    ratio = "null" if check is None else f'"{check.value}"'
     if c.a11 < _HEX_MIN and c.a12 < _HEX_MIN:
-        text = _PACKAGE_TEXT % (c.a11, c.a12, c.a21, c.a22, pkg.det_p, ratio, pkg.block_index,
-                                pkg.pad_len)
+        text = _PACKAGE_TEXT % (c.a11, c.a12, c.a21, c.a22, pkg.det_p, ratio, pkg.block_index)
         # a text within the limit holds no integer past it
         if len(text) <= MAX_HEX_CHARS:
             return text
     strings = (_hex(c.a11), _hex(c.a12), _hex(c.a21), _hex(c.a22), _hex(pkg.det_p))
-    text = _BIG_PACKAGE_TEXT % (*strings, ratio, pkg.block_index, pkg.pad_len)
+    text = _BIG_PACKAGE_TEXT % (*strings, ratio, pkg.block_index)
     if len(text) > MAX_HEX_CHARS and max(map(len, strings)) > MAX_HEX_CHARS:
         raise FormatError(
             f"block {pkg.block_index}: an integer's hex string is longer than the "
@@ -237,33 +228,69 @@ def _package_text(pkg: CipherPackage) -> str:
     return text
 
 
-def dumps_packages(packages) -> str:
-    """Canonical package file, written directly.
+def _check_whole(indices, blocks: int) -> None:
+    """FormatError, field "framing", unless indices are exactly 0..blocks-1 in any order.
 
-    Byte-identical to json.dumps(document, indent=2) + "\\n" of the document
-    _PACKAGE_TEXT describes; CipherPackage's field types make that safe.
-    An integer whose hex string is longer than MAX_HEX_CHARS is a
-    FormatError naming its block.
+    The first missing or repeated block is read off the sorted indices, so
+    the work grows with the packages present, never with blocks.
     """
+    n = len(indices)
+    if n > blocks:
+        raise FormatError(f"framing: a {blocks}-block message in {n} packages")
+    for i, index in enumerate(sorted(indices)):
+        if index != i:
+            block, what = (i, "missing") if index > i else (index, "repeated")
+            raise FormatError(f"framing: block {block} of a {blocks}-block message is {what}")
+    if n < blocks:
+        raise FormatError(f"framing: block {n} of a {blocks}-block message is missing")
+
+
+def dumps_packages(packages) -> str:
+    """Canonical package file of one whole message, written directly.
+
+    The block indices must be exactly 0..k-1, in any order, and only block
+    k-1 may carry padding; otherwise FormatError, field "framing".  The
+    packages are written in the order given.  Byte-identical to
+    json.dumps(document, indent=2) + "\\n" of the document _PACKAGE_TEXT
+    describes; CipherPackage's field types make that safe.  An integer whose
+    hex string is longer than MAX_HEX_CHARS is a FormatError naming its block.
+    """
+    packages = tuple(packages)
+    blocks = len(packages)
+    _check_whole([pkg.block_index for pkg in packages], blocks)
+    padded = {pkg.block_index: pkg.pad_len for pkg in packages if pkg.pad_len}
+    pad = padded.pop(blocks - 1, 0)
+    if padded:
+        raise FormatError(f"framing: block {min(padded)} is padded, not the last block")
     body = ",\n".join(_package_text(pkg) for pkg in packages)
     packages_text = f"[\n{body}\n  ]" if body else "[]"
-    return f'{{\n  "version": {PACKAGE_FORMAT_VERSION},\n  "packages": {packages_text}\n}}\n'
+    return (
+        f'{{\n  "version": {PACKAGE_FORMAT_VERSION},\n  "blocks": {blocks},\n'
+        f'  "pad_len": {pad},\n  "packages": {packages_text}\n}}\n'
+    )
 
 
 def loads_packages(text: str) -> tuple[CipherPackage, ...]:
-    """Parse a package file; block indices must be unique, and only the
-    block with the highest index may carry padding.
+    """Parse a package file of one whole message, in the file's package order.
 
-    Every field is required.  A missing or malformed field is a FormatError
-    naming the package's position and the field ("framing" for block_index
-    and pad_len), and so is an integer whose hex string is longer than
-    MAX_HEX_CHARS.
+    Every field is required.  The header's blocks and pad_len are plain ints,
+    pad_len in 0..3 and 0 when there are no blocks, and the block indices are
+    exactly 0..blocks-1 (_check_whole); pad_len goes on block blocks-1.  A
+    missing or malformed field is a FormatError naming the field ("framing"
+    for the header and block_index), and the package's position when it is a
+    package's; so is an integer whose hex string is longer than MAX_HEX_CHARS.
     """
     document = _parse_json(text)
     _check_version(document, PACKAGE_FORMAT_VERSION)
+    blocks, pad = _need(document, "blocks"), _need(document, "pad_len")
+    if type(blocks) is not int or type(pad) is not int:
+        raise FormatError("framing: blocks and pad_len must be plain integers")
+    if not 0 <= pad <= (3 if blocks else 0):
+        raise FormatError(f"framing: pad_len {pad} is not in 0..{3 if blocks else 0}")
     packages = _need(document, "packages")
     if not isinstance(packages, list):
         raise FormatError("packages must be a list")
+    last = blocks - 1
     parsed = []
     for item in packages:
         # len() raises TypeError on JSON numbers, booleans and null, and
@@ -287,23 +314,14 @@ def loads_packages(text: str) -> tuple[CipherPackage, ...]:
             field = "column_ratio"
             check = item["column_ratio"]
             if check is not None:
-                check = _ratio_check(check["orientation"], check["value"], check["digits"])
+                check = _ratio_check(check)
             field = "framing"
-            parsed.append(CipherPackage(c, det_p, check, item["block_index"], item["pad_len"]))
+            index = item["block_index"]
+            parsed.append(CipherPackage(c, det_p, check, index, pad if index == last else 0))
         except (KeyError, TypeError, ValueError) as exc:
             detail = f"missing field {exc}" if type(exc) is KeyError else exc
             raise FormatError(f"package {len(parsed)}, {field}: {detail}") from None
-    indices = {pkg.block_index for pkg in parsed}
-    if len(indices) != len(parsed):
-        raise FormatError("duplicate block_index")
-    if parsed:
-        last = max(indices)
-        for pkg in parsed:
-            if pkg.pad_len and pkg.block_index != last:
-                raise FormatError(
-                    f"pad_len {pkg.pad_len} on block {pkg.block_index}, "
-                    "but only the last block is padded"
-                )
+    _check_whole([pkg.block_index for pkg in parsed], blocks)
     return tuple(parsed)
 
 

@@ -2,7 +2,10 @@
 
 A message is chopped into 4-symbol blocks, each block permuted into a
 plaintext matrix and multiplied by the coding matrix.  det P rides along as
-a check number; optionally a rounded column ratio does too.  A block is
+a check number; optionally the column ratio c21/c11, rounded to a decimal
+string, does too.  A message's packages are numbered 0..k-1 and only the
+last carries padding; decrypt_message decodes whatever packages it is
+given, in block order, while a package file (channel) holds all k.  A block is
 intact when both rows of P solve (_solve, one _row_plaintext per row) and
 det P and the column-ratio grid hold on them (_checked); decryption and
 `correct`'s clean test ask exactly that, and a repair candidate, built as
@@ -36,7 +39,7 @@ from .errors import CheckNumberMismatch, CipherError, FormatError, InvalidKey
 from .errors import NegativePlaintext, NonIntegralPlaintext, UnknownSymbol
 from .matrix import FORWARD_BITS, CodingMatrix, KeyMatrix, Mat2, SeedPair, _require_int
 from .matrix import build_coding_matrix
-from .ratios import BOTTOM_OVER_TOP, round_half_even_ratio
+from .ratios import round_half_even_ratio
 
 IDENTITY_PERM = (0, 1, 2, 3)
 # Cap on transmitted column-ratio digits, so 10**digits stays small on hostile input.
@@ -45,8 +48,8 @@ MAX_RATIO_DIGITS = 100
 # ColumnRatioCheck.grid converts and the key reader handles.
 _MAX_DECIMAL_DIGITS = 4300
 # A column ratio as round_half_even_ratio writes it for non-negative entries:
-# decimal digits, then a point and the fractional places when there are any.
-_RATIO_VALUE = re.compile(r"[0-9]+(?:\.([0-9]+))?")
+# decimal digits, then a point and 1..MAX_RATIO_DIGITS places when there are any.
+_RATIO_VALUE = re.compile(r"[0-9]+(?:\.([0-9]{1,%d}))?" % MAX_RATIO_DIGITS)
 
 
 def _check_perm(perm) -> tuple[int, int, int, int]:
@@ -126,45 +129,30 @@ class PlaintextMatrix:
             raise ValueError("plaintext entries must be non-negative")
 
 
-def _check_digits(digits) -> None:
-    _require_int("digits", digits)
-    if not 0 <= digits <= MAX_RATIO_DIGITS:
-        raise ValueError(f"digits must be in 0..{MAX_RATIO_DIGITS}, got {digits}")
-
-
 @dataclass(frozen=True)
 class ColumnRatioCheck:
-    """Rounded column ratio as transmitted: orientation, decimal string, digits.
+    """Rounded column ratio c21/c11 as transmitted: one decimal string.
 
-    The orientation must be BOTTOM_OVER_TOP (c21/c11), the one the sender
-    writes and repair reads.  The value must be a str (no subclass) holding
-    a non-negative decimal with exactly `digits` fractional places, the form
-    the sender writes, so an instance holds only ASCII digits and a point.
-    As in Mat2, the hand-written __init__ checks the arguments and stores
-    every field in one step.
+    The value must be a str (no subclass) holding a non-negative decimal
+    with at most MAX_RATIO_DIGITS fractional places, the form the sender
+    writes, so an instance holds only ASCII digits and a point.  digits, the
+    number of places, is read off the value.  As in Mat2, the hand-written
+    __init__ checks the argument and stores every field in one step.
     """
 
-    orientation: str
     value: str
-    digits: int
+    digits: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, orientation: str, value: str, digits: int):
-        if orientation != BOTTOM_OVER_TOP:
-            raise ValueError(
-                f"column-ratio orientation must be {BOTTOM_OVER_TOP!r}, got {orientation!r}"
-            )
+    def __init__(self, value: str):
         if type(value) is not str:
             raise TypeError(f"value must be a str, got {type(value).__name__}")
-        _check_digits(digits)
         match = _RATIO_VALUE.fullmatch(value)
-        if match is None or len(match[1] or "") != digits:
+        if match is None:
             raise ValueError(
-                f"column-ratio value must be a non-negative decimal with {digits} "
-                f"places, got {value!r}"
+                f"column-ratio value must be a non-negative decimal with at most "
+                f"{MAX_RATIO_DIGITS} places, got {value!r}"
             )
-        object.__setattr__(
-            self, "__dict__", {"orientation": BOTTOM_OVER_TOP, "value": value, "digits": digits}
-        )
+        object.__setattr__(self, "__dict__", {"value": value, "digits": len(match[1] or "")})
 
     @cached_property
     def grid(self) -> tuple[int, int]:
@@ -177,20 +165,19 @@ class ColumnRatioCheck:
         return int(units), 10**self.digits
 
 
-# Shared ColumnRatioCheck per (orientation, value, digits): a message repeats
-# a few hundred values at 2 digits, so most blocks skip construction.  typed
-# keeps 2.0 and True from hitting the entries of 2 and 1; maxsize bounds how
-# many checks hostile input can make it hold, and _ratio_check keeps long
-# values (the integer part has no limit) out of it.
-_interned_ratio_check = lru_cache(maxsize=4096, typed=True)(ColumnRatioCheck)
+# Shared ColumnRatioCheck per value: a message repeats a few hundred values at
+# 2 digits, so most blocks skip construction.  maxsize bounds how many checks
+# hostile input can make it hold, and _ratio_check keeps everything but short
+# plain strs (the integer part has no limit) out of it.
+_interned_ratio_check = lru_cache(maxsize=4096)(ColumnRatioCheck)
 _MAX_INTERNED_VALUE = 2 * MAX_RATIO_DIGITS
 
 
-def _ratio_check(orientation: str, value: str, digits: int) -> ColumnRatioCheck:
-    """The interned check for a value of at most _MAX_INTERNED_VALUE characters, else a new one."""
+def _ratio_check(value: str) -> ColumnRatioCheck:
+    """The interned check for a str of at most _MAX_INTERNED_VALUE characters, else a new one."""
     if type(value) is str and len(value) <= _MAX_INTERNED_VALUE:
-        return _interned_ratio_check(orientation, value, digits)
-    return ColumnRatioCheck(orientation, value, digits)
+        return _interned_ratio_check(value)
+    return ColumnRatioCheck(value)
 
 
 @dataclass(frozen=True)
@@ -298,7 +285,9 @@ def _encrypt_blocks(
 ) -> tuple[CipherPackage, ...]:
     """C = P @ M(n) per block, numbered from 0; the last block carries pad_len."""
     if emit_column_ratio:
-        _check_digits(ratio_digits)
+        _require_int("digits", ratio_digits)
+        if not 0 <= ratio_digits <= MAX_RATIO_DIGITS:
+            raise ValueError(f"digits must be in 0..{MAX_RATIO_DIGITS}, got {ratio_digits}")
     m11, m12, m21, m22 = cm.matrix.entries()
     last = len(blocks) - 1
     packages = []
@@ -309,9 +298,7 @@ def _encrypt_blocks(
         c22 = p21 * m12 + p22 * m22
         check = None
         if emit_column_ratio and c11:
-            check = _ratio_check(
-                BOTTOM_OVER_TOP, round_half_even_ratio(c21, c11, ratio_digits), ratio_digits
-            )
+            check = _ratio_check(round_half_even_ratio(c21, c11, ratio_digits))
         packages.append(
             CipherPackage(
                 Mat2(c11, c12, c21, c22), p11 * p22 - p12 * p21, check, i,

@@ -5,9 +5,9 @@ stderr), and from `verify` when any package is not clean; `correct`
 additionally uses 2 when a package is uncorrectable and 3 when only
 ambiguous repairs were found; its JSON report gives each block the status
 clean, repaired, ambiguous or uncorrectable.  `correct` bounds repair
-candidates by the key file's alphabet.  `decrypt` of an incomplete file
-names its first missing block, and `ratios --steps` is at most
-MAX_ORBIT_STEPS.
+candidates by the key file's alphabet.  Every command that reads a package
+file refuses one that is not a whole message (channel.loads_packages), and
+`ratios --steps` is at most MAX_ORBIT_STEPS.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import channel
 from .attacks import EncryptionOracle, attack_golden, attack_k_golden
 from .cipher import Alphabet, CipherKey, SeedPair, decrypt_message, encrypt_message, verify_package
 from .correction import ErrorClass, correct
-from .errors import CipherError, FormatError, NoMatchInBounds, NotGoldenOracle
+from .errors import CipherError, NoMatchInBounds, NotGoldenOracle
 from .matrix import KeyMatrix, Mat2
 from .ratios import RatioParams, ratio_orbit
 
@@ -117,16 +117,7 @@ def _cmd_encrypt(args) -> int:
 
 def _cmd_decrypt(args) -> int:
     key, alphabet = _load_key(args.key)
-    packages = channel.loads_packages(_read(args.infile))
-    indices = sorted(pkg.block_index for pkg in packages)
-    # loads_packages makes the indices unique, so the first position that
-    # holds a larger index names a missing block
-    missing = next((i for i, index in enumerate(indices) if i != index), None)
-    if missing is not None:
-        raise FormatError(
-            f"decrypt needs every block 0..{indices[-1]}; block {missing} is missing"
-        )
-    message = decrypt_message(packages, key, alphabet)
+    message = decrypt_message(channel.loads_packages(_read(args.infile)), key, alphabet)
     if isinstance(message, bytes):
         sys.stdout.buffer.write(message)
     else:

@@ -18,8 +18,6 @@ from typing import Iterator, Sequence
 
 from .errors import ComplexFixedPoints, DivisionByZeroInOrbit
 
-BOTTOM_OVER_TOP = "bottom-over-top"
-
 DEFAULT_ORBIT_STEPS = 64
 # exponential_rate skips steps whose error is this small: float underflow, not a rate.
 _RATE_FLOOR = 1e-250

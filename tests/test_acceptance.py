@@ -31,7 +31,6 @@ from unicipher.matrix import (
     s_matrix,
 )
 from unicipher.ratios import (
-    BOTTOM_OVER_TOP,
     ConvergenceMode,
     RatioParams,
     convergence_profile,
@@ -153,7 +152,7 @@ def test_criterion_05_row_repairs_with_column_ratio():
     failures: list[str] = []
     # bottom row intact, top row lost; a one-digit ratio picks the member
     golden_pkg = CipherPackage(
-        Mat2(9999, 9999, 263, 162), -440, ColumnRatioCheck(BOTTOM_OVER_TOP, "0.9", 1)
+        Mat2(9999, 9999, 263, 162), -440, ColumnRatioCheck("0.9")
     )
     report = correct(golden_pkg, CipherKey.golden(6))
     check(failures, report.assumed_class is ErrorClass.ROW_TOP, f"class {report.assumed_class}")
@@ -161,7 +160,7 @@ def test_criterion_05_row_repairs_with_column_ratio():
 
     cat_key = CipherKey.arnolds_cat(4)
     cat_pkg = CipherPackage(
-        Mat2(1325, 321, 733, 280), -82, ColumnRatioCheck(BOTTOM_OVER_TOP, "0.5", 1)
+        Mat2(1325, 321, 733, 280), -82, ColumnRatioCheck("0.5")
     )
     report = correct(cat_pkg, cat_key)
     check(failures, report.repaired == Mat2(1450, 554, 733, 280), f"cat repair {report.repaired}")
@@ -283,13 +282,13 @@ def test_criterion_09_correction_suite():
     # the two row examples must repair exactly (checked in criterion 5 too)
     report = correct(
         CipherPackage(Mat2(1325, 321, 733, 280), -82,
-                      ColumnRatioCheck(BOTTOM_OVER_TOP, "0.5", 1)),
+                      ColumnRatioCheck("0.5")),
         CipherKey.arnolds_cat(4),
     )
     check(failures, report.repaired == Mat2(1450, 554, 733, 280), "cat row example")
     report = correct(
         CipherPackage(Mat2(9999, 9999, 263, 162), -440,
-                      ColumnRatioCheck(BOTTOM_OVER_TOP, "0.9", 1)),
+                      ColumnRatioCheck("0.9")),
         CipherKey.golden(6),
     )
     check(failures, report.repaired == Mat2(296, 184, 263, 162), "golden row example")

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from unicipher.channel import (
     loads_packages,
 )
 from unicipher.cipher import (
+    MAX_RATIO_DIGITS,
     Alphabet,
     CipherKey,
     CipherPackage,
@@ -29,7 +31,6 @@ from unicipher.cipher import (
 )
 from unicipher.errors import CheckNumberMismatch, FormatError
 from unicipher.matrix import KeyMatrix, Mat2, SeedPair
-from unicipher.ratios import BOTTOM_OVER_TOP
 from unicipher.sampling import random_cipher_key, random_plaintext
 
 
@@ -106,52 +107,64 @@ class TestKeyFiles:
 
 
 def malformed_package_text(field: str, value) -> str:
-    """A one-package file with `field` (framing or column-ratio) set to `value`."""
-    pkg = CipherPackage(Mat2(1450, 554, 733, 280), -82, ColumnRatioCheck(BOTTOM_OVER_TOP, "0.51", 2))
+    """A one-package file with `field` of the header or the package set to
+    `value`; "value" is the column ratio's."""
+    pkg = CipherPackage(Mat2(1450, 554, 733, 280), -82, ColumnRatioCheck("0.51"))
     document = json.loads(dumps_packages([pkg]))
-    target = document["packages"][0]
-    if field not in target:
-        target = target["column_ratio"]
-    target[field] = value
+    target = document if field in document else document["packages"][0]
+    target["column_ratio" if field == "value" else field] = value
     return json.dumps(document)
 
 
+# (field, value) pairs that make malformed_package_text's file a FormatError
+MALFORMED_FIELDS = [
+    ("pad_len", 5), ("block_index", "3"), ("value", "abc"), ("value", 0.5),
+    pytest.param("value", "0." + "5" * 101, id="value-101-places"),
+    ("blocks", True), ("blocks", 1.0), ("pad_len", -1), ("pad_len", True),
+]
+
+
+def framed_packages(*frames) -> list[CipherPackage]:
+    """One package per (block_index, pad_len) frame."""
+    return [CipherPackage(Mat2(1068, 660, 2076, 1283), 84, None, i, pad) for i, pad in frames]
+
+
 def framed_packages_text(*frames) -> str:
-    """A package file with one package per (block_index, pad_len) frame."""
-    return dumps_packages(
-        [CipherPackage(Mat2(1068, 660, 2076, 1283), 84, None, i, pad) for i, pad in frames]
-    )
+    """The package file of framed_packages, written by hand since the writer
+    refuses a set that is not whole.  As the header's pad_len does, a padded
+    frame marks the last block; without one, the frames count the blocks."""
+    last, pad = next(((i, pad) for i, pad in frames if pad), (len(frames) - 1, 0))
+    return json.dumps({
+        "version": PACKAGE_FORMAT_VERSION, "blocks": last + 1, "pad_len": pad,
+        "packages": [
+            {"c": ["42c", "294", "81c", "503"], "det_p": "54", "column_ratio": None,
+             "block_index": i}
+            for i, _ in frames
+        ],
+    })
 
 
-# Block indices must be unique, and only the highest one may carry padding.
+# Sets that are not a whole message: the block indices are not exactly
+# 0..k-1, or a block other than k-1 is padded.
 BAD_FRAMES = {
     "duplicate": ((0, 0), (0, 0)),
     "padded-duplicate": ((2, 1), (0, 0), (2, 1)),
     "pad-not-last": ((0, 1), (1, 0)),
     "pad-on-lower-index": ((1, 0), (0, 2)),
+    "far-index": ((5, 3),),
+    "gap": ((0, 0), (3, 1), (2, 0)),
 }
 GOOD_FRAMES = {
     "empty": (),
-    "one-padded": ((5, 3),),
+    "one-padded": ((0, 3),),
     "reversed": ((1, 2), (0, 0)),
-    "shuffled": ((0, 0), (3, 1), (2, 0)),
+    "shuffled": ((2, 1), (0, 0), (1, 0)),
 }
 
 
-def ratio_package_text(**ratio) -> str:
-    """The file of malformed_package_text with the given column-ratio fields."""
-    document = json.loads(malformed_package_text("digits", 2))
-    document["packages"][0]["column_ratio"].update(ratio)
-    return json.dumps(document)
-
-
-# (a valid column ratio, a near miss that must not get the valid one's
-# interned check: 2.0 == 2 and True == 1 hash alike)
-NEAR_MISS_RATIOS = [
-    ({"value": "0.51", "digits": 2}, {"value": "0.51", "digits": 2.0}),
-    ({"value": "0.5", "digits": 1}, {"value": "0.5", "digits": True}),
-    ({"value": "0.51", "digits": 2}, {"value": "0.5", "digits": 2}),
-]
+# (a valid column ratio, a near miss that must not load): the JSON number
+# beside the decimal string
+NEAR_MISS_RATIOS = [("0.5", 0.5)]
 
 
 class TestPackageFiles:
@@ -159,7 +172,7 @@ class TestPackageFiles:
         big = 10**40 + 12345  # far beyond 64-bit
         pkg = CipherPackage(
             Mat2(big, big + 1, big + 2, big + 3), -(10**39),
-            ColumnRatioCheck(BOTTOM_OVER_TOP, "0.51", 2), 3, 2,
+            ColumnRatioCheck("0.51"), 0, 2,
         )
         text = dumps_packages([pkg])
         parsed = loads_packages(text)
@@ -178,37 +191,38 @@ class TestPackageFiles:
         parsed = loads_packages(dumps_packages([pkg]))[0]
         assert parsed.column_ratio is None
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("pad_len", 5), ("block_index", "3"), ("digits", -3), ("orientation", "sideways"),
-            ("value", "abc"), ("value", "0.5"),
-        ],
-    )
+    @pytest.mark.parametrize("field, value", MALFORMED_FIELDS)
     def test_malformed_fields_raise_format_error(self, field, value):
         text = malformed_package_text(field, value)
         with pytest.raises(FormatError):
             loads_packages(text)
 
-    @pytest.mark.parametrize(
-        "valid, near_miss", NEAR_MISS_RATIOS, ids=["digits-2.0", "digits-true", "value-0.5"]
-    )
+    @pytest.mark.parametrize("valid, near_miss", NEAR_MISS_RATIOS, ids=["value-0.5"])
     def test_ratio_intern_is_type_exact(self, valid, near_miss):
-        (pkg,) = loads_packages(ratio_package_text(**valid))
-        assert pkg.column_ratio == ColumnRatioCheck(BOTTOM_OVER_TOP, **valid)
+        (pkg,) = loads_packages(malformed_package_text("value", valid))
+        assert pkg.column_ratio == ColumnRatioCheck(valid)
         with pytest.raises(FormatError):
-            loads_packages(ratio_package_text(**near_miss))
+            loads_packages(malformed_package_text("value", near_miss))
 
     @pytest.mark.parametrize(
-        "value", ["abc", "0.5", "-0.51", "0.510", ".51", "\u0660.\u0665\u0661"]
+        "value", ["abc", "-0.51", ".51", "0.", "0.5 ", "\u0660.\u0665\u0661"]
     )
     def test_ratio_value_checked_at_construction(self, value):
         with pytest.raises(ValueError):
-            ColumnRatioCheck(BOTTOM_OVER_TOP, value, 2)
+            ColumnRatioCheck(value)
+
+    def test_digits_are_the_places_of_the_value(self):
+        assert [ColumnRatioCheck(v).digits for v in ("7", "0.5", "0.510")] == [0, 1, 3]
+        ColumnRatioCheck("1" * 5000 + "." + "5" * MAX_RATIO_DIGITS)
+        with pytest.raises(ValueError, match=f"at most {MAX_RATIO_DIGITS} places"):
+            ColumnRatioCheck("0." + "5" * (MAX_RATIO_DIGITS + 1))
 
     def test_only_bottom_over_top_checks_load(self):
-        with pytest.raises(FormatError):
-            loads_packages(ratio_package_text(orientation="top-over-bottom"))
+        # c21/c11 travels as a bare decimal string; the object of format 2,
+        # which could name another orientation, is refused
+        ratio = {"orientation": "top-over-bottom", "value": "0.51", "digits": 2}
+        with pytest.raises(FormatError, match="column_ratio"):
+            loads_packages(malformed_package_text("value", ratio))
 
     def test_ratio_value_must_be_a_plain_str(self):
         class FormattedStr(str):
@@ -216,33 +230,56 @@ class TestPackageFiles:
                 return 'x"y'
 
         with pytest.raises(TypeError):
-            ColumnRatioCheck(BOTTOM_OVER_TOP, FormattedStr("0.51"), 2)
+            ColumnRatioCheck(FormattedStr("0.51"))
 
     def test_long_ratio_values_are_not_interned(self):
         long_value = "1" * 999_997 + ".51"
         _interned_ratio_check.cache_clear()
-        (pkg,) = loads_packages(ratio_package_text(value=long_value, digits=2))
-        assert pkg.column_ratio == ColumnRatioCheck(BOTTOM_OVER_TOP, long_value, 2)
+        (pkg,) = loads_packages(malformed_package_text("value", long_value))
+        assert pkg.column_ratio == ColumnRatioCheck(long_value)
         assert _interned_ratio_check.cache_info().currsize == 0
         for _ in range(2):
-            loads_packages(ratio_package_text(value="0.51", digits=2))
+            loads_packages(malformed_package_text("value", "0.51"))
         info = _interned_ratio_check.cache_info()
         assert (info.currsize, info.hits) == (1, 1)
 
     @pytest.mark.parametrize("frames", BAD_FRAMES.values(), ids=BAD_FRAMES)
     def test_bad_framing_raises_format_error(self, frames):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="framing: (block|a) "):
             loads_packages(framed_packages_text(*frames))
+
+    @pytest.mark.parametrize("frames", BAD_FRAMES.values(), ids=BAD_FRAMES)
+    def test_writer_refuses_what_the_reader_refuses(self, frames):
+        with pytest.raises(FormatError, match="framing: "):
+            dumps_packages(framed_packages(*frames))
 
     @pytest.mark.parametrize("frames", GOOD_FRAMES.values(), ids=GOOD_FRAMES)
     def test_good_framing_loads(self, frames):
-        parsed = loads_packages(framed_packages_text(*frames))
-        assert [(p.block_index, p.pad_len) for p in parsed] == list(frames)
+        text = dumps_packages(framed_packages(*frames))
+        for parsed in (loads_packages(text), loads_packages(framed_packages_text(*frames))):
+            assert [(p.block_index, p.pad_len) for p in parsed] == list(frames)
+
+    @pytest.mark.parametrize("blocks", [10**18, 2, -1], ids=["hostile", "one-short", "negative"])
+    def test_the_header_counts_the_blocks(self, blocks):
+        # a count that disagrees with the packages fails in time that does not grow with it
+        document = json.loads(framed_packages_text((0, 0)))
+        document["blocks"] = blocks
+        start = time.perf_counter()
+        with pytest.raises(FormatError, match=f"framing: .*a {blocks}-block message"):
+            loads_packages(json.dumps(document))
+        assert time.perf_counter() - start < 1.0
+
+    def test_pad_len_is_zero_without_blocks(self):
+        document = json.loads(dumps_packages([]))
+        assert loads_packages(json.dumps(document)) == ()
+        document["pad_len"] = 1
+        with pytest.raises(FormatError, match="framing: pad_len 1 is not in 0..0"):
+            loads_packages(json.dumps(document))
 
     def test_integers_are_lowercase_hex(self):
         pkg = CipherPackage(Mat2(35, 18, 63, 0), -440)
         document = json.loads(dumps_packages([pkg]))
-        assert document["version"] == PACKAGE_FORMAT_VERSION == 2
+        assert document["version"] == PACKAGE_FORMAT_VERSION == 3
         assert document["packages"][0]["c"] == ["23", "12", "3f", "0"]
         assert document["packages"][0]["det_p"] == "-1b8"
 
@@ -252,7 +289,14 @@ class TestPackageFiles:
         with pytest.raises(FormatError, match="unsupported format version 1"):
             loads_packages(json.dumps(document))
 
-    @pytest.mark.parametrize("version", [2.0, True])
+    def test_version_2_is_a_format_error_naming_the_version(self):
+        # a file format 2 wrote: no header, per-package pad_len, the ratio as an object
+        package = {"c": ["1", "2", "3", "4"], "det_p": "-2", "block_index": 0, "pad_len": 0,
+                   "column_ratio": {"orientation": "bottom-over-top", "value": "0.5", "digits": 1}}
+        with pytest.raises(FormatError, match="unsupported format version 2; this reader reads 3"):
+            loads_packages(json.dumps({"version": 2, "packages": [package]}))
+
+    @pytest.mark.parametrize("version", [2.0, 3.0, True])
     def test_version_must_be_an_int(self, version):
         document = json.loads(dumps_packages([CipherPackage(Mat2(1, 2, 3, 4), -2)]))
         document["version"] = version
@@ -281,10 +325,11 @@ class TestPackageFiles:
         (-(16 ** (MAX_HEX_CHARS - 1)) + 1, -(16 ** (MAX_HEX_CHARS - 1))),
     ], ids=["positive", "negative"])
     def test_hex_length_limit_on_writing(self, at_limit, past_limit):
-        text = dumps_packages([CipherPackage(Mat2(1, 2, at_limit, 4), at_limit, None, 3)])
-        assert loads_packages(text)[0].c.a21 == at_limit
-        with pytest.raises(FormatError, match=f"block 3: .*{MAX_HEX_CHARS}-character limit"):
-            dumps_packages([CipherPackage(Mat2(1, 2, 3, 4), past_limit, None, 3)])
+        first = CipherPackage(Mat2(1, 2, 3, 4), -2)
+        text = dumps_packages([first, CipherPackage(Mat2(1, 2, at_limit, 4), at_limit, None, 1)])
+        assert loads_packages(text)[1].c.a21 == at_limit
+        with pytest.raises(FormatError, match=f"block 1: .*{MAX_HEX_CHARS}-character limit"):
+            dumps_packages([first, CipherPackage(Mat2(1, 2, 3, 4), past_limit, None, 1)])
 
     def test_integers_within_the_limit_print_in_decimal(self):
         # a det_p at the limit still fits in the message that names it
@@ -297,7 +342,7 @@ class TestPackageFiles:
 
     def test_malformed_entries_list(self):
         with pytest.raises(FormatError):
-            loads_packages('{"version": 2, "packages": [{"c": ["1","2","3"], "det_p": "1", "column_ratio": null, "block_index": 0, "pad_len": 0}]}')
+            loads_packages('{"version": 3, "blocks": 1, "pad_len": 0, "packages": [{"c": ["1","2","3"], "det_p": "1", "column_ratio": null, "block_index": 0}]}')
 
 
 class TestCorruption:

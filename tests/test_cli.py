@@ -11,12 +11,12 @@ from unicipher.matrix import Mat2
 
 from test_channel import (
     BAD_FRAMES,
+    MALFORMED_FIELDS,
     MALFORMED_SYMBOLS,
     NEAR_MISS_RATIOS,
     custom_alphabet_key_text,
     framed_packages_text,
     malformed_package_text,
-    ratio_package_text,
 )
 
 
@@ -273,22 +273,21 @@ class TestPipelines:
         assert code == 0 and out.strip() == "MATHEMATICS"
 
     def test_top_over_bottom_check_is_a_format_error(self, tmp_path, capsys):
-        # the golden n = 6 row-top example repairs with the orientation the
-        # sender writes; the other one is refused, not silently ignored
+        # the golden n = 6 row-top example repairs with c21/c11, the ratio the
+        # sender writes; an object naming the other one is refused, not ignored
         key_file = tmp_path / "key.json"
         run(capsys, "keygen", "--golden", "--n", "6", "--out", str(key_file))
         pkg_file = tmp_path / "packages.json"
         package = {
             "c": ["270f", "270f", "107", "a2"], "det_p": "-1b8",  # 9999, 9999, 263, 162; -440
-            "column_ratio": {"orientation": "bottom-over-top", "value": "0.9", "digits": 1},
-            "block_index": 0, "pad_len": 0,
+            "column_ratio": "0.9", "block_index": 0,
         }
-        document = {"version": 2, "packages": [package]}
+        document = {"version": 3, "blocks": 1, "pad_len": 0, "packages": [package]}
         pkg_file.write_text(json.dumps(document))
         code, out, _ = run(capsys, "correct", "--key", str(key_file), "--in", str(pkg_file))
         assert code == 0
         assert json.loads(out)["reports"][0]["repaired"] == ["128", "b8", "107", "a2"]
-        package["column_ratio"]["orientation"] = "top-over-bottom"
+        package["column_ratio"] = {"orientation": "top-over-bottom", "value": "0.9", "digits": 1}
         pkg_file.write_text(json.dumps(document))
         code, out, err = run(capsys, "correct", "--key", str(key_file), "--in", str(pkg_file))
         assert code == 1 and out == ""
@@ -303,13 +302,7 @@ class TestPipelines:
         code, out, _ = run(capsys, "decrypt", "--key", str(key_file), "--in", str(pkg_file))
         assert code == 0 and out == "Grüße"
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("pad_len", 5), ("block_index", "3"), ("digits", -3), ("orientation", "sideways"),
-            ("value", "abc"), ("value", "0.5"),
-        ],
-    )
+    @pytest.mark.parametrize("field, value", MALFORMED_FIELDS)
     def test_malformed_package_is_a_format_error(self, tmp_path, capsys, field, value):
         key_file = self.make_key(tmp_path, capsys)
         pkg_file = tmp_path / "packages.json"
@@ -323,10 +316,10 @@ class TestPipelines:
         run(capsys, "keygen", "--arnolds-cat", "--n", "4", "--out", str(key_file))
         pkg_file = tmp_path / "packages.json"
         for valid, near_miss in NEAR_MISS_RATIOS:
-            pkg_file.write_text(ratio_package_text(**valid))
+            pkg_file.write_text(malformed_package_text("value", valid))
             code, out, _ = run(capsys, "verify", "--key", str(key_file), "--in", str(pkg_file))
             assert code == 0 and "clean" in out
-            pkg_file.write_text(ratio_package_text(**near_miss))
+            pkg_file.write_text(malformed_package_text("value", near_miss))
             code, _, err = run(capsys, "verify", "--key", str(key_file), "--in", str(pkg_file))
             assert code == 1
             assert "error[FormatError]" in err
@@ -341,19 +334,36 @@ class TestPipelines:
         assert code == 1
         assert "error[FormatError]" in err
 
-    @pytest.mark.parametrize("drop", [[0], [1], [0, 1]])
-    def test_decrypt_needs_every_block(self, tmp_path, capsys, drop):
-        key_file = self.make_key(tmp_path, capsys)
+    def refusals(self, capsys, key_file, pkg_file):
+        """(exit code, stdout, stderr) of every command that reads pkg_file;
+        corrupt writes no file."""
+        out_file = pkg_file.with_name("out.json")
+        results = [run(capsys, command, "--key", str(key_file), "--in", str(pkg_file))
+                   for command in ("decrypt", "verify", "correct")]
+        results.append(run(capsys, "corrupt", "--in", str(pkg_file), "--out", str(out_file),
+                           "--spec", "single", "--seed", "1"))
+        assert not out_file.exists()
+        return results
+
+    @pytest.mark.parametrize(
+        "drop", [[2], [0], [1], [0, 1]], ids=["last", "first", "middle", "first-two"]
+    )
+    def test_truncated_file_is_refused(self, tmp_path, capsys, drop):
+        # golden n = 3 MATHEMATICS without its last block once decrypted to
+        # MATHEMAT with exit 0; the header's block count refuses it everywhere
+        key_file = tmp_path / "key.json"
+        run(capsys, "keygen", "--golden", "--n", "3", "--out", str(key_file))
         pkg_file = tmp_path / "packages.json"
         run(capsys, "encrypt", "--key", str(key_file), "--in", "MATHEMATICS",
             "--out", str(pkg_file))
         document = json.loads(pkg_file.read_text())
         document["packages"] = [p for i, p in enumerate(document["packages"]) if i not in drop]
         pkg_file.write_text(json.dumps(document))
-        code, out, err = run(capsys, "decrypt", "--key", str(key_file), "--in", str(pkg_file))
-        assert code == 1 and out == ""
-        assert "error[FormatError]" in err
-        assert f"block {drop[0]} is missing" in err
+        for code, out, err in self.refusals(capsys, key_file, pkg_file):
+            assert code == 1 and out == ""
+            assert err == (
+                f"error[FormatError]: framing: block {drop[0]} of a 3-block message is missing\n"
+            )
 
     def test_decrypt_of_a_far_block_index_fails_at_once(self, tmp_path, capsys):
         # the message names the first missing block; it never lists the gap
@@ -364,9 +374,23 @@ class TestPipelines:
         code, out, err = run(capsys, "decrypt", "--key", str(key_file), "--in", str(pkg_file))
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
-        assert err == (
-            f"error[FormatError]: decrypt needs every block 0..{10**18}; block 0 is missing\n"
-        )
+        assert err == "error[FormatError]: framing: block 0 of a 1-block message is missing\n"
+
+    def test_a_hostile_block_count_fails_at_once(self, tmp_path, capsys):
+        # one package, and a header that claims 10**18 blocks
+        key_file = self.make_key(tmp_path, capsys)
+        pkg_file = tmp_path / "packages.json"
+        document = json.loads(framed_packages_text((0, 0)))
+        document["blocks"] = 10**18
+        pkg_file.write_text(json.dumps(document))
+        start = time.perf_counter()
+        results = self.refusals(capsys, key_file, pkg_file)
+        assert time.perf_counter() - start < 1.0
+        for code, out, err in results:
+            assert code == 1 and out == ""
+            assert err == (
+                f"error[FormatError]: framing: block 1 of a {10**18}-block message is missing\n"
+            )
 
     def test_decrypt_takes_blocks_in_any_order(self, tmp_path, capsys):
         key_file = self.make_key(tmp_path, capsys)
@@ -434,7 +458,7 @@ class TestPipelines:
             "--out", str(pkg_file), "--emit-column-ratio")
         document = json.loads(pkg_file.read_text())
         (package,) = document["packages"]
-        package["column_ratio"]["value"] = "1" * 5000 + ".51"
+        package["column_ratio"] = "1" * 5000 + ".51"
         package["c"][1] = str(int(package["c"][1]) + 1)
         pkg_file.write_text(json.dumps(document))
         code, out, err = run(capsys, "correct", "--key", str(key_file), "--in", str(pkg_file))

@@ -29,7 +29,7 @@ from unicipher.correction import (
 from unicipher.errors import CheckNumberMismatch, InvalidKey, NegativePlaintext
 from unicipher.errors import NoDiophantineSolution, NonIntegralPlaintext
 from unicipher.matrix import FORWARD_BITS, KeyMatrix, Mat2, SeedPair
-from unicipher.ratios import BOTTOM_OVER_TOP, round_half_even_ratio
+from unicipher.ratios import round_half_even_ratio
 from unicipher.sampling import random_cipher_key, random_key_matrix, random_plaintext
 
 from test_kernel import intact, outcome, ref_bad_rows, ref_decrypt, ref_verify, shear, tamper
@@ -289,7 +289,7 @@ class TestRow:
         key = CipherKey.golden(6)
         pkg = CipherPackage(
             Mat2(9999, 9999, 263, 162), -440,
-            ColumnRatioCheck(BOTTOM_OVER_TOP, "0.9", 1),
+            ColumnRatioCheck("0.9"),
         )
         report = correct(pkg, key)
         assert report.assumed_class is ErrorClass.ROW_TOP
@@ -299,7 +299,7 @@ class TestRow:
         key = CipherKey.arnolds_cat(4)
         pkg = CipherPackage(
             Mat2(1325, 321, 733, 280), -82,
-            ColumnRatioCheck(BOTTOM_OVER_TOP, "0.5", 1),
+            ColumnRatioCheck("0.5"),
         )
         report = correct(pkg, key)
         assert report.assumed_class is ErrorClass.ROW_TOP
@@ -325,7 +325,7 @@ class TestRow:
         key = CipherKey(KeyMatrix(Mat2(1, 1, 1, 0)), SeedPair(2, 16), 6, (0, 3, 2, 1))
         pkg = CipherPackage(
             Mat2(8096, 3758, 2926, 1824), 437,
-            ColumnRatioCheck(BOTTOM_OVER_TOP, "0.36", 2),
+            ColumnRatioCheck("0.36"),
         )
         report = correct(pkg, key, plaintext_bound=26)
         assert report.repaired is None
@@ -545,7 +545,7 @@ def test_candidate_needs_no_second_solve(family, n, bound):
             if c.a11 > 0:
                 digits = rng.randint(0, 3)
                 value = round_half_even_ratio(c.a21, c.a11, digits)
-                r, d = ColumnRatioCheck(BOTTOM_OVER_TOP, value, digits).grid
+                r, d = ColumnRatioCheck(value).grid
             else:
                 r, d = 0, 1
             det_p = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
@@ -726,7 +726,7 @@ class TestPipeline:
         key = CipherKey.arnolds_cat(4)
         pkg = CipherPackage(
             Mat2(1325, 321, 733, 280), -82,
-            ColumnRatioCheck(BOTTOM_OVER_TOP, "0.5", 1),
+            ColumnRatioCheck("0.5"),
         )
         report = correct(pkg, key)
         assert report.assumed_class is ErrorClass.ROW_TOP

@@ -27,7 +27,6 @@ from unicipher.cli import MAX_ORBIT_STEPS, main
 from unicipher.correction import correct
 from unicipher.errors import CipherError
 from unicipher.matrix import KeyMatrix, Mat2, SeedPair
-from unicipher.ratios import BOTTOM_OVER_TOP
 
 # --- serialize -> parse -> serialize -----------------------------------------
 
@@ -45,23 +44,22 @@ def ratio_checks(draw):
     digits = draw(st.integers(0, MAX_RATIO_DIGITS))
     units = str(draw(st.integers(0, 10**120))).rjust(digits + 1, "0")
     value = f"{units[:-digits]}.{units[-digits:]}" if digits else units
-    return ColumnRatioCheck(BOTTOM_OVER_TOP, value, digits)
+    return ColumnRatioCheck(value)
 
 
 @st.composite
 def package_lists(draw):
-    """Packages with unique block indices, padding only on the highest."""
-    indices = draw(st.lists(st.integers(0, 2**64), max_size=4, unique=True))
-    last = max(indices, default=None)
+    """A whole message's packages: block indices 0..k-1 shuffled, padding only on k-1."""
+    k = draw(st.integers(0, 4))
     return [
         CipherPackage(
             Mat2(*(draw(HEX_INTEGERS) for _ in range(4))),
             draw(HEX_INTEGERS),
             draw(st.none() | ratio_checks()),
             index,
-            draw(st.integers(0, 3)) if index == last else 0,
+            draw(st.integers(0, 3)) if index == k - 1 else 0,
         )
-        for index in indices
+        for index in draw(st.permutations(range(k)))
     ]
 
 
@@ -160,8 +158,8 @@ def test_mutated_documents_raise_only_cipher_errors(data):
 KEYS = ("@key.json", "@key_bytes.json", "@key_true_n.json", "@key_bad_alphabet.json",
         "@gen_key.json", "@missing.json", "@binary.bin")
 PACKAGES = ("@pkgs.json", "@pkgs_long_ratio.json", "@pkgs_long_entry.json",
-            "@pkgs_widest_entry.json", "@gen_pkgs.json", "@missing.json", "@binary.bin",
-            "@key.json")
+            "@pkgs_widest_entry.json", "@pkgs_truncated.json", "@pkgs_long_number.json",
+            "@gen_pkgs.json", "@missing.json", "@binary.bin", "@key.json")
 PACKAGE_OUTS = ("@gen_pkgs.json", "-", "@no-such-dir/out.json")
 SMALL = ("0", "1", "2", "-3", "abc")
 
@@ -236,13 +234,19 @@ def workdir(tmp_path_factory):
     text = dumps_packages(encrypt_message("MATHEMATICS", key, emit_column_ratio=True))
     (path / "pkgs.json").write_text(text)
     document = json.loads(text)
-    document["packages"][0]["column_ratio"]["value"] = "1" * 5000 + ".51"
+    document["packages"][0]["column_ratio"] = "1" * 5000 + ".51"
     (path / "pkgs_long_ratio.json").write_text(json.dumps(document))
     document = json.loads(text)
     document["packages"][0]["c"][0] = "7" * 5000
     (path / "pkgs_long_entry.json").write_text(json.dumps(document))
     document["packages"][0]["c"][0] = "f" * MAX_HEX_CHARS
     (path / "pkgs_widest_entry.json").write_text(json.dumps(document))
+    document = json.loads(text)
+    del document["packages"][-1]
+    (path / "pkgs_truncated.json").write_text(json.dumps(document))
+    # a JSON number past Python's 4,300-digit int-str limit
+    long_number = text.replace('"blocks": 3', '"blocks": ' + "9" * 5000)
+    (path / "pkgs_long_number.json").write_text(long_number)
     (path / "binary.bin").write_bytes(b"\xff\xfe")
     return path
 
@@ -278,6 +282,7 @@ BIG_KEY = ["keygen", "--alpha", "1000000000", "--beta", "1", "--gamma", "9999999
 @example([["correct", "--key", "@key.json", "--in", "@pkgs_long_ratio.json"]])
 @example([["verify", "--key", "@key.json", "--in", "@pkgs_long_entry.json"]])
 @example([["encrypt", "--key", "@key_true_n.json", "--in", "MATH"]])
+@example([["verify", "--key", "@key.json", "--in", "@pkgs_long_number.json"]])
 def test_cli_exits_with_documented_codes(workdir, command_lines):
     for generated in workdir.glob("gen_*"):
         generated.unlink()

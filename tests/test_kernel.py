@@ -54,7 +54,7 @@ from unicipher.errors import (
     NonIntegralPlaintext,
 )
 from unicipher.matrix import KeyMatrix, Mat2, SeedPair
-from unicipher.ratios import BOTTOM_OVER_TOP, round_half_even_ratio
+from unicipher.ratios import round_half_even_ratio
 from unicipher.sampling import random_cipher_key
 
 PERMS = tuple(itertools.permutations(range(4)))
@@ -73,9 +73,7 @@ def ref_encrypt(p: Mat2, key, emit, digits, block_index=0, pad_len=0) -> CipherP
     c = p @ key.coding_matrix.matrix
     check = None
     if emit and c.a11 != 0:
-        check = ColumnRatioCheck(
-            BOTTOM_OVER_TOP, ref_decimal(Fraction(c.a21, c.a11), digits), digits
-        )
+        check = ColumnRatioCheck(ref_decimal(Fraction(c.a21, c.a11), digits))
     return CipherPackage(c, p.det(), check, block_index, pad_len)
 
 
@@ -427,25 +425,20 @@ def ref_hex(value: int) -> str:
 
 
 def package_to_dict(pkg: CipherPackage) -> dict:
-    ratio = None
-    if pkg.column_ratio is not None:
-        ratio = {
-            "orientation": pkg.column_ratio.orientation,
-            "value": pkg.column_ratio.value,
-            "digits": pkg.column_ratio.digits,
-        }
     return {
         "c": [ref_hex(e) for e in pkg.c.entries()],
         "det_p": ref_hex(pkg.det_p),
-        "column_ratio": ratio,
+        "column_ratio": None if pkg.column_ratio is None else pkg.column_ratio.value,
         "block_index": pkg.block_index,
-        "pad_len": pkg.pad_len,
     }
 
 
 def ref_dumps(packages) -> str:
+    """The file of a whole message: the header's pad_len is block k-1's."""
     document = {
         "version": PACKAGE_FORMAT_VERSION,
+        "blocks": len(packages),
+        "pad_len": sum(p.pad_len for p in packages),
         "packages": [package_to_dict(p) for p in packages],
     }
     return json.dumps(document, indent=2) + "\n"
@@ -456,19 +449,19 @@ def ref_dumps(packages) -> str:
     [
         [],
         [CipherPackage(Mat2(1, 2, 3, 4), -5)],
-        [CipherPackage(Mat2(0, 0, 0, 0), 0, None, 7, 3)],
+        [CipherPackage(Mat2(0, 0, 0, 0), 0, None, 0, 3)],
         [
             CipherPackage(
                 # hex strings of exactly MAX_HEX_CHARS characters, "-" included
                 Mat2(16**MAX_HEX_CHARS - 1, -(16 ** (MAX_HEX_CHARS - 1)) + 1, 3, 10**401 + 7),
                 -(10**500),
-                ColumnRatioCheck(BOTTOM_OVER_TOP, "0.51", 2), 2**70, 1,
+                ColumnRatioCheck("0.51"), 0, 1,
             )
         ],
         [
-            CipherPackage(Mat2(1, 1, 1, 1), 0, ColumnRatioCheck(BOTTOM_OVER_TOP, "7", 0)),
+            CipherPackage(Mat2(1, 1, 1, 1), 0, ColumnRatioCheck("7")),
             CipherPackage(
-                Mat2(5, 6, 7, 8), 2, ColumnRatioCheck(BOTTOM_OVER_TOP, "0." + "5" * 100, 100), 1
+                Mat2(5, 6, 7, 8), 2, ColumnRatioCheck("0." + "5" * 100), 1
             ),
         ],
     ],
@@ -506,7 +499,7 @@ def wide_ints(draw) -> int:
 @given(st.lists(st.tuples(*[wide_ints()] * 5, st.booleans()), max_size=3))
 @settings(max_examples=200, deadline=None)
 def test_dumps_packages_matches_json_at_every_bit_length(blocks):
-    check = ColumnRatioCheck(BOTTOM_OVER_TOP, "0.51", 2)
+    check = ColumnRatioCheck("0.51")
     packages = [
         CipherPackage(Mat2(a, b, c, d), det_p, check if emit else None, i)
         for i, (a, b, c, d, det_p, emit) in enumerate(blocks)

@@ -21,9 +21,8 @@ from unicipher.cipher import (
     VerifyStatus,
 )
 from unicipher.matrix import Mat2
-from unicipher.ratios import BOTTOM_OVER_TOP
 
-RATIO = ColumnRatioCheck(BOTTOM_OVER_TOP, "0.51", 2)
+RATIO = ColumnRatioCheck("0.51")
 
 
 def cases():
@@ -37,8 +36,8 @@ def cases():
         ),
         (
             RATIO,
-            ColumnRatioCheck(orientation=BOTTOM_OVER_TOP, value="0.51", digits=2),
-            f"ColumnRatioCheck(orientation={BOTTOM_OVER_TOP!r}, value='0.51', digits=2)",
+            ColumnRatioCheck(value="0.51"),
+            "ColumnRatioCheck(value='0.51')",
             {"value": "1.96"},
         ),
         (
@@ -87,7 +86,7 @@ def test_replace_keeps_other_fields_and_validates():
         assert field_values(changed) == {**field_values(obj), **change}
         assert dataclasses.replace(obj) == obj
     raises(TypeError, dataclasses.replace, Mat2(1, 2, 3, 4), a11=1.0)
-    raises(ValueError, dataclasses.replace, RATIO, digits=101)
+    raises(ValueError, dataclasses.replace, RATIO, value="0." + "5" * 101)
     pkg = CipherPackage(Mat2(1, 2, 3, 4), -2)
     raises(ValueError, dataclasses.replace, pkg, pad_len=5)
     raises(TypeError, dataclasses.replace, pkg, block_index=True)
