@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .cipher import CipherKey, PlaintextMatrix
+from .cipher import CipherKey
 from .errors import NoMatchInBounds, NotGoldenOracle
 from .matrix import Mat2, coding_entries
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .cipher import _MAX_DECIMAL_DIGITS, Alphabet, CipherKey, CipherPackage, _ratio_check
 from .errors import FormatError
-from .matrix import KeyMatrix, Mat2, SeedPair
+from .matrix import KeyMatrix, Mat2, SeedPair, _require_int
 
 KEY_FORMAT_VERSION = 1
 PACKAGE_FORMAT_VERSION = 3
@@ -349,8 +349,11 @@ class CorruptionSpec:
             raise ValueError(f"unknown corruption mode {self.mode!r}")
         if self.model not in ("additive", "digit-flip"):
             raise ValueError(f"unknown magnitude model {self.model!r}")
-        if self.max_delta is not None and self.max_delta < 1:
-            raise ValueError(f"max_delta must be at least 1, got {self.max_delta}")
+        _require_int("seed", self.seed)
+        if self.max_delta is not None:
+            _require_int("max_delta", self.max_delta)
+            if self.max_delta < 1:
+                raise ValueError(f"max_delta must be at least 1, got {self.max_delta}")
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ a check number; optionally the column ratio c21/c11, rounded to a decimal
 string, does too.  A message's packages are numbered 0..k-1 and only the
 last carries padding; decrypt_message decodes whatever packages it is
 given, in block order, while a package file (channel) holds all k.  A block is
-intact when both rows of P solve (_solve, one _row_plaintext per row) and
-det P and the column-ratio grid hold on them (_checked); decryption and
-`correct`'s clean test ask exactly that, and a repair candidate, built as
+intact when both rows of P solve (_row_plaintext: integral and non-negative)
+and det P and the column-ratio grid hold on them (_checked); decryption and
+`correct`'s clean test ask exactly that, `correct` also asking every entry
+to be below its alphabet bound, and a repair candidate, built as
 rows @ M(n), needs only _checked.  Decryption raises the error naming the
 block and the first check it fails.  verify_package is the paper's
 diagnostic: det C and the row-ratio intervals, with the rows it flags.
@@ -19,11 +20,11 @@ _row_plaintext finds each row of a key with big entries
 (CodingMatrix.forward is set) from the low bits of C, a 2-adic solve, and
 proves it times M(n) equals the row of C over the integers, so only
 small-by-big products touch the big entries; other keys divide exactly.
-P depends only on C and M(n), so the ciphertext Mat2 remembers the rows it
-was proven to (_package_rows): verify_package and decryption under the same
-coding matrix solve each block once, and a package built around the same C
-(dataclasses.replace) shares its rows.  The memo lives in the Mat2 object,
-for as long as it does, and never leaves the process.
+P depends only on C and M(n), so the ciphertext Mat2 remembers its rows, or
+that they do not solve (_package_rows): verify_package and decryption under
+the same coding matrix solve each block once, and a package built around the
+same C (dataclasses.replace) shares its rows.  The memo lives in the Mat2
+object, for as long as it does, and never leaves the process.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from operator import attrgetter, itemgetter
 
 from .errors import CheckNumberMismatch, CipherError, FormatError, InvalidKey
 from .errors import NegativePlaintext, NonIntegralPlaintext, UnknownSymbol
-from .matrix import FORWARD_BITS, CodingMatrix, KeyMatrix, Mat2, SeedPair, _require_int
+from .matrix import CodingMatrix, KeyMatrix, Mat2, SeedPair, _require_int
 from .matrix import build_coding_matrix
 from .ratios import round_half_even_ratio
 
@@ -308,39 +309,37 @@ def _encrypt_blocks(
     return tuple(packages)
 
 
-# Every row the forward product proves has both entries below this.
-_FORWARD_BOUND = 1 << FORWARD_BITS
+def _row_plaintext(c1: int, c2: int, cm: CodingMatrix) -> tuple[int, int] | None:
+    """(x, y) with (x, y) @ M(n) == (c1, c2) if both are non-negative integers, else None.
 
-
-def _row_plaintext(c1: int, c2: int, cm: CodingMatrix, bound) -> tuple[int, int] | None:
-    """(x, y) with (x, y) @ M(n) == (c1, c2) if both are integers in [0, bound), else None.
-
-    bound None means no upper end.  A key with a forward table first finds
-    the row mod 2^FORWARD_BITS: (c1, c2) @ adj(M(n)) = det * (x, y), so with
+    This is the one question decryption, verify_package and correct ask of
+    a row.  A key with a forward table first finds the row mod
+    2^FORWARD_BITS: (c1, c2) @ adj(M(n)) = det * (x, y), so with
     det = 2^s * odd, the low bits (c1, c2) & mask times k are 2^s * (x, y)
     mod 2^(FORWARD_BITS + s), and the shift by s leaves (x, y) mod
     2^FORWARD_BITS (Python's & gives a negative entry's residue too).  The
     exact forward product then proves the row: M(n) is invertible, so a row
     that passes is the one solution, and a row with entries in
     [0, 2^FORWARD_BITS) always passes.  Only small-by-big products touch the
-    big entries.  When the proof fails and bound <= 2^FORWARD_BITS, no row
-    qualifies; otherwise exact division decides, so raw entries of
-    2^FORWARD_BITS or more still decrypt.
+    big entries.  When the proof fails and c1 < lim, no row qualifies, since
+    such a row would have entries below 2^FORWARD_BITS (CodingMatrix.forward);
+    otherwise exact division decides, so raw entries of 2^FORWARD_BITS or
+    more still decrypt.
     """
     if cm.forward is not None:
-        s, mask, k11, k12, k21, k22 = cm.forward
+        s, mask, k11, k12, k21, k22, lim = cm.forward
         m11, m12, m21, m22 = cm.matrix.entries()
         x1, x2 = c1 & mask, c2 & mask
         x = ((x1 * k11 + x2 * k21) & mask) >> s
         y = ((x1 * k12 + x2 * k22) & mask) >> s
         if x * m11 + y * m21 == c1 and x * m12 + y * m22 == c2:
-            return (x, y) if bound is None or (x < bound and y < bound) else None
-        if bound is not None and bound <= _FORWARD_BOUND:
+            return x, y
+        if c1 < lim:
             return None
     j11, j12, j21, j22 = cm.adj
     x, rx = divmod(c1 * j11 + c2 * j21, cm.det)
     y, ry = divmod(c1 * j12 + c2 * j22, cm.det)
-    if rx or ry or x < 0 or y < 0 or (bound is not None and (x >= bound or y >= bound)):
+    if rx or ry or x < 0 or y < 0:
         return None
     return x, y
 
@@ -360,44 +359,26 @@ def _checked(c: Mat2, rows, det_p: int, grid) -> tuple[int, int, int, int] | Non
     return p11, p12, p21, p22
 
 
-def _solve(c: Mat2, cm: CodingMatrix, bound):
+def _package_rows(c: Mat2, cm: CodingMatrix):
     """Both rows of P = C @ adj(M(n)) / det M(n), ((p11, p12), (p21, p22)), if each
-    is integral, non-negative and below bound (_row_plaintext), else None.
+    is integral and non-negative (_row_plaintext), else None.
 
     Rows that solve and pass _checked make the block intact.  That implies
     C >= 0, both row ratios inside the row interval (each is a
     non-negatively weighted mediant of M(n)'s column ratios) and
-    det C = det M(n) * det P.
-    """
-    top = _row_plaintext(c.a11, c.a12, cm, bound)
-    if top is None:
-        return None
-    bottom = _row_plaintext(c.a21, c.a22, cm, bound)
-    if bottom is None:
-        return None
-    return top, bottom
-
-
-def _package_rows(pkg: CipherPackage, cm: CodingMatrix, bound=None):
-    """The rows ((p11, p12), (p21, p22)) of P for pkg under cm if both are
-    integral and non-negative, else None.
-
-    The rows live on the ciphertext pkg.c, since they depend only on C and
-    M(n): the first solve that proves both rows keeps them in c.__dict__ as
-    (cm, rows).  A later call returns them, whatever bound it passes, while
-    the stored cm is its cm.  Only proven rows are kept: a solve under a bound
-    (verify_package's 2^FORWARD_BITS, which spares it exact division) can
-    fail where decryption's unbounded one passes.  The caller applies its
+    det C = det M(n) * det P.  The answer depends only on C and M(n), so the
+    first call keeps it, None included, in c.__dict__ as (cm, rows), and a
+    later call under the same cm (is) returns it.  The caller applies its
     package's own det_p and grid (_checked).  Equality, hash, repr and
     Mat2.__getstate__ read only the four entries.
     """
-    c = pkg.c
     memo = c.__dict__.get("_rows")
     if memo is not None and memo[0] is cm:
         return memo[1]
-    rows = _solve(c, cm, bound)
-    if rows is not None:
-        c.__dict__["_rows"] = (cm, rows)
+    top = _row_plaintext(c.a11, c.a12, cm)
+    bottom = None if top is None else _row_plaintext(c.a21, c.a22, cm)
+    rows = None if bottom is None else (top, bottom)
+    c.__dict__["_rows"] = (cm, rows)
     return rows
 
 
@@ -437,7 +418,7 @@ def _rejection(pkg: CipherPackage, cm: CodingMatrix, bound) -> CipherError:
 def _plaintext(pkg: CipherPackage, cm: CodingMatrix) -> tuple[int, int, int, int]:
     """Row-major plaintext entries of an intact package; else raises _rejection's
     error, its message prefixed with the block index."""
-    rows = _package_rows(pkg, cm)
+    rows = _package_rows(pkg.c, cm)
     if rows is not None:
         check = pkg.column_ratio
         entries = _checked(pkg.c, rows, pkg.det_p, None if check is None else check.grid)
@@ -548,17 +529,15 @@ def verify_package(pkg: CipherPackage, key: CipherKey) -> VerifyResult:
     encrypts to a zero row).  The interval check is skipped when the coding
     sequences are not yet positive (tiny n with a zero-component seed).
 
-    Every key first solves both rows of P (_package_rows with bound
-    2^FORWARD_BITS: exact division for keys without a forward table, the
-    forward product without division for keys with one).  When both solve,
-    C = P @ M(n) with P >= 0, so det C = det M(n) * det P and each row of C
-    is zero or a mediant of M(n)'s row ratios: no row is flagged, and det P
-    against det_p gives the status.  Otherwise det C and the intervals are
-    computed from C.  The rows stay on the package's C for decryption under
-    the same key (_package_rows).
+    Every key first solves both rows of P (_package_rows), as decryption
+    does.  When both solve, C = P @ M(n) with P >= 0, so
+    det C = det M(n) * det P and each row of C is zero or a mediant of
+    M(n)'s row ratios: no row is flagged, and det P against det_p gives the
+    status.  Otherwise det C and the intervals are computed from C.  The
+    answer stays on the package's C for decryption under the same key.
     """
     cm = key.coding_matrix
-    rows = _package_rows(pkg, cm, _FORWARD_BOUND)
+    rows = _package_rows(pkg.c, cm)
     if rows is not None:
         return _RESULTS[_checked(pkg.c, rows, pkg.det_p, None) is None]
     c = pkg.c

@@ -184,10 +184,10 @@ def _points(u: int, v: int, w: int, bound, limit=None, inv=None):
             (x, y) for x in range(bound) for y in range(bound)
             if lo <= s * x + t * y and (hi is None or s * x + t * y <= hi)
         )
-    try:
-        bx, by, dx, dy = _family(u, -v, w, _diophantine_gcd(u, -v, w), inv)
-    except NoDiophantineSolution:
+    g = gcd(u, v)
+    if w % g:
         return []
+    bx, by, dx, dy = _family(u, -v, w, g, inv)
     top = None if bound is None else bound - 1
     klo = khi = None
     for s, t, lo, hi in ((1, 0, 0, top), (0, 1, 0, top), *([limit] if limit else ())):
@@ -234,13 +234,13 @@ def correct(
 
     plaintext_bound is None (no upper end) or an int of at least 1.  A
     block is clean only if it is intact: both received rows solve, once,
-    into the intact rows the classes reuse, and pass cipher._checked.
-    Otherwise the first log entry names the first check it fails, as
-    decrypt names it, and one entry follows per class examined, in
-    ErrorClass order, weight by weight.  A weight stops at its second
-    passing candidate, since the block is then ambiguous whatever else it
-    holds.  candidates_examined counts the solves and the listed det-line
-    points.
+    into rows inside the box, which the classes reuse, and pass
+    cipher._checked.  Otherwise the first log entry names the first check
+    it fails, as decrypt names it, and one entry follows per class
+    examined, in ErrorClass order, weight by weight.  A weight stops at
+    its second passing candidate, since the block is then ambiguous
+    whatever else it holds.  candidates_examined counts the solves and the
+    listed det-line points.
     """
     if plaintext_bound is not None:
         _require_int("plaintext_bound", plaintext_bound)
@@ -251,7 +251,13 @@ def correct(
     grid = None if check is None else check.grid
     e = c.entries()
     rows = (e[:2], e[2:])
-    intact = (_row_plaintext(e[0], e[1], cm, bound), _row_plaintext(e[2], e[3], cm, bound))
+    top, bottom = _row_plaintext(e[0], e[1], cm), _row_plaintext(e[2], e[3], cm)
+    if bound is not None:
+        if top is not None and (top[0] >= bound or top[1] >= bound):
+            top = None
+        if bottom is not None and (bottom[0] >= bound or bottom[1] >= bound):
+            bottom = None
+    intact = (top, bottom)
     if None not in intact and _checked(c, intact, det_p, grid) is not None:
         return CorrectionReport(ErrorClass.NONE, 0, c, attempts=(("verify", "clean"),))
     error = _rejection(pkg, cm, bound)

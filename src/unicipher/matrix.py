@@ -52,9 +52,9 @@ class Mat2:
 
     The hand-written __init__ (which dataclass keeps) checks the entries and
     stores all four in one step; eq, hash, repr and immutability are the
-    dataclass's.  A ciphertext block may also keep the plaintext rows it
-    was proven to in __dict__ (cipher._package_rows); __getstate__ leaves
-    them out.
+    dataclass's.  A ciphertext block may also keep its plaintext rows, or
+    None when they do not solve, in __dict__ (cipher._package_rows);
+    __getstate__ leaves them out.
     """
 
     a11: int
@@ -273,12 +273,14 @@ class CodingMatrix:
     what every block reads: det, the adjugate's row-major entries, the
     row-ratio interval as ((lo_num, lo_den), (hi_num, hi_den)) with positive
     denominators, or None when A(n) or B(n) is not positive, and forward, the
-    table of cipher._row_plaintext.  forward is (s, mask, k11, k12, k21, k22):
-    s the 2-adic valuation of det, mask = 2^(FORWARD_BITS + s) - 1 and k the
-    row-major entries of adj(M(n)) * (det >> s)^-1 mod 2^(FORWARD_BITS + s),
+    table of cipher._row_plaintext.  forward is (s, mask, k11, k12, k21, k22,
+    lim): s the 2-adic valuation of det, mask = 2^(FORWARD_BITS + s) - 1, k
+    the row-major entries of adj(M(n)) * (det >> s)^-1 mod 2^(FORWARD_BITS + s),
     so (c1, c2) @ k = 2^s * (x, y) modulo mask + 1 for every row
-    (c1, c2) = (x, y) @ M(n).  It is None when det is 0 or the largest entry
-    has at most FORWARD_MIN_BITS bits.
+    (c1, c2) = (x, y) @ M(n), and lim = min(A(n+1), B(n+1)) << FORWARD_BITS:
+    M(n) >= 0, so a non-negative row with first entry c1 < lim has both
+    entries below 2^FORWARD_BITS.  It is None when det is 0 or the largest
+    entry has at most FORWARD_MIN_BITS bits.
     """
 
     matrix: Mat2
@@ -288,7 +290,7 @@ class CodingMatrix:
     det: int
     adj: tuple[int, int, int, int]
     bounds: tuple[tuple[int, int], tuple[int, int]] | None
-    forward: tuple[int, int, int, int, int, int] | None
+    forward: tuple[int, int, int, int, int, int, int] | None
 
     @property
     def ratio_limit(self) -> float:
@@ -336,7 +338,7 @@ def build_coding_matrix(key: KeyMatrix, seed: SeedPair, n: int) -> CodingMatrix:
         s = (det & -det).bit_length() - 1
         mask = (1 << (FORWARD_BITS + s)) - 1
         inv = pow(det >> s, -1, mask + 1)
-        forward = (s, mask, *(e * inv & mask for e in adj))
+        forward = (s, mask, *(e * inv & mask for e in adj), min(a1, b1) << FORWARD_BITS)
     return CodingMatrix(Mat2(a1, a0, b1, b0), t, d, seed_det, det, adj, bounds, forward)
 
 

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s`.  Randomized criteria use
 fixed seeds, so every number below is reproducible.
 """
 
-import math
 import random
 import time
 from fractions import Fraction

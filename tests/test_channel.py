@@ -434,6 +434,15 @@ class TestCorruption:
         with pytest.raises(ValueError, match="max_delta"):
             CorruptionSpec("single", seed=1, max_delta=max_delta)
 
+    @pytest.mark.parametrize("field,value", [
+        ("seed", 1.5), ("seed", "x"), ("max_delta", 2.5), ("max_delta", True),
+    ])
+    def test_non_int_seed_or_max_delta_rejected(self, field, value):
+        # the package's one integer rule, at construction rather than in corrupt_package
+        args = {"seed": 1, "max_delta": None, field: value}
+        with pytest.raises(TypeError, match=f"{field} must be an int"):
+            CorruptionSpec("single", **args)
+
     def test_max_delta_bounds_the_change(self):
         pkg = CipherPackage(Mat2(1068, 660, 2076, 1283), 84)
         for seed in range(20):

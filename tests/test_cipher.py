@@ -9,9 +9,9 @@ from unicipher.cipher import (
     Alphabet,
     CipherKey,
     CipherPackage,
-    ColumnRatioCheck,
     PlaintextMatrix,
     VerifyStatus,
+    _row_plaintext,
     decode_text,
     decrypt,
     decrypt_message,
@@ -257,6 +257,28 @@ class TestForwardProduct:
                 assert intact(bad.c, bad.det_p, key.coding_matrix, None, bound) is None
             with pytest.raises(NegativePlaintext):
                 decrypt(bad, key)
+
+    @pytest.mark.parametrize("key", [
+        CipherKey.arnolds_cat(500),  # A(n+1) > B(n+1)
+        CipherKey(KeyMatrix(Mat2(1, 1, 2, 3)), SeedPair(0, 1), 500),  # A(n+1) < B(n+1)
+    ], ids=["a_above_b", "a_below_b"])
+    @pytest.mark.parametrize("row", [(q, 0), (0, q), (q - 1, q - 1)])
+    def test_rows_at_the_division_limit_decrypt(self, key, row):
+        # The forward product fails for (q, 0) and (0, q), whose first entry
+        # c1 is A(n+1) * q or B(n+1) * q: one of them is lim = min(A, B) * q,
+        # which must reach exact division, and the other lies past it.
+        # (q - 1, q - 1) is the largest row the forward product proves.
+        cm = key.coding_matrix
+        m = cm.matrix
+        assert cm.forward is not None and cm.forward[-1] == min(m.a11, m.a21) * self.q
+        for rows in ((row, (1, 2)), ((1, 2), row)):
+            p = Mat2.from_rows(rows)
+            pkg = encrypt(PlaintextMatrix(p), key, emit_column_ratio=True)
+            assert decrypt(pkg, key).p == p
+            pkg = encrypt(PlaintextMatrix(p), key, emit_column_ratio=True)
+            assert verify_package(pkg, key).clean
+            c = pkg.c
+            assert (_row_plaintext(c.a11, c.a12, cm), _row_plaintext(c.a21, c.a22, cm)) == rows
 
     def test_errors_name_the_block_and_the_entry(self):
         # det M(500) = 5 for the cat key with seed (1, 2): the message names

@@ -13,7 +13,8 @@ from unicipher.cipher import (
     ColumnRatioCheck,
     PlaintextMatrix,
     _checked,
-    _solve,
+    _package_rows,
+    _row_plaintext,
     decrypt,
     encrypt,
     encrypt_message,
@@ -356,7 +357,7 @@ class TestRow:
 
 
 # --- reference intact test ---------------------------------------------------
-# The repair check that the intact test (_solve, then _checked) replaced:
+# The repair check that the intact test (_row_plaintext, then _checked) replaced:
 # every check an intact ciphertext must pass, each tested on its own.  Rows,
 # verify and decryption use test_kernel's references.
 
@@ -455,11 +456,11 @@ def forward_key(family: str, n: int, rng: random.Random) -> CipherKey:
 @settings(max_examples=300, deadline=None)
 def test_forward_product_matches_reference(seed, family, n, digits, bound, damage):
     """Above FORWARD_MIN_BITS (cat keys from n = 185, golden keys from
-    n = 370, most random keys from n = 100) _solve and verify_package use
-    the 2-adic forward product; below it (n = 1, 10 and 60 for every
-    family) they divide exactly, and verify_package solves P before it
-    falls back to det C and the intervals on every key.  Both must still
-    agree with the exact references."""
+    n = 370, most random keys from n = 100) _row_plaintext and
+    verify_package use the 2-adic forward product; below it (n = 1, 10 and
+    60 for every family) they divide exactly, and verify_package solves P
+    before it falls back to det C and the intervals on every key.  Both
+    must still agree with the exact references."""
     rng = random.Random(seed)
     key = forward_key(family, n, rng)
     cm = key.coding_matrix
@@ -541,7 +542,9 @@ def test_candidate_needs_no_second_solve(family, n, bound):
         for _ in range(25):
             rows = tuple((box_entry(rng, bound), box_entry(rng, bound)) for _ in range(2))
             c = Mat2.from_rows(rows) @ cm.matrix
-            assert _solve(c, cm, bound) == rows
+            assert _row_plaintext(c.a11, c.a12, cm) == rows[0]
+            assert _row_plaintext(c.a21, c.a22, cm) == rows[1]
+            assert _package_rows(c, cm) == rows
             if c.a11 > 0:
                 digits = rng.randint(0, 3)
                 value = round_half_even_ratio(c.a21, c.a11, digits)

@@ -39,7 +39,7 @@ from unicipher.cipher import (
     VerifyResult,
     VerifyStatus,
     _checked,
-    _solve,
+    _row_plaintext,
     decrypt,
     decrypt_message,
     encrypt,
@@ -159,10 +159,13 @@ def ref_decrypt_message(packages, key, alphabet):
 
 
 def intact(c: Mat2, det_p: int, cm, grid, bound):
-    """Row-major entries of P if the block is intact, as decryption asks:
-    both rows solve (_solve) and pass det P and the grid (_checked); else None."""
-    rows = _solve(c, cm, bound)
-    return None if rows is None else _checked(c, rows, det_p, grid)
+    """Row-major entries of P if the block is intact, as correct's clean test
+    asks: both rows solve (_row_plaintext), every entry is below bound when
+    one is given, and det P and the grid hold (_checked); else None."""
+    rows = (_row_plaintext(c.a11, c.a12, cm), _row_plaintext(c.a21, c.a22, cm))
+    if None in rows or (bound is not None and max(rows[0] + rows[1]) >= bound):
+        return None
+    return _checked(c, rows, det_p, grid)
 
 
 def outcome(fn, *args):
@@ -311,6 +314,31 @@ def test_repaired_rows_answer_only_for_their_key(n):
         )
         if len(repaired) == len(packages):
             assert decrypt_message(repaired, key, alphabet) == message
+
+
+@pytest.mark.parametrize("n", (1, 10, 100, 500))
+def test_unsolved_rows_answer_only_for_their_key(n):
+    """Verifying under a second key leaves that key's answer on each C,
+    None for the blocks whose rows do not solve under it; verifying and
+    decrypting under the key must still give the reference's answers."""
+    rng = random.Random(n)
+    alphabet = Alphabet.bytes_mode()
+    unsolved = 0
+    for _ in range(6):
+        perm = rng.choice(PERMS)
+        key, other = draw_key(rng, n, perm), draw_key(rng, n, perm)
+        message = rng.randbytes(rng.randint(1, 24))
+        packages = encrypt_message(message, key, alphabet, emit_column_ratio=True)
+        assert [verify_package(pkg, other) for pkg in packages] == [
+            ref_verify(pkg, other) for pkg in packages
+        ]
+        assert all(pkg.c.__dict__["_rows"][0] is other.coding_matrix for pkg in packages)
+        unsolved += sum(pkg.c.__dict__["_rows"][1] is None for pkg in packages)
+        assert [verify_package(pkg, key) for pkg in packages] == [
+            ref_verify(pkg, key) for pkg in packages
+        ]
+        assert decrypt_message(packages, key, alphabet) == message
+    assert unsolved
 
 
 @given(st.integers(0, 2**32), st.sampled_from(PERMS), st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ", max_size=13))

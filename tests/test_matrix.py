@@ -315,11 +315,14 @@ def assert_view_matches_matrix(cm):
     assert cm.det == m.det()
     assert cm.adj == m.adjugate().entries()
     if cm.det and max(m.entries()).bit_length() > FORWARD_MIN_BITS:
-        s, mask, *k = cm.forward
+        s, mask, k11, k12, k21, k22, lim = cm.forward
         # det = 2^s * odd, and k * odd = adj mod 2^(FORWARD_BITS + s)
         odd, modulus = cm.det // 2**s, 2 ** (FORWARD_BITS + s)
         assert cm.det % 2**s == 0 and odd % 2 == 1 and mask == modulus - 1
+        k = (k11, k12, k21, k22)
         assert all(0 <= ki < modulus and (ki * odd - e) % modulus == 0 for ki, e in zip(k, cm.adj))
+        # the first column of M(n) is (A(n+1), B(n+1))
+        assert lim == min(m.a11, m.a21) * 2**FORWARD_BITS
     else:
         assert cm.forward is None
     if m.a12 <= 0 or m.a22 <= 0:
