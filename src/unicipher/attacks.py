@@ -121,11 +121,15 @@ def measure_unimodular_resistance(
     counts = [0] * len(queries)
     enumerated = 0
     truncated = False
-    for alpha, beta, gamma, delta, a0, b0 in itertools.product(
-        box.alphas, box.betas, box.gammas, box.deltas, box.seeds_a, box.seeds_b
-    ):
-        if alpha * delta - beta * gamma not in (1, -1):
-            continue
+    # det U is checked once per multiplier, not once per seed pair.
+    seeds = tuple(itertools.product(box.seeds_a, box.seeds_b))
+    keys = (
+        (*u, a0, b0)
+        for u in itertools.product(box.alphas, box.betas, box.gammas, box.deltas)
+        if u[0] * u[3] - u[1] * u[2] in (1, -1)
+        for a0, b0 in seeds
+    )
+    for alpha, beta, gamma, delta, a0, b0 in keys:
         walk = coding_entries(alpha, beta, gamma, delta, a0, b0)
         m11, m12, m21, m22 = next(walk)
         at = 0

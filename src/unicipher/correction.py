@@ -35,11 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd
 
 from .cipher import CipherKey, CipherPackage, _checked, _rejection, _row_plaintext
 from .errors import NoDiophantineSolution
-from .matrix import Mat2, _require_int
+from .matrix import Mat2, _require_int, line_step
 
 # The most points one line scan lists.
 MAX_CANDIDATES = 100_000
@@ -82,32 +81,24 @@ class DiophantineFamily:
         return (self.base[0] + k * self.step[0], self.base[1] + k * self.step[1])
 
 
-def _diophantine_gcd(a: int, b: int, c: int) -> int:
-    """gcd(a, b); raises unless a*x - b*y = c has integer solutions."""
-    if a == 0 and b == 0:
-        raise ValueError("a and b cannot both be zero")
-    g = gcd(a, b)
-    if c % g:
-        raise NoDiophantineSolution(f"gcd({a}, {b}) = {g} does not divide {c}")
-    return g
-
-
-def _family(a: int, b: int, c: int, g: int, inv: int | None = None) -> tuple[int, int, int, int]:
+def _family(a: int, b: int, c: int, step) -> tuple[int, int, int, int]:
     """(base_x, base_y, step_x, step_y) of the normalized family of a*x - b*y = c,
-    with g = _diophantine_gcd(a, b, c) and inv, when given, the inverse of a/g
-    modulo |b|/g."""
-    if b == 0:
+    with step = line_step(a, -b) and its gcd dividing c."""
+    g, m, inv = step
+    if m is None:
         return c // a, 0, 0, 1
-    m = abs(b) // g
-    if inv is None:
-        inv = pow(a // g, -1, m)  # pow(., -1, 1) is 0
     x = c // g * inv % m
     return x, (a * x - c) // b, m, a // g if b > 0 else -a // g
 
 
 def solve_linear_diophantine(a: int, b: int, c: int) -> DiophantineFamily:
     """General integer solution family of a*x - b*y = c."""
-    bx, by, dx, dy = _family(a, b, c, _diophantine_gcd(a, b, c))
+    if a == 0 and b == 0:
+        raise ValueError("a and b cannot both be zero")
+    step = line_step(a, -b)
+    if c % step[0]:
+        raise NoDiophantineSolution(f"gcd({a}, {b}) = {step[0]} does not divide {c}")
+    bx, by, dx, dy = _family(a, b, c, step)
     return DiophantineFamily((bx, by), (dx, dy))
 
 
@@ -164,13 +155,16 @@ class CorrectionReport:
         return self.repaired is not None
 
 
-def _points(u: int, v: int, w: int, bound, limit=None, inv=None):
+def _points(u: int, v: int, w: int, bound, limit=None, step=None):
     """The points (x, y) of the line u*x + v*y = w in the box, and with
     lo <= s*x + t*y <= hi when limit = (s, t, lo, hi) is given (hi None: no end).
 
     u = v = 0 with w = 0 is the whole box, listed lazily.  None when nothing
-    ends the range or it holds more than MAX_CANDIDATES points.  inv is the
-    inverse _family takes, when the caller has it.
+    ends the range or it holds more than MAX_CANDIDATES points.  step is
+    line_step(u, v) when the caller has it (CodingMatrix.column_lines for
+    the lines that keep an entry of a received row).  When the step m of x
+    is at least the bound, only the point with x = (w/g) * inv mod m can lie
+    in the box, so that one point is checked and nothing else is listed.
     """
     if u == 0 and v == 0:
         if w:
@@ -184,10 +178,24 @@ def _points(u: int, v: int, w: int, bound, limit=None, inv=None):
             (x, y) for x in range(bound) for y in range(bound)
             if lo <= s * x + t * y and (hi is None or s * x + t * y <= hi)
         )
-    g = gcd(u, v)
+    step = step or line_step(u, v)
+    g, m, inv = step
     if w % g:
         return []
-    bx, by, dx, dy = _family(u, -v, w, g, inv)
+    if m is not None and bound is not None and m >= bound:
+        x = w // g * inv % m
+        if x >= bound:
+            return []
+        y = (w - u * x) // v
+        if y < 0 or y >= bound:
+            return []
+        if limit:
+            s, t, lo, hi = limit
+            f = s * x + t * y
+            if f < lo or (hi is not None and f > hi):
+                return []
+        return [(x, y)]
+    bx, by, dx, dy = _family(u, -v, w, step)
     top = None if bound is None else bound - 1
     klo = khi = None
     for s, t, lo, hi in ((1, 0, 0, top), (0, 1, 0, top), *([limit] if limit else ())):
@@ -271,7 +279,7 @@ def correct(
     def line(i: int, j: int) -> list | None:
         """The box points of row i that keep its entry j."""
         if (i, j) not in lines:
-            lines[i, j] = _points(*columns[j], rows[i][j], bound, inv=cm.column_inverses[j])
+            lines[i, j] = _points(*columns[j], rows[i][j], bound, step=cm.column_lines[j])
         return lines[i, j]
 
     def meet(cls: str, i: int, j: int, known: tuple[int, int]) -> list:

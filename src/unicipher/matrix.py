@@ -280,7 +280,10 @@ class CodingMatrix:
     (c1, c2) = (x, y) @ M(n), and lim = min(A(n+1), B(n+1)) << FORWARD_BITS:
     M(n) >= 0, so a non-negative row with first entry c1 < lim has both
     entries below 2^FORWARD_BITS.  It is None when det is 0 or the largest
-    entry has at most FORWARD_MIN_BITS bits.
+    entry has at most FORWARD_MIN_BITS bits.  column_lines, built on first
+    use by correct, is the per-key table of the lines that keep one entry of
+    a received row: per column, its gcd, the step of x along the line and
+    the modular inverse that finds the line's first point.
     """
 
     matrix: Mat2
@@ -298,18 +301,28 @@ class CodingMatrix:
         return FixedPoints(self.trace, self.unit_det).phi_plus
 
     @cached_property
-    def column_inverses(self) -> tuple[int | None, int | None]:
-        """Per column j, the inverse of M[0][j]/g modulo M[1][j]/g, g their gcd
-        (None when M[1][j] = 0): what repair needs to list the points of the
-        line x*M[0][j] + y*M[1][j] = c.  A modular inverse of the big entries
-        costs about 50 us per column at n = 100, so it is computed on first
-        use, once per key, and never for keys that only encrypt and decrypt.
+    def column_lines(self) -> tuple[tuple[int, int | None, int | None], ...]:
+        """Per column j, line_step(M[0][j], M[1][j]): what repair needs to list
+        the points of the line x*M[0][j] + y*M[1][j] = c that keeps entry j of
+        a received row.  At n = 100 the gcd and the inverse of the ~370-bit
+        entries take about 39 us per column, more than a typical repair, so
+        the table is built on first use, once per key, and never for keys
+        that only encrypt and decrypt.
         """
         m11, m12, m21, m22 = self.matrix.entries()
-        return tuple(
-            None if b == 0 else pow(a // gcd(a, b), -1, b // gcd(a, b))
-            for a, b in ((m11, m21), (m12, m22))
-        )
+        return line_step(m11, m21), line_step(m12, m22)
+
+
+def line_step(a: int, b: int) -> tuple[int, int | None, int | None]:
+    """(g, m, inv) of the lines a*x + b*y = c: g = gcd(a, b), m = |b|/g the
+    step of x from one integer point to the next, and inv the inverse of a/g
+    modulo m, so the point with x in [0, m) has x = (c/g) * inv mod m.  m and
+    inv are None when b = 0, where x is fixed and y is free."""
+    g = gcd(a, b)
+    if b == 0:
+        return g, None, None
+    m = abs(b) // g
+    return g, m, pow(a // g, -1, m)  # pow(., -1, 1) is 0
 
 
 def build_coding_matrix(key: KeyMatrix, seed: SeedPair, n: int) -> CodingMatrix:

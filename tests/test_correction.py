@@ -23,13 +23,14 @@ from unicipher.cipher import (
 from unicipher.correction import (
     CorrectionContext,
     ErrorClass,
+    _points,
     correct,
     plaintext_bounds,
     solve_linear_diophantine,
 )
 from unicipher.errors import CheckNumberMismatch, InvalidKey, NegativePlaintext
 from unicipher.errors import NoDiophantineSolution, NonIntegralPlaintext
-from unicipher.matrix import FORWARD_BITS, KeyMatrix, Mat2, SeedPair
+from unicipher.matrix import FORWARD_BITS, KeyMatrix, Mat2, SeedPair, line_step
 from unicipher.ratios import round_half_even_ratio
 from unicipher.sampling import random_cipher_key, random_key_matrix, random_plaintext
 
@@ -177,6 +178,80 @@ class TestDiophantineAgainstReference:
                 assert solver_outcome(solve_linear_diophantine, *args) == expected, args
                 solved += expected[0] is not NoDiophantineSolution
         assert 0 < solved < 800
+
+
+def ref_points(u, v, w, bound, limit=None):
+    """Every (x, y) of u*x + v*y = w in [0, bound)^2 with lo <= s*x + t*y <= hi,
+    by a scan over x."""
+    s, t, lo, hi = limit or (0, 0, 0, None)
+    found = []
+    for x in range(bound):
+        if v == 0:
+            ys = range(bound) if u * x == w else ()
+        else:
+            y, r = divmod(w - u * x, v)
+            ys = (y,) if r == 0 and 0 <= y < bound else ()
+        found += [(x, y) for y in ys if lo <= s * x + t * y and (hi is None or s * x + t * y <= hi)]
+    return found
+
+
+class TestPointsAgainstScan:
+    """_points, with and without its line_step, lists exactly the points a scan
+    over x in [0, bound) finds: for steps m of x below, at and above the
+    bound (the one-point rule), for w through a box point, beside one,
+    negative and past the box, and with and without a limit."""
+
+    @staticmethod
+    def check_line(rng, u, v, bound, steps, seen):
+        x0, y0 = rng.randrange(bound), rng.randrange(bound)
+        w = u * x0 + v * y0
+        past = (bound - 1) * (abs(u) + abs(v)) + rng.randint(1, 3)
+        s, t = rng.choice(((0, 0), (1, 0), (rng.randint(0, 90), rng.randint(-90, 90))))
+        f = s * x0 + t * y0
+        limits = (None, (s, t, f, f), (s, t, f + 1, None), (s, t, f - 9, f + 9), (s, t, f + 1, f - 1))
+        for w in (w, w + 1, w - 1, -abs(w) - 1, 0, past, -past):
+            for limit in limits:
+                want = ref_points(u, v, w, bound, limit)
+                for step in steps:
+                    assert _points(u, v, w, bound, limit, step) == want, (u, v, w, bound, limit, step)
+                seen[bool(want)] += 1
+
+    def test_columns_of_keys(self):
+        rng = random.Random(29)
+        seen, steps_against_bound = [0, 0], set()
+        for n in (1, 2, 3, 5, 10, 30, 60, 100):
+            keys = [CipherKey.golden(n), CipherKey.arnolds_cat(n)]
+            keys += [random_cipher_key(rng, n_lo=n, n_hi=n) for _ in range(3)]
+            for key in keys:
+                cm = key.coding_matrix
+                m11, m12, m21, m22 = cm.matrix.entries()
+                for (a, b), step in zip(((m11, m21), (m12, m22)), cm.column_lines):
+                    m = step[1]
+                    bounds = {3, 26, 256}
+                    if m is not None and m <= 300:
+                        bounds |= {max(m - 1, 1), m, m + 1}
+                    for bound in sorted(bounds):
+                        if m is not None:
+                            steps_against_bound.add((m > bound) - (m < bound))
+                        self.check_line(rng, a, b, bound, (None, step), seen)
+        assert steps_against_bound == {-1, 0, 1} and min(seen) > 0
+
+    def test_lines_in_every_sign(self):
+        """Det-P lines (u, v) = (ky, -kx) or (-ky, kx) have entries of either sign."""
+        rng = random.Random(31)
+        seen, steps_against_bound = [0, 0], set()
+        for _ in range(300):
+            u, v = rng.randint(-40, 40), rng.randint(-40, 40)
+            if u == v == 0:
+                continue
+            step = line_step(u, v)
+            m = step[1]
+            k = m or 1
+            bound = rng.choice((1, 2, 26, k, k + 1, max(k - 1, 1)))
+            if m is not None:
+                steps_against_bound.add((m > bound) - (m < bound))
+            self.check_line(rng, u, v, bound, (None, step), seen)
+        assert steps_against_bound == {-1, 0, 1} and min(seen) > 0
 
 
 class TestPlaintextBounds:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from unicipher.matrix import (
     SeedPair,
     build_coding_matrix,
     classify_power_form,
+    line_step,
     mu_of_seed,
     s_matrix,
 )
@@ -374,6 +376,33 @@ class TestStoredView:
         cm = CipherKey.golden(1).coding_matrix
         assert cm.bounds is None
         assert_view_matches_matrix(cm)
+
+
+def test_column_lines_are_gcd_step_and_inverse():
+    """column_lines holds, per column (a, b) of M(n), g = gcd(a, b), m = b/g
+    and the inverse of a/g mod m, with m and the inverse None when b = 0
+    (the right column of golden n = 1 is (1, 0))."""
+    rng = random.Random(23)
+    keys = [CipherKey.golden(1), CipherKey(KeyMatrix(Mat2(2, 1, 1, 1)), SeedPair(2, 4), 7)]
+    for n in (1, 2, 3, 10, 57, 100):
+        keys += [CipherKey.golden(n), CipherKey.arnolds_cat(n)]
+        keys += [random_cipher_key(rng, n_lo=n, n_hi=n) for _ in range(6)]
+    zero_steps = gcd_above_one = 0
+    for key in keys:
+        cm = key.coding_matrix
+        m11, m12, m21, m22 = cm.matrix.entries()
+        assert len(cm.column_lines) == 2
+        for (a, b), (g, m, inv) in zip(((m11, m21), (m12, m22)), cm.column_lines):
+            assert g == math.gcd(a, b) and (g, m, inv) == line_step(a, b)
+            gcd_above_one += g > 1
+            if b == 0:
+                zero_steps += 1
+                assert m is None and inv is None
+            else:
+                assert m == b // g and inv == pow(a // g, -1, m)
+                assert 0 <= inv < m and (a // g * inv - 1) % m == 0
+    assert CipherKey.golden(1).coding_matrix.column_lines[1] == (1, None, None)
+    assert zero_steps and gcd_above_one
 
 
 def test_random_cipher_key_is_always_admissible():
