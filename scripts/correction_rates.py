@@ -69,6 +69,8 @@ def main() -> int:
                         help="alphabet size: plaintext entries are drawn below it, "
                              "and repair candidates are bounded by it")
     args = parser.parse_args()
+    if args.trials < 1:
+        parser.error(f"--trials must be at least 1, got {args.trials}")
     if args.bound < 1:
         parser.error(f"--bound must be at least 1, got {args.bound}")
 

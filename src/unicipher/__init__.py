@@ -26,13 +26,9 @@ from .cipher import (
     verify_package,
 )
 from .correction import (
-    CorrectionContext,
     CorrectionReport,
-    DiophantineFamily,
     ErrorClass,
     correct,
-    plaintext_bounds,
-    solve_linear_diophantine,
 )
 from .errors import (
     CheckNumberMismatch,
@@ -43,7 +39,6 @@ from .errors import (
     FormatError,
     InvalidKey,
     NegativePlaintext,
-    NoDiophantineSolution,
     NoMatchInBounds,
     NonIntegralPlaintext,
     NotGoldenOracle,

@@ -21,7 +21,8 @@ from fractions import Fraction
 
 from . import channel
 from .attacks import EncryptionOracle, attack_golden, attack_k_golden
-from .cipher import Alphabet, CipherKey, SeedPair, decrypt_message, encrypt_message, verify_package
+from .cipher import _MAX_DECIMAL_DIGITS, Alphabet, CipherKey, SeedPair
+from .cipher import decrypt_message, encrypt_message, verify_package
 from .correction import ErrorClass, correct
 from .errors import CipherError, NoMatchInBounds, NotGoldenOracle
 from .matrix import KeyMatrix, Mat2
@@ -208,6 +209,13 @@ def _cmd_attack(args) -> int:
 def _cmd_ratios(args) -> int:
     if not 0 <= args.steps <= MAX_ORBIT_STEPS:
         raise CipherError(f"--steps must be in 0..{MAX_ORBIT_STEPS}, got {args.steps}")
+    try:  # Fraction builds 10**exponent first, and no such term could be printed
+        exponent = int(args.a0.lower().partition("e")[2] or 0)
+    except ValueError:  # no exponent that Fraction takes
+        exponent = 0
+    if abs(exponent) > _MAX_DECIMAL_DIGITS:
+        raise CipherError(f"--a0 exponent must be at most {_MAX_DECIMAL_DIGITS} in magnitude, "
+                          f"got {args.a0!r}")
     try:
         params = RatioParams(args.t, args.d, Fraction(args.a0))
     except (ValueError, ZeroDivisionError) as exc:

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .cipher import CipherKey, CipherPackage, _checked, _rejection, _row_plaintext
-from .errors import NoDiophantineSolution
 from .matrix import Mat2, _require_int, line_step
 
 # The most points one line scan lists.
@@ -67,78 +66,6 @@ _WEIGHTS = (
 
 
 @dataclass(frozen=True)
-class DiophantineFamily:
-    """All integer solutions of a*x - b*y = c: (x, y) = base + k * step.
-
-    Normalized so step_x > 0 with base_x in [0, step_x); when step_x = 0
-    the roles fall to y.
-    """
-
-    base: tuple[int, int]
-    step: tuple[int, int]
-
-    def at(self, k: int) -> tuple[int, int]:
-        return (self.base[0] + k * self.step[0], self.base[1] + k * self.step[1])
-
-
-def _family(a: int, b: int, c: int, step) -> tuple[int, int, int, int]:
-    """(base_x, base_y, step_x, step_y) of the normalized family of a*x - b*y = c,
-    with step = line_step(a, -b) and its gcd dividing c."""
-    g, m, inv = step
-    if m is None:
-        return c // a, 0, 0, 1
-    x = c // g * inv % m
-    return x, (a * x - c) // b, m, a // g if b > 0 else -a // g
-
-
-def solve_linear_diophantine(a: int, b: int, c: int) -> DiophantineFamily:
-    """General integer solution family of a*x - b*y = c."""
-    if a == 0 and b == 0:
-        raise ValueError("a and b cannot both be zero")
-    step = line_step(a, -b)
-    if c % step[0]:
-        raise NoDiophantineSolution(f"gcd({a}, {b}) = {step[0]} does not divide {c}")
-    bx, by, dx, dy = _family(a, b, c, step)
-    return DiophantineFamily((bx, by), (dx, dy))
-
-
-@dataclass(frozen=True)
-class CorrectionContext:
-    """Everything a repair needs, computed once per package."""
-
-    key: CipherKey
-    det_p: int
-    # transmitted c21/c11 as (R, D): the check is |c21/c11 - R/D| <= 1/(2D), D = 10**digits
-    rho: tuple[int, int] | None = None
-    plaintext_bound: int | None = None
-
-    @classmethod
-    def from_package(
-        cls, pkg: CipherPackage, key: CipherKey, *, plaintext_bound: int | None = None
-    ) -> "CorrectionContext":
-        check = pkg.column_ratio
-        return cls(key, pkg.det_p, None if check is None else check.grid, plaintext_bound)
-
-    @property
-    def expected_det(self) -> int:
-        """det C of an intact block: det M(n) * det P."""
-        return self.key.coding_matrix.det * self.det_p
-
-
-def plaintext_bounds(ctx: CorrectionContext) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Inclusive ciphertext-entry ranges implied by a bounded alphabet.
-
-    First-column entries cannot exceed (size-1) * (A(n+1) + B(n+1)), second
-    column (size-1) * (A(n) + B(n)).
-    """
-    if ctx.plaintext_bound is None:
-        raise ValueError("context has no plaintext bound")
-    m11, m12, m21, m22 = ctx.key.coding_matrix.matrix.entries()
-    s = ctx.plaintext_bound - 1
-    return (0, s * (m11 + m21)), (0, s * (m12 + m22))
-
-
-@dataclass(frozen=True)
 class CorrectionReport:
     """Outcome of one repair: the class and change of the repair, or why there is none."""
 
@@ -161,10 +88,11 @@ def _points(u: int, v: int, w: int, bound, limit=None, step=None):
 
     u = v = 0 with w = 0 is the whole box, listed lazily.  None when nothing
     ends the range or it holds more than MAX_CANDIDATES points.  step is
-    line_step(u, v) when the caller has it (CodingMatrix.column_lines for
-    the lines that keep an entry of a received row).  When the step m of x
-    is at least the bound, only the point with x = (w/g) * inv mod m can lie
-    in the box, so that one point is checked and nothing else is listed.
+    line_step(u, v) = (g, m, inv) when the caller has it (CodingMatrix.column_lines).
+    The points are (x0, y0) + k * (m, -+u/g), with x0 = (w/g) * inv mod m
+    and y0 = (w - u*x0) / v, or (w/u, 0) + k * (0, 1) when v = 0.  When
+    m >= bound only k = 0 can lie in the box, so x0 is checked before y0 is
+    divided out; otherwise the box and the limit cut k to an interval.
     """
     if u == 0 and v == 0:
         if w:
@@ -178,24 +106,22 @@ def _points(u: int, v: int, w: int, bound, limit=None, step=None):
             (x, y) for x in range(bound) for y in range(bound)
             if lo <= s * x + t * y and (hi is None or s * x + t * y <= hi)
         )
-    step = step or line_step(u, v)
-    g, m, inv = step
+    g, m, inv = step or line_step(u, v)
     if w % g:
         return []
-    if m is not None and bound is not None and m >= bound:
-        x = w // g * inv % m
-        if x >= bound:
+    if m is None:  # v = 0: x = w/u and y is free
+        bx, by, dx, dy = w // u, 0, 0, 1
+    else:
+        bx = w // g * inv % m
+        one_point = bound is not None and m >= bound
+        if one_point and bx >= bound:
             return []
-        y = (w - u * x) // v
-        if y < 0 or y >= bound:
-            return []
-        if limit:
-            s, t, lo, hi = limit
-            f = s * x + t * y
-            if f < lo or (hi is not None and f > hi):
-                return []
-        return [(x, y)]
-    bx, by, dx, dy = _family(u, -v, w, step)
+        by = (w - u * bx) // v
+        if one_point:
+            s, t, lo, hi = limit or (0, 0, 0, None)
+            f = s * bx + t * by
+            return [(bx, by)] if 0 <= by < bound and lo <= f and (hi is None or f <= hi) else []
+        dx, dy = m, (-u if v > 0 else u) // g
     top = None if bound is None else bound - 1
     klo = khi = None
     for s, t, lo, hi in ((1, 0, 0, top), (0, 1, 0, top), *([limit] if limit else ())):

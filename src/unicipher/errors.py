@@ -37,10 +37,6 @@ class CheckNumberMismatch(CipherError):
     """A block decrypts exactly but disagrees with its det P or column ratio."""
 
 
-class NoDiophantineSolution(CipherError):
-    pass
-
-
 class NotGoldenOracle(CipherError):
     pass
 

@@ -20,7 +20,7 @@ from unicipher.cipher import (
     verify_package,
     VerifyStatus,
 )
-from unicipher.correction import ErrorClass, correct, solve_linear_diophantine
+from unicipher.correction import ErrorClass, _points, correct
 from unicipher.errors import NoMatchInBounds, NotGoldenOracle
 from unicipher.matrix import (
     Mat2,
@@ -105,13 +105,15 @@ def test_criterion_02_single_error_replay():
 
 def test_criterion_03_row_family_table():
     failures: list[str] = []
-    family = solve_linear_diophantine(162, 263, -440)
-    check(failures, family.base == (33, 22), f"base {family.base}")
-    check(failures, family.step == (263, 162), f"step {family.step}")
+    points = _points(162, -263, -440, 1349)
+    check(failures, len(points) == 6, f"{len(points)} points, expected 6")
+    check(failures, points[0] == (33, 22), f"base {points[0]}")
+    step = (points[1][0] - points[0][0], points[1][1] - points[0][1])
+    check(failures, step == (263, 162), f"step {step}")
+    check(failures, points[-1] == (1348, 832), f"last point {points[-1]}")
     table = ["1.50000", "1.60870", "1.61561", "1.61811", "1.61940", "1.62019"]
     ratios = []
-    for k in range(6):
-        x, y = family.at(k)
+    for k, (x, y) in enumerate(points):
         check(failures, 162 * x - 263 * y == -440, f"k={k} does not satisfy the equation")
         ratio = Fraction(x, y)
         ratios.append(ratio)
@@ -129,20 +131,12 @@ def test_criterion_03_row_family_table():
 
 def test_criterion_04_bounds_example():
     failures: list[str] = []
-    from unicipher.correction import CorrectionContext, plaintext_bounds
-
-    key = CipherKey.arnolds_cat(4)
-    ctx = CorrectionContext.from_package(
-        CipherPackage(Mat2(1, 1, 450, 172), 176), key, plaintext_bound=26
-    )
-    (xlo, xhi), (ylo, yhi) = plaintext_bounds(ctx)
+    # a 26-letter block's largest ciphertext entries: 25 * the column sums of M(4)
+    m11, m12, m21, m22 = CipherKey.arnolds_cat(4).coding_matrix.matrix.entries()
+    (xlo, xhi), (ylo, yhi) = (0, 25 * (m11 + m21)), (0, 25 * (m12 + m22))
     check(failures, (xlo, xhi) == (0, 2225), f"x range ({xlo}, {xhi})")
     check(failures, (ylo, yhi) == (0, 850), f"y range ({ylo}, {yhi})")
-    family = solve_linear_diophantine(172, 450, 176)
-    feasible = [
-        k for k in range(-10, 40)
-        if xlo <= family.at(k)[0] <= xhi and ylo <= family.at(k)[1] <= yhi
-    ]
+    feasible = _points(172, -450, 176, xhi + 1, (0, 1, ylo, yhi))
     check(failures, len(feasible) == 10, f"{len(feasible)} feasible members, expected 10")
     conclude("4 (alphabet bounds leave ten candidates)", failures)
 

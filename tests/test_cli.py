@@ -6,6 +6,7 @@ import time
 import pytest
 
 from unicipher.channel import loads_key, loads_packages
+from unicipher.cipher import _MAX_DECIMAL_DIGITS
 from unicipher.cli import MAX_ORBIT_STEPS, main
 from unicipher.matrix import Mat2
 
@@ -575,6 +576,14 @@ class TestRatiosCommand:
         code, out, err = run(capsys, "ratios", "--t", "3", "--d", "1", "--a0", a0)
         assert code == 1 and out == ""
         assert "error[CipherError]" in err
+
+    @pytest.mark.parametrize("a0", ["1e5000", "1e-5000"])
+    def test_a0_exponent_past_the_digit_limit_is_refused(self, capsys, a0):
+        # refused before Fraction builds 10**5000: no term of the orbit could print
+        code, out, err = run(capsys, "ratios", "--t", "3", "--d", "1", "--a0", a0)
+        assert code == 1 and out == ""
+        assert err == ("error[CipherError]: --a0 exponent must be at most "
+                       f"{_MAX_DECIMAL_DIGITS} in magnitude, got {a0!r}\n")
 
     @pytest.mark.parametrize(
         "t, steps",

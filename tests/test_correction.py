@@ -1,5 +1,5 @@
 import hashlib
-import itertools
+import math
 import random
 
 import pytest
@@ -20,16 +20,9 @@ from unicipher.cipher import (
     encrypt_message,
     verify_package,
 )
-from unicipher.correction import (
-    CorrectionContext,
-    ErrorClass,
-    _points,
-    correct,
-    plaintext_bounds,
-    solve_linear_diophantine,
-)
+from unicipher.correction import ErrorClass, _points, correct
 from unicipher.errors import CheckNumberMismatch, InvalidKey, NegativePlaintext
-from unicipher.errors import NoDiophantineSolution, NonIntegralPlaintext
+from unicipher.errors import NonIntegralPlaintext
 from unicipher.matrix import FORWARD_BITS, KeyMatrix, Mat2, SeedPair, line_step
 from unicipher.ratios import round_half_even_ratio
 from unicipher.sampling import random_cipher_key, random_key_matrix, random_plaintext
@@ -41,110 +34,61 @@ def brute_force_solutions(a, b, c, lo=-500, hi=500):
     return {(x, y) for x in range(lo, hi) for y in range(lo, hi) if a * x - b * y == c}
 
 
-# --- reference solver -------------------------------------------------------
-# The extended-Euclid solver that math.gcd and pow(x, -1, m) replaced.  Its
-# family is normalized, hence unique, so the library must match it exactly.
-
-
-def ref_ext_gcd(a, b):
-    """(g, s, t) with a*s + b*t = g and g = gcd(a, b) >= 0."""
-    r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0 < 0:
-        r0, s0, t0 = -r0, -s0, -t0
-    return r0, s0, t0
-
-
-def ref_solve_linear_diophantine(a, b, c):
-    if a == 0 and b == 0:
-        raise ValueError("a and b cannot both be zero")
-    g, s, t = ref_ext_gcd(a, -b)
-    if c % g:
-        raise NoDiophantineSolution(f"gcd({a}, {b}) = {g} does not divide {c}")
-    scale = c // g
-    x0, y0 = s * scale, t * scale
-    dx, dy = -b // g, -a // g
-    if dx < 0 or (dx == 0 and dy < 0):
-        dx, dy = -dx, -dy
-    if dx:
-        shift = x0 // dx
-    elif dy:
-        shift = y0 // dy
-    else:
-        shift = 0
-    return (x0 - shift * dx, y0 - shift * dy), (dx, dy)
-
-
-def solver_outcome(solve, a, b, c):
-    """(base, step) of the family, or the exception's type and message."""
-    try:
-        result = solve(a, b, c)
-    except (ValueError, NoDiophantineSolution) as exc:
-        return type(exc), str(exc)
-    return result if isinstance(result, tuple) else (result.base, result.step)
-
-
 class TestDiophantine:
+    """_points as the solver of the linear Diophantine equation a*x - b*y = c,
+    the line u*x + v*y = w with (u, v, w) = (a, -b, c)."""
+
     def test_row_example_family(self):
-        fam = solve_linear_diophantine(162, 263, -440)
-        assert fam.base == (33, 22) and fam.step == (263, 162)
+        points = _points(162, -263, -440, 1349)
+        assert points[:2] == [(33, 22), (33 + 263, 22 + 162)]
 
     def test_bounded_example_family(self):
-        fam = solve_linear_diophantine(172, 450, 176)
-        assert fam.base == (158, 60) and fam.step == (225, 86)
+        points = _points(172, -450, 176, 2226)
+        assert points[:2] == [(158, 60), (158 + 225, 60 + 86)]
 
     def test_no_solution(self):
-        with pytest.raises(NoDiophantineSolution):
-            solve_linear_diophantine(2, 4, 3)
+        # gcd(2, 4) does not divide 3, whatever the box
+        assert _points(2, -4, 3, 26) == [] and _points(2, -4, 3, None) == []
 
     def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            solve_linear_diophantine(0, 0, 5)
+        # 0*x + 0*y = 5 has no point, whatever the box
+        assert _points(0, 0, 5, 26) == [] and _points(0, 0, 5, None) == []
 
     def test_family_matches_brute_force(self):
-        fam = solve_linear_diophantine(6, 10, 4)
-        brute = brute_force_solutions(6, 10, 4, -50, 50)
-        mine = {fam.at(k) for k in range(-40, 40)}
-        assert brute <= mine
+        assert _points(6, -10, 4, 50) == sorted(brute_force_solutions(6, 10, 4, 0, 50))
 
     @given(st.integers(-300, 300), st.integers(-300, 300), st.integers(-300, 300))
     @settings(max_examples=200)
     def test_substitution_property(self, a, b, c):
         if a == 0 and b == 0:
             return
-        try:
-            fam = solve_linear_diophantine(a, b, c)
-        except NoDiophantineSolution:
-            import math
-
-            assert c % math.gcd(a, b) != 0
-            return
-        for k in (-1000, -7, -1, 0, 1, 13, 1000):
-            x, y = fam.at(k)
-            assert a * x - b * y == c
+        points = _points(a, -b, c, 300)
+        if c % math.gcd(a, b):
+            assert points == []
+        for x, y in points:
+            assert a * x - b * y == c and 0 <= x < 300 and 0 <= y < 300
 
     @given(st.integers(-300, 300), st.integers(-300, 300), st.integers(-300, 300))
     @settings(max_examples=100)
     def test_base_is_normalized(self, a, b, c):
+        """The points ascend by the normalized step: x by |b|/g > 0, or y by 1
+        when b = 0, and the first has no point of the box before it."""
         if a == 0 and b == 0:
             return
-        try:
-            fam = solve_linear_diophantine(a, b, c)
-        except NoDiophantineSolution:
-            return
-        dx, dy = fam.step
-        assert dx > 0 or (dx == 0 and dy > 0)
-        if dx:
-            assert 0 <= fam.base[0] < dx
-        else:
-            assert 0 <= fam.base[1] < dy
+        g = math.gcd(a, b)
+        dx, dy = (abs(b) // g, (a if b > 0 else -a) // g) if b else (0, 1)
+        points = _points(a, -b, c, 300)
+        for (x0, y0), (x1, y1) in zip(points, points[1:]):
+            assert (x1 - x0, y1 - y0) == (dx, dy)
+        if points:
+            x, y = points[0][0] - dx, points[0][1] - dy
+            assert not (0 <= x < 300 and 0 <= y < 300)
 
 
 class TestDiophantineAgainstReference:
+    """_points on edge-case lines a*x - b*y = c and on wide operands, with and
+    without its line_step, against the scan ref_points."""
+
     EDGE_CASES = [
         (0, 0, 5), (0, 0, 0),                               # degenerate
         (0, 7, 21), (0, -7, 21), (0, 7, 5), (0, 1, 0),      # a = 0
@@ -157,27 +101,33 @@ class TestDiophantineAgainstReference:
 
     @pytest.mark.parametrize("a,b,c", EDGE_CASES)
     def test_edge_cases(self, a, b, c):
-        assert solver_outcome(solve_linear_diophantine, a, b, c) == solver_outcome(
-            ref_solve_linear_diophantine, a, b, c
-        )
+        for bound in (1, 2, 26, 300):
+            want = ref_points(a, -b, c, bound)
+            for step in (None, line_step(a, -b)):
+                assert list(_points(a, -b, c, bound, None, step)) == want, (bound, step)
 
     def test_random_wide_operands_in_every_sign(self):
+        """u and v of 1 to 1,500 bits with a shared factor, in every sign, and w
+        through a box point, beside it (w + 1, w + g) and negated."""
         rng = random.Random(8)
-        solved = 0
+        seen, steps_against_bound = [0, 0], set()
         for _ in range(100):
-            # a shared factor, and c a multiple of it half the time
             f = rng.getrandbits(rng.randint(1, 64)) or 1
-            a = f * rng.getrandbits(rng.randint(1, 1500))
-            b = f * rng.getrandbits(rng.randint(1, 1500))
-            c = rng.getrandbits(rng.randint(1, 1500))
-            if rng.random() < 0.5:
-                c *= f
-            for sa, sb, sc in itertools.product((1, -1), repeat=3):
-                args = (sa * a, sb * b, sc * c)
-                expected = solver_outcome(ref_solve_linear_diophantine, *args)
-                assert solver_outcome(solve_linear_diophantine, *args) == expected, args
-                solved += expected[0] is not NoDiophantineSolution
-        assert 0 < solved < 800
+            # a short cofactor of v now and then, so the x-step can fall below the bound
+            a = f * (rng.getrandbits(rng.randint(1, 1500)) or 1)
+            b = f * (rng.getrandbits(rng.randint(1, rng.choice((8, 1500)))) or 1)
+            g = math.gcd(a, b)
+            bound = rng.choice((1, 26, 256))
+            x0, y0 = rng.randrange(bound), rng.randrange(bound)
+            steps_against_bound.add(b // g >= bound)
+            for u, v in ((a, b), (a, -b), (-a, b), (-a, -b)):
+                w = u * x0 + v * y0
+                for w in (w, w + 1, w + g, -w):
+                    want = ref_points(u, v, w, bound)
+                    for step in (None, line_step(u, v)):
+                        assert _points(u, v, w, bound, None, step) == want, (u, v, w, bound)
+                    seen[bool(want)] += 1
+        assert steps_against_bound == {False, True} and min(seen) > 0
 
 
 def ref_points(u, v, w, bound, limit=None):
@@ -252,29 +202,6 @@ class TestPointsAgainstScan:
                 steps_against_bound.add((m > bound) - (m < bound))
             self.check_line(rng, u, v, bound, (None, step), seen)
         assert steps_against_bound == {-1, 0, 1} and min(seen) > 0
-
-
-class TestPlaintextBounds:
-    def test_cat_example(self):
-        ctx = CorrectionContext.from_package(
-            CipherPackage(Mat2(1, 1, 1, 1), 1), CipherKey.arnolds_cat(4),
-            plaintext_bound=26,
-        )
-        assert plaintext_bounds(ctx) == ((0, 2225), (0, 850))
-
-    def test_golden_example(self):
-        ctx = CorrectionContext.from_package(
-            CipherPackage(Mat2(1, 1, 1, 1), 1), CipherKey.golden(10),
-            plaintext_bound=26,
-        )
-        assert plaintext_bounds(ctx)[0] == (0, 25 * 144)
-
-    def test_unit_alphabet_forces_zero(self):
-        ctx = CorrectionContext.from_package(
-            CipherPackage(Mat2(1, 1, 1, 1), 1), CipherKey.arnolds_cat(4),
-            plaintext_bound=1,
-        )
-        assert plaintext_bounds(ctx) == ((0, 0), (0, 0))
 
 
 class TestSingle:
@@ -422,11 +349,7 @@ class TestRow:
 
     def test_bounds_leave_ten_candidates(self):
         # alphabet-derived bounds alone keep k = 0..9 feasible: not decisive
-        fam = solve_linear_diophantine(172, 450, 176)
-        xs = [fam.at(k) for k in range(-5, 30)]
-        feasible = [
-            (x, y) for x, y in xs if 0 <= x <= 2225 and 0 <= y <= 850
-        ]
+        feasible = _points(172, -450, 176, 2226, (0, 1, 0, 850))
         assert len(feasible) == 10
         assert feasible[0] == (158, 60)
 
@@ -437,24 +360,30 @@ class TestRow:
 # verify and decryption use test_kernel's references.
 
 
-def ref_repair_passes(mat: Mat2, ctx: CorrectionContext) -> bool:
-    """All checks an intact ciphertext must satisfy, in exact arithmetic."""
+def ref_repair_passes(mat: Mat2, key: CipherKey, det_p: int, grid, bound) -> bool:
+    """All checks an intact ciphertext must satisfy, in exact arithmetic: grid
+    is the transmitted column ratio c21/c11 as (R, D), or None."""
     c11, c12, c21, c22 = mat.entries()
     if c11 < 0 or c12 < 0 or c21 < 0 or c22 < 0:
         return False
-    if c11 * c22 - c12 * c21 != ctx.expected_det:
+    if c11 * c22 - c12 * c21 != key.coding_matrix.det * det_p:
         return False
-    if ref_bad_rows(mat, ctx.key):
+    if ref_bad_rows(mat, key):
         return False
-    if ctx.rho is not None:
-        r, d = ctx.rho
+    if grid is not None:
+        r, d = grid
         if c11 <= 0 or not (2 * r - 1) * c11 <= 2 * d * c21 <= (2 * r + 1) * c11:
             return False
     try:
-        entries = ref_decrypt(CipherPackage(mat, ctx.det_p), ctx.key)
+        entries = ref_decrypt(CipherPackage(mat, det_p), key)
     except (NonIntegralPlaintext, NegativePlaintext, CheckNumberMismatch):
         return False
-    return ctx.plaintext_bound is None or max(entries) < ctx.plaintext_bound
+    return bound is None or max(entries) < bound
+
+
+def grid_of(pkg: CipherPackage):
+    """The package's column-ratio grid (R, D), or None when it sends no ratio."""
+    return None if pkg.column_ratio is None else pkg.column_ratio.grid
 
 
 @given(
@@ -483,10 +412,11 @@ def test_intact_matches_reference(seed, family, n, digits, bound, damage):
         pkg, _ = corrupt_package(pkg, CorruptionSpec("random", seed=rng.randrange(2**30)))
     elif damage != "clean":
         pkg = {"tamper": tamper, "shear": shear}[damage](pkg, rng)
-    cm = key.coding_matrix
-    ctx = CorrectionContext.from_package(pkg, key, plaintext_bound=bound)
-    expected = verify_package(pkg, key).clean and ref_repair_passes(pkg.c, ctx)
-    entries = intact(pkg.c, pkg.det_p, cm, ctx.rho, bound)
+    cm, grid = key.coding_matrix, grid_of(pkg)
+    expected = verify_package(pkg, key).clean and ref_repair_passes(
+        pkg.c, key, pkg.det_p, grid, bound
+    )
+    entries = intact(pkg.c, pkg.det_p, cm, grid, bound)
     assert (entries is not None) == expected
     if expected:
         assert entries == ref_decrypt(pkg, key)
@@ -547,11 +477,11 @@ def test_forward_product_matches_reference(seed, family, n, digits, bound, damag
         pkg = shift_by_modulus(pkg, rng, cm)
     elif damage != "clean":
         pkg = {"tamper": tamper, "shear": shear}[damage](pkg, rng)
-    ctx = CorrectionContext.from_package(pkg, key, plaintext_bound=bound)
+    grid = grid_of(pkg)
     verified = ref_verify(pkg, key)
     assert verify_package(pkg, key) == verified
-    expected = verified.clean and ref_repair_passes(pkg.c, ctx)
-    entries = intact(pkg.c, pkg.det_p, cm, ctx.rho, bound)
+    expected = verified.clean and ref_repair_passes(pkg.c, key, pkg.det_p, grid, bound)
+    entries = intact(pkg.c, pkg.det_p, cm, grid, bound)
     assert (entries is not None) == expected
     if expected:
         assert entries == ref_decrypt(pkg, key)
@@ -573,9 +503,8 @@ def test_negative_entry_on_a_big_key_matches_reference(family, i):
         bad = CipherPackage(Mat2(*entries), pkg.det_p, pkg.column_ratio)
         assert verify_package(bad, key) == ref_verify(bad, key)
         for bound in (26, 2**64, None):
-            ctx = CorrectionContext.from_package(bad, key, plaintext_bound=bound)
-            assert intact(bad.c, bad.det_p, cm, ctx.rho, bound) is None
-            assert not ref_repair_passes(bad.c, ctx)
+            assert intact(bad.c, bad.det_p, cm, grid_of(bad), bound) is None
+            assert not ref_repair_passes(bad.c, key, bad.det_p, grid_of(bad), bound)
         assert outcome(lambda: decrypt(bad, key).p.entries()) == outcome(ref_decrypt, bad, key)
 
 
@@ -643,7 +572,7 @@ def oracle_codewords(pkg, key, bound):
     cm = key.coding_matrix
     m11, m12, m21, m22 = cm.matrix.entries()
     e = pkg.c.entries()
-    grid = None if pkg.column_ratio is None else pkg.column_ratio.grid
+    grid = grid_of(pkg)
     # by_distance[i][d]: the P-rows whose ciphertext row is at distance d from row i of C
     by_distance = ([[], [], []], [[], [], []])
     for x in range(bound):
@@ -868,9 +797,8 @@ class TestPipeline:
             pkg = encrypt(random_plaintext(rng), key, emit_column_ratio=True)
             bad, _ = corrupt_package(pkg, CorruptionSpec("random", seed=rng.randrange(2**30)))
             report = correct(bad, key, plaintext_bound=26)
-            ctx = CorrectionContext.from_package(bad, key, plaintext_bound=26)
             if report.assumed_class is ErrorClass.NONE and report.success:
-                passed_through += not ref_repair_passes(bad.c, ctx)
+                passed_through += not ref_repair_passes(bad.c, key, bad.det_p, grid_of(bad), 26)
         assert passed_through == 0
 
     def test_ratio_is_sent_when_only_c12_is_zero(self):

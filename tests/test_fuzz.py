@@ -195,7 +195,7 @@ GRAMMAR = {  # command: (required flags, optional flags); None marks a switch
     ),
     "ratios": (
         (("--t", ("1", "3", "1000", "-3", "0", "9" * 400)), ("--d", ("1", "-1", "0", "5")),
-         ("--a0", ("1.5", "5/3", "0", "abc", "1/0", "-2"))),
+         ("--a0", ("1.5", "5/3", "0", "abc", "1/0", "-2", "1e5000", "1e-5000"))),
         (("--steps", ("0", "3", "10", "-1", str(MAX_ORBIT_STEPS), str(MAX_ORBIT_STEPS + 1))),),
     ),
 }
