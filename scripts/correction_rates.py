@@ -25,8 +25,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from unicipher.channel import CORRUPTION_MODES, CorruptionSpec, corrupt_package
-from unicipher.cipher import encrypt
+from unicipher.cipher import MAX_RATIO_DIGITS, encrypt
 from unicipher.correction import correct
+from unicipher.matrix import DEFAULT_MAX_EXPONENT
 from unicipher.sampling import random_cipher_key, random_plaintext
 
 CLASSES = CORRUPTION_MODES[:-1]  # every mode but "random"
@@ -73,6 +74,11 @@ def main() -> int:
         parser.error(f"--trials must be at least 1, got {args.trials}")
     if args.bound < 1:
         parser.error(f"--bound must be at least 1, got {args.bound}")
+    if not 0 <= args.n_lo <= args.n_hi <= DEFAULT_MAX_EXPONENT:
+        parser.error(f"exponents need 0 <= --n-lo <= --n-hi <= {DEFAULT_MAX_EXPONENT}, "
+                     f"got --n-lo {args.n_lo} --n-hi {args.n_hi}")
+    if not 0 <= args.ratio_digits <= MAX_RATIO_DIGITS:
+        parser.error(f"--ratio-digits must be in 0..{MAX_RATIO_DIGITS}, got {args.ratio_digits}")
 
     print(f"{args.trials} trials per class, exponents {args.n_lo}..{args.n_hi}, "
           f"ratio digits {args.ratio_digits}")

@@ -15,6 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from unicipher.cli import MAX_ORBIT_STEPS
 from unicipher.ratios import (
     RatioParams,
     convergence_profile,
@@ -37,6 +38,9 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=32)
     parser.add_argument("--show-orbit", action="store_true")
     args = parser.parse_args()
+    # three steps give the classifier two even and two odd terms
+    if not 3 <= args.steps <= MAX_ORBIT_STEPS:
+        parser.error(f"--steps must be in 3..{MAX_ORBIT_STEPS}, got {args.steps}")
 
     print(f"{'t':>3} {'d':>3} {'a0':>8} {'mode':24} {'fixed point':>16} "
           f"{'final error':>12} {'rate':>8}")

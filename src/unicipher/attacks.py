@@ -112,23 +112,27 @@ def measure_unimodular_resistance(
     This is a measurement of search-space narrowing, not a security proof.
     Candidates are raw parameter tuples restricted to determinant +/-1, one
     per distinct exponent; the enumeration stops (and is flagged) once `cap`
-    candidates were weighed.  A negative exponent is a ValueError.
+    candidates were weighed.  A box with no admissible multiplier, no seed
+    pair or no exponent weighs nothing and makes no oracle query.  A negative
+    exponent is a ValueError.
     """
+    low = min(box.exponents, default=0)
+    if low < 0:
+        raise ValueError(f"exponents must be non-negative, got {low}")
+    # det U is checked once per multiplier, not once per seed pair.
+    units = [
+        u for u in itertools.product(box.alphas, box.betas, box.gammas, box.deltas)
+        if u[0] * u[3] - u[1] * u[2] in (1, -1)
+    ]
+    if not (units and box.seeds_a and box.seeds_b and box.exponents):
+        return ResistanceStats((0,) * len(queries), 0, False)
     exponents = sorted(set(box.exponents))
-    if exponents and exponents[0] < 0:
-        raise ValueError(f"exponents must be non-negative, got {exponents[0]}")
     wanted = [(p.entries(), oracle.query(p).entries()) for p in queries]
     counts = [0] * len(queries)
     enumerated = 0
     truncated = False
-    # det U is checked once per multiplier, not once per seed pair.
     seeds = tuple(itertools.product(box.seeds_a, box.seeds_b))
-    keys = (
-        (*u, a0, b0)
-        for u in itertools.product(box.alphas, box.betas, box.gammas, box.deltas)
-        if u[0] * u[3] - u[1] * u[2] in (1, -1)
-        for a0, b0 in seeds
-    )
+    keys = ((*u, a0, b0) for u in units for a0, b0 in seeds)
     for alpha, beta, gamma, delta, a0, b0 in keys:
         walk = coding_entries(alpha, beta, gamma, delta, a0, b0)
         m11, m12, m21, m22 = next(walk)

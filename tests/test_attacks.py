@@ -234,8 +234,71 @@ class TestUnimodularResistance:
         assert stats.truncated == (cap == 272)
         assert stats.consistent_counts[2] >= 1
 
+    @staticmethod
+    def random_box(rng):
+        """Small box that often holds a golden or cat key: axes sometimes
+        empty, exponents unsorted and repeated."""
+        def axis():
+            return rng.sample(range(3), rng.choices(range(4), weights=(1, 3, 6, 10))[0])
+
+        exponents = [rng.randint(0, 6) for _ in range(rng.choice((0, 1, 4, 8)))]
+        return ParamBox(*(axis() for _ in range(6)), exponents)
+
+    def test_matches_brute_force_on_random_boxes(self):
+        rng = random.Random(2025)
+        probes = (UNIT_PROBE, Mat2(0, 0, 1, 0), Mat2(1, 1, 0, 0))
+        seen = {"no unit": 0, "no exponent": 0, "capped": 0, "consistent": 0}
+        for _ in range(320):
+            key = rng.choice((CipherKey.golden, CipherKey.arnolds_cat))(rng.randint(1, 6))
+            oracle = EncryptionOracle.from_key(key)
+            box = self.random_box(rng)
+            queries = probes[: rng.randint(1, 3)]
+            total = brute_force_resistance(oracle, box, queries, 10**9).enumerated
+            cap = rng.randint(0, total + 1)
+            stats = measure_unimodular_resistance(oracle, box, queries, cap)
+            assert stats == brute_force_resistance(oracle, box, queries, cap), (box, cap)
+            seen["no unit"] += not any(
+                a * d - b * c in (1, -1) for a, b, c, d in
+                itertools.product(box.alphas, box.betas, box.gammas, box.deltas)
+            )
+            seen["no exponent"] += not box.exponents
+            seen["capped"] += stats.truncated
+            seen["consistent"] += stats.consistent_counts[-1] > 0
+        assert min(seen.values()) >= 10, seen
+
+    @staticmethod
+    def counting_oracle():
+        inner = EncryptionOracle.from_key(CipherKey.arnolds_cat(3))
+        calls = []
+        return EncryptionOracle(lambda p: calls.append(p) or inner.query(p)), calls
+
+    @pytest.mark.parametrize("box", [
+        ParamBox((2,), (2,), (1,), (1,), range(3), range(3), range(1, 9)),  # det 0
+        ParamBox(range(0, 6, 2), (2,), (2,), range(0, 6, 2), (0,), (1,), (3,)),  # even det
+        ParamBox((), (1,), (1,), (1,), (0,), (1,), (3,)),
+        ParamBox((2,), (1,), (1,), (1,), (), (1,), (3,)),
+        ParamBox((2,), (1,), (1,), (1,), (0,), (1,), ()),
+    ], ids=["det-0", "even-det", "no-alpha", "no-seed-a", "no-exponent"])
+    def test_box_with_nothing_to_weigh_makes_no_query(self, box):
+        oracle, calls = self.counting_oracle()
+        probes = (UNIT_PROBE, Mat2(0, 0, 1, 0))
+        stats = measure_unimodular_resistance(oracle, box, probes)
+        assert stats == ResistanceStats((0, 0), 0, False)
+        assert calls == []
+
+    @pytest.mark.parametrize("cap", [0, 1, 10_000_000])
+    def test_admissible_box_queries_each_probe_once(self, cap):
+        oracle, calls = self.counting_oracle()
+        probes = (UNIT_PROBE, Mat2(0, 0, 1, 0), Mat2(1, 1, 0, 0))
+        box = ParamBox(range(3), range(3), range(3), range(3), range(2), range(2), (3, 1))
+        stats = measure_unimodular_resistance(oracle, box, probes, cap)
+        assert calls == list(probes)
+        assert stats.truncated == (cap < 10_000_000)
+
     def test_negative_exponent_rejected(self):
         oracle = EncryptionOracle.from_key(CipherKey.golden(1))
-        box = ParamBox((1,), (1,), (1,), (0,), (0,), (1,), (-1, 0))
-        with pytest.raises(ValueError):
-            measure_unimodular_resistance(oracle, box)
+        admissible = ParamBox((1,), (1,), (1,), (0,), (0,), (1,), (-1, 0))
+        inadmissible = ParamBox((2,), (2,), (1,), (1,), (0,), (1,), (3, -2))
+        for box in (admissible, inadmissible):
+            with pytest.raises(ValueError, match="exponents must be non-negative, got -"):
+                measure_unimodular_resistance(oracle, box)
