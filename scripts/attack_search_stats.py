@@ -23,7 +23,7 @@ from unicipher.attacks import (
     measure_unimodular_resistance,
 )
 from unicipher.cipher import CipherKey
-from unicipher.matrix import Mat2
+from unicipher.matrix import DEFAULT_MAX_EXPONENT, Mat2
 
 
 def main() -> int:
@@ -34,6 +34,12 @@ def main() -> int:
     parser.add_argument("--n-max", type=int, default=8)
     parser.add_argument("--cap", type=int, default=10_000_000)
     args = parser.parse_args()
+    for flag, value in (("--side", args.side), ("--seed-side", args.seed_side),
+                        ("--cap", args.cap)):
+        if value < 1:
+            parser.error(f"{flag} must be at least 1, got {value}")
+    if not 1 <= args.n_max <= DEFAULT_MAX_EXPONENT:
+        parser.error(f"--n-max must be in 1..{DEFAULT_MAX_EXPONENT}, got {args.n_max}")
 
     hidden = CipherKey.arnolds_cat(4)
     oracle = EncryptionOracle.from_key(hidden)

@@ -42,7 +42,6 @@ from .errors import (
     NoMatchInBounds,
     NonIntegralPlaintext,
     NotGoldenOracle,
-    SingularMatrix,
     UnknownSymbol,
 )
 from .matrix import (
@@ -50,12 +49,8 @@ from .matrix import (
     CodingMatrix,
     KeyMatrix,
     Mat2,
-    PowerForm,
     SeedPair,
     build_coding_matrix,
-    classify_power_form,
-    mu_of_seed,
-    s_matrix,
 )
 from .ratios import (
     ConvergenceMode,
@@ -65,8 +60,6 @@ from .ratios import (
     convergence_profile,
     exponential_rate,
     fixed_points,
-    ratio_iterate,
-    round_half_even,
 )
 
 __version__ = "0.1.0"

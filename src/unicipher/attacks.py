@@ -40,7 +40,6 @@ class KGoldenAttackResult:
     k: int
     n: int
     matched_pair: tuple[int, int]
-    queries: int = 1
 
 
 def attack_golden(oracle: EncryptionOracle, n_max: int = 512) -> KGoldenAttackResult:

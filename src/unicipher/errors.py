@@ -5,10 +5,6 @@ class CipherError(Exception):
     """Base class for every structured failure in this package."""
 
 
-class SingularMatrix(CipherError):
-    pass
-
-
 class InvalidKey(CipherError):
     pass
 

@@ -15,12 +15,10 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from math import gcd
 
-from .errors import DegenerateConvergenceWarning, InvalidKey, SingularMatrix
-from .ratios import FixedPoints
+from .errors import DegenerateConvergenceWarning, InvalidKey
 
 DEFAULT_MAX_EXPONENT = 512
 # The forward product finds each row of P mod 2^FORWARD_BITS from the low bits
@@ -107,16 +105,6 @@ class Mat2:
     def adjugate(self) -> "Mat2":
         return Mat2(self.a22, -self.a12, -self.a21, self.a11)
 
-    def inverse_exact(self) -> tuple["Mat2", int]:
-        """Adjugate plus determinant, so callers can divide exactly.
-
-        For determinant +/-1 the integer inverse is adjugate * det.
-        """
-        d = self.det()
-        if d == 0:
-            raise SingularMatrix(f"{self} is singular")
-        return self.adjugate(), d
-
     def __pow__(self, n: int) -> "Mat2":
         _require_int("exponent", n)
         if n < 0:
@@ -133,25 +121,6 @@ class Mat2:
 
     def __str__(self) -> str:
         return f"[[{self.a11}, {self.a12}], [{self.a21}, {self.a22}]]"
-
-
-class PowerForm(Enum):
-    BARE_POWER = "bare-power"
-    DEGENERATE = "degenerate"
-    NEITHER = "neither"
-
-
-def classify_power_form(u: Mat2) -> PowerForm:
-    """Classify whether u can tile its own powers with shifted columns.
-
-    Only matrices [[a, 1], [c, 0]] and singular matrices admit
-    u^n = [[x(n+1), x(n)], [y(n+1), y(n)]] for a pair of sequences.
-    """
-    if u.a12 == 1 and u.a22 == 0:
-        return PowerForm.BARE_POWER
-    if u.det() == 0:
-        return PowerForm.DEGENERATE
-    return PowerForm.NEITHER
 
 
 @dataclass(frozen=True)
@@ -196,7 +165,7 @@ class KeyMatrix:
 
     @property
     def is_bare_power(self) -> bool:
-        return classify_power_form(self.m) is PowerForm.BARE_POWER
+        return self.m.a12 == 1 and self.m.a22 == 0
 
     @property
     def alpha(self) -> int:
@@ -239,13 +208,6 @@ class SeedPair:
             raise InvalidKey("seed (0, 0) is degenerate")
 
 
-def mu_of_seed(key: KeyMatrix, seed: SeedPair) -> int:
-    """Determinant A(1)*B(0) - A(0)*B(1) of the index-0 coding matrix."""
-    a1 = key.alpha * seed.a0 + key.beta * seed.b0
-    b1 = key.gamma * seed.a0 + key.delta * seed.b0
-    return a1 * seed.b0 - seed.a0 * b1
-
-
 def coding_entries(alpha: int, beta: int, gamma: int, delta: int, a0: int, b0: int):
     """Row-major entries (A(n+1), A(n), B(n+1), B(n)) of M(0), M(1), M(2), ...
 
@@ -268,14 +230,14 @@ def coding_entries(alpha: int, beta: int, gamma: int, delta: int, a0: int, b0: i
 class CodingMatrix:
     """Encryption multiplier [[A(n+1), A(n)], [B(n+1), B(n)]] and its plain-int view.
 
-    Both columns advance by the same recurrence x(n+1) = t*x(n) - d*x(n-1),
-    so det = seed_det * unit_det^n exactly.  build_coding_matrix stores, once,
-    what every block reads: det, the adjugate's row-major entries, the
-    row-ratio interval as ((lo_num, lo_den), (hi_num, hi_den)) with positive
-    denominators, or None when A(n) or B(n) is not positive, and forward, the
-    table of cipher._row_plaintext.  forward is (s, mask, k11, k12, k21, k22,
-    lim): s the 2-adic valuation of det, mask = 2^(FORWARD_BITS + s) - 1, k
-    the row-major entries of adj(M(n)) * (det >> s)^-1 mod 2^(FORWARD_BITS + s),
+    Since M(n) = U^n @ M(0), det = seed_det * det(U)^n exactly, where seed_det
+    is det M(0).  build_coding_matrix stores, once, what every block reads:
+    det, the adjugate's row-major entries, the row-ratio interval as
+    ((lo_num, lo_den), (hi_num, hi_den)) with positive denominators, or None
+    when A(n) or B(n) is not positive, and forward, the table of
+    cipher._row_plaintext.  forward is (s, mask, k11, k12, k21, k22, lim): s
+    the 2-adic valuation of det, mask = 2^(FORWARD_BITS + s) - 1, k the
+    row-major entries of adj(M(n)) * (det >> s)^-1 mod 2^(FORWARD_BITS + s),
     so (c1, c2) @ k = 2^s * (x, y) modulo mask + 1 for every row
     (c1, c2) = (x, y) @ M(n), and lim = min(A(n+1), B(n+1)) << FORWARD_BITS:
     M(n) >= 0, so a non-negative row with first entry c1 < lim has both
@@ -287,18 +249,11 @@ class CodingMatrix:
     """
 
     matrix: Mat2
-    trace: int
-    unit_det: int
     seed_det: int
     det: int
     adj: tuple[int, int, int, int]
     bounds: tuple[tuple[int, int], tuple[int, int]] | None
     forward: tuple[int, int, int, int, int, int, int] | None
-
-    @property
-    def ratio_limit(self) -> float:
-        """Larger root of x^2 - t*x + d: the common limit of the column ratios."""
-        return FixedPoints(self.trace, self.unit_det).phi_plus
 
     @cached_property
     def column_lines(self) -> tuple[tuple[int, int | None, int | None], ...]:
@@ -336,12 +291,12 @@ def build_coding_matrix(key: KeyMatrix, seed: SeedPair, n: int) -> CodingMatrix:
         raise InvalidKey("exponent must be a non-negative integer")
     if n > DEFAULT_MAX_EXPONENT:
         raise InvalidKey(f"exponent {n} exceeds the cap {DEFAULT_MAX_EXPONENT}")
-    m = key.m
-    walk = coding_entries(m.a11, m.a12, m.a21, m.a22, seed.a0, seed.b0)
+    m, x, y = key.m, seed.a0, seed.b0
+    # det M(0) = A(1)*B(0) - A(0)*B(1), a quadratic form in the seed pair.
+    seed_det = m.a12 * y * y + (m.a11 - m.a22) * x * y - m.a21 * x * x
+    walk = coding_entries(m.a11, m.a12, m.a21, m.a22, x, y)
     a1, a0, b1, b0 = next(itertools.islice(walk, n, None))
-    t, d = key.trace, key.det
-    seed_det = mu_of_seed(key, seed)
-    det, adj = seed_det * d**n, (b0, -a0, -b1, a1)
+    det, adj = seed_det * key.det**n, (b0, -a0, -b1, a1)
     bounds = None
     if a0 > 0 and b0 > 0:
         ra, rb = (a1, a0), (b1, b0)
@@ -352,9 +307,4 @@ def build_coding_matrix(key: KeyMatrix, seed: SeedPair, n: int) -> CodingMatrix:
         mask = (1 << (FORWARD_BITS + s)) - 1
         inv = pow(det >> s, -1, mask + 1)
         forward = (s, mask, *(e * inv & mask for e in adj), min(a1, b1) << FORWARD_BITS)
-    return CodingMatrix(Mat2(a1, a0, b1, b0), t, d, seed_det, det, adj, bounds, forward)
-
-
-def s_matrix(t: int, d: int) -> Mat2:
-    """Companion-style column shifter: M(n+1) = M(n) @ s_matrix(t, d)."""
-    return Mat2(t, 1, -d, 0)
+    return CodingMatrix(Mat2(a1, a0, b1, b0), seed_det, det, adj, bounds, forward)

@@ -116,11 +116,6 @@ def ratio_orbit(params: RatioParams) -> Iterator[Fraction]:
         a = params.t - Fraction(params.d) / a
 
 
-def ratio_iterate(params: RatioParams, steps: int) -> tuple[Fraction, ...]:
-    """Exact orbit a0, a1, ..., a(steps); just a0 when steps < 1."""
-    return tuple(itertools.islice(ratio_orbit(params), max(steps, 0) + 1))
-
-
 @dataclass(frozen=True)
 class ConvergenceProfile:
     mode: ConvergenceMode
@@ -165,7 +160,7 @@ def convergence_profile(
     subsequences are monotone in opposite directions is alternating-split;
     anything else is divergent.
     """
-    orbit = ratio_iterate(params, steps)
+    orbit = tuple(itertools.islice(ratio_orbit(params), max(steps, 0) + 1))
     fp = params.fixed
     errors = tuple(_distance_to_phi_plus(a, fp) for a in orbit)
     whole = _direction(orbit)
@@ -220,9 +215,3 @@ def round_half_even_ratio(num: int, den: int, digits: int) -> str:
     sign = "-" if scaled < 0 else ""
     text = str(abs(scaled)).rjust(digits + 1, "0")
     return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
-
-
-def round_half_even(value, digits: int) -> str:
-    """Round an exact rational to a fixed-point decimal string."""
-    value = Fraction(value)
-    return round_half_even_ratio(value.numerator, value.denominator, digits)

@@ -22,20 +22,14 @@ from unicipher.cipher import (
 )
 from unicipher.correction import ErrorClass, _points, correct
 from unicipher.errors import NoMatchInBounds, NotGoldenOracle
-from unicipher.matrix import (
-    Mat2,
-    PowerForm,
-    classify_power_form,
-    build_coding_matrix,
-    s_matrix,
-)
+from unicipher.matrix import Mat2, build_coding_matrix
 from unicipher.ratios import (
     ConvergenceMode,
     RatioParams,
     convergence_profile,
     exponential_rate,
     fixed_points,
-    round_half_even,
+    round_half_even_ratio,
 )
 from unicipher.sampling import (
     random_cipher_key,
@@ -91,7 +85,8 @@ def test_criterion_02_single_error_replay():
     numerator = 126 + 494 * 1846
     check(failures, numerator == 912050, f"determinant solve numerator {numerator}")
     check(failures, numerator % 705 != 0, "first candidate should fail divisibility")
-    check(failures, round(key.coding_matrix.ratio_limit * 494) == 1293, "ratio estimate")
+    phi = fixed_points(key.u.trace, key.u.det).phi_plus
+    check(failures, round(phi * 494) == 1293, "ratio estimate")
     report = correct(received, key)
     check(failures, report.assumed_class is ErrorClass.SINGLE, f"class {report.assumed_class}")
     check(failures, report.position == (0, 1), f"position {report.position}")
@@ -117,7 +112,7 @@ def test_criterion_03_row_family_table():
         check(failures, 162 * x - 263 * y == -440, f"k={k} does not satisfy the equation")
         ratio = Fraction(x, y)
         ratios.append(ratio)
-        shown = round_half_even(ratio, 5)
+        shown = round_half_even_ratio(x, y, 5)
         check(failures, shown == table[k], f"k={k} ratio {shown} != {table[k]}")
     # the k=3 ratio hugs the fixed point tighter than the true k=1 solution:
     # with r1 < tau < r3, r3 is closer iff the midpoint sits below tau
@@ -179,8 +174,10 @@ def test_criterion_06_column_ratio_examples():
     check(failures, c2 == Mat2(1761, 673, 128, 49), f"C2 {c2}")
     r1 = Fraction(c1.a11, c1.a21)  # first-column ratio, top over bottom
     r2 = Fraction(c2.a11, c2.a21)
-    check(failures, round_half_even(r1, 2) == "1.96", f"C1 ratio displays as {float(r1):.4f}")
-    check(failures, round_half_even(r2, 1) == "13.8", f"C2 ratio displays as {float(r2):.4f}")
+    shown1 = round_half_even_ratio(c1.a11, c1.a21, 2)
+    shown2 = round_half_even_ratio(c2.a11, c2.a21, 1)
+    check(failures, shown1 == "1.96", f"C1 ratio displays as {float(r1):.4f}")
+    check(failures, shown2 == "13.8", f"C2 ratio displays as {float(r2):.4f}")
     check(failures, abs(float(r1) - 1.96) / 1.96 <= 0.01, f"C1 ratio {float(r1):.4f}")
     check(failures, abs(float(r2) - 13.8) / 13.8 <= 0.01, f"C2 ratio {float(r2):.4f}")
     conclude("6 (column ratios 1.96 and 13.8)", failures)
@@ -305,8 +302,11 @@ def test_criterion_10_attack_suite():
     failures: list[str] = []
     start = time.perf_counter()
     for n in range(2, 61):
-        result = attack_golden(EncryptionOracle.from_key(CipherKey.golden(n)))
-        check(failures, result.n == n and result.queries == 1, f"golden n={n} missed")
+        # the paper's claim: one chosen plaintext recovers the exponent
+        queried = []
+        inner = EncryptionOracle.from_key(CipherKey.golden(n))
+        result = attack_golden(EncryptionOracle(lambda p: queried.append(p) or inner.query(p)))
+        check(failures, result.n == n and len(queried) == 1, f"golden n={n} missed")
     for k in range(1, 11):
         for n in range(2, 41):
             oracle = EncryptionOracle.from_key(CipherKey.k_golden(k, n))
@@ -343,11 +343,11 @@ def test_criterion_11_structure_theorems():
                     sq = u @ u
                     if sq.a12 == u.a11 and sq.a22 == u.a21:
                         matched += 1
-                        form = classify_power_form(u)
+                        # only [[a, 1], [c, 0]] or a singular u tiles its own square
                         check(
                             failures,
-                            form in (PowerForm.BARE_POWER, PowerForm.DEGENERATE),
-                            f"{u} tiles its square but classifies {form}",
+                            (u.a12 == 1 and u.a22 == 0) or u.det() == 0,
+                            f"{u} tiles its square but is neither bare-power nor singular",
                         )
     check(failures, matched >= 49, f"sweep matched only {matched} matrices")
     rng = random.Random(SUITE_SEED)
@@ -356,7 +356,7 @@ def test_criterion_11_structure_theorems():
         seed_pair = random_seed_pair(rng)
         n = rng.randint(0, 32)
         m0 = build_coding_matrix(key, seed_pair, 0).matrix
-        lhs = m0 @ (s_matrix(key.trace, key.det) ** n)
+        lhs = m0 @ (Mat2(key.trace, 1, -key.det, 0) ** n)
         rhs = (key.m ** n) @ m0
         if lhs != rhs:
             failures.append(f"shift representation broke for {key.m}, n={n}")

@@ -50,6 +50,13 @@ def brute_force_resistance(oracle, box, queries, cap):
     return ResistanceStats(tuple(counts), enumerated, False)
 
 
+def counting_oracle(key):
+    """An oracle for key that records every plaintext it is asked to encrypt."""
+    inner = EncryptionOracle.from_key(key)
+    calls = []
+    return EncryptionOracle(lambda p: calls.append(p) or inner.query(p)), calls
+
+
 class TestGoldenAttack:
     def test_unit_probe_exposes_coding_row(self):
         oracle = EncryptionOracle.from_key(CipherKey.golden(10))
@@ -58,9 +65,10 @@ class TestGoldenAttack:
         assert (c.a21, c.a22) == (0, 0)
 
     def test_recovers_n_ten(self):
-        result = attack_golden(EncryptionOracle.from_key(CipherKey.golden(10)))
+        oracle, calls = counting_oracle(CipherKey.golden(10))
+        result = attack_golden(oracle)
         assert result.n == 10 and result.matched_pair == (89, 55)
-        assert result.queries == 1
+        assert calls == [UNIT_PROBE]
 
     def test_n_one_resolves_to_smallest(self):
         result = attack_golden(EncryptionOracle.from_key(CipherKey.golden(1)))
@@ -266,12 +274,6 @@ class TestUnimodularResistance:
             seen["consistent"] += stats.consistent_counts[-1] > 0
         assert min(seen.values()) >= 10, seen
 
-    @staticmethod
-    def counting_oracle():
-        inner = EncryptionOracle.from_key(CipherKey.arnolds_cat(3))
-        calls = []
-        return EncryptionOracle(lambda p: calls.append(p) or inner.query(p)), calls
-
     @pytest.mark.parametrize("box", [
         ParamBox((2,), (2,), (1,), (1,), range(3), range(3), range(1, 9)),  # det 0
         ParamBox(range(0, 6, 2), (2,), (2,), range(0, 6, 2), (0,), (1,), (3,)),  # even det
@@ -280,7 +282,7 @@ class TestUnimodularResistance:
         ParamBox((2,), (1,), (1,), (1,), (0,), (1,), ()),
     ], ids=["det-0", "even-det", "no-alpha", "no-seed-a", "no-exponent"])
     def test_box_with_nothing_to_weigh_makes_no_query(self, box):
-        oracle, calls = self.counting_oracle()
+        oracle, calls = counting_oracle(CipherKey.arnolds_cat(3))
         probes = (UNIT_PROBE, Mat2(0, 0, 1, 0))
         stats = measure_unimodular_resistance(oracle, box, probes)
         assert stats == ResistanceStats((0, 0), 0, False)
@@ -288,7 +290,7 @@ class TestUnimodularResistance:
 
     @pytest.mark.parametrize("cap", [0, 1, 10_000_000])
     def test_admissible_box_queries_each_probe_once(self, cap):
-        oracle, calls = self.counting_oracle()
+        oracle, calls = counting_oracle(CipherKey.arnolds_cat(3))
         probes = (UNIT_PROBE, Mat2(0, 0, 1, 0), Mat2(1, 1, 0, 0))
         box = ParamBox(range(3), range(3), range(3), range(3), range(2), range(2), (3, 1))
         stats = measure_unimodular_resistance(oracle, box, probes, cap)

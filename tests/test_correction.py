@@ -16,12 +16,13 @@ from unicipher.cipher import (
     _package_rows,
     _row_plaintext,
     decrypt,
+    decrypt_message,
     encrypt,
     encrypt_message,
     verify_package,
 )
 from unicipher.correction import ErrorClass, _points, correct
-from unicipher.errors import CheckNumberMismatch, InvalidKey, NegativePlaintext
+from unicipher.errors import CheckNumberMismatch, CipherError, InvalidKey, NegativePlaintext
 from unicipher.errors import NonIntegralPlaintext
 from unicipher.matrix import FORWARD_BITS, KeyMatrix, Mat2, SeedPair, line_step
 from unicipher.ratios import round_half_even_ratio
@@ -352,6 +353,33 @@ class TestRow:
         feasible = _points(172, -450, 176, 2226, (0, 1, 0, 850))
         assert len(feasible) == 10
         assert feasible[0] == (158, 60)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 9: beside a zero P-row a one-entry change passes every check")
+def test_zero_row_change_never_decrypts_silently_wrong():
+    """Golden n = 3 encrypts MHAA with the column ratio to [[50, 31], [0, 0]].
+    P's bottom row is zero, so det P is 0 whatever the top row holds, and the
+    ratio check reads 0.  A +/-1 or +/-2 change to c11 or c12 must then be
+    refused by decrypt, or repaired by correct to a block that decrypts to
+    MHAA; no change may decrypt to another message without an error."""
+    key = CipherKey.golden(3)
+    (pkg,) = encrypt_message("MHAA", key, emit_column_ratio=True)
+    assert pkg.c == Mat2(50, 31, 0, 0)
+    silent = []
+    for entry in range(2):
+        for delta in (-2, -1, 1, 2):
+            entries = list(pkg.c.entries())
+            entries[entry] += delta
+            bad = CipherPackage(Mat2(*entries), pkg.det_p, pkg.column_ratio)
+            for c in {bad.c, correct(bad, key).repaired}:
+                try:
+                    text = decrypt_message([CipherPackage(c, pkg.det_p, pkg.column_ratio)], key)
+                except CipherError:
+                    continue
+                if text != "MHAA":
+                    silent.append((c, text))
+    assert not silent, silent
 
 
 # --- reference intact test ---------------------------------------------------

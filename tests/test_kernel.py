@@ -116,7 +116,8 @@ def ref_verify(pkg: CipherPackage, key) -> VerifyResult:
 
 
 def ref_decrypt(pkg: CipherPackage, key) -> tuple[int, ...]:
-    adj, det = key.coding_matrix.matrix.inverse_exact()
+    m = key.coding_matrix.matrix
+    adj, det = m.adjugate(), m.det()
     block = f"block {pkg.block_index}: "
     values = []
     for (i, j), e in zip(itertools.product((0, 1), repeat=2), (pkg.c @ adj).entries()):

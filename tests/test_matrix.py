@@ -7,20 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unicipher.cipher import CipherKey
-from unicipher.errors import DegenerateConvergenceWarning, InvalidKey, SingularMatrix
+from unicipher.errors import DegenerateConvergenceWarning, InvalidKey
 from unicipher.matrix import (
     DEFAULT_MAX_EXPONENT,
     FORWARD_BITS,
     FORWARD_MIN_BITS,
     KeyMatrix,
     Mat2,
-    PowerForm,
     SeedPair,
     build_coding_matrix,
-    classify_power_form,
     line_step,
-    mu_of_seed,
-    s_matrix,
 )
 from unicipher.sampling import random_cipher_key, random_key_matrix, random_seed_pair
 
@@ -85,17 +81,6 @@ class TestMat2:
     def test_det_is_multiplicative(self, x, y):
         assert (x @ y).det() == x.det() * y.det()
 
-    def test_inverse_exact_examples(self):
-        adj, det = Mat2(89, 55, 55, 34).inverse_exact()
-        assert adj == Mat2(34, -55, -55, 89) and det == 1
-        assert Mat2.identity().inverse_exact() == (Mat2.identity(), 1)
-        adj, det = Mat2(55, 21, 34, 13).inverse_exact()
-        assert adj == Mat2(13, -21, -34, 55) and det == 1
-
-    def test_inverse_exact_rejects_singular(self):
-        with pytest.raises(SingularMatrix):
-            Mat2(2, 4, 1, 2).inverse_exact()
-
     @given(small_mats)
     def test_adjugate_identity(self, x):
         d = x.det()
@@ -154,17 +139,18 @@ def test_exponents_follow_the_plain_int_rule(make):
 
 class TestPowerForm:
     def test_examples(self):
-        assert classify_power_form(Mat2(1, 1, 1, 0)) is PowerForm.BARE_POWER
-        assert classify_power_form(Mat2(2, 1, 1, 1)) is PowerForm.NEITHER
-        assert classify_power_form(Mat2(2, 4, 1, 2)) is PowerForm.DEGENERATE
+        assert KeyMatrix(Mat2(1, 1, 1, 0)).is_bare_power
+        assert KeyMatrix(Mat2(3, 1, 1, 0)).is_bare_power
+        assert not KeyMatrix(Mat2(2, 1, 1, 1)).is_bare_power
+        assert not KeyMatrix(Mat2(3, 1, 2, 1)).is_bare_power
 
     @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
     def test_shifted_column_structure_forces_the_form(self, a, b, c, d):
-        # if u^2 carries u's first column in its second, u is bare-power or singular
+        # if u^2 carries u's first column in its second, u is [[a, 1], [c, 0]] or singular
         u = Mat2(a, b, c, d)
         sq = u @ u
         if sq.a12 == u.a11 and sq.a22 == u.a21:
-            assert classify_power_form(u) in (PowerForm.BARE_POWER, PowerForm.DEGENERATE)
+            assert (u.a12 == 1 and u.a22 == 0) or u.det() == 0
 
 
 # --- key admissibility --------------------------------------------------------
@@ -265,15 +251,13 @@ class TestCodingMatrices:
         build_coding_matrix(cat, SeedPair(1, 1), DEFAULT_MAX_EXPONENT)
 
     def test_mu_examples(self):
+        # seed_det is det M(0) = A(1)*B(0) - A(0)*B(1)
         cat = KeyMatrix(Mat2(2, 1, 1, 1))
-        assert mu_of_seed(cat, SeedPair(0, 1)) == 1
-        assert mu_of_seed(cat, SeedPair(1, 1)) == (2 - 1) * 1 + 1 - 1 == 1
-        assert mu_of_seed(KeyMatrix(Mat2(3, 2, 4, 3)), SeedPair(2, 3)) == 0 * 6 + 2 * 9 - 4 * 4
-
-    def test_s_matrix(self):
-        assert s_matrix(3, 1) == Mat2(3, 1, -1, 0)
-        assert s_matrix(1, -1) == Mat2(1, 1, 1, 0)
-        assert s_matrix(0, 0) == Mat2(0, 1, 0, 0)
+        assert build_coding_matrix(cat, SeedPair(0, 1), 5).seed_det == 1
+        assert build_coding_matrix(cat, SeedPair(1, 1), 5).seed_det == (2 - 1) * 1 + 1 - 1 == 1
+        m = build_coding_matrix(KeyMatrix(Mat2(3, 2, 4, 3)), SeedPair(2, 3), 5)
+        assert m.seed_det == 0 * 6 + 2 * 9 - 4 * 4
+        assert m.det == 2 * KeyMatrix(Mat2(3, 2, 4, 3)).det ** 5
 
     @given(st.integers(0, 10**9), st.integers(min_value=0, max_value=64))
     @settings(max_examples=120, deadline=None)
@@ -289,12 +273,12 @@ class TestCodingMatrices:
     @given(st.integers(0, 10**9), st.integers(min_value=0, max_value=64))
     @settings(max_examples=120, deadline=None)
     def test_shift_matrix_representation(self, seed, n):
-        # M(n) = M0 @ S^n reproduces U^n @ M0 exactly
+        # M(n) = M0 @ S^n with S = [[t, 1], [-d, 0]] reproduces U^n @ M0 exactly
         rng = random.Random(seed)
         key = random_key_matrix(rng)
         sp = random_seed_pair(rng)
         m0 = build_coding_matrix(key, sp, 0).matrix
-        lhs = m0 @ (s_matrix(key.trace, key.det) ** n)
+        lhs = m0 @ (Mat2(key.trace, 1, -key.det, 0) ** n)
         assert lhs == build_coding_matrix(key, sp, n).matrix
 
     @given(st.integers(0, 10**9))

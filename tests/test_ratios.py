@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,8 +16,8 @@ from unicipher.ratios import (
     convergence_profile,
     exponential_rate,
     fixed_points,
-    ratio_iterate,
-    round_half_even,
+    ratio_orbit,
+    round_half_even_ratio,
 )
 from unicipher.sampling import random_cipher_key, random_plaintext
 
@@ -73,21 +74,21 @@ class TestFixedPoints:
 
 class TestRatioIteration:
     def test_cat_orbit(self):
-        orbit = ratio_iterate(RatioParams(3, 1, Fraction(1)), 3)
+        orbit = tuple(itertools.islice(ratio_orbit(RatioParams(3, 1, Fraction(1))), 4))
         assert orbit == (1, 2, Fraction(5, 2), Fraction(13, 5))
 
     def test_fixed_point_is_constant(self):
-        orbit = ratio_iterate(RatioParams(2, 1, Fraction(1)), 5)
+        orbit = tuple(itertools.islice(ratio_orbit(RatioParams(2, 1, Fraction(1))), 6))
         assert set(orbit) == {Fraction(1)}
 
     def test_fibonacci_ratio_orbit(self):
-        orbit = ratio_iterate(RatioParams(1, -1, Fraction(1)), 4)
+        orbit = tuple(itertools.islice(ratio_orbit(RatioParams(1, -1, Fraction(1))), 5))
         assert orbit == (1, 2, Fraction(3, 2), Fraction(5, 3), Fraction(8, 5))
 
     def test_orbit_hitting_zero_raises(self):
         # 3 - 2 / (2/3) = 0
         with pytest.raises(DivisionByZeroInOrbit):
-            ratio_iterate(RatioParams(3, 2, Fraction(2, 3)), 2)
+            list(itertools.islice(ratio_orbit(RatioParams(3, 2, Fraction(2, 3))), 3))
 
     def test_zero_start_rejected(self):
         with pytest.raises(ValueError):
@@ -208,14 +209,15 @@ class TestColumnRatio:
 
 class TestRounding:
     def test_half_even(self):
-        assert round_half_even(Fraction(733, 1450), 2) == "0.51"
-        assert round_half_even(Fraction(1, 8), 2) == "0.12"
-        assert round_half_even(Fraction(3, 8), 2) == "0.38"
-        assert round_half_even(Fraction(-733, 1450), 2) == "-0.51"
-        assert round_half_even(Fraction(5, 2), 0) == "2"
-        assert round_half_even(Fraction(7, 2), 0) == "4"
+        assert round_half_even_ratio(733, 1450, 2) == "0.51"
+        assert round_half_even_ratio(1, 8, 2) == "0.12"
+        assert round_half_even_ratio(3, 8, 2) == "0.38"
+        assert round_half_even_ratio(-733, 1450, 2) == "-0.51"
+        assert round_half_even_ratio(733, -1450, 2) == "-0.51"
+        assert round_half_even_ratio(5, 2, 0) == "2"
+        assert round_half_even_ratio(7, 2, 0) == "4"
 
     @given(st.fractions(), st.integers(0, 6))
     def test_round_trip_error_is_at_most_half_ulp(self, value, digits):
-        text = round_half_even(value, digits)
+        text = round_half_even_ratio(value.numerator, value.denominator, digits)
         assert abs(Fraction(text) - value) <= Fraction(1, 2 * 10**digits)
