@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from .cipher import CipherKey
 from .errors import NoMatchInBounds, NotGoldenOracle
-from .matrix import Mat2, coding_entries
+from .matrix import DEFAULT_MAX_EXPONENT, Mat2, coding_entries
 
 UNIT_PROBE = Mat2(1, 0, 0, 0)
 
@@ -42,7 +42,9 @@ class KGoldenAttackResult:
     matched_pair: tuple[int, int]
 
 
-def attack_golden(oracle: EncryptionOracle, n_max: int = 512) -> KGoldenAttackResult:
+def attack_golden(
+    oracle: EncryptionOracle, n_max: int = DEFAULT_MAX_EXPONENT
+) -> KGoldenAttackResult:
     """Recover the exponent of a Fibonacci-power key: attack_k_golden with k = 1.
 
     The top rows of the powers of [[1, 1], [1, 0]] are consecutive Fibonacci
@@ -56,7 +58,7 @@ def attack_golden(oracle: EncryptionOracle, n_max: int = 512) -> KGoldenAttackRe
 
 
 def attack_k_golden(
-    oracle: EncryptionOracle, k_max: int = 10, n_max: int = 512
+    oracle: EncryptionOracle, k_max: int = 10, n_max: int = DEFAULT_MAX_EXPONENT
 ) -> KGoldenAttackResult:
     """Recover (k, n) of a bare-power key [[k,1],[1,0]]^n from one query.
 

@@ -5,26 +5,29 @@ plaintext matrix and multiplied by the coding matrix.  det P rides along as
 a check number; optionally the column ratio c21/c11, rounded to a decimal
 string, does too.  A message's packages are numbered 0..k-1 and only the
 last carries padding; decrypt_message decodes whatever packages it is
-given, in block order, while a package file (channel) holds all k.  A block is
-intact when both rows of P solve (_row_plaintext: integral and non-negative)
-and det P and the column-ratio grid hold on them (_checked); decryption and
-`correct`'s clean test ask exactly that, `correct` also asking every entry
-to be below its alphabet bound, and a repair candidate, built as
-rows @ M(n), needs only _checked.  Decryption raises the error naming the
-block and the first check it fails.  verify_package is the paper's
-diagnostic: det C and the row-ratio intervals, with the rows it flags.
-Every key takes one path there: it first solves both rows of P, and when
-both solve, no row can be out of its interval and det P settles the
-status; det C and the intervals remain for the blocks that do not solve.
-_row_plaintext finds each row of a key with big entries
-(CodingMatrix.forward is set) from the low bits of C, a 2-adic solve, and
-proves it times M(n) equals the row of C over the integers, so only
-small-by-big products touch the big entries; other keys divide exactly.
-P depends only on C and M(n), so the ciphertext Mat2 remembers its rows, or
-that they do not solve (_package_rows): verify_package and decryption under
-the same coding matrix solve each block once, and a package built around the
-same C (dataclasses.replace) shares its rows.  The memo lives in the Mat2
-object, for as long as it does, and never leaves the process.
+given, in block order, while a package file (channel) holds all k.
+
+Every receiver check reads one solve of P = C @ adj(M(n)) / det M(n):
+_package_rows solves both rows (_row_plaintext: a row if it is integral and
+non-negative, else None) and keeps them on the ciphertext Mat2, so
+verify_package, decryption and correct under the same coding matrix solve a
+block once, and a package built around the same C (dataclasses.replace)
+shares its rows.  The memo lives in the Mat2 object, for as long as it does,
+and never leaves the process.  A block is intact when both rows solve and
+det P and the column-ratio grid hold on them (_checked); decryption and
+correct's clean test ask exactly that, correct also asking every entry to
+be below its alphabet bound, and a repair candidate, built as rows @ M(n),
+needs only _checked.  A block that is not intact gets the error naming the
+first check it fails (_rejection), read off the same rows.  verify_package
+is the paper's diagnostic: det C and the row-ratio interval, with the rows
+it flags.  When both rows solve, no row can be out of its interval and
+det P settles the status; otherwise det C is computed from C, and a row is
+in its interval exactly when its real plaintext row is non-negative, a sign
+test on (c1, c2) @ adj(M(n)) times det M(n).  _row_plaintext finds each row
+of a key with big entries (CodingMatrix.forward is set) from the low bits
+of C, a 2-adic solve, and proves it times M(n) equals the row of C over the
+integers, so only small-by-big products touch the big entries; other keys
+divide exactly.
 """
 
 from __future__ import annotations
@@ -187,8 +190,8 @@ class CipherPackage:
 
     The framing fields are plain ints, so the canonical writer can print
     every field without asking the JSON encoder what it holds.  The
-    plaintext rows verify_package or decryption proves stay with c, not
-    here (_package_rows).
+    plaintext rows that verify_package, decryption or correct solves stay
+    with c, not here (_package_rows).
     """
 
     c: Mat2
@@ -285,10 +288,9 @@ def _encrypt_blocks(
     blocks, cm: CodingMatrix, emit_column_ratio: bool, ratio_digits: int, pad_len: int
 ) -> tuple[CipherPackage, ...]:
     """C = P @ M(n) per block, numbered from 0; the last block carries pad_len."""
-    if emit_column_ratio:
-        _require_int("digits", ratio_digits)
-        if not 0 <= ratio_digits <= MAX_RATIO_DIGITS:
-            raise ValueError(f"digits must be in 0..{MAX_RATIO_DIGITS}, got {ratio_digits}")
+    _require_int("digits", ratio_digits)
+    if not 0 <= ratio_digits <= MAX_RATIO_DIGITS:
+        raise ValueError(f"digits must be in 0..{MAX_RATIO_DIGITS}, got {ratio_digits}")
     m11, m12, m21, m22 = cm.matrix.entries()
     last = len(blocks) - 1
     packages = []
@@ -312,12 +314,14 @@ def _encrypt_blocks(
 def _row_plaintext(c1: int, c2: int, cm: CodingMatrix) -> tuple[int, int] | None:
     """(x, y) with (x, y) @ M(n) == (c1, c2) if both are non-negative integers, else None.
 
-    This is the one question decryption, verify_package and correct ask of
-    a row.  A key with a forward table first finds the row mod
-    2^FORWARD_BITS: (c1, c2) @ adj(M(n)) = det * (x, y), so with
-    det = 2^s * odd, the low bits (c1, c2) & mask times k are 2^s * (x, y)
-    mod 2^(FORWARD_BITS + s), and the shift by s leaves (x, y) mod
-    2^FORWARD_BITS (Python's & gives a negative entry's residue too).  The
+    _package_rows, its one caller, asks it of both rows of a block for
+    decryption, verify_package and correct.  None means the row is not
+    integral or is negative, on either road.  A key with a forward table
+    first finds the row mod 2^FORWARD_BITS: (c1, c2) @ adj(M(n)) =
+    det * (x, y), so with det = 2^s * odd, the low bits (c1, c2) & mask
+    times k are 2^s * (x, y) mod 2^(FORWARD_BITS + s), and the shift by s
+    leaves (x, y) mod 2^FORWARD_BITS (Python's & gives a negative entry's
+    residue too).  The
     exact forward product then proves the row: M(n) is invertible, so a row
     that passes is the one solution, and a row with entries in
     [0, 2^FORWARD_BITS) always passes.  Only small-by-big products touch the
@@ -360,82 +364,76 @@ def _checked(c: Mat2, rows, det_p: int, grid) -> tuple[int, int, int, int] | Non
 
 
 def _package_rows(c: Mat2, cm: CodingMatrix):
-    """Both rows of P = C @ adj(M(n)) / det M(n), ((p11, p12), (p21, p22)), if each
-    is integral and non-negative (_row_plaintext), else None.
+    """The rows of P = C @ adj(M(n)) / det M(n) as (top, bottom), each the
+    row's _row_plaintext answer: (x, y) if integral and non-negative, else None.
 
-    Rows that solve and pass _checked make the block intact.  That implies
-    C >= 0, both row ratios inside the row interval (each is a
-    non-negatively weighted mediant of M(n)'s column ratios) and
-    det C = det M(n) * det P.  The answer depends only on C and M(n), so the
-    first call keeps it, None included, in c.__dict__ as (cm, rows), and a
+    This is the one way decryption, verify_package and correct read P.  Rows
+    that both solve and pass _checked make the block intact: then C >= 0,
+    both rows of C lie in the row interval (verify_package) and
+    det C = det M(n) * det P.  The answer depends only on C and M(n), so
+    the first call keeps it in c.__dict__ as (cm, (top, bottom)), and a
     later call under the same cm (is) returns it.  The caller applies its
-    package's own det_p and grid (_checked).  Equality, hash, repr and
-    Mat2.__getstate__ read only the four entries.
+    package's own det_p and grid (_checked), and correct its bound.
+    Equality, hash, repr and Mat2.__getstate__ read only the four entries.
     """
     memo = c.__dict__.get("_rows")
     if memo is not None and memo[0] is cm:
         return memo[1]
-    top = _row_plaintext(c.a11, c.a12, cm)
-    bottom = None if top is None else _row_plaintext(c.a21, c.a22, cm)
-    rows = None if bottom is None else (top, bottom)
+    rows = _row_plaintext(c.a11, c.a12, cm), _row_plaintext(c.a21, c.a22, cm)
     c.__dict__["_rows"] = (cm, rows)
     return rows
 
 
-def _rejection(pkg: CipherPackage, cm: CodingMatrix, bound) -> CipherError:
-    """The error naming the first check that a block that is not intact fails.
+def _rejection(pkg: CipherPackage, cm: CodingMatrix, rows, bound) -> CipherError:
+    """The error naming the first check that a block that is not intact fails,
+    read off its rows (_package_rows).
 
-    Divisibility by det is decided on C and adj M reduced mod det, so the
-    big-by-big product C @ adj M is formed only for a block that passes it.
+    _row_plaintext answers None only for a row that is not integral or is
+    negative.  So for a block with an unsolved row, the residues of C and
+    adj M mod det decide: an entry of C·adj M that det does not divide is
+    NonIntegralPlaintext, and otherwise the row is negative.  A block whose
+    rows both solve is checked on det P, the column-ratio grid and the bound.
     """
-    det, check = cm.det, pkg.column_ratio
-    c11, c12, c21, c22 = (e % det for e in pkg.c.entries())
-    j11, j12, j21, j22 = (e % det for e in cm.adj)
-    residues = (c11 * j11 + c12 * j21, c11 * j12 + c12 * j22,
-                c21 * j11 + c22 * j21, c21 * j12 + c22 * j22)
-    for i, e in enumerate(residues):
-        if e % det:
-            return NonIntegralPlaintext(
-                f"entry {divmod(i, 2)} of C·adj M is not divisible by det {det}"
-            )
-    raw = (pkg.c @ Mat2(*cm.adj)).entries()
-    p = Mat2(*(e // det for e in raw))
-    if min(p.entries()) < 0:
+    if None in rows:
+        det = cm.det
+        c11, c12, c21, c22 = (e % det for e in pkg.c.entries())
+        j11, j12, j21, j22 = (e % det for e in cm.adj)
+        residues = (c11 * j11 + c12 * j21, c11 * j12 + c12 * j22,
+                    c21 * j11 + c22 * j21, c21 * j12 + c22 * j22)
+        for i, e in enumerate(residues):
+            if e % det:
+                return NonIntegralPlaintext(
+                    f"entry {divmod(i, 2)} of C·adj M is not divisible by det {det}"
+                )
         return NegativePlaintext(
             "decryption produced negative entries; ciphertext corrupt or key wrong"
         )
-    if _checked(pkg.c, p.rows(), pkg.det_p, None) is None:
+    (p11, p12), (p21, p22) = rows
+    det_p = p11 * p22 - p12 * p21
+    if det_p != pkg.det_p:
         return CheckNumberMismatch(
-            f"det P of the decrypted block is {p.det()}, the package says {pkg.det_p}"
+            f"det P of the decrypted block is {det_p}, the package says {pkg.det_p}"
         )
-    if check is not None and _checked(pkg.c, p.rows(), pkg.det_p, check.grid) is None:
+    check = pkg.column_ratio
+    if check is not None and _checked(pkg.c, rows, pkg.det_p, check.grid) is None:
         return CheckNumberMismatch(
             f"c21/c11 of the block does not round to the column ratio {check.value}"
         )
-    return UnknownSymbol(f"plaintext entry {max(p.entries())} is not below the bound {bound}")
+    entry = max(p11, p12, p21, p22)
+    return UnknownSymbol(f"plaintext entry {entry} is not below the bound {bound}")
 
 
 def _plaintext(pkg: CipherPackage, cm: CodingMatrix) -> tuple[int, int, int, int]:
     """Row-major plaintext entries of an intact package; else raises _rejection's
     error, its message prefixed with the block index."""
     rows = _package_rows(pkg.c, cm)
-    if rows is not None:
+    if None not in rows:
         check = pkg.column_ratio
         entries = _checked(pkg.c, rows, pkg.det_p, None if check is None else check.grid)
         if entries is not None:
             return entries
-    error = _rejection(pkg, cm, None)
+    error = _rejection(pkg, cm, rows, None)
     raise type(error)(f"block {pkg.block_index}: {error}")
-
-
-def _row_in_interval(c1: int, c2: int, bounds) -> bool:
-    """lo <= c1/c2 <= hi by cross-multiplication; an all-zero row passes vacuously."""
-    if c1 == 0 and c2 == 0:
-        return True
-    if c1 < 0 or c2 <= 0:
-        return False
-    (lo_num, lo_den), (hi_num, hi_den) = bounds
-    return lo_num * c2 <= c1 * lo_den and c1 * hi_den <= hi_num * c2
 
 
 def encode_text(
@@ -500,9 +498,6 @@ class VerifyResult:
     status: VerifyStatus
     bad_rows: frozenset[int]
 
-    def __init__(self, status: VerifyStatus, bad_rows: frozenset[int]):
-        object.__setattr__(self, "__dict__", {"status": status, "bad_rows": bad_rows})
-
     @property
     def clean(self) -> bool:
         return self.status is VerifyStatus.CLEAN
@@ -525,29 +520,33 @@ _RESULTS = tuple(
 def verify_package(pkg: CipherPackage, key: CipherKey) -> VerifyResult:
     """Determinant check plus the per-row ratio interval check.
 
-    Rows that are entirely zero are vacuously fine (a zero plaintext row
-    encrypts to a zero row).  The interval check is skipped when the coding
-    sequences are not yet positive (tiny n with a zero-component seed).
+    A row (c1, c2) of C lies in the row interval, between A(n+1)/A(n) and
+    B(n+1)/B(n), or is all zero, exactly when its real plaintext row
+    (c1, c2) @ adj M(n) / det M(n) is non-negative: M(n) >= 0 with
+    A(n), B(n) > 0 and det M(n) != 0, so the non-negative mixes of M(n)'s
+    two rows are the zero row and the rows whose ratio lies between theirs.
+    So a row is flagged when an entry of (c1, c2) @ adj M(n), times
+    det M(n), is negative.  The check is skipped when A(n) or B(n) is not
+    positive (tiny n with a zero-component seed).
 
     Every key first solves both rows of P (_package_rows), as decryption
-    does.  When both solve, C = P @ M(n) with P >= 0, so
-    det C = det M(n) * det P and each row of C is zero or a mediant of
-    M(n)'s row ratios: no row is flagged, and det P against det_p gives the
-    status.  Otherwise det C and the intervals are computed from C.  The
-    answer stays on the package's C for decryption under the same key.
+    does.  When both solve, P >= 0, so no row is flagged and
+    det C = det M(n) * det P: det P against det_p gives the status.
+    Otherwise det C and the signs are computed from C.  The rows stay on
+    the package's C for decryption under the same key.
     """
     cm = key.coding_matrix
-    rows = _package_rows(pkg.c, cm)
-    if rows is not None:
-        return _RESULTS[_checked(pkg.c, rows, pkg.det_p, None) is None]
     c = pkg.c
-    bounds = cm.bounds
+    rows = _package_rows(c, cm)
+    if None not in rows:
+        return _RESULTS[_checked(c, rows, pkg.det_p, None) is None]
+    det, (j11, j12, j21, j22) = cm.det, cm.adj
     bad = 0
-    if bounds is not None:
-        bad = (not _row_in_interval(c.a11, c.a12, bounds)) + 2 * (
-            not _row_in_interval(c.a21, c.a22, bounds)
-        )
-    mismatch = c.a11 * c.a22 - c.a12 * c.a21 != cm.det * pkg.det_p
+    if cm.matrix.a12 > 0 and cm.matrix.a22 > 0:
+        for i, (c1, c2) in enumerate(c.rows()):
+            if min((c1 * j11 + c2 * j21) * det, (c1 * j12 + c2 * j22) * det) < 0:
+                bad += 1 << i
+    mismatch = c.a11 * c.a22 - c.a12 * c.a21 != det * pkg.det_p
     return _RESULTS[2 * bad + mismatch]
 
 

@@ -25,7 +25,7 @@ from .cipher import _MAX_DECIMAL_DIGITS, Alphabet, CipherKey, SeedPair
 from .cipher import decrypt_message, encrypt_message, verify_package
 from .correction import ErrorClass, correct
 from .errors import CipherError, NoMatchInBounds, NotGoldenOracle
-from .matrix import KeyMatrix, Mat2
+from .matrix import DEFAULT_MAX_EXPONENT, KeyMatrix, Mat2
 from .ratios import RatioParams, ratio_orbit
 
 # Most orbit steps `ratios` prints.  The exact terms grow by a fixed number of
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="chosen-plaintext attack against a key file")
     p.add_argument("--oracle-key", required=True)
     p.add_argument("--family", required=True, choices=("golden", "kgolden"))
-    p.add_argument("--n-max", type=int, default=512)
+    p.add_argument("--n-max", type=int, default=DEFAULT_MAX_EXPONENT)
     p.add_argument("--k-max", type=int, default=10)
     p.set_defaults(func=_cmd_attack)
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .cipher import CipherKey, CipherPackage, _checked, _rejection, _row_plaintext
+from .cipher import CipherKey, CipherPackage, _checked, _package_rows, _rejection
 from .matrix import Mat2, _require_int, line_step
 
 # The most points one line scan lists.
@@ -167,10 +167,11 @@ def correct(
     """Decode at the lowest weight that has an intact candidate (see the module docstring).
 
     plaintext_bound is None (no upper end) or an int of at least 1.  A
-    block is clean only if it is intact: both received rows solve, once,
-    into rows inside the box, which the classes reuse, and pass
-    cipher._checked.  Otherwise the first log entry names the first check
-    it fails, as decrypt names it, and one entry follows per class
+    block is clean only if it is intact: both received rows solve
+    (cipher._package_rows, which keeps them on the received C, never on a
+    repaired one) into rows inside the box, which the classes reuse, and
+    pass cipher._checked.  Otherwise the first log entry names the first
+    check it fails, as decrypt names it, and one entry follows per class
     examined, in ErrorClass order, weight by weight.  A weight stops at
     its second passing candidate, since the block is then ambiguous
     whatever else it holds.  candidates_examined counts the solves and the
@@ -185,7 +186,7 @@ def correct(
     grid = None if check is None else check.grid
     e = c.entries()
     rows = (e[:2], e[2:])
-    top, bottom = _row_plaintext(e[0], e[1], cm), _row_plaintext(e[2], e[3], cm)
+    top, bottom = solved = _package_rows(c, cm)
     if bound is not None:
         if top is not None and (top[0] >= bound or top[1] >= bound):
             top = None
@@ -194,7 +195,7 @@ def correct(
     intact = (top, bottom)
     if None not in intact and _checked(c, intact, det_p, grid) is not None:
         return CorrectionReport(ErrorClass.NONE, 0, c, attempts=(("verify", "clean"),))
-    error = _rejection(pkg, cm, bound)
+    error = _rejection(pkg, cm, solved, bound)
     attempts = [("verify", f"{type(error).__name__}: {error}")]
     m11, m12, m21, m22 = cm.matrix.entries()
     columns = ((m11, m21), (m12, m22))
@@ -295,9 +296,6 @@ def correct(
             if len(found) > 1:
                 break
         blocked = [cls for cls in examined_classes if cls in unscanned]
-        if not found and not blocked:
-            attempts += [(cls, none) for cls in classes]
-            continue
         holding = {cls for cls, _ in found.values()}
         decided = len(found) == 1 and not blocked
         outcome = "repaired" if decided else "ambiguous: candidate repairs tie"
@@ -311,8 +309,10 @@ def correct(
         if len(found) > 1:
             tying = ", ".join(cls for cls in classes if cls in holding)
             reason = f"ambiguous: candidate repairs tie in {tying}"
-        else:
+        elif blocked:
             reason = f"ambiguous: {', '.join(blocked)} not scanned"
+        else:
+            continue
         return CorrectionReport(ErrorClass.NONE, examined, None, residual_failure=reason,
                                 ambiguous=True, attempts=tuple(attempts))
     return CorrectionReport(ErrorClass.NONE, examined, None, attempts=tuple(attempts),

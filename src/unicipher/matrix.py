@@ -6,8 +6,7 @@ determinants, adjugates, powers, and the two-sequence coding matrices
 coding_entries is the one recurrence behind every M(n) the package
 computes, and build_coding_matrix the one place that validates and views it;
 the golden and k-golden M(n) are CipherKey.golden(n).coding_matrix and
-CipherKey.k_golden(k, n).coding_matrix.  CodingMatrix.bounds is the one
-row-ratio interval.
+CipherKey.k_golden(k, n).coding_matrix.
 """
 
 from __future__ import annotations
@@ -50,8 +49,8 @@ class Mat2:
 
     The hand-written __init__ (which dataclass keeps) checks the entries and
     stores all four in one step; eq, hash, repr and immutability are the
-    dataclass's.  A ciphertext block may also keep its plaintext rows, or
-    None when they do not solve, in __dict__ (cipher._package_rows);
+    dataclass's.  A ciphertext block may also keep its plaintext rows, each
+    None when it does not solve, in __dict__ (cipher._package_rows);
     __getstate__ leaves them out.
     """
 
@@ -119,9 +118,6 @@ class Mat2:
                 base = base @ base
         return result
 
-    def __str__(self) -> str:
-        return f"[[{self.a11}, {self.a12}], [{self.a21}, {self.a22}]]"
-
 
 @dataclass(frozen=True)
 class KeyMatrix:
@@ -129,11 +125,12 @@ class KeyMatrix:
 
     Admissible means determinant +/-1, non-negative entries, and enough
     trace for the coding-sequence ratios to settle on the larger fixed
-    point: trace >= 2 when det = +1 (trace exactly 2 still converges, but
-    only linearly, hence the warning), trace > 2 with a positive diagonal
-    when det = -1.  The bare-power family [[k, 1], [1, 0]] is admitted for
-    every k >= 1; its ratio sequences are the classical k-Fibonacci
-    quotients, which converge without the trace bound.
+    point: trace > 2 with a positive diagonal when det = -1.  det = +1
+    needs no check, since ad - bc = 1 with b, c >= 0 forces a, d >= 1;
+    trace exactly 2 still converges, but only linearly, hence the warning.
+    The bare-power family [[k, 1], [1, 0]] is admitted for every k >= 1;
+    its ratio sequences are the classical k-Fibonacci quotients, which
+    converge without the trace bound.
     """
 
     m: Mat2
@@ -153,15 +150,12 @@ class KeyMatrix:
                 raise InvalidKey(
                     "det -1 keys need trace > 2 and both diagonal entries >= 1"
                 )
-        else:
-            if t < 2:
-                raise InvalidKey("det +1 keys need trace >= 2")
-            if t == 2:
-                warnings.warn(
-                    "trace-2 key: ratio convergence is not exponential",
-                    DegenerateConvergenceWarning,
-                    stacklevel=2,
-                )
+        elif t == 2:
+            warnings.warn(
+                "trace-2 key: ratio convergence is not exponential",
+                DegenerateConvergenceWarning,
+                stacklevel=2,
+            )
 
     @property
     def is_bare_power(self) -> bool:
@@ -232,10 +226,10 @@ class CodingMatrix:
 
     Since M(n) = U^n @ M(0), det = seed_det * det(U)^n exactly, where seed_det
     is det M(0).  build_coding_matrix stores, once, what every block reads:
-    det, the adjugate's row-major entries, the row-ratio interval as
-    ((lo_num, lo_den), (hi_num, hi_den)) with positive denominators, or None
-    when A(n) or B(n) is not positive, and forward, the table of
-    cipher._row_plaintext.  forward is (s, mask, k11, k12, k21, k22, lim): s
+    det, the adjugate's row-major entries, and forward, the table of
+    cipher._row_plaintext.  The row-ratio interval needs no table: a row
+    lies in it exactly when its real plaintext row, by det and adj, is
+    non-negative (cipher.verify_package).  forward is (s, mask, k11, k12, k21, k22, lim): s
     the 2-adic valuation of det, mask = 2^(FORWARD_BITS + s) - 1, k the
     row-major entries of adj(M(n)) * (det >> s)^-1 mod 2^(FORWARD_BITS + s),
     so (c1, c2) @ k = 2^s * (x, y) modulo mask + 1 for every row
@@ -252,7 +246,6 @@ class CodingMatrix:
     seed_det: int
     det: int
     adj: tuple[int, int, int, int]
-    bounds: tuple[tuple[int, int], tuple[int, int]] | None
     forward: tuple[int, int, int, int, int, int, int] | None
 
     @cached_property
@@ -297,14 +290,10 @@ def build_coding_matrix(key: KeyMatrix, seed: SeedPair, n: int) -> CodingMatrix:
     walk = coding_entries(m.a11, m.a12, m.a21, m.a22, x, y)
     a1, a0, b1, b0 = next(itertools.islice(walk, n, None))
     det, adj = seed_det * key.det**n, (b0, -a0, -b1, a1)
-    bounds = None
-    if a0 > 0 and b0 > 0:
-        ra, rb = (a1, a0), (b1, b0)
-        bounds = (ra, rb) if a1 * b0 <= b1 * a0 else (rb, ra)
     forward = None
     if det and max(a1, a0, b1, b0).bit_length() > FORWARD_MIN_BITS:
         s = (det & -det).bit_length() - 1
         mask = (1 << (FORWARD_BITS + s)) - 1
         inv = pow(det >> s, -1, mask + 1)
         forward = (s, mask, *(e * inv & mask for e in adj), min(a1, b1) << FORWARD_BITS)
-    return CodingMatrix(Mat2(a1, a0, b1, b0), seed_det, det, adj, bounds, forward)
+    return CodingMatrix(Mat2(a1, a0, b1, b0), seed_det, det, adj, forward)

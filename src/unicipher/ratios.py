@@ -3,8 +3,9 @@
 Successive-term ratios obey a(n+1) = t - d / a(n).  Their fixed points, how
 fast orbits settle onto the larger one, and the exact half-even rounding of
 the transmitted column ratio live here; the row-ratio interval of a coding
-matrix is CodingMatrix.bounds.  Anything that gates correctness runs on
-exact rationals; floats appear only in estimates and display.
+matrix is a sign test in cipher.verify_package.  Anything that gates
+correctness runs on exact rationals; floats appear only in estimates and
+display.
 """
 
 from __future__ import annotations
@@ -74,10 +75,7 @@ class FixedPoints:
         """phi_plus truncated to `digits` decimal places via integer sqrt."""
         scale = 10 ** digits
         root = math.isqrt(self.discriminant * scale * scale)
-        value = (self.t * scale + root) // 2
-        sign = "-" if value < 0 else ""
-        text = str(abs(value)).rjust(digits + 1, "0")
-        return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
+        return _fixed_point((self.t * scale + root) // 2, digits)
 
 
 def fixed_points(t: int, d: int) -> FixedPoints:
@@ -212,6 +210,11 @@ def round_half_even_ratio(num: int, den: int, digits: int) -> str:
     twice = 2 * rem
     if twice > den or (twice == den and scaled & 1):
         scaled += 1
+    return _fixed_point(scaled, digits)
+
+
+def _fixed_point(scaled: int, digits: int) -> str:
+    """scaled / 10**digits as a decimal string with exactly `digits` places."""
     sign = "-" if scaled < 0 else ""
     text = str(abs(scaled)).rjust(digits + 1, "0")
     return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"

@@ -121,6 +121,7 @@ MALFORMED_FIELDS = [
     ("pad_len", 5), ("block_index", "3"), ("value", "abc"), ("value", 0.5),
     pytest.param("value", "0." + "5" * 101, id="value-101-places"),
     ("blocks", True), ("blocks", 1.0), ("pad_len", -1), ("pad_len", True),
+    ("c", "abcd"),
 ]
 
 
@@ -428,6 +429,10 @@ class TestCorruption:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             CorruptionSpec("pepper", seed=1)
+
+    def test_bad_magnitude_model_rejected(self):
+        with pytest.raises(ValueError, match="unknown magnitude model 'x'"):
+            CorruptionSpec("single", seed=1, model="x")
 
     @pytest.mark.parametrize("max_delta", [-3, 0])
     def test_max_delta_below_one_rejected(self, max_delta):

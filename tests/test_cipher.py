@@ -135,6 +135,18 @@ class TestEncrypt:
         pkg = encrypt(PlaintextMatrix(Mat2(0, 0, 1, 2)), key, emit_column_ratio=True)
         assert pkg.column_ratio is None
 
+    @pytest.mark.parametrize("emit", (False, True))
+    @pytest.mark.parametrize("digits,error", [
+        (-5, ValueError), (101, ValueError), (True, TypeError), (2.0, TypeError),
+    ])
+    def test_ratio_digits_are_checked_whether_or_not_a_ratio_is_sent(self, emit, digits, error):
+        key = CipherKey.golden(5)
+        with pytest.raises(error, match="digits"):
+            encrypt_message("AB", key, emit_column_ratio=emit, ratio_digits=digits)
+        with pytest.raises(error, match="digits"):
+            encrypt(PlaintextMatrix(Mat2(0, 1, 2, 3)), key, emit_column_ratio=emit,
+                    ratio_digits=digits)
+
 
 class TestDecrypt:
     def test_worked_example_one(self):
@@ -177,6 +189,21 @@ class TestDecrypt:
         with pytest.raises(CheckNumberMismatch):
             decrypt(bad, key)
         assert decrypt_message([pkg], key) == "CS"
+
+
+    def test_unknown_symbol_names_the_index(self):
+        # abc under the bytes alphabet is [[97, 98], [99, 1]]; latin has 26 symbols
+        key = CipherKey.golden(10)
+        packages = encrypt_message(b"abc", key, Alphabet.bytes_mode())
+        with pytest.raises(UnknownSymbol, match="^index 97 is outside the alphabet$"):
+            decrypt_message(packages, key)
+        big = CipherPackage(Mat2(256, 0, 0, 1) @ key.coding_matrix.matrix, 256)
+        with pytest.raises(UnknownSymbol, match="^index 256 is not a byte value$"):
+            decrypt_message([big], key, Alphabet.bytes_mode())
+
+    def test_plaintext_refuses_a_negative_entry(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            PlaintextMatrix(Mat2(1, 2, -3, 4))
 
 
 class TestVerify:

@@ -68,6 +68,11 @@ class TestKeygen:
         assert code == 1 and out == ""
         assert "error[InvalidKey]" in err
 
+    def test_perm_must_be_integers(self, capsys):
+        code, out, err = run(capsys, "keygen", "--golden", "--n", "4", "--perm", "1,x")
+        assert code == 1 and out == ""
+        assert err == "error[CipherError]: perm must be four comma-separated integers, got '1,x'\n"
+
     @pytest.mark.parametrize("alphabet", ["A", "AA"])
     def test_invalid_alphabet_is_reported(self, capsys, alphabet):
         code, out, err = run(capsys, "keygen", "--golden", "--n", "4", "--alphabet", alphabet)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from unicipher.channel import _MODE_POSITIONS, CorruptionSpec, corrupt_package
 from unicipher.cipher import (
+    Alphabet,
     CipherKey,
     CipherPackage,
     ColumnRatioCheck,
@@ -23,7 +24,7 @@ from unicipher.cipher import (
 )
 from unicipher.correction import ErrorClass, _points, correct
 from unicipher.errors import CheckNumberMismatch, CipherError, InvalidKey, NegativePlaintext
-from unicipher.errors import NonIntegralPlaintext
+from unicipher.errors import NonIntegralPlaintext, UnknownSymbol
 from unicipher.matrix import FORWARD_BITS, KeyMatrix, Mat2, SeedPair, line_step
 from unicipher.ratios import round_half_even_ratio
 from unicipher.sampling import random_cipher_key, random_key_matrix, random_plaintext
@@ -203,6 +204,44 @@ class TestPointsAgainstScan:
                 steps_against_bound.add((m > bound) - (m < bound))
             self.check_line(rng, u, v, bound, (None, step), seen)
         assert steps_against_bound == {-1, 0, 1} and min(seen) > 0
+
+
+def test_points_of_the_whole_box():
+    # u = v = 0 with w = 0 is the whole box, listed only up to MAX_CANDIDATES points
+    assert _points(0, 0, 0, 317) is None  # 317**2 > MAX_CANDIDATES >= 316**2
+    assert len(list(_points(0, 0, 0, 316))) == 316**2
+    assert sorted(_points(0, 0, 0, 3, (1, 1, 2, 3))) == [(0, 2), (1, 1), (1, 2), (2, 0), (2, 1)]
+    assert _points(0, 0, 0, 3, (1, 1, 5, 4)) == []
+
+
+class TestUnscannedLines:
+    """Each place where correct meets a line it does not scan logs
+    search-range-too-wide for the class, and the block is ambiguous."""
+
+    def test_single_on_a_coincident_line(self):
+        # golden n = 1 is [[1, 1], [1, 0]]: the real plaintext rows are
+        # (4, -1) and (0, 4), so det P = 16 is the line x = 4, which is also
+        # the top row's line through c12 = 4, and no bound ends it
+        report = correct(CipherPackage(Mat2(3, 4, 4, 0), 16), CipherKey.golden(1))
+        assert report.residual_failure == "ambiguous: single not scanned"
+        assert report.attempts[1:] == (("single", "search-range-too-wide"),)
+
+    def test_diagonal_top_line(self):
+        # the diagonal class keeps c12 = 4 of the top row: x * 1 + y * 0 = 4
+        report = correct(CipherPackage(Mat2(6, 4, 2, 2), 6), CipherKey.golden(1))
+        assert report.residual_failure == "ambiguous: candidate repairs tie in anti-diagonal"
+        assert report.attempts[1:3] == (
+            ("single", "no-single-candidate"), ("diagonal", "search-range-too-wide"),
+        )
+
+    def test_row_top_det_line(self):
+        key = CipherKey.golden(3)
+        (pkg,) = encrypt_message("FHCD", key)
+        bad, _ = corrupt_package(pkg, CorruptionSpec("row_top", 1))
+        assert bad.c == Mat2(20, 20, 12, 7)
+        report = correct(bad, key, plaintext_bound=2**64)
+        assert report.residual_failure == "ambiguous: row-top not scanned"
+        assert ("row-top", "search-range-too-wide") in report.attempts
 
 
 class TestSingle:
@@ -876,6 +915,89 @@ def test_plaintext_bound_follows_the_integer_rule(bound, error):
     assert not correct(bad, key, plaintext_bound=1).success
     with pytest.raises(error, match="plaintext_bound"):
         correct(bad, key, plaintext_bound=bound)
+
+# P = [[5, 7], [2, 3]] under the cat multiplier with seed (2, 4): det M(n) = 20,
+# so C @ adj M can miss divisibility; at n = 500 rows solve 2-adically (s = 2).
+REJECTED_P = Mat2(5, 7, 2, 3)
+
+
+def rejected_block(failure: str, key: CipherKey, with_ratio: bool) -> CipherPackage:
+    """Block 2 of a message, built to fail the check named by failure first."""
+    m = key.coding_matrix.matrix
+    c, det_p = REJECTED_P @ m, REJECTED_P.det()
+    if failure == "non-integral":
+        c = Mat2(c.a11, c.a12 + 1, c.a21, c.a22)
+    elif failure == "negative":
+        c = Mat2(5, -1, 2, 3) @ m
+    elif failure == "det":
+        det_p += 1
+    check = None
+    if with_ratio:
+        c21 = c.a21 + c.a11 if failure == "ratio" else c.a21
+        check = ColumnRatioCheck(round_half_even_ratio(c21, c.a11, 2))
+    return CipherPackage(c, det_p, check, 2)
+
+
+def cat_key_det_20(n: int) -> CipherKey:
+    key = CipherKey(KeyMatrix(Mat2(2, 1, 1, 1)), SeedPair(2, 4), n)
+    assert key.coding_matrix.det == 20 and (key.coding_matrix.forward is not None) == (n == 500)
+    return key
+
+
+class TestRejectionThroughBothReaders:
+    """Each rejection outcome reads the same from decryption (the error,
+    prefixed with the block) and from correct (its first log entry), in
+    either order on one C, whose rows both readers share."""
+
+    @pytest.mark.parametrize("n", (3, 500))
+    @pytest.mark.parametrize("failure,with_ratio,error", [
+        ("non-integral", False, NonIntegralPlaintext),
+        ("non-integral", True, NonIntegralPlaintext),
+        ("negative", False, NegativePlaintext),
+        ("negative", True, NegativePlaintext),
+        ("det", False, CheckNumberMismatch),
+        ("det", True, CheckNumberMismatch),
+        ("ratio", True, CheckNumberMismatch),
+    ])
+    def test_failed_check(self, failure, with_ratio, error, n):
+        key = cat_key_det_20(n)
+        with pytest.raises(error) as reference:
+            ref_decrypt(rejected_block(failure, key, with_ratio), key)
+        text = str(reference.value)
+        assert text.startswith("block 2: ")
+        assert ("entry (0, 0)" in text) == (failure == "non-integral")
+        logged = ("verify", f"{error.__name__}: {text.removeprefix('block 2: ')}")
+        pkg = rejected_block(failure, key, with_ratio)
+        assert outcome(decrypt, pkg, key) == (error, text)
+        report = correct(pkg, key)
+        assert report.attempts[0] == logged
+        pkg = rejected_block(failure, key, with_ratio)
+        assert correct(pkg, key) == report
+        assert outcome(decrypt, pkg, key) == (error, text)
+
+    @pytest.mark.parametrize("n", (3, 500))
+    @pytest.mark.parametrize("with_ratio", (False, True))
+    def test_intact_block_over_the_bound(self, with_ratio, n):
+        key = cat_key_det_20(n)
+        pkg = rejected_block("bound", key, with_ratio)
+        report = correct(pkg, key, plaintext_bound=4)
+        assert report.attempts[0] == (
+            "verify", "UnknownSymbol: plaintext entry 7 is not below the bound 4"
+        )
+        assert correct(pkg, key, plaintext_bound=8).attempts == (("verify", "clean"),)
+        # decryption checks no bound: the block decrypts, and rendering names the index
+        assert decrypt(pkg, key) == PlaintextMatrix(REJECTED_P)
+        with pytest.raises(UnknownSymbol, match="^index 5 is outside the alphabet$"):
+            decrypt_message([pkg], key, Alphabet.custom("ABCD"))
+
+    def test_golden_block_over_the_bound(self):
+        # golden n = 3 has det -1, so every row is integral
+        key = CipherKey.golden(3)
+        (pkg,) = encrypt_message("FHCD", key)
+        assert pkg.c == REJECTED_P @ key.coding_matrix.matrix
+        assert correct(pkg, key, plaintext_bound=4).attempts[0] == (
+            "verify", "UnknownSymbol: plaintext entry 7 is not below the bound 4"
+        )
 
 
 class TestRecordedOutcomes:

@@ -13,6 +13,7 @@ import copy
 import dataclasses
 import itertools
 import json
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -91,14 +92,23 @@ def ref_encrypt_message(message, key, alphabet, emit, digits):
     return tuple(packages)
 
 
+def row_interval(m: Mat2):
+    """M(n)'s row ratios A(n+1)/A(n) and B(n+1)/B(n) as
+    ((lo_num, lo_den), (hi_num, hi_den)), low first, or None when A(n) or
+    B(n) is not positive."""
+    if m.a12 <= 0 or m.a22 <= 0:
+        return None
+    ra, rb = (m.a11, m.a12), (m.a21, m.a22)
+    return (ra, rb) if m.a11 * m.a22 <= m.a21 * m.a12 else (rb, ra)
+
+
 def ref_bad_rows(c: Mat2, key) -> frozenset[int]:
     """Rows of C, not all zero, whose ratio is not a Fraction between M(n)'s
     row ratios; none when A(n) or B(n) is not positive."""
-    m = key.coding_matrix.matrix
-    if m.a12 <= 0 or m.a22 <= 0:
+    interval = row_interval(key.coding_matrix.matrix)
+    if interval is None:
         return frozenset()
-    ra, rb = Fraction(m.a11, m.a12), Fraction(m.a21, m.a22)
-    lo, hi = min(ra, rb), max(ra, rb)
+    lo, hi = (Fraction(*end) for end in interval)
     return frozenset(
         i for i, (c1, c2) in enumerate(c.rows())
         if (c1, c2) != (0, 0) and (c1 < 0 or c2 <= 0 or not lo <= Fraction(c1, c2) <= hi)
@@ -334,7 +344,7 @@ def test_unsolved_rows_answer_only_for_their_key(n):
             ref_verify(pkg, other) for pkg in packages
         ]
         assert all(pkg.c.__dict__["_rows"][0] is other.coding_matrix for pkg in packages)
-        unsolved += sum(pkg.c.__dict__["_rows"][1] is None for pkg in packages)
+        unsolved += sum(None in pkg.c.__dict__["_rows"][1] for pkg in packages)
         assert [verify_package(pkg, key) for pkg in packages] == [
             ref_verify(pkg, key) for pkg in packages
         ]
@@ -351,12 +361,58 @@ def test_zero_component_seed_skips_interval(seed, perm, text):
     packages = encrypt_message(text, key, emit_column_ratio=True, ratio_digits=3)
     assert packages == ref_encrypt_message(text, key, alphabet, True, 3)
     assert decrypt_message(packages, key) == text
-    assert key.coding_matrix.bounds is None
+    assert row_interval(key.coding_matrix.matrix) is None
     for pkg in packages + tuple(tamper(p, rng) for p in packages):
         assert verify_package(pkg, key) == ref_verify(pkg, key)
         assert outcome(decrypt, pkg, key) == outcome(
             lambda: PlaintextMatrix(Mat2(*ref_decrypt(pkg, key)))
         )
+
+
+def interval_test_row(rng: random.Random, m: Mat2) -> tuple[int, int]:
+    """A zero row, a row with c2 = 0, a row at an end of the interval (as a
+    multiple, or divided by the end's gcd so its plaintext is not integral),
+    one a unit off an end, or a random row of either sign."""
+    (a1, a0), (b1, b0) = m.rows()
+    end = rng.choice(((a1, a0), (b1, b0)))
+    kind = rng.randrange(6)
+    if kind == 0:
+        return 0, 0
+    if kind == 1:
+        return rng.choice((-1, 1)) * rng.randint(1, 9), 0
+    if kind == 2:
+        k = rng.randint(1, 3)
+        return end[0] * k, end[1] * k
+    if kind == 3:
+        g = math.gcd(*end) or 1
+        return end[0] // g, end[1] // g
+    if kind == 4:
+        return end[0] + rng.choice((-1, 1)), end[1]
+    top = 2 * max(m.entries())
+    return rng.randint(-top, top), rng.randint(-top, top)
+
+
+@given(st.integers(0, 2**32), st.sampled_from((1, 2, 10, 100, 500)))
+@settings(max_examples=200, deadline=None)
+def test_row_interval_is_the_sign_of_the_real_plaintext_row(seed, n):
+    """A row of C lies in the row interval, or is zero, exactly when its real
+    plaintext row (c1, c2) @ adj M(n) / det M(n) is non-negative, so
+    verify_package's sign test flags the rows ref_verify flags."""
+    rng = random.Random(seed)
+    key = draw_key(rng, n, PERMS[0])
+    cm = key.coding_matrix
+    j11, j12, j21, j22 = cm.adj
+    for _ in range(8):
+        rows = interval_test_row(rng, cm.matrix), interval_test_row(rng, cm.matrix)
+        c = Mat2.from_rows(rows)
+        bad = ref_bad_rows(c, key)
+        if row_interval(cm.matrix) is not None:
+            for i, (c1, c2) in enumerate(rows):
+                real = Fraction(c1 * j11 + c2 * j21, cm.det), Fraction(c1 * j12 + c2 * j22, cm.det)
+                assert (i not in bad) == (min(real) >= 0)
+        for det_p in (0, rng.randint(-9, 9)):
+            pkg = CipherPackage(c, det_p)
+            assert verify_package(pkg, key) == ref_verify(pkg, key)
 
 
 def test_every_verify_status_matches_reference():

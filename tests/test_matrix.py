@@ -20,6 +20,8 @@ from unicipher.matrix import (
 )
 from unicipher.sampling import random_cipher_key, random_key_matrix, random_seed_pair
 
+from test_kernel import row_interval
+
 
 # --- independent oracles -----------------------------------------------------
 
@@ -296,7 +298,8 @@ class TestCodingMatrices:
 
 
 def assert_view_matches_matrix(cm):
-    """The stored det, adjugate, forward table and row-ratio bounds, recomputed from the entries."""
+    """The stored det, adjugate and forward table, recomputed from the entries,
+    and the row-ratio interval of the entries."""
     m = cm.matrix
     assert cm.det == m.det()
     assert cm.adj == m.adjugate().entries()
@@ -312,9 +315,9 @@ def assert_view_matches_matrix(cm):
     else:
         assert cm.forward is None
     if m.a12 <= 0 or m.a22 <= 0:
-        assert cm.bounds is None
+        assert row_interval(m) is None
         return
-    (lo_num, lo_den), (hi_num, hi_den) = cm.bounds
+    (lo_num, lo_den), (hi_num, hi_den) = row_interval(m)
     assert lo_den > 0 and hi_den > 0
     interval = sorted((Fraction(m.a11, m.a12), Fraction(m.a21, m.a22)))
     assert [Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)] == interval
@@ -358,7 +361,7 @@ class TestStoredView:
 
     def test_golden_n1_has_no_bounds(self):
         cm = CipherKey.golden(1).coding_matrix
-        assert cm.bounds is None
+        assert row_interval(cm.matrix) is None
         assert_view_matches_matrix(cm)
 
 

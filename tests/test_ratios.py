@@ -21,6 +21,8 @@ from unicipher.ratios import (
 )
 from unicipher.sampling import random_cipher_key, random_plaintext
 
+from test_kernel import row_interval
+
 TAU = (1 + math.sqrt(5)) / 2
 
 
@@ -105,6 +107,16 @@ class TestConvergenceProfile:
         profile = convergence_profile(RatioParams(3, 1, Fraction(1)), 40)
         assert profile.mode is ConvergenceMode.MONOTONE_INCREASING
 
+    @pytest.mark.parametrize("a0,steps,mode", [
+        (Fraction(2), 8, ConvergenceMode.MONOTONE_DECREASING),  # at phi+
+        (Fraction(1), 8, ConvergenceMode.DIVERGENT),  # at phi-
+        (Fraction(3, 2), 0, ConvergenceMode.MONOTONE_INCREASING),  # one term, between
+    ])
+    def test_constant_orbits(self, a0, steps, mode):
+        profile = convergence_profile(RatioParams(3, 2, a0), steps)
+        assert len(set(profile.orbit)) == 1 and len(profile.orbit) == steps + 1
+        assert profile.mode is mode
+
     def test_alternating_split(self):
         profile = convergence_profile(RatioParams(1, -1, Fraction(3)), 40)
         assert profile.mode is ConvergenceMode.ALTERNATING_SPLIT
@@ -148,13 +160,13 @@ class TestConvergenceProfile:
 
 
 class TestRowRatioInterval:
-    """CodingMatrix.bounds: the interval of M(n)'s row ratios as (num, den) pairs, low first."""
+    """The interval of M(n)'s row ratios as (num, den) pairs, low first (row_interval)."""
 
     def test_golden_n10(self):
-        assert CipherKey.golden(10).coding_matrix.bounds == ((55, 34), (89, 55))
+        assert row_interval(CipherKey.golden(10).coding_matrix.matrix) == ((55, 34), (89, 55))
 
     def test_cat_interval_is_sorted(self):
-        assert CipherKey.arnolds_cat(4).coding_matrix.bounds == ((34, 13), (55, 21))
+        assert row_interval(CipherKey.arnolds_cat(4).coding_matrix.matrix) == ((34, 13), (55, 21))
 
     def test_single_point_interval(self):
         import warnings
@@ -164,7 +176,7 @@ class TestRowRatioInterval:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             identity_key = KeyMatrix(Mat2(1, 0, 0, 1))
-        lo, hi = build_coding_matrix(identity_key, SeedPair(2, 3), 4).bounds
+        lo, hi = row_interval(build_coding_matrix(identity_key, SeedPair(2, 3), 4).matrix)
         assert Fraction(*lo) == Fraction(*hi) == 1
 
     @given(st.integers(0, 10**9))
@@ -174,7 +186,7 @@ class TestRowRatioInterval:
         rng = random.Random(seed)
         key = random_cipher_key(rng, n_lo=2, n_hi=24)
         p = random_plaintext(rng)
-        lo, hi = (Fraction(*b) for b in key.coding_matrix.bounds)
+        lo, hi = (Fraction(*b) for b in row_interval(key.coding_matrix.matrix))
         c = p.p @ key.coding_matrix.matrix
         for c1, c2 in c.rows():
             assert lo <= Fraction(c1, c2) <= hi

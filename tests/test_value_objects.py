@@ -1,10 +1,10 @@
 """Object semantics of the value objects on the wire path.
 
 Mat2, ColumnRatioCheck, CipherPackage and VerifyResult are frozen
-dataclasses that validate their arguments in a hand-written __init__.  These
-checks pin the dataclass behaviour they keep: equality, hashing, repr,
-dataclasses.replace (which validates again), copying, pickling and
-immutability.  The module needs no pytest, so it also runs as a script on
+dataclasses; the first three validate their arguments in a hand-written
+__init__.  These checks pin the dataclass behaviour they keep: equality,
+hashing, repr, dataclasses.replace (which validates again), copying,
+pickling and immutability.  The module needs no pytest, so it also runs as a script on
 interpreters that have none:
 
     PYTHONPATH=src python tests/test_value_objects.py
@@ -90,6 +90,14 @@ def test_replace_keeps_other_fields_and_validates():
     pkg = CipherPackage(Mat2(1, 2, 3, 4), -2)
     raises(ValueError, dataclasses.replace, pkg, pad_len=5)
     raises(TypeError, dataclasses.replace, pkg, block_index=True)
+
+
+def test_package_refuses_each_field():
+    c = Mat2(1, 2, 3, 4)
+    raises(TypeError, CipherPackage, (1, 2, 3, 4), -2)
+    raises(TypeError, CipherPackage, c, -2, None, 0, 1.0)
+    raises(TypeError, CipherPackage, c, -2, "0.51")
+    raises(ValueError, CipherPackage, c, -2, RATIO, -1)
 
 
 def test_defaults():
