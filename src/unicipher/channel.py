@@ -115,22 +115,17 @@ def _alphabet_from_dict(document: dict) -> Alphabet:
         if not isinstance(symbols, str):
             raise FormatError(f"alphabet symbols must be a string, got {type(symbols).__name__}")
         try:
-            return Alphabet.custom(symbols)
+            return Alphabet(symbols)
         except ValueError as exc:
             raise FormatError(f"malformed alphabet: {exc}") from None
     raise FormatError(f"unknown alphabet kind {kind!r}")
 
 
-def dumps_key(key: CipherKey, alphabet: Alphabet | None = None) -> str:
-    alphabet = alphabet if alphabet is not None else Alphabet.latin()
+def dumps_key(key: CipherKey, alphabet: Alphabet = Alphabet()) -> str:
+    alpha, beta, gamma, delta = key.u.m.entries()
     return _dump({
         "version": KEY_FORMAT_VERSION,
-        "u": {
-            "alpha": str(key.u.alpha),
-            "beta": str(key.u.beta),
-            "gamma": str(key.u.gamma),
-            "delta": str(key.u.delta),
-        },
+        "u": {"alpha": str(alpha), "beta": str(beta), "gamma": str(gamma), "delta": str(delta)},
         "seed": {"a0": str(key.seed.a0), "b0": str(key.seed.b0)},
         "n": key.n,
         "perm": list(key.perm),

@@ -14,20 +14,20 @@ verify_package, decryption and correct under the same coding matrix solve a
 block once, and a package built around the same C (dataclasses.replace)
 shares its rows.  The memo lives in the Mat2 object, for as long as it does,
 and never leaves the process.  A block is intact when both rows solve and
-det P and the column-ratio grid hold on them (_checked); decryption and
-correct's clean test ask exactly that, correct also asking every entry to
-be below its alphabet bound, and a repair candidate, built as rows @ M(n),
-needs only _checked.  A block that is not intact gets the error naming the
-first check it fails (_rejection), read off the same rows.  verify_package
-is the paper's diagnostic: det C and the row-ratio interval, with the rows
-it flags.  When both rows solve, no row can be out of its interval and
-det P settles the status; otherwise det C is computed from C, and a row is
-in its interval exactly when its real plaintext row is non-negative, a sign
-test on (c1, c2) @ adj(M(n)) times det M(n).  _row_plaintext finds each row
-of a key with big entries (CodingMatrix.forward is set) from the low bits
-of C, a 2-adic solve, and proves it times M(n) equals the row of C over the
-integers, so only small-by-big products touch the big entries; other keys
-divide exactly.
+det P and the column-ratio grid hold on them (_checked).  _verdict judges a
+received block in one pass: P's entries when it is intact and every entry
+is below a bound, else the error naming the first check it fails, read off
+the same rows.  Decryption asks it with no bound and correct with its
+alphabet bound; a repair candidate, built as rows @ M(n), needs only
+_checked.  verify_package is the paper's diagnostic: det C and the
+row-ratio interval, with the rows it flags.  When both rows solve, no row
+can be out of its interval and det P settles the status; otherwise det C
+is computed from C, and a row is in its interval exactly when its real
+plaintext row is non-negative, a sign test on (c1, c2) @ adj(M(n)) times
+det M(n).  _row_plaintext finds each row of a key with big entries
+(CodingMatrix.forward is set) from the low bits of C, a 2-adic solve, and
+proves it times M(n) equals the row of C over the integers, so only
+small-by-big products touch the big entries; other keys divide exactly.
 """
 
 from __future__ import annotations
@@ -67,7 +67,9 @@ def _check_perm(perm) -> tuple[int, int, int, int]:
 class Alphabet:
     """Symbol table mapping message units to indices 0..size-1.
 
-    symbols=None selects byte mode: messages are bytes, indices 0..255.
+    Alphabet() is the latin A..Z, every default alphabet of this package;
+    Alphabet(symbols) is a custom one.  symbols=None selects byte mode:
+    messages are bytes, indices 0..255.
     """
 
     symbols: str | None = string.ascii_uppercase
@@ -86,10 +88,6 @@ class Alphabet:
     @classmethod
     def bytes_mode(cls) -> "Alphabet":
         return cls(None)
-
-    @classmethod
-    def custom(cls, symbols: str) -> "Alphabet":
-        return cls(symbols)
 
     @property
     def size(self) -> int:
@@ -244,7 +242,7 @@ class CipherKey:
         cm = build_coding_matrix(self.u, self.seed, self.n)
         if (self.seed.a0 == 0 or self.seed.b0 == 0) and self.n < 1:
             raise InvalidKey("a seed with a zero component needs n >= 1")
-        if cm.seed_det == 0:
+        if cm.det == 0:
             raise InvalidKey("seed gives a singular index-0 coding matrix")
         object.__setattr__(self, "coding_matrix", cm)
 
@@ -384,60 +382,61 @@ def _package_rows(c: Mat2, cm: CodingMatrix):
     return rows
 
 
-def _rejection(pkg: CipherPackage, cm: CodingMatrix, rows, bound) -> CipherError:
-    """The error naming the first check that a block that is not intact fails,
-    read off its rows (_package_rows).
-
-    _row_plaintext answers None only for a row that is not integral or is
-    negative.  So for a block with an unsolved row, the residues of C and
-    adj M mod det decide: an entry of C·adj M that det does not divide is
-    NonIntegralPlaintext, and otherwise the row is negative.  A block whose
-    rows both solve is checked on det P, the column-ratio grid and the bound.
+def _verdict(
+    pkg: CipherPackage, cm: CodingMatrix, bound: int | None
+) -> tuple[int, int, int, int] | CipherError:
+    """P's row-major entries if the block is intact with every entry below
+    bound (None: no bound), else the error for the first check that fails,
+    on the rows of _package_rows: residues mod det, det P, the column-ratio
+    grid, then the bound.  _row_plaintext answers None only for a row that
+    is not integral or is negative, so a block with an unsolved row is
+    NonIntegralPlaintext at the first entry of C·adj M that det does not
+    divide, decided on residues mod det, and otherwise NegativePlaintext.
     """
-    if None in rows:
-        det = cm.det
-        c11, c12, c21, c22 = (e % det for e in pkg.c.entries())
-        j11, j12, j21, j22 = (e % det for e in cm.adj)
-        residues = (c11 * j11 + c12 * j21, c11 * j12 + c12 * j22,
-                    c21 * j11 + c22 * j21, c21 * j12 + c22 * j22)
-        for i, e in enumerate(residues):
-            if e % det:
-                return NonIntegralPlaintext(
-                    f"entry {divmod(i, 2)} of C·adj M is not divisible by det {det}"
+    c = pkg.c
+    rows = _package_rows(c, cm)
+    if None not in rows:
+        check = pkg.column_ratio
+        entries = _checked(c, rows, pkg.det_p, None if check is None else check.grid)
+        if entries is None:
+            (p11, p12), (p21, p22) = rows
+            det_p = p11 * p22 - p12 * p21
+            if det_p != pkg.det_p:
+                return CheckNumberMismatch(
+                    f"det P of the decrypted block is {det_p}, the package says {pkg.det_p}"
                 )
-        return NegativePlaintext(
-            "decryption produced negative entries; ciphertext corrupt or key wrong"
-        )
-    (p11, p12), (p21, p22) = rows
-    det_p = p11 * p22 - p12 * p21
-    if det_p != pkg.det_p:
-        return CheckNumberMismatch(
-            f"det P of the decrypted block is {det_p}, the package says {pkg.det_p}"
-        )
-    check = pkg.column_ratio
-    if check is not None and _checked(pkg.c, rows, pkg.det_p, check.grid) is None:
-        return CheckNumberMismatch(
-            f"c21/c11 of the block does not round to the column ratio {check.value}"
-        )
-    entry = max(p11, p12, p21, p22)
-    return UnknownSymbol(f"plaintext entry {entry} is not below the bound {bound}")
+            return CheckNumberMismatch(
+                f"c21/c11 of the block does not round to the column ratio {check.value}"
+            )
+        if bound is not None and max(entries) >= bound:
+            return UnknownSymbol(f"plaintext entry {max(entries)} is not below the bound {bound}")
+        return entries
+    det = cm.det
+    c11, c12, c21, c22 = (e % det for e in c.entries())
+    j11, j12, j21, j22 = (e % det for e in cm.adj)
+    residues = (c11 * j11 + c12 * j21, c11 * j12 + c12 * j22,
+                c21 * j11 + c22 * j21, c21 * j12 + c22 * j22)
+    for i, e in enumerate(residues):
+        if e % det:
+            return NonIntegralPlaintext(
+                f"entry {divmod(i, 2)} of C·adj M is not divisible by det {det}"
+            )
+    return NegativePlaintext(
+        "decryption produced negative entries; ciphertext corrupt or key wrong"
+    )
 
 
 def _plaintext(pkg: CipherPackage, cm: CodingMatrix) -> tuple[int, int, int, int]:
-    """Row-major plaintext entries of an intact package; else raises _rejection's
-    error, its message prefixed with the block index."""
-    rows = _package_rows(pkg.c, cm)
-    if None not in rows:
-        check = pkg.column_ratio
-        entries = _checked(pkg.c, rows, pkg.det_p, None if check is None else check.grid)
-        if entries is not None:
-            return entries
-    error = _rejection(pkg, cm, rows, None)
-    raise type(error)(f"block {pkg.block_index}: {error}")
+    """Row-major plaintext entries of an intact package (_verdict with no bound);
+    else raises _verdict's error, its message prefixed with the block index."""
+    verdict = _verdict(pkg, cm, None)
+    if isinstance(verdict, CipherError):
+        raise type(verdict)(f"block {pkg.block_index}: {verdict}")
+    return verdict
 
 
 def encode_text(
-    message, alphabet: Alphabet | None = None, perm=IDENTITY_PERM
+    message, alphabet: Alphabet = Alphabet(), perm=IDENTITY_PERM
 ) -> tuple[tuple[PlaintextMatrix, ...], int]:
     """Split a message into permuted 4-symbol blocks.
 
@@ -445,16 +444,12 @@ def encode_text(
     at least two symbols), so padding never leaves an all-zero row; the pad
     length is returned so decryption can strip it.
     """
-    alphabet = alphabet if alphabet is not None else Alphabet.latin()
     blocks, pad = _encode(message, alphabet, _check_perm(perm))
     return tuple(PlaintextMatrix(Mat2(*b)) for b in blocks), pad
 
 
-def decode_text(
-    blocks, pad_len: int, alphabet: Alphabet | None = None, perm=IDENTITY_PERM
-):
+def decode_text(blocks, pad_len: int, alphabet: Alphabet = Alphabet(), perm=IDENTITY_PERM):
     """Inverse of encode_text: un-permute blocks and strip the final padding."""
-    alphabet = alphabet if alphabet is not None else Alphabet.latin()
     return _decode((block.p.entries() for block in blocks), pad_len, alphabet, _check_perm(perm))
 
 
@@ -553,23 +548,21 @@ def verify_package(pkg: CipherPackage, key: CipherKey) -> VerifyResult:
 def encrypt_message(
     message,
     key: CipherKey,
-    alphabet: Alphabet | None = None,
+    alphabet: Alphabet = Alphabet(),
     *,
     emit_column_ratio: bool = False,
     ratio_digits: int = 2,
 ) -> tuple[CipherPackage, ...]:
     """Encode, then encrypt block by block; blocks are independent."""
-    alphabet = alphabet if alphabet is not None else Alphabet.latin()
     blocks, pad = _encode(message, alphabet, key.perm)
     return _encrypt_blocks(blocks, key.coding_matrix, emit_column_ratio, ratio_digits, pad)
 
 
-def decrypt_message(packages, key: CipherKey, alphabet: Alphabet | None = None):
+def decrypt_message(packages, key: CipherKey, alphabet: Alphabet = Alphabet()):
     """Reorder by block index, decrypt each block as decrypt does, decode, strip final padding.
 
     An index outside the alphabet is UnknownSymbol from Alphabet.render.
     """
-    alphabet = alphabet if alphabet is not None else Alphabet.latin()
     cm = key.coding_matrix
     ordered = sorted(packages, key=attrgetter("block_index"))
     pad = ordered[-1].pad_len if ordered else 0

@@ -66,7 +66,7 @@ def _alphabet_from_flag(value: str) -> Alphabet:
     if value == "bytes":
         return Alphabet.bytes_mode()
     try:
-        return Alphabet.custom(value)
+        return Alphabet(value)
     except ValueError as exc:
         raise CipherError(f"--alphabet {value!r}: {exc}") from None
 

@@ -36,7 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .cipher import CipherKey, CipherPackage, _checked, _package_rows, _rejection
+from .cipher import CipherKey, CipherPackage, _checked, _package_rows, _verdict
+from .errors import CipherError
 from .matrix import Mat2, _require_int, line_step
 
 # The most points one line scan lists.
@@ -167,15 +168,16 @@ def correct(
     """Decode at the lowest weight that has an intact candidate (see the module docstring).
 
     plaintext_bound is None (no upper end) or an int of at least 1.  A
-    block is clean only if it is intact: both received rows solve
-    (cipher._package_rows, which keeps them on the received C, never on a
-    repaired one) into rows inside the box, which the classes reuse, and
-    pass cipher._checked.  Otherwise the first log entry names the first
-    check it fails, as decrypt names it, and one entry follows per class
-    examined, in ErrorClass order, weight by weight.  A weight stops at
-    its second passing candidate, since the block is then ambiguous
-    whatever else it holds.  candidates_examined counts the solves and the
-    listed det-line points.
+    block is clean when cipher._verdict finds it intact below the bound;
+    otherwise that verdict's error, as decrypt names it, is the first log
+    entry, and one entry follows per class examined, in ErrorClass order,
+    weight by weight.  The classes reuse the received rows that solve
+    inside the box (cipher._package_rows keeps them on the received C,
+    never on a repaired one).  A weight stops at its second passing
+    candidate, since the block is then ambiguous whatever else it holds.
+    Its residual_failure names the tying classes, then the unscanned ones;
+    a class holding the weight's only candidate logs the unscanned ones.
+    candidates_examined counts the solves and the listed det-line points.
     """
     if plaintext_bound is not None:
         _require_int("plaintext_bound", plaintext_bound)
@@ -184,19 +186,19 @@ def correct(
     check = pkg.column_ratio
     cm, c, det_p, bound = key.coding_matrix, pkg.c, pkg.det_p, plaintext_bound
     grid = None if check is None else check.grid
+    verdict = _verdict(pkg, cm, bound)
+    if not isinstance(verdict, CipherError):
+        return CorrectionReport(ErrorClass.NONE, 0, c, attempts=(("verify", "clean"),))
+    attempts = [("verify", f"{type(verdict).__name__}: {verdict}")]
     e = c.entries()
     rows = (e[:2], e[2:])
-    top, bottom = solved = _package_rows(c, cm)
+    top, bottom = _package_rows(c, cm)
     if bound is not None:
         if top is not None and (top[0] >= bound or top[1] >= bound):
             top = None
         if bottom is not None and (bottom[0] >= bound or bottom[1] >= bound):
             bottom = None
     intact = (top, bottom)
-    if None not in intact and _checked(c, intact, det_p, grid) is not None:
-        return CorrectionReport(ErrorClass.NONE, 0, c, attempts=(("verify", "clean"),))
-    error = _rejection(pkg, cm, solved, bound)
-    attempts = [("verify", f"{type(error).__name__}: {error}")]
     m11, m12, m21, m22 = cm.matrix.entries()
     columns = ((m11, m21), (m12, m22))
     lines: dict[tuple[int, int], list | None] = {}
@@ -295,25 +297,25 @@ def correct(
                         break
             if len(found) > 1:
                 break
-        blocked = [cls for cls in examined_classes if cls in unscanned]
+        blocked = ", ".join(cls for cls in examined_classes if cls in unscanned)
         holding = {cls for cls, _ in found.values()}
-        decided = len(found) == 1 and not blocked
-        outcome = "repaired" if decided else "ambiguous: candidate repairs tie"
+        if len(found) > 1:
+            tying = ", ".join(cls for cls in classes if cls in holding)
+            outcome = "ambiguous: candidate repairs tie"
+            reason = f"{outcome} in {tying}" + (f"; {blocked} not scanned" if blocked else "")
+        elif blocked:
+            outcome = reason = f"ambiguous: {blocked} not scanned"
+        else:
+            outcome, reason = "repaired", None
         for cls in examined_classes:
             attempts.append((cls, unscanned.get(cls) or (outcome if cls in holding else none)))
-        if decided:
+        if reason is not None:
+            return CorrectionReport(ErrorClass.NONE, examined, None, residual_failure=reason,
+                                    ambiguous=True, attempts=tuple(attempts))
+        if found:
             ((block, (cls, position)),) = found.items()
             return CorrectionReport(
                 ErrorClass(cls), examined, block, position, attempts=tuple(attempts)
             )
-        if len(found) > 1:
-            tying = ", ".join(cls for cls in classes if cls in holding)
-            reason = f"ambiguous: candidate repairs tie in {tying}"
-        elif blocked:
-            reason = f"ambiguous: {', '.join(blocked)} not scanned"
-        else:
-            continue
-        return CorrectionReport(ErrorClass.NONE, examined, None, residual_failure=reason,
-                                ambiguous=True, attempts=tuple(attempts))
     return CorrectionReport(ErrorClass.NONE, examined, None, attempts=tuple(attempts),
                             residual_failure="uncorrectable: no intact candidate at weight 1 or 2")

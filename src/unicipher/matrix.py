@@ -130,7 +130,8 @@ class KeyMatrix:
     trace exactly 2 still converges, but only linearly, hence the warning.
     The bare-power family [[k, 1], [1, 0]] is admitted for every k >= 1;
     its ratio sequences are the classical k-Fibonacci quotients, which
-    converge without the trace bound.
+    converge without the trace bound.  The paper's alpha, beta, gamma and
+    delta are m's row-major entries, and its trace and det are m's.
     """
 
     m: Mat2
@@ -160,30 +161,6 @@ class KeyMatrix:
     @property
     def is_bare_power(self) -> bool:
         return self.m.a12 == 1 and self.m.a22 == 0
-
-    @property
-    def alpha(self) -> int:
-        return self.m.a11
-
-    @property
-    def beta(self) -> int:
-        return self.m.a12
-
-    @property
-    def gamma(self) -> int:
-        return self.m.a21
-
-    @property
-    def delta(self) -> int:
-        return self.m.a22
-
-    @property
-    def trace(self) -> int:
-        return self.m.trace()
-
-    @property
-    def det(self) -> int:
-        return self.m.det()
 
 
 @dataclass(frozen=True)
@@ -224,9 +201,9 @@ def coding_entries(alpha: int, beta: int, gamma: int, delta: int, a0: int, b0: i
 class CodingMatrix:
     """Encryption multiplier [[A(n+1), A(n)], [B(n+1), B(n)]] and its plain-int view.
 
-    Since M(n) = U^n @ M(0), det = seed_det * det(U)^n exactly, where seed_det
-    is det M(0).  build_coding_matrix stores, once, what every block reads:
-    det, the adjugate's row-major entries, and forward, the table of
+    Since M(n) = U^n @ M(0), det = det M(0) * det(U)^n exactly, so det is 0
+    exactly when M(0) is singular.  build_coding_matrix stores, once, what
+    every block reads: det, the adjugate's row-major entries, and forward, the table of
     cipher._row_plaintext.  The row-ratio interval needs no table: a row
     lies in it exactly when its real plaintext row, by det and adj, is
     non-negative (cipher.verify_package).  forward is (s, mask, k11, k12, k21, k22, lim): s
@@ -243,7 +220,6 @@ class CodingMatrix:
     """
 
     matrix: Mat2
-    seed_det: int
     det: int
     adj: tuple[int, int, int, int]
     forward: tuple[int, int, int, int, int, int, int] | None
@@ -289,11 +265,11 @@ def build_coding_matrix(key: KeyMatrix, seed: SeedPair, n: int) -> CodingMatrix:
     seed_det = m.a12 * y * y + (m.a11 - m.a22) * x * y - m.a21 * x * x
     walk = coding_entries(m.a11, m.a12, m.a21, m.a22, x, y)
     a1, a0, b1, b0 = next(itertools.islice(walk, n, None))
-    det, adj = seed_det * key.det**n, (b0, -a0, -b1, a1)
+    det, adj = seed_det * m.det()**n, (b0, -a0, -b1, a1)
     forward = None
     if det and max(a1, a0, b1, b0).bit_length() > FORWARD_MIN_BITS:
         s = (det & -det).bit_length() - 1
         mask = (1 << (FORWARD_BITS + s)) - 1
         inv = pow(det >> s, -1, mask + 1)
         forward = (s, mask, *(e * inv & mask for e in adj), min(a1, b1) << FORWARD_BITS)
-    return CodingMatrix(Mat2(a1, a0, b1, b0), seed_det, det, adj, forward)
+    return CodingMatrix(Mat2(a1, a0, b1, b0), det, adj, forward)

@@ -151,24 +151,24 @@ def _direction(seq: Sequence[Fraction]) -> str | None:
 def convergence_profile(
     params: RatioParams, steps: int = DEFAULT_ORBIT_STEPS
 ) -> ConvergenceProfile:
-    """Observed monotonicity class of the orbit plus its error decay.
+    """Observed monotonicity class of the orbit a0..a(steps) plus its error decay.
 
     Classification is empirical and exact: a globally monotone orbit is
     monotone-decreasing/-increasing; an orbit whose even and odd
     subsequences are monotone in opposite directions is alternating-split;
-    anything else is divergent.
+    anything else is divergent.  steps must be at least 3, so that the even
+    and odd terms each show a direction; a flat orbit is then a fixed point,
+    phi+ (monotone-decreasing) or phi- (divergent).
     """
-    orbit = tuple(itertools.islice(ratio_orbit(params), max(steps, 0) + 1))
+    if steps < 3:
+        raise ValueError(f"convergence_profile needs at least 3 steps, got {steps}")
+    orbit = tuple(itertools.islice(ratio_orbit(params), steps + 1))
     fp = params.fixed
     errors = tuple(_distance_to_phi_plus(a, fp) for a in orbit)
     whole = _direction(orbit)
     if whole == "flat":
-        if fp.compare_plus(orbit[0]) >= 0:
-            mode = ConvergenceMode.MONOTONE_DECREASING
-        elif fp.compare_minus(orbit[0]) > 0:
-            mode = ConvergenceMode.MONOTONE_INCREASING
-        else:
-            mode = ConvergenceMode.DIVERGENT
+        mode = (ConvergenceMode.MONOTONE_DECREASING if fp.compare_plus(orbit[0]) >= 0
+                else ConvergenceMode.DIVERGENT)
     elif whole == "down":
         mode = ConvergenceMode.MONOTONE_DECREASING
     elif whole == "up":

@@ -85,7 +85,7 @@ def test_criterion_02_single_error_replay():
     numerator = 126 + 494 * 1846
     check(failures, numerator == 912050, f"determinant solve numerator {numerator}")
     check(failures, numerator % 705 != 0, "first candidate should fail divisibility")
-    phi = fixed_points(key.u.trace, key.u.det).phi_plus
+    phi = fixed_points(key.u.m.trace(), key.u.m.det()).phi_plus
     check(failures, round(phi * 494) == 1293, "ratio estimate")
     report = correct(received, key)
     check(failures, report.assumed_class is ErrorClass.SINGLE, f"class {report.assumed_class}")
@@ -356,7 +356,7 @@ def test_criterion_11_structure_theorems():
         seed_pair = random_seed_pair(rng)
         n = rng.randint(0, 32)
         m0 = build_coding_matrix(key, seed_pair, 0).matrix
-        lhs = m0 @ (Mat2(key.trace, 1, -key.det, 0) ** n)
+        lhs = m0 @ (Mat2(key.m.trace(), 1, -key.m.det(), 0) ** n)
         rhs = (key.m ** n) @ m0
         if lhs != rhs:
             failures.append(f"shift representation broke for {key.m}, n={n}")

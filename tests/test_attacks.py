@@ -181,7 +181,7 @@ class TestUnimodularResistance:
         rng = random.Random(31337)
         for _ in range(40):
             key = random_cipher_key(rng, n_lo=2, n_hi=20, allow_bare_power=False)
-            assert key.u.delta >= 1
+            assert key.u.m.a22 >= 1
             oracle = EncryptionOracle.from_key(key)
             with pytest.raises(NotGoldenOracle):
                 attack_golden(oracle, n_max=80)

@@ -72,7 +72,7 @@ class TestEncodeText:
         assert decode_text(blocks, pad, alphabet) == b"\x00\xff\x10"
 
     def test_custom_alphabet(self):
-        alphabet = Alphabet.custom("0123456789")
+        alphabet = Alphabet("0123456789")
         blocks, _ = encode_text("2718", alphabet)
         assert blocks[0].p == Mat2(2, 7, 1, 8)
 
@@ -103,6 +103,8 @@ class TestCipherKey:
     def test_exponent_cap(self):
         with pytest.raises(InvalidKey):
             CipherKey.golden(513)
+        with pytest.raises(InvalidKey, match="^exponent must be a non-negative integer$"):
+            CipherKey.golden(-1)
 
 
 class TestEncrypt:
@@ -227,11 +229,14 @@ class TestVerify:
         assert result.bad_rows == frozenset()
 
     def test_interval_only_violation(self):
-        # both dets equal but a ratio is off: scale det_p along with the row
+        # C = P @ M(10) with P = [[-1, 2], [3, 4]]: det C = det M * det P holds,
+        # and only the top row, whose real plaintext row is negative, is flagged
         key = CipherKey.golden(10)
-        c = Mat2(2076, 1283, 1068, 660)  # swapped rows keep ratios, flip det sign
-        result = verify_package(CipherPackage(c, -84), key)
-        assert result.status in (VerifyStatus.CLEAN, VerifyStatus.INTERVAL_VIOLATION)
+        c = Mat2(-1, 2, 3, 4) @ key.coding_matrix.matrix
+        assert c == Mat2(21, 13, 487, 301)
+        result = verify_package(CipherPackage(c, -10), key)
+        assert result.status is VerifyStatus.INTERVAL_VIOLATION
+        assert result.bad_rows == frozenset({0})
 
     def test_zero_row_is_vacuous(self):
         key = CipherKey.golden(6)

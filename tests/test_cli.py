@@ -576,11 +576,13 @@ class TestRatiosCommand:
         last = float(lines[-1].split()[-1])
         assert abs(last - 1.618033988749895) < 2e-3
 
-    @pytest.mark.parametrize("a0", ["0", "abc", "1/0"])
+    # "1ex" has an exponent part that is not an int: the digit-limit test
+    # reads it as 0 and leaves the refusal to Fraction
+    @pytest.mark.parametrize("a0", ["0", "abc", "1/0", "1ex"])
     def test_bad_a0_is_reported(self, capsys, a0):
         code, out, err = run(capsys, "ratios", "--t", "3", "--d", "1", "--a0", a0)
         assert code == 1 and out == ""
-        assert "error[CipherError]" in err
+        assert err.startswith(f"error[CipherError]: --a0 must be a nonzero rational, got {a0!r}: ")
 
     @pytest.mark.parametrize("a0", ["1e5000", "1e-5000"])
     def test_a0_exponent_past_the_digit_limit_is_refused(self, capsys, a0):

@@ -227,9 +227,12 @@ class TestUnscannedLines:
         assert report.attempts[1:] == (("single", "search-range-too-wide"),)
 
     def test_diagonal_top_line(self):
-        # the diagonal class keeps c12 = 4 of the top row: x * 1 + y * 0 = 4
+        # the diagonal class keeps c12 = 4 of the top row: x * 1 + y * 0 = 4;
+        # the weight both ties and holds that unscanned class, and says both
         report = correct(CipherPackage(Mat2(6, 4, 2, 2), 6), CipherKey.golden(1))
-        assert report.residual_failure == "ambiguous: candidate repairs tie in anti-diagonal"
+        assert report.residual_failure == (
+            "ambiguous: candidate repairs tie in anti-diagonal; diagonal not scanned"
+        )
         assert report.attempts[1:3] == (
             ("single", "no-single-candidate"), ("diagonal", "search-range-too-wide"),
         )
@@ -242,6 +245,9 @@ class TestUnscannedLines:
         report = correct(bad, key, plaintext_bound=2**64)
         assert report.residual_failure == "ambiguous: row-top not scanned"
         assert ("row-top", "search-range-too-wide") in report.attempts
+        # column-left holds the weight's only candidate: nothing ties, and the
+        # unscanned row-top class is what keeps it from being the repair
+        assert ("column-left", "ambiguous: row-top not scanned") in report.attempts
 
 
 class TestSingle:
@@ -988,7 +994,7 @@ class TestRejectionThroughBothReaders:
         # decryption checks no bound: the block decrypts, and rendering names the index
         assert decrypt(pkg, key) == PlaintextMatrix(REJECTED_P)
         with pytest.raises(UnknownSymbol, match="^index 5 is outside the alphabet$"):
-            decrypt_message([pkg], key, Alphabet.custom("ABCD"))
+            decrypt_message([pkg], key, Alphabet("ABCD"))
 
     def test_golden_block_over_the_bound(self):
         # golden n = 3 has det -1, so every row is integral

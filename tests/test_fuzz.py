@@ -90,7 +90,7 @@ DOCUMENTS = (
     canonical_pair(CipherKey.golden(2), Alphabet.latin(), "MATHEMATICS"),
     canonical_pair(
         CipherKey(KeyMatrix(Mat2(3, 2, 1, 1)), SeedPair(5, 7), 40, (2, 0, 3, 1)),
-        Alphabet.custom("ABCDEFGH"), "CAFEBABE",
+        Alphabet("ABCDEFGH"), "CAFEBABE",
     ),
     canonical_pair(CipherKey.arnolds_cat(500), Alphabet.bytes_mode(), b"\x00\xffbytes"),
 )

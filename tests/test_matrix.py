@@ -102,6 +102,10 @@ class TestMat2:
         with pytest.raises(ValueError):
             Mat2.identity() ** -1
 
+    def test_matmul_needs_a_matrix(self):
+        with pytest.raises(TypeError):
+            Mat2(1, 0, 0, 1) @ 3
+
     def test_entries_must_be_int(self):
         with pytest.raises(TypeError):
             Mat2(1.5, 0, 0, 1)
@@ -172,7 +176,7 @@ class TestKeyMatrix:
 
     def test_bare_power_family_is_admissible(self):
         assert KeyMatrix(Mat2(1, 1, 1, 0)).is_bare_power
-        assert KeyMatrix(Mat2(7, 1, 1, 0)).det == -1
+        assert KeyMatrix(Mat2(7, 1, 1, 0)).m.det() == -1
 
     def test_bare_power_needs_positive_alpha(self):
         with pytest.raises(InvalidKey):
@@ -184,7 +188,7 @@ class TestKeyMatrix:
 
     def test_cat_matrix_is_silent(self):
         key = KeyMatrix(Mat2(2, 1, 1, 1))
-        assert key.trace == 3 and key.det == 1
+        assert key.m.trace() == 3 and key.m.det() == 1
 
 
 class TestSeedPair:
@@ -253,13 +257,13 @@ class TestCodingMatrices:
         build_coding_matrix(cat, SeedPair(1, 1), DEFAULT_MAX_EXPONENT)
 
     def test_mu_examples(self):
-        # seed_det is det M(0) = A(1)*B(0) - A(0)*B(1)
+        # det M(0) = A(1)*B(0) - A(0)*B(1)
         cat = KeyMatrix(Mat2(2, 1, 1, 1))
-        assert build_coding_matrix(cat, SeedPair(0, 1), 5).seed_det == 1
-        assert build_coding_matrix(cat, SeedPair(1, 1), 5).seed_det == (2 - 1) * 1 + 1 - 1 == 1
-        m = build_coding_matrix(KeyMatrix(Mat2(3, 2, 4, 3)), SeedPair(2, 3), 5)
-        assert m.seed_det == 0 * 6 + 2 * 9 - 4 * 4
-        assert m.det == 2 * KeyMatrix(Mat2(3, 2, 4, 3)).det ** 5
+        assert build_coding_matrix(cat, SeedPair(0, 1), 0).det == 1
+        assert build_coding_matrix(cat, SeedPair(1, 1), 0).det == (2 - 1) * 1 + 1 - 1 == 1
+        u = KeyMatrix(Mat2(3, 2, 4, 3))
+        assert build_coding_matrix(u, SeedPair(2, 3), 0).det == 0 * 6 + 2 * 9 - 4 * 4
+        assert build_coding_matrix(u, SeedPair(2, 3), 5).det == 2 * u.m.det() ** 5
 
     @given(st.integers(0, 10**9), st.integers(min_value=0, max_value=64))
     @settings(max_examples=120, deadline=None)
@@ -270,7 +274,7 @@ class TestCodingMatrices:
         cm = build_coding_matrix(key, sp, n)
         m0 = build_coding_matrix(key, sp, 0).matrix
         assert cm.matrix == (key.m ** n) @ m0
-        assert cm.matrix.det() == cm.seed_det * key.det ** n == cm.det
+        assert cm.matrix.det() == build_coding_matrix(key, sp, 0).det * key.m.det() ** n == cm.det
 
     @given(st.integers(0, 10**9), st.integers(min_value=0, max_value=64))
     @settings(max_examples=120, deadline=None)
@@ -280,7 +284,7 @@ class TestCodingMatrices:
         key = random_key_matrix(rng)
         sp = random_seed_pair(rng)
         m0 = build_coding_matrix(key, sp, 0).matrix
-        lhs = m0 @ (Mat2(key.trace, 1, -key.det, 0) ** n)
+        lhs = m0 @ (Mat2(key.m.trace(), 1, -key.m.det(), 0) ** n)
         assert lhs == build_coding_matrix(key, sp, n).matrix
 
     @given(st.integers(0, 10**9))
@@ -289,7 +293,7 @@ class TestCodingMatrices:
         rng = random.Random(seed)
         key = random_key_matrix(rng)
         sp = random_seed_pair(rng)
-        t, d = key.trace, key.det
+        t, d = key.m.trace(), key.m.det()
         for n in rng.sample(range(1, 40), 5):
             cur = build_coding_matrix(key, sp, n)
             prev = build_coding_matrix(key, sp, n - 1)
@@ -396,5 +400,5 @@ def test_random_cipher_key_is_always_admissible():
     rng = random.Random(7)
     for _ in range(200):
         key = random_cipher_key(rng)
-        assert key.u.det in (1, -1)
+        assert key.u.m.det() in (1, -1)
         assert key.coding_matrix.det != 0

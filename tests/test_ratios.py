@@ -110,12 +110,21 @@ class TestConvergenceProfile:
     @pytest.mark.parametrize("a0,steps,mode", [
         (Fraction(2), 8, ConvergenceMode.MONOTONE_DECREASING),  # at phi+
         (Fraction(1), 8, ConvergenceMode.DIVERGENT),  # at phi-
-        (Fraction(3, 2), 0, ConvergenceMode.MONOTONE_INCREASING),  # one term, between
     ])
     def test_constant_orbits(self, a0, steps, mode):
         profile = convergence_profile(RatioParams(3, 2, a0), steps)
         assert len(set(profile.orbit)) == 1 and len(profile.orbit) == steps + 1
         assert profile.mode is mode
+
+    @pytest.mark.parametrize("steps", (-1, 0, 1, 2))
+    def test_refuses_fewer_than_three_steps(self, steps):
+        # (3, 2) from 3/2, between the fixed points, and the golden orbit from
+        # 3/2, which alternates but reads monotone or divergent this early
+        for params in (RatioParams(3, 2, Fraction(3, 2)), RatioParams(1, -1, Fraction(3, 2))):
+            with pytest.raises(ValueError, match=f"at least 3 steps, got {steps}"):
+                convergence_profile(params, steps)
+        profile = convergence_profile(RatioParams(1, -1, Fraction(3, 2)), 3)
+        assert profile.mode is ConvergenceMode.ALTERNATING_SPLIT
 
     def test_alternating_split(self):
         profile = convergence_profile(RatioParams(1, -1, Fraction(3)), 40)
