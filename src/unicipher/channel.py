@@ -99,7 +99,7 @@ def _check_version(document: dict, expected: int) -> None:
 def _alphabet_to_dict(alphabet: Alphabet) -> dict:
     if alphabet.symbols is None:
         return {"kind": "bytes"}
-    if alphabet == Alphabet.latin():
+    if alphabet == Alphabet():
         return {"kind": "latin"}
     return {"kind": "custom", "symbols": alphabet.symbols}
 
@@ -107,7 +107,7 @@ def _alphabet_to_dict(alphabet: Alphabet) -> dict:
 def _alphabet_from_dict(document: dict) -> Alphabet:
     kind = _need(document, "kind")
     if kind == "latin":
-        return Alphabet.latin()
+        return Alphabet()
     if kind == "bytes":
         return Alphabet.bytes_mode()
     if kind == "custom":

@@ -82,10 +82,6 @@ class Alphabet:
                 raise ValueError("alphabet symbols must be unique")
 
     @classmethod
-    def latin(cls) -> "Alphabet":
-        return cls(string.ascii_uppercase)
-
-    @classmethod
     def bytes_mode(cls) -> "Alphabet":
         return cls(None)
 
@@ -391,7 +387,8 @@ def _verdict(
     grid, then the bound.  _row_plaintext answers None only for a row that
     is not integral or is negative, so a block with an unsolved row is
     NonIntegralPlaintext at the first entry of C·adj M that det does not
-    divide, decided on residues mod det, and otherwise NegativePlaintext.
+    divide, else NegativePlaintext.  Only unsolved rows are reduced mod det
+    (residues, so no big product): a solved row's entries are divisible.
     """
     c = pkg.c
     rows = _package_rows(c, cm)
@@ -412,15 +409,15 @@ def _verdict(
             return UnknownSymbol(f"plaintext entry {max(entries)} is not below the bound {bound}")
         return entries
     det = cm.det
-    c11, c12, c21, c22 = (e % det for e in c.entries())
-    j11, j12, j21, j22 = (e % det for e in cm.adj)
-    residues = (c11 * j11 + c12 * j21, c11 * j12 + c12 * j22,
-                c21 * j11 + c22 * j21, c21 * j12 + c22 * j22)
-    for i, e in enumerate(residues):
-        if e % det:
-            return NonIntegralPlaintext(
-                f"entry {divmod(i, 2)} of C·adj M is not divisible by det {det}"
-            )
+    j11, j12, j21, j22 = (j % det for j in cm.adj)
+    for i, (c1, c2) in enumerate(c.rows()):
+        if rows[i] is None:
+            c1, c2 = c1 % det, c2 % det
+            for j, r in enumerate((c1 * j11 + c2 * j21, c1 * j12 + c2 * j22)):
+                if r % det:
+                    return NonIntegralPlaintext(
+                        f"entry {(i, j)} of C·adj M is not divisible by det {det}"
+                    )
     return NegativePlaintext(
         "decryption produced negative entries; ciphertext corrupt or key wrong"
     )

@@ -62,7 +62,7 @@ def _write(path: str, text: str) -> None:
 
 def _alphabet_from_flag(value: str) -> Alphabet:
     if value == "latin":
-        return Alphabet.latin()
+        return Alphabet()
     if value == "bytes":
         return Alphabet.bytes_mode()
     try:

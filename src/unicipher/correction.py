@@ -19,16 +19,17 @@ A candidate block sits at the Hamming weight of its change to C:
     other, cut to a k-interval by the box and the column-ratio grid.
 
 Every candidate must be intact, as decryption asks, and sit at exactly its
-weight.  A candidate is built as rows @ M(n) from P-rows inside the box, and
-M(n) is invertible, so solving it would only give those rows back: it is
-intact when cipher._checked (det P and the column-ratio grid) passes on
-them.  The decoder decides at the lowest weight with a passing candidate:
-one is the repair, several are ambiguity, whatever their classes, so a
-weight stops at its second passing candidate.  A line that nothing bounds,
-or that holds more than MAX_CANDIDATES points, is never scanned: its class
-is reported (column-ratio-missing for a row with neither a grid nor a
-bound), and the weight that holds it is ambiguous, since that class cannot
-be ruled out.
+weight, which four entry comparisons with C check.  A candidate is built as
+rows @ M(n) from P-rows inside the box, and M(n) is invertible, so solving
+it would only give those rows back: it is intact when cipher._checked (det
+P and the column-ratio grid) passes on them.  The decoder decides at the
+lowest weight with a passing candidate: one is the repair, several are
+ambiguity, whatever their classes.  Each weight is one scan of plain loops
+over its classes that stops at its second passing candidate; _settle then
+logs and decides it.  A line that nothing bounds, or that holds more than
+MAX_CANDIDATES points, is never scanned: its class is reported
+(column-ratio-missing for a row with neither a grid nor a bound), and the
+weight that holds it is ambiguous, since that class cannot be ruled out.
 """
 
 from __future__ import annotations
@@ -56,19 +57,27 @@ class ErrorClass(Enum):
 
 
 # The decoder names classes by their ErrorClass values, since an Enum member
-# hashes in Python code and a str in C.  _KEPT gives the entries (j0, j1) of
-# the top and bottom row that a weight-2 change across rows keeps.
-_KEPT = {"diagonal": (1, 0), "anti-diagonal": (0, 1), "column-left": (1, 1), "column-right": (0, 0)}
-# Per weight, its classes in log order and the log entry of a class without a candidate.
-_WEIGHTS = (
-    (("single",), "no-single-candidate"),
-    ((*_KEPT, "row-top", "row-bottom"), "no-pair-candidate"),
-)
+# hashes in Python code and a str in C; _CLASS maps each value to its member.
+_CLASS = {cls.value: cls for cls in ErrorClass}
+# A candidate's change is four flags over C's row-major entries, True where it
+# differs.  Per weight-1 candidate: the row i it solves, the entry j it keeps.
+_SINGLES = tuple((i, j, tuple(k == 2 * i + 1 - j for k in range(4)))
+                 for i in (0, 1) for j in (0, 1))
+# Per weight-2 class across rows: the entries (j0, j1) its top and bottom row
+# keep, and its change; then the row classes, each changing its row whole.
+_KEPT = {cls: (j0, j1, (j0 == 1, j0 == 0, j1 == 1, j1 == 0)) for cls, j0, j1 in (
+    ("diagonal", 1, 0), ("anti-diagonal", 0, 1), ("column-left", 1, 1), ("column-right", 0, 0))}
+_PAIRS = (*_KEPT, "row-top", "row-bottom")
+_ROW_CHANGE = ((True, True, False, False), (False, False, True, True))
 
 
 @dataclass(frozen=True)
 class CorrectionReport:
-    """Outcome of one repair: the class and change of the repair, or why there is none."""
+    """Outcome of one repair: the class and change of the repair, or why there is none.
+
+    As in Mat2, the hand-written __init__ (which dataclass keeps) stores
+    every field in one step.
+    """
 
     assumed_class: ErrorClass
     candidates_examined: int
@@ -77,6 +86,14 @@ class CorrectionReport:
     residual_failure: str | None = None
     ambiguous: bool = False
     attempts: tuple[tuple[str, str], ...] = ()
+
+    def __init__(self, assumed_class, candidates_examined, repaired, position=None,
+                 residual_failure=None, ambiguous=False, attempts=()):
+        object.__setattr__(self, "__dict__", {
+            "assumed_class": assumed_class, "candidates_examined": candidates_examined,
+            "repaired": repaired, "position": position, "residual_failure": residual_failure,
+            "ambiguous": ambiguous, "attempts": attempts,
+        })
 
     @property
     def success(self) -> bool:
@@ -162,6 +179,30 @@ def _grid_limit(i: int, e: tuple[int, ...], grid, m11: int, m21: int):
     return m11, m21, -(-(2 * r - 1) * e[0] // (2 * d)), (2 * r + 1) * e[0] // (2 * d)
 
 
+def _settle(classes, none: str, found: list, unscanned: dict, log: list, examined: int):
+    """Log each class examined at one weight (none: the entry of a class with
+    no candidate) and decide the weight: the report of its one passing
+    candidate, or of the tie or unscanned class that makes it ambiguous;
+    else None.  found holds (block, class, position) per passing candidate."""
+    blocked = ", ".join([cls for cls in classes if cls in unscanned]) if unscanned else ""
+    holding = [cls for _, cls, _ in found]
+    if len(found) > 1:
+        tying = ", ".join([cls for cls in classes if cls in holding])
+        outcome = "ambiguous: candidate repairs tie"
+        reason = f"{outcome} in {tying}" + (f"; {blocked} not scanned" if blocked else "")
+    elif blocked:
+        outcome = reason = f"ambiguous: {blocked} not scanned"
+    else:
+        outcome, reason = "repaired", None
+    log += [(cls, unscanned.get(cls) or (outcome if cls in holding else none)) for cls in classes]
+    if reason is not None:
+        return CorrectionReport(ErrorClass.NONE, examined, None, None, reason, True, tuple(log))
+    if found:
+        ((block, cls, position),) = found
+        return CorrectionReport(_CLASS[cls], examined, block, position, None, False, tuple(log))
+    return None
+
+
 def correct(
     pkg: CipherPackage, key: CipherKey, *, plaintext_bound: int | None = None
 ) -> CorrectionReport:
@@ -173,8 +214,9 @@ def correct(
     entry, and one entry follows per class examined, in ErrorClass order,
     weight by weight.  The classes reuse the received rows that solve
     inside the box (cipher._package_rows keeps them on the received C,
-    never on a repaired one).  A weight stops at its second passing
-    candidate, since the block is then ambiguous whatever else it holds.
+    never on a repaired one).  Each weight is one scan of plain loops over
+    its classes, which stops at its second passing candidate, since the
+    block is then ambiguous whatever else it holds; _settle then logs it.
     Its residual_failure names the tying classes, then the unscanned ones;
     a class holding the weight's only candidate logs the unscanned ones.
     candidates_examined counts the solves and the listed det-line points.
@@ -190,33 +232,28 @@ def correct(
     if not isinstance(verdict, CipherError):
         return CorrectionReport(ErrorClass.NONE, 0, c, attempts=(("verify", "clean"),))
     attempts = [("verify", f"{type(verdict).__name__}: {verdict}")]
-    e = c.entries()
-    rows = (e[:2], e[2:])
+    e = c11, c12, c21, c22 = c.entries()
     top, bottom = _package_rows(c, cm)
     if bound is not None:
-        if top is not None and (top[0] >= bound or top[1] >= bound):
-            top = None
-        if bottom is not None and (bottom[0] >= bound or bottom[1] >= bound):
-            bottom = None
+        top = None if top is None or top[0] >= bound or top[1] >= bound else top
+        bottom = None if bottom is None or bottom[0] >= bound or bottom[1] >= bound else bottom
     intact = (top, bottom)
     m11, m12, m21, m22 = cm.matrix.entries()
     columns = ((m11, m21), (m12, m22))
-    lines: dict[tuple[int, int], list | None] = {}
     unscanned: dict[str, str] = {}
+    found: list = []
     examined = 0
 
     def line(i: int, j: int) -> list | None:
         """The box points of row i that keep its entry j."""
-        if (i, j) not in lines:
-            lines[i, j] = _points(*columns[j], rows[i][j], bound, step=cm.column_lines[j])
-        return lines[i, j]
+        return _points(*columns[j], e[2 * i + j], bound, step=cm.column_lines[j])
 
     def meet(cls: str, i: int, j: int, known: tuple[int, int]) -> list:
         """Points of line(i, j) on the det-P line beside the known other row: one
         solve, or the whole line when the two coincide."""
         nonlocal examined
         u, v = _det_line(i, known)
-        (a, b), r = columns[j], rows[i][j]
+        (a, b), r = columns[j], e[2 * i + j]
         den = a * v - b * u
         if den:
             examined += 1
@@ -232,90 +269,75 @@ def correct(
         examined += len(points)
         return points
 
-    def candidates(cls: str):
-        """(i, p, known, changed) per candidate of cls: row i of P is p, the other
-        row known, and changed lists the entries it must change."""
-        nonlocal examined
-        if cls == "single":
-            for i in (0, 1):
-                known = intact[1 - i]
-                if known is not None:
-                    for j in (0, 1):
-                        for p in meet(cls, i, j, known):
-                            yield i, p, known, (2 * i + 1 - j,)
-        elif cls in _KEPT:
-            j0, j1 = _KEPT[cls]
-            tops = line(0, j0)
-            if tops is None:
+    def passes(cls: str, i: int, p, known, changed, position) -> bool:
+        """Append the block of P with row i = p beside the known other row to
+        found if it is intact and changes exactly the entries flagged in
+        changed; True once found holds two, which stops the weight."""
+        block_rows = (p, known) if i == 0 else (known, p)
+        (x0, y0), (x1, y1) = block_rows
+        if min(x0, y0, x1, y1) < 0 or (bound is not None and max(x0, y0, x1, y1) >= bound):
+            return False
+        a11, a12 = x0 * m11 + y0 * m21, x0 * m12 + y0 * m22
+        a21, a22 = x1 * m11 + y1 * m21, x1 * m12 + y1 * m22
+        if (a11 != c11, a12 != c12, a21 != c21, a22 != c22) != changed:
+            return False
+        # block_rows are in the box and the block is block_rows @ M(n) exactly,
+        # so they are what solving it would give: only _checked is left.
+        block = Mat2(a11, a12, a21, a22)
+        if _checked(block, block_rows, det_p, grid) is None:
+            return False
+        found.append((block, cls, position))
+        return len(found) > 1
+
+    # weight 1: a row beside the intact other row, on a line keeping one entry
+    for i, j, changed in _SINGLES:
+        known = intact[1 - i]
+        if known is not None:
+            for p in meet("single", i, j, known):
+                if passes("single", i, p, known, changed, (i, 1 - j)):
+                    break
+            if len(found) > 1:
+                break
+    report = _settle(("single",), "no-single-candidate", found, unscanned, attempts, examined)
+    if report is not None:
+        return report
+
+    # weight 2: a top-row line point and the bottom row solved against its
+    # own line and det P, class by class; then a row on its det-P line
+    top_lines = line(0, 0), line(0, 1)
+    for k, cls in enumerate(_PAIRS):
+        if cls in _KEPT:
+            j0, j1, changed = _KEPT[cls]
+            if top_lines[j0] is None:
                 unscanned[cls] = "search-range-too-wide"
-                return
-            for top in tops:
-                for bottom in meet(cls, 1, j1, top):
-                    yield 1, bottom, top, (1 - j0, 3 - j1)
+                continue
+            for known in top_lines[j0]:
+                for p in meet(cls, 1, j1, known):
+                    if passes(cls, 1, p, known, changed, None):
+                        break
+                if len(found) > 1:
+                    break
         else:
-            i = 0 if cls == "row-top" else 1
+            i = k - len(_KEPT)
             known = intact[1 - i]
             if known is None:
-                return
+                continue
             if grid is None and bound is None:
                 unscanned[cls] = "column-ratio-missing"
-                return
+                continue
             limit = None if grid is None else _grid_limit(i, e, grid, m11, m21)
             points = _points(*_det_line(i, known), det_p, bound, limit)
             if points is None:
                 unscanned[cls] = "search-range-too-wide"
-                return
+                continue
             for p in points:
                 examined += 1
-                yield i, p, known, (2 * i, 2 * i + 1)
-
-    def passes(i: int, p, known, changed: tuple[int, ...]) -> Mat2 | None:
-        """C for P with row i = p beside the known other row, if the block is
-        intact and changes exactly the entries at changed."""
-        block_rows = (p, known) if i == 0 else (known, p)
-        (x0, y0), (x1, y1) = block_rows
-        if min(x0, y0, x1, y1) < 0 or (bound is not None and max(x0, y0, x1, y1) >= bound):
-            return None
-        cand = (x0 * m11 + y0 * m21, x0 * m12 + y0 * m22, x1 * m11 + y1 * m21, x1 * m12 + y1 * m22)
-        if any((cand[k] != e[k]) != (k in changed) for k in range(4)):
-            return None
-        # block_rows are in the box and cand = block_rows @ M(n) exactly, so
-        # they are what solving cand would give: only _checked is left.
-        block = Mat2(*cand)
-        return None if _checked(block, block_rows, det_p, grid) is None else block
-
-    for classes, none in _WEIGHTS:
-        found: dict[Mat2, tuple[str, tuple[int, int] | None]] = {}
-        examined_classes = []
-        for cls in classes:
-            examined_classes.append(cls)
-            for i, p, known, changed in candidates(cls):
-                cand = passes(i, p, known, changed)
-                if cand is not None:
-                    found[cand] = cls, divmod(changed[0], 2) if cls == "single" else None
-                    if len(found) > 1:
-                        break
-            if len(found) > 1:
-                break
-        blocked = ", ".join(cls for cls in examined_classes if cls in unscanned)
-        holding = {cls for cls, _ in found.values()}
+                if passes(cls, i, p, known, _ROW_CHANGE[i], None):
+                    break
         if len(found) > 1:
-            tying = ", ".join(cls for cls in classes if cls in holding)
-            outcome = "ambiguous: candidate repairs tie"
-            reason = f"{outcome} in {tying}" + (f"; {blocked} not scanned" if blocked else "")
-        elif blocked:
-            outcome = reason = f"ambiguous: {blocked} not scanned"
-        else:
-            outcome, reason = "repaired", None
-        for cls in examined_classes:
-            attempts.append((cls, unscanned.get(cls) or (outcome if cls in holding else none)))
-        if reason is not None:
-            return CorrectionReport(ErrorClass.NONE, examined, None, residual_failure=reason,
-                                    ambiguous=True, attempts=tuple(attempts))
-        if found:
-            ((block, (cls, position)),) = found.items()
-            return CorrectionReport(
-                ErrorClass(cls), examined, block, position, attempts=tuple(attempts)
-            )
-    return CorrectionReport(ErrorClass.NONE, examined, None, attempts=tuple(attempts),
-                            residual_failure="uncorrectable: no intact candidate at weight 1 or 2")
+            break
+    report = _settle(_PAIRS[:k + 1], "no-pair-candidate", found, unscanned, attempts, examined)
+    return report or CorrectionReport(
+        ErrorClass.NONE, examined, None, None,
+        "uncorrectable: no intact candidate at weight 1 or 2", False, tuple(attempts),
+    )

@@ -49,7 +49,7 @@ class TestKeyFiles:
         key = CipherKey(KeyMatrix(Mat2(2, 1, 1, 1)), SeedPair(3, 7), 12, (2, 0, 3, 1))
         parsed, alphabet = loads_key(dumps_key(key))
         assert parsed == key
-        assert alphabet == Alphabet.latin()
+        assert alphabet == Alphabet()
 
     def test_roundtrip_is_byte_identical(self):
         key = CipherKey.golden(10)
@@ -59,7 +59,7 @@ class TestKeyFiles:
 
     def test_alphabet_kinds(self):
         key = CipherKey.arnolds_cat(4)
-        for alphabet in (Alphabet.latin(), Alphabet.bytes_mode(), Alphabet("XYZW")):
+        for alphabet in (Alphabet(), Alphabet.bytes_mode(), Alphabet("XYZW")):
             parsed, back = loads_key(dumps_key(key, alphabet))
             assert back == alphabet and parsed == key
 
@@ -355,7 +355,7 @@ class TestPackageFiles:
         document["packages"][0]["det_p"] = "f" * MAX_HEX_CHARS
         packages = loads_packages(json.dumps(document))
         with pytest.raises(CheckNumberMismatch, match=str(16**MAX_HEX_CHARS - 1)):
-            decrypt_message(packages, key, Alphabet.latin())
+            decrypt_message(packages, key, Alphabet())
 
     def test_malformed_entries_list(self):
         with pytest.raises(FormatError):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unicipher.channel import _MODE_POSITIONS, CorruptionSpec, corrupt_package
+from unicipher.channel import _MODE_POSITIONS, CORRUPTION_MODES, CorruptionSpec, corrupt_package
 from unicipher.cipher import (
     Alphabet,
     CipherKey,
@@ -16,6 +17,7 @@ from unicipher.cipher import (
     _checked,
     _package_rows,
     _row_plaintext,
+    _verdict,
     decrypt,
     decrypt_message,
     encrypt,
@@ -1006,8 +1008,80 @@ class TestRejectionThroughBothReaders:
         )
 
 
+def all_residues_error(c: Mat2, cm) -> CipherError:
+    """The error of a block with a row that does not solve, as _verdict once
+    decided it: all four entries of C·adj M reduced mod det, in row-major
+    order, the first that det does not divide naming NonIntegralPlaintext."""
+    det = cm.det
+    c11, c12, c21, c22 = (e % det for e in c.entries())
+    j11, j12, j21, j22 = (e % det for e in cm.adj)
+    residues = (c11 * j11 + c12 * j21, c11 * j12 + c12 * j22,
+                c21 * j11 + c22 * j21, c21 * j12 + c22 * j22)
+    for i, e in enumerate(residues):
+        if e % det:
+            return NonIntegralPlaintext(
+                f"entry {divmod(i, 2)} of C·adj M is not divisible by det {det}"
+            )
+    return NegativePlaintext(
+        "decryption produced negative entries; ciphertext corrupt or key wrong"
+    )
+
+
+@pytest.mark.parametrize("n", (3, 10, 500))
+@pytest.mark.parametrize("u,seed", [
+    ((2, 1, 1, 1), (2, 4)),  # det 20
+    ((2, 1, 1, 1), (4, 2)),  # det -4
+    ((2, 1, 1, 1), (5, 2)),  # det -11
+    ((1, 1, 1, 0), (2, 4)),  # det -20 at odd n, 20 at even n
+    ((2, 1, 1, 1), (0, 1024)),  # det 4**10
+    ("random", None),
+])
+def test_unsolved_rows_name_the_error_of_all_four_residues(u, seed, n):
+    """_verdict reduces only the unsolved rows mod det.  On one and two such
+    rows, made by small changes, negated entries and shifts by the forward
+    table's modulus, on keys that divide exactly (n = 3, 10) and keys with
+    a forward table (n = 500), it and decrypt name the error that reducing
+    all four entries names."""
+    rng = random.Random(f"{u} {seed} {n}")
+    if u == "random":
+        key = random_cipher_key(rng, n_lo=n, n_hi=n)
+    else:
+        key = CipherKey(KeyMatrix(Mat2(*u)), SeedPair(*seed), n)
+    cm = key.coding_matrix
+    assert (cm.forward is not None) == (n == 500)
+    modulus = 2**FORWARD_BITS if cm.forward is None else cm.forward[1] + 1
+    seen = set()
+    for _ in range(60):
+        pkg = encrypt(random_plaintext(rng, alphabet_size=256), key,
+                      emit_column_ratio=rng.random() < 0.5)
+        entries = list(pkg.c.entries())
+        for i in rng.choice(((0,), (1,), (0, 1))):
+            k = 2 * i + rng.randrange(2)
+            damage = rng.choice(("change", "negate", "shift"))
+            if damage == "change":
+                entries[k] += rng.choice((-1, 1)) * rng.randint(1, 1000)
+            elif damage == "negate":
+                entries[k] = -entries[k]
+            else:
+                entries[k] += rng.choice((-2, -1, 1, 2)) * modulus
+        bad = CipherPackage(Mat2(*entries), pkg.det_p, pkg.column_ratio, rng.randrange(5))
+        unsolved = _package_rows(bad.c, cm).count(None)
+        if not unsolved:
+            continue
+        expected = all_residues_error(bad.c, cm)
+        seen.add((unsolved, type(expected)))
+        for bound in (None, 256):
+            verdict = _verdict(bad, cm, bound)
+            assert (type(verdict), str(verdict)) == (type(expected), str(expected))
+        block = f"block {bad.block_index}: {expected}"
+        assert outcome(decrypt, bad, key) == (type(expected), block)
+        assert outcome(decrypt, dataclasses.replace(bad), key) == (type(expected), block)
+    assert {1, 2} <= {rows for rows, _ in seen}
+    assert NonIntegralPlaintext in {error for _, error in seen} or abs(cm.det) == 1
+
+
 class TestRecordedOutcomes:
-    """Repair outcomes on a seeded corpus, pinned to the values the code gave
+    """Repair outcomes on seeded corpora, pinned to the values the code gave
     when they were recorded.  A change to correction that moves any of them
     must say which outcomes it changed, and why, before updating these."""
 
@@ -1037,3 +1111,43 @@ class TestRecordedOutcomes:
                 tally[outcome] = tally.get(outcome, 0) + 1
         assert tally == self.TALLY
         assert digest.hexdigest() == self.DIGEST
+
+    # The same fields over small keys: golden n 1..10, cat n 1..6 and the tiny
+    # keys of TestPairAgainstBruteForce, at bounds None, 3 and 26, without a
+    # column ratio and with 2 digits, in each of the seven corruption modes.
+    SMALL_DIGEST = "6537fbef7a61f877c211bdcffffaa9c1de430df8f95d2579b8c28e2a8b2539d9"
+
+    def test_small_key_corpus(self):
+        rng = random.Random(110)
+        keys = [CipherKey.golden(n) for n in range(1, 11)]
+        keys += [CipherKey.arnolds_cat(n) for n in range(1, 7)]
+        keys += [tiny_key(rng, rng.randint(1, 3)) for _ in range(24)]
+        digest, seen = hashlib.sha256(), set()
+        for k, key in enumerate(keys):
+            tiny = k >= 16
+            for bound in (None, 3, 26):
+                size = 3 if tiny or bound == 3 else 26
+                for with_ratio in (False, True):
+                    for mode in CORRUPTION_MODES[:-1]:
+                        pkg = encrypt(random_plaintext(rng, alphabet_size=size), key,
+                                      emit_column_ratio=with_ratio)
+                        bad, _ = corrupt_package(pkg, CorruptionSpec(mode, rng.randrange(2**30)))
+                        r = correct(bad, key, plaintext_bound=bound)
+                        digest.update(repr((
+                            r.assumed_class.value, r.candidates_examined,
+                            r.repaired and r.repaired.entries(), r.position,
+                            r.residual_failure, r.ambiguous, r.attempts,
+                        )).encode())
+                        seen.update(reason for _, reason in r.attempts)
+                        # weight 2 opens with the diagonal class, whose top rows are the
+                        # points of the line keeping c12; a weight-2 tie that logs fewer
+                        # than its six classes stopped at its second candidate
+                        m, weight_two = key.coding_matrix.matrix, len(r.attempts) > 2
+                        if weight_two and len(_points(m.a12, m.a22, bad.c.a12, bound) or ()) > 1:
+                            seen.add("multi-point line")
+                        if weight_two and r.ambiguous and len(r.attempts) < 8 \
+                                and "tie" in r.residual_failure:
+                            seen.add("stopped tie")
+        assert {"multi-point line", "search-range-too-wide", "column-ratio-missing",
+                "stopped tie"} <= seen
+        assert digest.hexdigest() == self.SMALL_DIGEST

@@ -87,7 +87,7 @@ def canonical_pair(key: CipherKey, alphabet: Alphabet, message) -> tuple[dict, d
 
 
 DOCUMENTS = (
-    canonical_pair(CipherKey.golden(2), Alphabet.latin(), "MATHEMATICS"),
+    canonical_pair(CipherKey.golden(2), Alphabet(), "MATHEMATICS"),
     canonical_pair(
         CipherKey(KeyMatrix(Mat2(3, 2, 1, 1)), SeedPair(5, 7), 40, (2, 0, 3, 1)),
         Alphabet("ABCDEFGH"), "CAFEBABE",

@@ -357,7 +357,7 @@ def test_unsolved_rows_answer_only_for_their_key(n):
 def test_zero_component_seed_skips_interval(seed, perm, text):
     rng = random.Random(seed)
     key = zero_seed_key(rng, perm)
-    alphabet = Alphabet.latin()
+    alphabet = Alphabet()
     packages = encrypt_message(text, key, emit_column_ratio=True, ratio_digits=3)
     assert packages == ref_encrypt_message(text, key, alphabet, True, 3)
     assert decrypt_message(packages, key) == text

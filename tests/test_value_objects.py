@@ -1,8 +1,9 @@
 """Object semantics of the value objects on the wire path.
 
-Mat2, ColumnRatioCheck, CipherPackage and VerifyResult are frozen
-dataclasses; the first three validate their arguments in a hand-written
-__init__.  These checks pin the dataclass behaviour they keep: equality,
+Mat2, ColumnRatioCheck, CipherPackage, VerifyResult and CorrectionReport
+are frozen dataclasses; the first three validate their arguments in a
+hand-written __init__, and CorrectionReport's stores its fields without a
+check.  These checks pin the dataclass behaviour they keep: equality,
 hashing, repr, dataclasses.replace (which validates again), copying,
 pickling and immutability.  The module needs no pytest, so it also runs as a script on
 interpreters that have none:
@@ -20,9 +21,11 @@ from unicipher.cipher import (
     VerifyResult,
     VerifyStatus,
 )
+from unicipher.correction import CorrectionReport, ErrorClass
 from unicipher.matrix import Mat2
 
 RATIO = ColumnRatioCheck("0.51")
+LOG = (("verify", "NegativePlaintext: …"), ("single", "repaired"))
 
 
 def cases():
@@ -53,6 +56,15 @@ def cases():
             VerifyResult(status=VerifyStatus.BOTH, bad_rows=frozenset({1})),
             f"VerifyResult(status={VerifyStatus.BOTH!r}, bad_rows=frozenset({{1}}))",
             {"bad_rows": frozenset({0, 1})},
+        ),
+        (
+            CorrectionReport(ErrorClass.SINGLE, 3, Mat2(1, 2, 3, 4), (0, 1), None, False, LOG),
+            CorrectionReport(assumed_class=ErrorClass.SINGLE, candidates_examined=3,
+                             repaired=Mat2(1, 2, 3, 4), position=(0, 1), attempts=LOG),
+            f"CorrectionReport(assumed_class={ErrorClass.SINGLE!r}, candidates_examined=3, "
+            f"repaired=Mat2(a11=1, a12=2, a21=3, a22=4), position=(0, 1), "
+            f"residual_failure=None, ambiguous=False, attempts={LOG!r})",
+            {"repaired": None, "position": None, "ambiguous": True},
         ),
     ]
 
@@ -105,6 +117,10 @@ def test_defaults():
     assert (pkg.column_ratio, pkg.block_index, pkg.pad_len) == (None, 0, 0)
     assert VerifyResult(VerifyStatus.CLEAN, frozenset()).clean
     assert not VerifyResult(VerifyStatus.INTERVAL_VIOLATION, frozenset({0})).clean
+    report = CorrectionReport(ErrorClass.NONE, 0, None)
+    assert (report.position, report.residual_failure, report.ambiguous, report.attempts) == (
+        None, None, False, ())
+    assert not report.success and CorrectionReport(ErrorClass.NONE, 0, Mat2(1, 0, 0, 1)).success
 
 
 def test_copy_and_pickle():
