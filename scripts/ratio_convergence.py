@@ -16,12 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from unicipher.cli import MAX_ORBIT_STEPS
-from unicipher.ratios import (
-    RatioParams,
-    convergence_profile,
-    exponential_rate,
-    fixed_points,
-)
+from unicipher.ratios import RatioParams, convergence_profile, exponential_rate
 
 SAMPLES = (
     (1, -1, Fraction(3)),       # Fibonacci ratios from above
@@ -45,11 +40,12 @@ def main() -> int:
     print(f"{'t':>3} {'d':>3} {'a0':>8} {'mode':24} {'fixed point':>16} "
           f"{'final error':>12} {'rate':>8}")
     for t, d, a0 in SAMPLES:
-        profile = convergence_profile(RatioParams(t, d, a0), args.steps)
-        fp = fixed_points(t, d)
+        params = RatioParams(t, d, a0)
+        profile = convergence_profile(params, args.steps)
         rate = exponential_rate(profile.errors[1:])
+        phi = params.fixed.phi_plus_decimal(12)
         print(f"{t:>3} {d:>3} {str(a0):>8} {profile.mode.value:24} "
-              f"{fp.phi_plus_decimal(12):>16} {profile.errors[-1]:>12.3e} {rate:>8.4f}")
+              f"{phi:>16} {profile.errors[-1]:>12.3e} {rate:>8.4f}")
         if args.show_orbit:
             for i, (a, e) in enumerate(zip(profile.orbit, profile.errors)):
                 print(f"    {i:>3}  {float(a):>18.14f}  {e:>10.3e}")

@@ -59,7 +59,6 @@ from .ratios import (
     RatioParams,
     convergence_profile,
     exponential_rate,
-    fixed_points,
 )
 
 __version__ = "0.1.0"

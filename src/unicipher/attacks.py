@@ -5,6 +5,10 @@ matrix into the ciphertext.  For bare-power keys that row is a consecutive
 pair from one public sequence, so the exponent (and k) fall out of a short
 scan.  Seeded keys put six free parameters behind the same row, and the only
 generic recourse is enumeration, measured here rather than asserted away.
+An attack sees the cipher only through an EncryptionOracle, whose one member
+query(p) returns the ciphertext of p.  The enumeration finds the det +/-1
+multipliers of its box one at a time, as it reaches them, so its cap bounds
+the work as well as the count.
 """
 
 from __future__ import annotations
@@ -22,12 +26,10 @@ UNIT_PROBE = Mat2(1, 0, 0, 0)
 
 @dataclass(frozen=True)
 class EncryptionOracle:
-    """Opaque deterministic map from plaintext matrix to ciphertext matrix."""
+    """Opaque deterministic map from plaintext matrix to ciphertext matrix:
+    oracle.query(p) is the ciphertext of p."""
 
-    encrypt_block: Callable[[Mat2], Mat2]
-
-    def query(self, p: Mat2) -> Mat2:
-        return self.encrypt_block(p)
+    query: Callable[[Mat2], Mat2]
 
     @classmethod
     def from_key(cls, key: CipherKey) -> "EncryptionOracle":
@@ -120,12 +122,15 @@ def measure_unimodular_resistance(
     low = min(box.exponents, default=0)
     if low < 0:
         raise ValueError(f"exponents must be non-negative, got {low}")
-    # det U is checked once per multiplier, not once per seed pair.
-    units = [
+    # det U is checked once per multiplier, not once per seed pair, and only
+    # as far as the enumeration gets: the cap bounds the work.
+    units = (
         u for u in itertools.product(box.alphas, box.betas, box.gammas, box.deltas)
         if u[0] * u[3] - u[1] * u[2] in (1, -1)
-    ]
-    if not (units and box.seeds_a and box.seeds_b and box.exponents):
+    )
+    for first in units if box.seeds_a and box.seeds_b and box.exponents else ():
+        break
+    else:  # nothing to weigh
         return ResistanceStats((0,) * len(queries), 0, False)
     exponents = sorted(set(box.exponents))
     wanted = [(p.entries(), oracle.query(p).entries()) for p in queries]
@@ -133,7 +138,7 @@ def measure_unimodular_resistance(
     enumerated = 0
     truncated = False
     seeds = tuple(itertools.product(box.seeds_a, box.seeds_b))
-    keys = ((*u, a0, b0) for u in units for a0, b0 in seeds)
+    keys = ((*u, a0, b0) for u in itertools.chain((first,), units) for a0, b0 in seeds)
     for alpha, beta, gamma, delta, a0, b0 in keys:
         walk = coding_entries(alpha, beta, gamma, delta, a0, b0)
         m11, m12, m21, m22 = next(walk)

@@ -15,9 +15,13 @@ through bytes.hex(), since "%x" formats a long one nibble at a time: over
 package whose c11 and c12 lie below 2**HEX_MIN_BITS keeps one %-format
 with %x, which costs less for small ints (142 against 186 ns at 48 bits);
 both write the same bytes.  A package integer's hex string is at most
-MAX_HEX_CHARS characters long.  serialize -> parse -> serialize is
-byte-identical.  The reader accepts whatever int(s, 16) accepts ("0xff",
-"F_F", " ff"), so a hand-edited file need not write back as it was read.
+MAX_HEX_CHARS characters long: the writer refuses a longer one naming its
+block, the reader naming the package and field.  serialize -> parse ->
+serialize is byte-identical.  The reader accepts whatever int(s, 16) accepts
+("0xff", "F_F", " ff"), so a hand-edited file need not write back as it was
+read.  The corrupter adds a seeded nonzero delta to each entry its mode
+picks, keeps a non-negative entry non-negative, and leaves the checks as
+they are.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ PACKAGE_FORMAT_VERSION = 3
 # value below 16**3571 has at most 4,300 decimal digits, so any integer a
 # package file holds also prints in decimal under Python's int-str limit.
 MAX_HEX_CHARS = 3571
+_PAST_THE_LIMIT = f"an integer's hex string is longer than the {MAX_HEX_CHARS}-character limit"
 
 CORRUPTION_MODES = (
     "single",
@@ -216,10 +221,7 @@ def _package_text(pkg: CipherPackage) -> str:
     strings = (_hex(c.a11), _hex(c.a12), _hex(c.a21), _hex(c.a22), _hex(pkg.det_p))
     text = _BIG_PACKAGE_TEXT % (*strings, ratio, pkg.block_index)
     if len(text) > MAX_HEX_CHARS and max(map(len, strings)) > MAX_HEX_CHARS:
-        raise FormatError(
-            f"block {pkg.block_index}: an integer's hex string is longer than the "
-            f"{MAX_HEX_CHARS}-character limit"
-        )
+        raise FormatError(f"block {pkg.block_index}: {_PAST_THE_LIMIT}")
     return text
 
 
@@ -299,12 +301,12 @@ def loads_packages(text: str) -> tuple[CipherPackage, ...]:
                 len(a11) > MAX_HEX_CHARS or len(a12) > MAX_HEX_CHARS
                 or len(a21) > MAX_HEX_CHARS or len(a22) > MAX_HEX_CHARS
             ):
-                raise _past_the_limit(len(parsed), field)
+                raise ValueError(_PAST_THE_LIMIT)
             c = Mat2(int(a11, 16), int(a12, 16), int(a21, 16), int(a22, 16))
             field = "det_p"
             det_p = item["det_p"]
             if len(det_p) > MAX_HEX_CHARS:
-                raise _past_the_limit(len(parsed), field)
+                raise ValueError(_PAST_THE_LIMIT)
             det_p = int(det_p, 16)
             field = "column_ratio"
             check = item["column_ratio"]
@@ -320,30 +322,24 @@ def loads_packages(text: str) -> tuple[CipherPackage, ...]:
     return tuple(parsed)
 
 
-def _past_the_limit(position: int, field: str) -> FormatError:
-    return FormatError(
-        f"package {position}, {field}: an integer's hex string is longer than the "
-        f"{MAX_HEX_CHARS}-character limit"
-    )
-
-
 # --- corruption -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CorruptionSpec:
-    """Deterministic fault model: same seed, spec, and input => same output."""
+    """Deterministic additive fault model: same seed, spec, and input => same output.
+
+    Each entry the mode picks moves by a nonzero delta of magnitude at most
+    max_delta, or max(1, entry // 2) when max_delta is None.
+    """
 
     mode: str
     seed: int
-    model: str = "additive"
     max_delta: int | None = None
 
     def __post_init__(self):
         if self.mode not in CORRUPTION_MODES:
             raise ValueError(f"unknown corruption mode {self.mode!r}")
-        if self.model not in ("additive", "digit-flip"):
-            raise ValueError(f"unknown magnitude model {self.model!r}")
         _require_int("seed", self.seed)
         if self.max_delta is not None:
             _require_int("max_delta", self.max_delta)
@@ -361,12 +357,6 @@ class CorruptionDiff:
 
 
 def _mutate(value: int, spec: CorruptionSpec, rng: random.Random) -> int:
-    if spec.model == "digit-flip":
-        digits = list(str(value))
-        i = rng.randrange(len(digits))
-        choices = [d for d in "0123456789" if d != digits[i]]
-        digits[i] = rng.choice(choices)
-        return int("".join(digits))
     bound = spec.max_delta if spec.max_delta is not None else max(1, value // 2)
     delta = rng.randint(1, max(1, bound)) * rng.choice((1, -1))
     mutated = value + delta
@@ -392,15 +382,15 @@ def corrupt_package(
         positions = (rng.choice(((0, 0), (0, 1), (1, 0), (1, 1))),)
     else:
         positions = _MODE_POSITIONS[mode]
-    rows = [list(r) for r in pkg.c.rows()]
+    entries = list(pkg.c.entries())
     changes = []
     for pos in positions:
-        old = rows[pos[0]][pos[1]]
-        new = _mutate(old, spec, rng)
-        rows[pos[0]][pos[1]] = new
+        i = 2 * pos[0] + pos[1]
+        old = entries[i]
+        entries[i] = new = _mutate(old, spec, rng)
         changes.append((pos, old, new))
     corrupted = CipherPackage(
-        Mat2.from_rows(rows), pkg.det_p, pkg.column_ratio, pkg.block_index, pkg.pad_len
+        Mat2(*entries), pkg.det_p, pkg.column_ratio, pkg.block_index, pkg.pad_len
     )
     return corrupted, CorruptionDiff(pkg.block_index, mode, tuple(changes))
 

@@ -58,8 +58,9 @@ _RATIO_VALUE = re.compile(r"[0-9]+(?:\.([0-9]{1,%d}))?" % MAX_RATIO_DIGITS)
 
 def _check_perm(perm) -> tuple[int, int, int, int]:
     p = tuple(perm)
-    if sorted(p) != [0, 1, 2, 3]:
-        raise InvalidKey(f"perm must be a permutation of 0..3, got {perm}")
+    # the integer rule: 1.0 and True sort like 1 but are not ints
+    if any(type(x) is not int for x in p) or sorted(p) != [0, 1, 2, 3]:
+        raise InvalidKey(f"perm must be a permutation of the ints 0..3, got {perm}")
     return p
 
 
@@ -68,7 +69,8 @@ class Alphabet:
     """Symbol table mapping message units to indices 0..size-1.
 
     Alphabet() is the latin A..Z, every default alphabet of this package;
-    Alphabet(symbols) is a custom one.  symbols=None selects byte mode:
+    Alphabet(symbols), symbols a str of at least two distinct characters,
+    is a custom one.  symbols=None selects byte mode:
     messages are bytes, indices 0..255.
     """
 
@@ -76,6 +78,9 @@ class Alphabet:
 
     def __post_init__(self):
         if self.symbols is not None:
+            if type(self.symbols) is not str:
+                kind = type(self.symbols).__name__
+                raise TypeError(f"symbols must be a str or None, got {kind}")
             if len(self.symbols) < 2:
                 raise ValueError("alphabet needs at least two symbols")
             if len(set(self.symbols)) != len(self.symbols):

@@ -142,7 +142,7 @@ def _cmd_verify(args) -> int:
 def _cmd_corrupt(args) -> int:
     packages = channel.loads_packages(_read(args.infile))
     try:
-        spec = channel.CorruptionSpec(args.spec, args.seed, args.model, args.max_delta)
+        spec = channel.CorruptionSpec(args.spec, args.seed, args.max_delta)
     except ValueError as exc:
         raise CipherError(str(exc)) from None
     corrupted, diffs = channel.corrupt_packages(packages, spec)
@@ -284,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.add_argument("--spec", required=True, choices=channel.CORRUPTION_MODES)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--model", default="additive", choices=("additive", "digit-flip"))
     p.add_argument("--max-delta", type=int, default=None)
     p.add_argument("--diff", default=None, help="sidecar file recording the ground truth")
     p.set_defaults(func=_cmd_corrupt)

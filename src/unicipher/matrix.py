@@ -74,11 +74,6 @@ class Mat2:
     def identity(cls) -> "Mat2":
         return cls(1, 0, 0, 1)
 
-    @classmethod
-    def from_rows(cls, rows) -> "Mat2":
-        (a, b), (c, d) = rows
-        return cls(a, b, c, d)
-
     def rows(self):
         return ((self.a11, self.a12), (self.a21, self.a22))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -37,11 +37,16 @@ class FixedPoints:
 
     Held as the exact surd (t, discriminant); float views are derived.
     Rational comparisons are decided by sign analysis of (2q - t)^2 against
-    the discriminant, never through floats.
+    the discriminant, never through floats.  Complex roots (t^2 < 4d) are
+    ComplexFixedPoints.
     """
 
     t: int
     d: int
+
+    def __post_init__(self):
+        if self.discriminant < 0:
+            raise ComplexFixedPoints(f"x^2 - {self.t}x + {self.d} has no real roots")
 
     @property
     def discriminant(self) -> int:
@@ -78,12 +83,6 @@ class FixedPoints:
         return _fixed_point((self.t * scale + root) // 2, digits)
 
 
-def fixed_points(t: int, d: int) -> FixedPoints:
-    if t * t < 4 * d:
-        raise ComplexFixedPoints(f"x^2 - {t}x + {d} has no real roots")
-    return FixedPoints(t, d)
-
-
 @dataclass(frozen=True)
 class RatioParams:
     """Parameters of the ratio iteration a(n+1) = t - d / a(n)."""
@@ -91,16 +90,14 @@ class RatioParams:
     t: int
     d: int
     a0: Fraction
+    fixed: FixedPoints = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a0", Fraction(self.a0))
         if self.a0 == 0:
             raise ValueError("a0 must be nonzero")
-        fixed_points(self.t, self.d)  # ComplexFixedPoints: the ratios diverge
-
-    @property
-    def fixed(self) -> FixedPoints:
-        return FixedPoints(self.t, self.d)
+        # ComplexFixedPoints: the ratios diverge
+        object.__setattr__(self, "fixed", FixedPoints(self.t, self.d))
 
 
 def ratio_orbit(params: RatioParams) -> Iterator[Fraction]:

@@ -25,10 +25,10 @@ from unicipher.errors import NoMatchInBounds, NotGoldenOracle
 from unicipher.matrix import Mat2, build_coding_matrix
 from unicipher.ratios import (
     ConvergenceMode,
+    FixedPoints,
     RatioParams,
     convergence_profile,
     exponential_rate,
-    fixed_points,
     round_half_even_ratio,
 )
 from unicipher.sampling import (
@@ -85,7 +85,7 @@ def test_criterion_02_single_error_replay():
     numerator = 126 + 494 * 1846
     check(failures, numerator == 912050, f"determinant solve numerator {numerator}")
     check(failures, numerator % 705 != 0, "first candidate should fail divisibility")
-    phi = fixed_points(key.u.m.trace(), key.u.m.det()).phi_plus
+    phi = FixedPoints(key.u.m.trace(), key.u.m.det()).phi_plus
     check(failures, round(phi * 494) == 1293, "ratio estimate")
     report = correct(received, key)
     check(failures, report.assumed_class is ErrorClass.SINGLE, f"class {report.assumed_class}")
@@ -116,7 +116,7 @@ def test_criterion_03_row_family_table():
         check(failures, shown == table[k], f"k={k} ratio {shown} != {table[k]}")
     # the k=3 ratio hugs the fixed point tighter than the true k=1 solution:
     # with r1 < tau < r3, r3 is closer iff the midpoint sits below tau
-    golden = fixed_points(1, -1)
+    golden = FixedPoints(1, -1)
     midpoint = (ratios[1] + ratios[3]) / 2
     check(failures, golden.compare_plus(ratios[1]) < 0 < golden.compare_plus(ratios[3]),
           "ratios should straddle the fixed point")
@@ -192,7 +192,7 @@ def test_criterion_07_convergence_properties():
         d = rng.choice((1, -1))
         if d == 1:
             t = rng.randint(2, 12)
-            fp = fixed_points(t, d)
+            fp = FixedPoints(t, d)
             while True:
                 a0 = Fraction(rng.randint(1, 400), rng.randint(1, 40))
                 if fp.compare_minus(a0) > 0:

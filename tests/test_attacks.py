@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -228,6 +229,16 @@ class TestUnimodularResistance:
         stats = measure_unimodular_resistance(oracle, box, cap=500)
         assert stats.truncated
         assert stats.enumerated >= 500
+
+    def test_cap_bounds_the_work_on_a_wide_box(self):
+        # 80**4 multipliers: listing every det +/-1 one first would take seconds
+        oracle = EncryptionOracle.from_key(CipherKey.arnolds_cat(4))
+        side = range(80)
+        box = ParamBox(side, side, side, side, range(3), range(3), range(1, 9))
+        start = time.perf_counter()
+        stats = measure_unimodular_resistance(oracle, box, cap=5)
+        assert time.perf_counter() - start < 1.0
+        assert stats.enumerated == 5 and stats.truncated
 
     # 5 distinct exponents per seeded multiplier: a cap of 272 stops partway
     # through one, after the first keys consistent with all three probes

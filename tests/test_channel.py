@@ -36,12 +36,18 @@ from unicipher.sampling import random_cipher_key, random_plaintext
 
 # custom-alphabet symbols a key file must not accept
 MALFORMED_SYMBOLS = ["AA", "A", "", 5, None, ["A", "B"]]
+# alphabet documents whose kind is not latin, bytes or custom, or missing
+UNKNOWN_ALPHABET_KINDS = [{"kind": "greek"}, {"kind": "Latin"}, {"kind": None}, {}]
+
+
+def alphabet_key_text(alphabet) -> str:
+    key_dict = json.loads(dumps_key(CipherKey.golden(4)))
+    key_dict["alphabet"] = alphabet
+    return json.dumps(key_dict)
 
 
 def custom_alphabet_key_text(symbols) -> str:
-    key_dict = json.loads(dumps_key(CipherKey.golden(4)))
-    key_dict["alphabet"] = {"kind": "custom", "symbols": symbols}
-    return json.dumps(key_dict)
+    return alphabet_key_text({"kind": "custom", "symbols": symbols})
 
 
 class TestKeyFiles:
@@ -104,6 +110,12 @@ class TestKeyFiles:
     def test_malformed_alphabet(self, symbols):
         with pytest.raises(FormatError):
             loads_key(custom_alphabet_key_text(symbols))
+
+    @pytest.mark.parametrize("alphabet", UNKNOWN_ALPHABET_KINDS)
+    def test_unknown_alphabet_kind(self, alphabet):
+        match = "missing field 'kind'" if not alphabet else "unknown alphabet kind"
+        with pytest.raises(FormatError, match=match):
+            loads_key(alphabet_key_text(alphabet))
 
 
 def malformed_package_text(field: str, value) -> str:
@@ -408,31 +420,15 @@ class TestCorruption:
                 1, block_index=rng.randrange(100),
             )
             mode = rng.choice(CORRUPTION_MODES)
-            model = rng.choice(("additive", "digit-flip"))
-            corrupted, diff = corrupt_package(
-                pkg, CorruptionSpec(mode, seed=rng.randrange(2**30), model=model)
-            )
+            corrupted, diff = corrupt_package(pkg, CorruptionSpec(mode, seed=rng.randrange(2**30)))
             for pos, old, new in diff.entries:
                 assert old != new
                 assert new >= 0
                 assert corrupted.c.rows()[pos[0]][pos[1]] == new
 
-    def test_digit_flip_model(self):
-        pkg = CipherPackage(Mat2(294, 660, 2076, 1283), 84)
-        corrupted, diff = corrupt_package(
-            pkg, CorruptionSpec("single", seed=1, model="digit-flip")
-        )
-        (pos, old, new), = diff.entries
-        assert len(str(new)) <= len(str(old))
-        assert old != new
-
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             CorruptionSpec("pepper", seed=1)
-
-    def test_bad_magnitude_model_rejected(self):
-        with pytest.raises(ValueError, match="unknown magnitude model 'x'"):
-            CorruptionSpec("single", seed=1, model="x")
 
     @pytest.mark.parametrize("max_delta", [-3, 0])
     def test_max_delta_below_one_rejected(self, max_delta):

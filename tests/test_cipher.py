@@ -76,6 +76,11 @@ class TestEncodeText:
         blocks, _ = encode_text("2718", alphabet)
         assert blocks[0].p == Mat2(2, 7, 1, 8)
 
+    @pytest.mark.parametrize("symbols", [["A", "B"], b"AB", ("A", "B")])
+    def test_alphabet_symbols_must_be_a_str(self, symbols):
+        with pytest.raises(TypeError, match="symbols must be a str or None"):
+            Alphabet(symbols)
+
 
 class TestCipherKey:
     def test_presets(self):
@@ -86,6 +91,10 @@ class TestCipherKey:
     def test_perm_must_be_bijection(self):
         with pytest.raises(InvalidKey):
             CipherKey(KeyMatrix(Mat2(2, 1, 1, 1)), SeedPair(1, 1), 4, (0, 0, 1, 2))
+        # the integer rule: 1.0 and False sort like 1 and 0 but are not ints
+        for perm in ((1.0, 0, 2, 3), (False, True, 2, 3)):
+            with pytest.raises(InvalidKey):
+                CipherKey.golden(5, perm=perm)
 
     def test_zero_seed_needs_positive_exponent(self):
         with pytest.raises(InvalidKey):
@@ -304,7 +313,7 @@ class TestForwardProduct:
         m = cm.matrix
         assert cm.forward is not None and cm.forward[-1] == min(m.a11, m.a21) * self.q
         for rows in ((row, (1, 2)), ((1, 2), row)):
-            p = Mat2.from_rows(rows)
+            p = Mat2(*rows[0], *rows[1])
             pkg = encrypt(PlaintextMatrix(p), key, emit_column_ratio=True)
             assert decrypt(pkg, key).p == p
             pkg = encrypt(PlaintextMatrix(p), key, emit_column_ratio=True)

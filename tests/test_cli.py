@@ -15,6 +15,8 @@ from test_channel import (
     MALFORMED_FIELDS,
     MALFORMED_SYMBOLS,
     NEAR_MISS_RATIOS,
+    UNKNOWN_ALPHABET_KINDS,
+    alphabet_key_text,
     custom_alphabet_key_text,
     framed_packages_text,
     malformed_package_text,
@@ -416,6 +418,16 @@ class TestPipelines:
         code, _, err = run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH")
         assert code == 1
         assert "error[FormatError]" in err
+
+    @pytest.mark.parametrize("alphabet", UNKNOWN_ALPHABET_KINDS)
+    def test_unknown_alphabet_kind_is_a_format_error(self, tmp_path, capsys, alphabet):
+        key_file = self.make_key(tmp_path, capsys)
+        pkg_file = tmp_path / "packages.json"
+        run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH", "--out", str(pkg_file))
+        key_file.write_text(alphabet_key_text(alphabet))
+        code, out, err = run(capsys, "decrypt", "--key", str(key_file), "--in", str(pkg_file))
+        assert code == 1 and out == ""
+        assert err.startswith("error[FormatError]: ") and "Traceback" not in err
 
     def test_malformed_perm_is_a_format_error(self, tmp_path, capsys):
         key_file = self.make_key(tmp_path, capsys)

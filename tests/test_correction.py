@@ -620,7 +620,7 @@ def test_candidate_needs_no_second_solve(family, n, bound):
         cm = key.coding_matrix
         for _ in range(25):
             rows = tuple((box_entry(rng, bound), box_entry(rng, bound)) for _ in range(2))
-            c = Mat2.from_rows(rows) @ cm.matrix
+            c = Mat2(*rows[0], *rows[1]) @ cm.matrix
             assert _row_plaintext(c.a11, c.a12, cm) == rows[0]
             assert _row_plaintext(c.a21, c.a22, cm) == rows[1]
             assert _package_rows(c, cm) == rows

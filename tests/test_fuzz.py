@@ -184,8 +184,7 @@ GRAMMAR = {  # command: (required flags, optional flags); None marks a switch
     "corrupt": (
         (("--in", PACKAGES), ("--spec", CORRUPTION_MODES + ("bogus",)),
          ("--seed", ("0", "7", "46", "-5", "x"))),
-        (("--out", PACKAGE_OUTS), ("--model", ("additive", "digit-flip", "x")),
-         ("--max-delta", ("-3", "0", "1", "1000")),
+        (("--out", PACKAGE_OUTS), ("--max-delta", ("-3", "0", "1", "1000")),
          ("--diff", ("@gen_diff.json", "@no-such-dir/diff.json"))),
     ),
     "correct": ((("--key", KEYS), ("--in", PACKAGES)), (("--out", PACKAGE_OUTS),)),

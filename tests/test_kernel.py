@@ -404,7 +404,7 @@ def test_row_interval_is_the_sign_of_the_real_plaintext_row(seed, n):
     j11, j12, j21, j22 = cm.adj
     for _ in range(8):
         rows = interval_test_row(rng, cm.matrix), interval_test_row(rng, cm.matrix)
-        c = Mat2.from_rows(rows)
+        c = Mat2(*rows[0], *rows[1])
         bad = ref_bad_rows(c, key)
         if row_interval(cm.matrix) is not None:
             for i, (c1, c2) in enumerate(rows):

@@ -28,7 +28,7 @@ from test_kernel import row_interval
 def naive_mul(x: Mat2, y: Mat2) -> Mat2:
     xr, yr = x.rows(), y.rows()
     out = [[sum(xr[i][k] * yr[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
-    return Mat2.from_rows(out)
+    return Mat2(*out[0], *out[1])
 
 
 def naive_pow(x: Mat2, n: int) -> Mat2:

@@ -12,10 +12,10 @@ from unicipher.errors import ComplexFixedPoints, DivisionByZeroInOrbit
 from unicipher.matrix import Mat2
 from unicipher.ratios import (
     ConvergenceMode,
+    FixedPoints,
     RatioParams,
     convergence_profile,
     exponential_rate,
-    fixed_points,
     ratio_orbit,
     round_half_even_ratio,
 )
@@ -28,31 +28,39 @@ TAU = (1 + math.sqrt(5)) / 2
 
 class TestFixedPoints:
     def test_cat_value(self):
-        fp = fixed_points(3, 1)
+        fp = FixedPoints(3, 1)
         assert abs(fp.phi_plus - (3 + math.sqrt(5)) / 2) < 1e-15
         assert abs(fp.phi_plus - (1 + TAU)) < 1e-12
 
     def test_golden_value(self):
-        fp = fixed_points(1, -1)
+        fp = FixedPoints(1, -1)
         assert abs(fp.phi_plus - TAU) < 1e-15
         assert abs(fp.phi_minus - (1 - TAU)) < 1e-15
 
     def test_double_root(self):
-        fp = fixed_points(2, 1)
+        fp = FixedPoints(2, 1)
         assert fp.phi_plus == fp.phi_minus == 1.0
         assert fp.compare_plus(Fraction(1)) == 0
 
     def test_complex_roots_rejected(self):
         with pytest.raises(ComplexFixedPoints):
-            fixed_points(1, 1)
+            FixedPoints(1, 1)
+        with pytest.raises(ComplexFixedPoints):
+            RatioParams(1, 1, Fraction(1))
+
+    def test_ratio_params_hold_one_fixed_points(self):
+        params = RatioParams(3, 1, Fraction(10))
+        assert params.fixed is params.fixed
+        assert params.fixed == FixedPoints(3, 1)
+        assert params == RatioParams(3, 1, Fraction(10)) and "fixed" not in repr(params)
 
     @given(st.integers(-20, 20), st.integers(-20, 20))
     def test_roots_satisfy_polynomial(self, t, d):
         if t * t < 4 * d:
             with pytest.raises(ComplexFixedPoints):
-                fixed_points(t, d)
+                FixedPoints(t, d)
             return
-        fp = fixed_points(t, d)
+        fp = FixedPoints(t, d)
         for root in (fp.phi_plus, fp.phi_minus):
             assert abs(root * root - t * root + d) < 1e-9 * max(1.0, root * root)
         assert abs(fp.phi_plus * fp.phi_minus - d) < 1e-9 * max(1, abs(d))
@@ -62,7 +70,7 @@ class TestFixedPoints:
     def test_exact_comparisons_agree_with_floats(self, t, d, q):
         if t * t < 4 * d:
             return
-        fp = fixed_points(t, d)
+        fp = FixedPoints(t, d)
         fq = float(q)
         for cmp, ref in ((fp.compare_plus(q), fp.phi_plus), (fp.compare_minus(q), fp.phi_minus)):
             if abs(fq - ref) > 1e-6 * max(1.0, abs(fq), abs(ref)):
@@ -70,8 +78,8 @@ class TestFixedPoints:
 
     def test_decimal_expansion(self):
         # 15 digits of the golden ratio
-        assert fixed_points(1, -1).phi_plus_decimal(15) == "1.618033988749894"
-        assert fixed_points(3, 1).phi_plus_decimal(12) == "2.618033988749"
+        assert FixedPoints(1, -1).phi_plus_decimal(15) == "1.618033988749894"
+        assert FixedPoints(3, 1).phi_plus_decimal(12) == "2.618033988749"
 
 
 class TestRatioIteration:
@@ -140,7 +148,7 @@ class TestConvergenceProfile:
         d = rng.choice((1, -1))
         if d == 1:
             t = rng.randint(2, 12)
-            fp = fixed_points(t, d)
+            fp = FixedPoints(t, d)
             while True:
                 a0 = Fraction(rng.randint(1, 400), rng.randint(1, 40))
                 if fp.compare_minus(a0) > 0:
