@@ -9,7 +9,9 @@ Two columns split out the wrong repairs, by Hamming distance alone:
 `undetected` counts received blocks that are intact yet differ from the
 sent block, and `beyond-radius` the other wrong repairs that are closer to
 the received block than the sent block is, so no minimum-weight decoder
-could return the sent one.
+could return the sent one.  The last column, `candidates`, is the mean
+`candidates_examined` per block: the solves and det-line points `correct`
+made.
 
 Exits 1 when any class repaired with the transmitted ratio shows a wrong
 repair: a tie must be reported as ambiguity, never guessed.
@@ -38,15 +40,17 @@ def distance(a, b):
 
 
 def run_trials(mode, trials, seed, with_ratio, digits, n_lo, n_hi, bound):
-    """Counts of exact, wrong, undetected, beyond-radius and reported blocks."""
+    """Counts of exact, wrong, undetected, beyond-radius and reported blocks,
+    and the candidates examined over all of them."""
     rng = random.Random(seed)
-    exact = wrong = undetected = beyond = reported = 0
+    exact = wrong = undetected = beyond = reported = examined = 0
     for _ in range(trials):
         key = random_cipher_key(rng, n_lo=n_lo, n_hi=n_hi)
         p = random_plaintext(rng, alphabet_size=bound)
         pkg = encrypt(p, key, emit_column_ratio=with_ratio, ratio_digits=digits)
         bad, _ = corrupt_package(pkg, CorruptionSpec(mode, seed=rng.randrange(2**30)))
         report = correct(bad, key, plaintext_bound=bound)
+        examined += report.candidates_examined
         if not report.success:
             reported += 1
         elif report.repaired == pkg.c:
@@ -56,7 +60,7 @@ def run_trials(mode, trials, seed, with_ratio, digits, n_lo, n_hi, bound):
             moved = distance(report.repaired, bad.c)
             undetected += moved == 0
             beyond += 0 < moved < distance(pkg.c, bad.c)
-    return exact, wrong, undetected, beyond, reported
+    return exact, wrong, undetected, beyond, reported, examined
 
 
 def main() -> int:
@@ -87,15 +91,15 @@ def main() -> int:
         label = "with transmitted ratio" if with_ratio else "determinant check only"
         print(f"\n--- {label} ---")
         print(f"{'class':14s} {'exact':>7s} {'wrong':>7s} {'undetected':>11s} "
-              f"{'beyond-radius':>14s} {'reported':>9s} {'rate':>8s}")
+              f"{'beyond-radius':>14s} {'reported':>9s} {'rate':>8s} {'candidates':>11s}")
         for mode in CLASSES:
-            exact, wrong, undetected, beyond, reported = run_trials(
+            exact, wrong, undetected, beyond, reported, examined = run_trials(
                 mode, args.trials, args.seed, with_ratio,
                 args.ratio_digits, args.n_lo, args.n_hi, args.bound,
             )
             rate = exact / args.trials
             print(f"{mode:14s} {exact:>7d} {wrong:>7d} {undetected:>11d} "
-                  f"{beyond:>14d} {reported:>9d} {rate:>8.1%}")
+                  f"{beyond:>14d} {reported:>9d} {rate:>8.1%} {examined / args.trials:>11.2f}")
             if with_ratio and wrong:
                 wrong_with_ratio.append(mode)
     if wrong_with_ratio:

@@ -392,8 +392,11 @@ def _verdict(
     grid, then the bound.  _row_plaintext answers None only for a row that
     is not integral or is negative, so a block with an unsolved row is
     NonIntegralPlaintext at the first entry of C·adj M that det does not
-    divide, else NegativePlaintext.  Only unsolved rows are reduced mod det
-    (residues, so no big product): a solved row's entries are divisible.
+    divide, else NegativePlaintext.  Only unsolved rows are tested, since a
+    solved row's entries are divisible.  Each is reduced mod det and
+    multiplied by the per-key residues of adj M mod det
+    (CodingMatrix.adj_residues), so no big product is formed and adj M is
+    reduced once per key, not once per block.
     """
     c = pkg.c
     rows = _package_rows(c, cm)
@@ -413,8 +416,7 @@ def _verdict(
         if bound is not None and max(entries) >= bound:
             return UnknownSymbol(f"plaintext entry {max(entries)} is not below the bound {bound}")
         return entries
-    det = cm.det
-    j11, j12, j21, j22 = (j % det for j in cm.adj)
+    det, (j11, j12, j21, j22) = cm.det, cm.adj_residues
     for i, (c1, c2) in enumerate(c.rows()):
         if rows[i] is None:
             c1, c2 = c1 % det, c2 % det

@@ -30,6 +30,16 @@ logs and decides it.  A line that nothing bounds, or that holds more than
 MAX_CANDIDATES points, is never scanned: its class is reported
 (column-ratio-missing for a row with neither a grid nor a bound), and the
 weight that holds it is ambiguous, since that class cannot be ruled out.
+
+The one-point rule: a kept-entry line steps x by m = |M[1][j]| / gcd of
+column j (CodingMatrix.column_lines), so with a bound and m >= bound it
+holds at most one box point.  When both columns' lines are one-point and a
+received row is intact in the box, that row is the one box point of each
+of its lines, and it changes no entry; an across-row class changes one
+entry of each row, so none can hold a candidate.  correct then skips the
+two top-row line solves and the meets of those four classes, which still
+log no-pair-candidate in their order.  candidates_examined counts the
+solves and det-line points actually made, so a skipped class adds none.
 """
 
 from __future__ import annotations
@@ -183,7 +193,11 @@ def _settle(classes, none: str, found: list, unscanned: dict, log: list, examine
     """Log each class examined at one weight (none: the entry of a class with
     no candidate) and decide the weight: the report of its one passing
     candidate, or of the tie or unscanned class that makes it ambiguous;
-    else None.  found holds (block, class, position) per passing candidate."""
+    else None, at once when the weight found nothing and scanned every
+    class.  found holds (block, class, position) per passing candidate."""
+    if not found and not unscanned:
+        log += [(cls, none) for cls in classes]
+        return None
     blocked = ", ".join([cls for cls in classes if cls in unscanned]) if unscanned else ""
     holding = [cls for _, cls, _ in found]
     if len(found) > 1:
@@ -219,7 +233,11 @@ def correct(
     block is then ambiguous whatever else it holds; _settle then logs it.
     Its residual_failure names the tying classes, then the unscanned ones;
     a class holding the weight's only candidate logs the unscanned ones.
-    candidates_examined counts the solves and the listed det-line points.
+    Beside a row intact in the box, the one-point rule (module docstring)
+    skips the across-row classes when both columns' kept-entry lines are
+    one-point at the bound; that check runs only for a block that reaches
+    weight 2 with an intact row.  candidates_examined counts the solves
+    and the listed det-line points actually made.
     """
     if plaintext_bound is not None:
         _require_int("plaintext_bound", plaintext_bound)
@@ -303,8 +321,13 @@ def correct(
         return report
 
     # weight 2: a top-row line point and the bottom row solved against its
-    # own line and det P, class by class; then a row on its det-P line
-    top_lines = line(0, 0), line(0, 1)
+    # own line and det P, class by class; then a row on its det-P line.
+    # The one-point rule leaves the across-row classes no line points.
+    one_point = False
+    if bound is not None and intact != (None, None):
+        (_, m0, _), (_, m1, _) = cm.column_lines
+        one_point = m0 is not None and m1 is not None and min(m0, m1) >= bound
+    top_lines = ((), ()) if one_point else (line(0, 0), line(0, 1))
     for k, cls in enumerate(_PAIRS):
         if cls in _KEPT:
             j0, j1, changed = _KEPT[cls]

@@ -70,10 +70,6 @@ class Mat2:
         """The four entries, so pickles and copies carry no remembered plaintext rows."""
         return {"a11": self.a11, "a12": self.a12, "a21": self.a21, "a22": self.a22}
 
-    @classmethod
-    def identity(cls) -> "Mat2":
-        return cls(1, 0, 0, 1)
-
     def rows(self):
         return ((self.a11, self.a12), (self.a21, self.a22))
 
@@ -103,7 +99,7 @@ class Mat2:
         _require_int("exponent", n)
         if n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Mat2.identity()
+        result = Mat2(1, 0, 0, 1)
         base = self
         while n:
             if n & 1:
@@ -208,10 +204,12 @@ class CodingMatrix:
     (c1, c2) = (x, y) @ M(n), and lim = min(A(n+1), B(n+1)) << FORWARD_BITS:
     M(n) >= 0, so a non-negative row with first entry c1 < lim has both
     entries below 2^FORWARD_BITS.  It is None when det is 0 or the largest
-    entry has at most FORWARD_MIN_BITS bits.  column_lines, built on first
-    use by correct, is the per-key table of the lines that keep one entry of
-    a received row: per column, its gcd, the step of x along the line and
-    the modular inverse that finds the line's first point.
+    entry has at most FORWARD_MIN_BITS bits.  Two per-key values are built
+    on first use by a block that is not intact.  column_lines, read by
+    correct, is the table of the lines that keep one entry of a received
+    row: per column, its gcd, the step of x along the line and the modular
+    inverse that finds the line's first point.  adj_residues, read by
+    cipher._verdict, is the adjugate mod det.
     """
 
     matrix: Mat2
@@ -230,6 +228,16 @@ class CodingMatrix:
         """
         m11, m12, m21, m22 = self.matrix.entries()
         return line_step(m11, m21), line_step(m12, m22)
+
+    @cached_property
+    def adj_residues(self) -> tuple[int, int, int, int]:
+        """The adjugate's row-major entries mod det: what cipher._verdict
+        reduces a row of C against to name the first entry of C @ adj(M(n))
+        that det does not divide.  Built on first use, once per key, so a
+        block that fails pays no big-int reduction of adj(M(n)).
+        """
+        det = self.det
+        return tuple(j % det for j in self.adj)
 
 
 def line_step(a: int, b: int) -> tuple[int, int | None, int | None]:

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import hashlib
+import itertools
 import math
 import random
 
@@ -395,6 +397,27 @@ class TestRow:
         assert report.ambiguous and report.candidates_examined == 2
         assert report.residual_failure == "ambiguous: candidate repairs tie in row-bottom"
 
+    def test_row_bottom_beside_an_intact_top_row_solves_no_across_row_class(self):
+        # at n = 100 both columns step x by far more than 256, so every
+        # kept-entry line holds at most one box point and, beside the intact
+        # top row, the four across-row classes cannot hold a candidate: they
+        # are logged with no solve, and only the three det-P line points of
+        # the bottom row are examined (seven with the four meets' solves)
+        rng = random.Random(1)
+        key = random_cipher_key(rng, n_lo=100, n_hi=100)
+        assert min(m for _, m, _ in key.coding_matrix.column_lines) >= 256
+        pkg = encrypt(random_plaintext(rng, alphabet_size=256), key, emit_column_ratio=True)
+        bad, _ = corrupt_package(pkg, CorruptionSpec("row_bottom", seed=rng.randrange(2**30)))
+        report = correct(bad, key, plaintext_bound=256)
+        assert report.assumed_class is ErrorClass.ROW_BOTTOM and report.repaired == pkg.c
+        assert report.candidates_examined == 3
+        assert report.attempts[1:] == (
+            ("single", "no-single-candidate"), ("diagonal", "no-pair-candidate"),
+            ("anti-diagonal", "no-pair-candidate"), ("column-left", "no-pair-candidate"),
+            ("column-right", "no-pair-candidate"), ("row-top", "no-pair-candidate"),
+            ("row-bottom", "repaired"),
+        )
+
     def test_bounds_leave_ten_candidates(self):
         # alphabet-derived bounds alone keep k = 0..9 feasible: not decisive
         feasible = _points(172, -450, 176, 2226, (0, 1, 0, 850))
@@ -643,19 +666,31 @@ def test_candidate_needs_no_second_solve(family, n, bound):
 # the repair, several are a tie, none is no repair.
 
 
+@functools.lru_cache(maxsize=16)
+def box_rows(cm, bound):
+    """Every P-row (x, y) in the box with its ciphertext row (x, y) @ M(n)."""
+    m11, m12, m21, m22 = cm.matrix.entries()
+    return tuple(((x, y), (x * m11 + y * m21, x * m12 + y * m22))
+                 for x in range(bound) for y in range(bound))
+
+
+@functools.lru_cache(maxsize=4096)
+def rows_by_distance(cm, bound, c1, c2):
+    """Per distance d = 0, 1, 2: the box_rows whose ciphertext row is at
+    distance d from (c1, c2).  Cached, since many received blocks share a
+    row; the caller only reads it."""
+    split = ([], [], [])
+    for p, row in box_rows(cm, bound):
+        split[(row[0] != c1) + (row[1] != c2)].append((p, row))
+    return split
+
+
 def oracle_codewords(pkg, key, bound):
     cm = key.coding_matrix
-    m11, m12, m21, m22 = cm.matrix.entries()
-    e = pkg.c.entries()
+    c11, c12, c21, c22 = pkg.c.entries()
     grid = grid_of(pkg)
     # by_distance[i][d]: the P-rows whose ciphertext row is at distance d from row i of C
-    by_distance = ([[], [], []], [[], [], []])
-    for x in range(bound):
-        for y in range(bound):
-            row = (x * m11 + y * m21, x * m12 + y * m22)
-            for i in (0, 1):
-                distance = (row[0] != e[2 * i]) + (row[1] != e[2 * i + 1])
-                by_distance[i][distance].append(((x, y), row))
+    by_distance = rows_by_distance(cm, bound, c11, c12), rows_by_distance(cm, bound, c21, c22)
     for weight in range(3):
         found = set()
         for d0 in range(weight + 1):
@@ -764,6 +799,43 @@ class TestPairAgainstBruteForce:
             outcome = (i % 2 == 0, oracle_outcome(pkg, bad, key, 26))
             tally[outcome] = tally.get(outcome, 0) + 1
         assert tally == self.FAMILIES[family]
+
+
+# Every change of the one-point test: each row moved by +-1 or +-2 on both
+# entries, and each entry moved alone by the same deltas.
+DELTAS = (-2, -1, 1, 2)
+ONE_POINT_CHANGES = [
+    *(((0, dx), (1, dy)) for dx in DELTAS for dy in DELTAS),
+    *(((2, dx), (3, dy)) for dx in DELTAS for dy in DELTAS),
+    *(((k, d),) for k in range(4) for d in DELTAS),
+]
+
+
+@pytest.mark.parametrize("family,n,bound,one_point", [
+    ("golden", 5, 3, True), ("golden", 7, 3, True), ("golden", 10, 3, True),
+    ("cat", 3, 4, True), ("cat", 4, 4, True),
+    ("golden", 3, 3, False),  # M(3) = [[3, 2], [2, 1]]: column 0 steps x by 2
+])
+def test_one_point_rule_loses_no_candidate(family, n, bound, one_point):
+    """correct skips the across-row classes beside an intact row when both
+    columns' kept-entry lines hold at most one box point: the oracle must
+    agree on every block in the box, every row change and every single
+    change, with and without a 2-digit column ratio."""
+    key = CipherKey.golden(n) if family == "golden" else CipherKey.arnolds_cat(n)
+    assert all(m is not None and m >= bound for _, m, _ in key.coding_matrix.column_lines) \
+        == one_point
+    tally = {}
+    for block in itertools.product(range(bound), repeat=4):
+        for with_ratio in (False, True):
+            pkg = encrypt(PlaintextMatrix(Mat2(*block)), key, emit_column_ratio=with_ratio)
+            for change in ONE_POINT_CHANGES:
+                e = list(pkg.c.entries())
+                for k, d in change:
+                    e[k] += d
+                bad = CipherPackage(Mat2(*e), pkg.det_p, pkg.column_ratio)
+                outcome = oracle_outcome(pkg, bad, key, bound)
+                tally[outcome] = tally.get(outcome, 0) + 1
+    assert tally["exact"] > 0 and tally["ambiguous"] > 0
 
 
 class TestPipeline:
@@ -1083,17 +1155,23 @@ def test_unsolved_rows_name_the_error_of_all_four_residues(u, seed, n):
 class TestRecordedOutcomes:
     """Repair outcomes on seeded corpora, pinned to the values the code gave
     when they were recorded.  A change to correction that moves any of them
-    must say which outcomes it changed, and why, before updating these."""
+    must say which outcomes it changed, and why, before updating these.
+    Per corpus, DIGEST hashes the report fields its test lists, OUTCOMES the
+    same fields but candidates_examined, and EXAMINED totals that count, so
+    a change that only examines fewer candidates moves DIGEST and EXAMINED
+    and must leave OUTCOMES as it is."""
 
     TALLY = {
         "single": 73, "diagonal": 76, "anti-diagonal": 69, "column-left": 84,
         "column-right": 56, "row-top": 65, "row-bottom": 86, "ambiguous": 3,
     }
-    DIGEST = "1caf1f1c89ec73dda0c1d1375ec8c5756ac1f38e41abeb120d7b6dce9af9f987"
+    DIGEST = "4f309a44e353add48522eba1617e16ce0658ceec23bbf8935039eaf5c38bc6b9"
+    OUTCOMES = "efd3dcd07529a94bcf459e216a3f709b220b2f06b7f06cd19c8987d0c68041e1"
+    EXAMINED = 1_181
 
     def test_random_n100_corpus(self):
         rng = random.Random(100)
-        digest, tally = hashlib.sha256(), {}
+        digest, outcomes, tally, examined = hashlib.sha256(), hashlib.sha256(), {}, 0
         for _ in range(64):
             key = random_cipher_key(rng, n_lo=100, n_hi=100)
             for _ in range(8):
@@ -1101,28 +1179,35 @@ class TestRecordedOutcomes:
                               emit_column_ratio=True)
                 bad, _ = corrupt_package(pkg, CorruptionSpec("random", seed=rng.randrange(2**30)))
                 r = correct(bad, key, plaintext_bound=256)
-                digest.update(repr((
+                fields = (
                     r.assumed_class.value, r.candidates_examined,
                     r.repaired and r.repaired.entries(), r.residual_failure, r.ambiguous,
                     r.attempts,
-                )).encode())
+                )
+                digest.update(repr(fields).encode())
+                outcomes.update(repr(fields[:1] + fields[2:]).encode())
+                examined += r.candidates_examined
                 outcome = r.assumed_class.value if r.success else (
                     "ambiguous" if r.ambiguous else "uncorrectable")
                 tally[outcome] = tally.get(outcome, 0) + 1
         assert tally == self.TALLY
+        assert outcomes.hexdigest() == self.OUTCOMES
+        assert examined == self.EXAMINED
         assert digest.hexdigest() == self.DIGEST
 
     # The same fields over small keys: golden n 1..10, cat n 1..6 and the tiny
     # keys of TestPairAgainstBruteForce, at bounds None, 3 and 26, without a
     # column ratio and with 2 digits, in each of the seven corruption modes.
-    SMALL_DIGEST = "6537fbef7a61f877c211bdcffffaa9c1de430df8f95d2579b8c28e2a8b2539d9"
+    SMALL_DIGEST = "669ac0a8fae05c92334f840a996415920e27d7a8199c79431fe502bb03932683"
+    SMALL_OUTCOMES = "deadf75b8da84e5f994fd58a218f92161698a5a6e8d590490742071adcd99b37"
+    SMALL_EXAMINED = 12_678
 
     def test_small_key_corpus(self):
         rng = random.Random(110)
         keys = [CipherKey.golden(n) for n in range(1, 11)]
         keys += [CipherKey.arnolds_cat(n) for n in range(1, 7)]
         keys += [tiny_key(rng, rng.randint(1, 3)) for _ in range(24)]
-        digest, seen = hashlib.sha256(), set()
+        digest, outcomes, seen, examined = hashlib.sha256(), hashlib.sha256(), set(), 0
         for k, key in enumerate(keys):
             tiny = k >= 16
             for bound in (None, 3, 26):
@@ -1133,11 +1218,14 @@ class TestRecordedOutcomes:
                                       emit_column_ratio=with_ratio)
                         bad, _ = corrupt_package(pkg, CorruptionSpec(mode, rng.randrange(2**30)))
                         r = correct(bad, key, plaintext_bound=bound)
-                        digest.update(repr((
+                        fields = (
                             r.assumed_class.value, r.candidates_examined,
                             r.repaired and r.repaired.entries(), r.position,
                             r.residual_failure, r.ambiguous, r.attempts,
-                        )).encode())
+                        )
+                        digest.update(repr(fields).encode())
+                        outcomes.update(repr(fields[:1] + fields[2:]).encode())
+                        examined += r.candidates_examined
                         seen.update(reason for _, reason in r.attempts)
                         # weight 2 opens with the diagonal class, whose top rows are the
                         # points of the line keeping c12; a weight-2 tie that logs fewer
@@ -1150,4 +1238,6 @@ class TestRecordedOutcomes:
                             seen.add("stopped tie")
         assert {"multi-point line", "search-range-too-wide", "column-ratio-missing",
                 "stopped tie"} <= seen
+        assert outcomes.hexdigest() == self.SMALL_OUTCOMES
+        assert examined == self.SMALL_EXAMINED
         assert digest.hexdigest() == self.SMALL_DIGEST
