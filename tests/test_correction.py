@@ -912,6 +912,8 @@ class TestPipeline:
         ("antidiagonal", ErrorClass.ANTI_DIAGONAL),
         ("column_left", ErrorClass.COLUMN_LEFT),
         ("column_right", ErrorClass.COLUMN_RIGHT),
+        ("row_top", ErrorClass.ROW_TOP),
+        ("row_bottom", ErrorClass.ROW_BOTTOM),
     ])
     def test_seeded_class_trials(self, mode, klass):
         import zlib
@@ -923,10 +925,13 @@ class TestPipeline:
             key = random_cipher_key(rng, n_lo=4, n_hi=24)
             p = random_plaintext(rng)
             pkg = encrypt(p, key, emit_column_ratio=True)
-            bad, _ = corrupt_package(pkg, CorruptionSpec(mode, seed=rng.randrange(2**30)))
+            bad, diff = corrupt_package(pkg, CorruptionSpec(mode, seed=rng.randrange(2**30)))
             report = correct(bad, key, plaintext_bound=26)
             if report.success:
                 assert report.repaired == pkg.c, "accepted repair must match the original"
+                assert report.assumed_class is klass
+                if klass is ErrorClass.SINGLE:
+                    assert report.position == diff.entries[0][0]
                 exact += 1
         assert exact >= trials * 0.97
 
@@ -1165,8 +1170,8 @@ class TestRecordedOutcomes:
         "single": 73, "diagonal": 76, "anti-diagonal": 69, "column-left": 84,
         "column-right": 56, "row-top": 65, "row-bottom": 86, "ambiguous": 3,
     }
-    DIGEST = "4f309a44e353add48522eba1617e16ce0658ceec23bbf8935039eaf5c38bc6b9"
-    OUTCOMES = "efd3dcd07529a94bcf459e216a3f709b220b2f06b7f06cd19c8987d0c68041e1"
+    DIGEST = "16d3642f44920301c3241e51b0bb5c790e25735c5cc10bcd04830bd5d36c93f9"
+    OUTCOMES = "b192af0631da6217b805a85bed418565bc086c7f2c3c00849646457035eab8c1"
     EXAMINED = 1_181
 
     def test_random_n100_corpus(self):
@@ -1181,8 +1186,8 @@ class TestRecordedOutcomes:
                 r = correct(bad, key, plaintext_bound=256)
                 fields = (
                     r.assumed_class.value, r.candidates_examined,
-                    r.repaired and r.repaired.entries(), r.residual_failure, r.ambiguous,
-                    r.attempts,
+                    r.repaired and r.repaired.entries(), r.position, r.residual_failure,
+                    r.ambiguous, r.attempts,
                 )
                 digest.update(repr(fields).encode())
                 outcomes.update(repr(fields[:1] + fields[2:]).encode())
