@@ -3,20 +3,26 @@
 Row i of C is row i of P times M(n).  The receiver holds M(n), det P
 (transmitted in clear) and optionally a rounded column ratio, so a received
 row has three kinds of candidate P-row, all inside the box [0, bound)^2, or
-the non-negative quadrant without an alphabet bound:
+the non-negative quadrant without an alphabet bound, each named by what the
+row keeps of its received entries:
 
-  * intact: the row times adj M / det M, if integral and in the box; at most one;
-  * entry j kept: a point of the line x*M[0][j] + y*M[1][j] = c_ij;
-  * both entries wrong: a point of the det-P line through the other row.
+  * 2, both: the intact row, R adj M / det M if integral and in the box;
+  * j, entry j: a point of the line x*M[0][j] + y*M[1][j] = c_ij;
+  * None, neither: a point of the det-P line through the other row.
 
-A candidate block sits at the Hamming weight of its change to C:
+A change pattern is the pair (top keeps, bottom keeps), and its candidates
+sit at the Hamming weight of their change to C.  _TABLE lists the 10
+patterns covered, per weight and in log order:
 
-  * weight 1 (single): an intact row and a one-entry line of the other row,
-    meeting the det-P line in one solve;
-  * weight 2 across rows (diagonal, anti-diagonal, columns): a line point of
-    the top row, with the bottom row solved against its own line and det P;
-  * weight 2 within a row (rows): an intact row and the det-P line of the
-    other, cut to a k-interval by the box and the column-ratio grid.
+  * weight 1, single: (0, 2), (1, 2), (2, 0) and (2, 1);
+  * weight 2: diagonal (1, 0), anti-diagonal (0, 1), column-left (1, 1),
+    column-right (0, 0), row-top (None, 2) and row-bottom (2, None).
+
+The four weight-3 patterns and the weight-4 one are not covered.  One loop
+reads the table: per pattern it lists the anchor row's points (the intact
+row, else a top-row line's points) and solves the other row beside each,
+its kept entry's line meeting the det-P line in one solve, or its det-P
+line cut to a k-interval by the box and the column-ratio grid.
 
 Every candidate must be intact, as decryption asks, and sit at exactly its
 weight, which four entry comparisons with C check.  A candidate is built as
@@ -24,12 +30,12 @@ rows @ M(n) from P-rows inside the box, and M(n) is invertible, so solving
 it would only give those rows back: it is intact when cipher._checked (det
 P and the column-ratio grid) passes on them.  The decoder decides at the
 lowest weight with a passing candidate: one is the repair, several are
-ambiguity, whatever their classes.  Each weight is one scan of plain loops
-over its classes that stops at its second passing candidate; _settle then
-logs and decides it.  A line that nothing bounds, or that holds more than
-MAX_CANDIDATES points, is never scanned: its class is reported
-(column-ratio-missing for a row with neither a grid nor a bound), and the
-weight that holds it is ambiguous, since that class cannot be ruled out.
+ambiguity, whatever their classes.  The loop stops a weight at its second
+passing candidate; _settle then logs and decides it.  A line that nothing
+bounds, or that holds more than MAX_CANDIDATES points, is never scanned:
+its class is reported (column-ratio-missing for a row with neither a grid
+nor a bound), and the weight that holds it is ambiguous, since that class
+cannot be ruled out.
 
 The one-point rule: a kept-entry line steps x by m = |M[1][j]| / gcd of
 column j (CodingMatrix.column_lines), so with a bound and m >= bound it
@@ -69,16 +75,26 @@ class ErrorClass(Enum):
 # The decoder names classes by their ErrorClass values, since an Enum member
 # hashes in Python code and a str in C; _CLASS maps each value to its member.
 _CLASS = {cls.value: cls for cls in ErrorClass}
-# A candidate's change is four flags over C's row-major entries, True where it
-# differs.  Per weight-1 candidate: the row i it solves, the entry j it keeps.
-_SINGLES = tuple((i, j, tuple(k == 2 * i + 1 - j for k in range(4)))
-                 for i in (0, 1) for j in (0, 1))
-# Per weight-2 class across rows: the entries (j0, j1) its top and bottom row
-# keep, and its change; then the row classes, each changing its row whole.
-_KEPT = {cls: (j0, j1, (j0 == 1, j0 == 0, j1 == 1, j1 == 0)) for cls, j0, j1 in (
-    ("diagonal", 1, 0), ("anti-diagonal", 0, 1), ("column-left", 1, 1), ("column-right", 0, 0))}
-_PAIRS = (*_KEPT, "row-top", "row-bottom")
-_ROW_CHANGE = ((True, True, False, False), (False, False, True, True))
+# The change patterns (module docstring) per weight, in log order: the log
+# entry of a class with no candidate, then (class, top keeps, bottom keeps).
+_WEIGHTS = (
+    ("no-single-candidate", (
+        ("single", 0, 2), ("single", 1, 2), ("single", 2, 0), ("single", 2, 1))),
+    ("no-pair-candidate", (
+        ("diagonal", 1, 0), ("anti-diagonal", 0, 1), ("column-left", 1, 1),
+        ("column-right", 0, 0), ("row-top", None, 2), ("row-bottom", 2, None))),
+)
+# Per pattern, what correct reads: the class; where the anchor row's points
+# come from, the intact row a (0 or 1) or the line of the top row keeping
+# entry j (2 + j); the other row i and what it keeps; the change (four flags
+# over C's row-major entries, True where it differs); and the classes logged
+# if the weight stops there.
+_TABLE = tuple((none, tuple(
+    (cls, a if keeps[a] == 2 else 2 + keeps[a], 1 - a, keeps[1 - a],
+     tuple(k not in (2, j) for k in keeps for j in (0, 1)),
+     tuple(dict.fromkeys(c for c, *_ in patterns[:n + 1])))
+    for n, (cls, *keeps) in enumerate(patterns) for a in [int(keeps[1] == 2)]))
+    for none, patterns in _WEIGHTS)
 
 
 @dataclass(frozen=True)
@@ -194,7 +210,8 @@ def _settle(classes, none: str, found: list, unscanned: dict, log: list, examine
     no candidate) and decide the weight: the report of its one passing
     candidate, or of the tie or unscanned class that makes it ambiguous;
     else None, at once when the weight found nothing and scanned every
-    class.  found holds (block, class, position) per passing candidate."""
+    class.  found holds (block, class, change) per passing candidate; a
+    single's position is the one entry its change flags."""
     if not found and not unscanned:
         log += [(cls, none) for cls in classes]
         return None
@@ -212,7 +229,8 @@ def _settle(classes, none: str, found: list, unscanned: dict, log: list, examine
     if reason is not None:
         return CorrectionReport(ErrorClass.NONE, examined, None, None, reason, True, tuple(log))
     if found:
-        ((block, cls, position),) = found
+        ((block, cls, changed),) = found
+        position = divmod(changed.index(True), 2) if cls == "single" else None
         return CorrectionReport(_CLASS[cls], examined, block, position, None, False, tuple(log))
     return None
 
@@ -228,16 +246,17 @@ def correct(
     entry, and one entry follows per class examined, in ErrorClass order,
     weight by weight.  The classes reuse the received rows that solve
     inside the box (cipher._package_rows keeps them on the received C,
-    never on a repaired one).  Each weight is one scan of plain loops over
-    its classes, which stops at its second passing candidate, since the
-    block is then ambiguous whatever else it holds; _settle then logs it.
+    never on a repaired one).  One loop reads the pattern table (module
+    docstring) weight by weight and stops a weight at its second passing
+    candidate, since the block is then ambiguous whatever else it holds;
+    _settle then logs it with the classes read so far.
     Its residual_failure names the tying classes, then the unscanned ones;
     a class holding the weight's only candidate logs the unscanned ones.
     Beside a row intact in the box, the one-point rule (module docstring)
     skips the across-row classes when both columns' kept-entry lines are
-    one-point at the bound; that check runs only for a block that reaches
-    weight 2 with an intact row.  candidates_examined counts the solves
-    and the listed det-line points actually made.
+    one-point at the bound; that check runs once, at the block's first
+    across-row pattern, and only with an intact row.  candidates_examined
+    counts the solves and the listed det-line points actually made.
     """
     if plaintext_bound is not None:
         _require_int("plaintext_bound", plaintext_bound)
@@ -255,7 +274,7 @@ def correct(
     if bound is not None:
         top = None if top is None or top[0] >= bound or top[1] >= bound else top
         bottom = None if bottom is None or bottom[0] >= bound or bottom[1] >= bound else bottom
-    intact = (top, bottom)
+    intact = (() if top is None else (top,), () if bottom is None else (bottom,))
     m11, m12, m21, m22 = cm.matrix.entries()
     columns = ((m11, m21), (m12, m22))
     unscanned: dict[str, str] = {}
@@ -287,7 +306,7 @@ def correct(
         examined += len(points)
         return points
 
-    def passes(cls: str, i: int, p, known, changed, position) -> bool:
+    def passes(cls: str, i: int, p, known, changed) -> bool:
         """Append the block of P with row i = p beside the known other row to
         found if it is intact and changes exactly the entries flagged in
         changed; True once found holds two, which stops the weight."""
@@ -304,63 +323,50 @@ def correct(
         block = Mat2(a11, a12, a21, a22)
         if _checked(block, block_rows, det_p, grid) is None:
             return False
-        found.append((block, cls, position))
+        found.append((block, cls, changed))
         return len(found) > 1
 
-    # weight 1: a row beside the intact other row, on a line keeping one entry
-    for i, j, changed in _SINGLES:
-        known = intact[1 - i]
-        if known is not None:
-            for p in meet("single", i, j, known):
-                if passes("single", i, p, known, changed, (i, 1 - j)):
+    # The top-row lines are built at the block's first across-row pattern,
+    # and the one-point rule leaves them no points.
+    top_lines, stop = None, False
+    for none, patterns in _TABLE:
+        for cls, source, i, keeps, changed, logged in patterns:
+            if source < 2:
+                anchors = intact[source]
+            else:
+                if top_lines is None:
+                    (_, m0, _), (_, m1, _) = cm.column_lines
+                    one_point = bound is not None and intact != ((), ()) and (
+                        None not in (m0, m1) and min(m0, m1) >= bound)
+                    top_lines = ((), ()) if one_point else (line(0, 0), line(0, 1))
+                anchors = top_lines[source - 2]
+                if anchors is None:
+                    unscanned[cls] = "search-range-too-wide"
+                    continue
+            for known in anchors:
+                if keeps is not None:
+                    points = meet(cls, i, keeps, known)
+                elif grid is None and bound is None:
+                    unscanned[cls] = "column-ratio-missing"
                     break
-            if len(found) > 1:
-                break
-    report = _settle(("single",), "no-single-candidate", found, unscanned, attempts, examined)
-    if report is not None:
-        return report
-
-    # weight 2: a top-row line point and the bottom row solved against its
-    # own line and det P, class by class; then a row on its det-P line.
-    # The one-point rule leaves the across-row classes no line points.
-    one_point = False
-    if bound is not None and intact != (None, None):
-        (_, m0, _), (_, m1, _) = cm.column_lines
-        one_point = m0 is not None and m1 is not None and min(m0, m1) >= bound
-    top_lines = ((), ()) if one_point else (line(0, 0), line(0, 1))
-    for k, cls in enumerate(_PAIRS):
-        if cls in _KEPT:
-            j0, j1, changed = _KEPT[cls]
-            if top_lines[j0] is None:
-                unscanned[cls] = "search-range-too-wide"
-                continue
-            for known in top_lines[j0]:
-                for p in meet(cls, 1, j1, known):
-                    if passes(cls, 1, p, known, changed, None):
+                else:
+                    limit = None if grid is None else _grid_limit(i, e, grid, m11, m21)
+                    points = _points(*_det_line(i, known), det_p, bound, limit)
+                    if points is None:
+                        unscanned[cls] = "search-range-too-wide"
                         break
-                if len(found) > 1:
+                for p in points:
+                    examined += keeps is None  # meet counts its own solves
+                    if stop := passes(cls, i, p, known, changed):
+                        break
+                if stop:
                     break
-        else:
-            i = k - len(_KEPT)
-            known = intact[1 - i]
-            if known is None:
-                continue
-            if grid is None and bound is None:
-                unscanned[cls] = "column-ratio-missing"
-                continue
-            limit = None if grid is None else _grid_limit(i, e, grid, m11, m21)
-            points = _points(*_det_line(i, known), det_p, bound, limit)
-            if points is None:
-                unscanned[cls] = "search-range-too-wide"
-                continue
-            for p in points:
-                examined += 1
-                if passes(cls, i, p, known, _ROW_CHANGE[i], None):
-                    break
-        if len(found) > 1:
-            break
-    report = _settle(_PAIRS[:k + 1], "no-pair-candidate", found, unscanned, attempts, examined)
-    return report or CorrectionReport(
+            if stop:
+                break
+        report = _settle(logged, none, found, unscanned, attempts, examined)
+        if report is not None:
+            return report
+    return CorrectionReport(
         ErrorClass.NONE, examined, None, None,
         "uncorrectable: no intact candidate at weight 1 or 2", False, tuple(attempts),
     )
