@@ -17,10 +17,8 @@ from .cipher import (
     PlaintextMatrix,
     VerifyResult,
     VerifyStatus,
-    decode_text,
     decrypt,
     decrypt_message,
-    encode_text,
     encrypt,
     encrypt_message,
     verify_package,

@@ -439,24 +439,6 @@ def _plaintext(pkg: CipherPackage, cm: CodingMatrix) -> tuple[int, int, int, int
     return verdict
 
 
-def encode_text(
-    message, alphabet: Alphabet = Alphabet(), perm=IDENTITY_PERM
-) -> tuple[tuple[PlaintextMatrix, ...], int]:
-    """Split a message into permuted 4-symbol blocks.
-
-    The final short block is padded with symbol index 1 (every alphabet has
-    at least two symbols), so padding never leaves an all-zero row; the pad
-    length is returned so decryption can strip it.
-    """
-    blocks, pad = _encode(message, alphabet, _check_perm(perm))
-    return tuple(PlaintextMatrix(Mat2(*b)) for b in blocks), pad
-
-
-def decode_text(blocks, pad_len: int, alphabet: Alphabet = Alphabet(), perm=IDENTITY_PERM):
-    """Inverse of encode_text: un-permute blocks and strip the final padding."""
-    return _decode((block.p.entries() for block in blocks), pad_len, alphabet, _check_perm(perm))
-
-
 def encrypt(
     p: PlaintextMatrix,
     key: CipherKey,

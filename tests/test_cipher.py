@@ -6,16 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unicipher.cipher import (
+    IDENTITY_PERM,
     Alphabet,
     CipherKey,
     CipherPackage,
     PlaintextMatrix,
     VerifyStatus,
+    _decode,
+    _encode,
     _row_plaintext,
-    decode_text,
     decrypt,
     decrypt_message,
-    encode_text,
     encrypt,
     encrypt_message,
     verify_package,
@@ -34,47 +35,49 @@ from test_kernel import intact
 
 
 class TestEncodeText:
+    """The block kernel's _encode/_decode: row-major entries of permuted 4-symbol blocks."""
+
     def test_math_block(self):
-        blocks, pad = encode_text("MATH")
+        blocks, pad = _encode("MATH", Alphabet(), IDENTITY_PERM)
         assert pad == 0
         assert len(blocks) == 1
-        assert blocks[0].p == Mat2(12, 0, 19, 7)
+        assert Mat2(*blocks[0]) == Mat2(12, 0, 19, 7)
 
     def test_all_zero_block_is_flagged(self):
-        blocks, _ = encode_text("AAAA")
-        assert blocks[0].p == Mat2(0, 0, 0, 0)
+        blocks, _ = _encode("AAAA", Alphabet(), IDENTITY_PERM)
+        assert Mat2(*blocks[0]) == Mat2(0, 0, 0, 0)
 
     def test_padding(self):
         # index 1 pads, so padding never leaves an all-zero row
-        blocks, pad = encode_text("MAT")
+        blocks, pad = _encode("MAT", Alphabet(), IDENTITY_PERM)
         assert pad == 1
-        assert blocks[0].p == Mat2(12, 0, 19, 1)
+        assert Mat2(*blocks[0]) == Mat2(12, 0, 19, 1)
 
     def test_unknown_symbol(self):
         with pytest.raises(UnknownSymbol):
-            encode_text("math!")
+            _encode("math!", Alphabet(), IDENTITY_PERM)
 
     def test_permutation_roundtrip(self):
         perm = (2, 0, 3, 1)
-        blocks, pad = encode_text("HELLOWORLD", perm=perm)
-        assert decode_text(blocks, pad, perm=perm) == "HELLOWORLD"
+        blocks, pad = _encode("HELLOWORLD", Alphabet(), perm)
+        assert _decode(blocks, pad, Alphabet(), perm) == "HELLOWORLD"
 
     def test_permuted_block_layout(self):
         # perm maps block position -> matrix slot (row-major)
-        blocks, _ = encode_text("MATH", perm=(3, 1, 0, 2))
-        assert blocks[0].p == Mat2(19, 0, 7, 12)
+        blocks, _ = _encode("MATH", Alphabet(), (3, 1, 0, 2))
+        assert Mat2(*blocks[0]) == Mat2(19, 0, 7, 12)
 
     def test_bytes_mode(self):
         alphabet = Alphabet.bytes_mode()
-        blocks, pad = encode_text(b"\x00\xff\x10", alphabet)
+        blocks, pad = _encode(b"\x00\xff\x10", alphabet, IDENTITY_PERM)
         assert pad == 1
-        assert blocks[0].p == Mat2(0, 255, 16, 1)
-        assert decode_text(blocks, pad, alphabet) == b"\x00\xff\x10"
+        assert Mat2(*blocks[0]) == Mat2(0, 255, 16, 1)
+        assert _decode(blocks, pad, alphabet, IDENTITY_PERM) == b"\x00\xff\x10"
 
     def test_custom_alphabet(self):
         alphabet = Alphabet("0123456789")
-        blocks, _ = encode_text("2718", alphabet)
-        assert blocks[0].p == Mat2(2, 7, 1, 8)
+        blocks, _ = _encode("2718", alphabet, IDENTITY_PERM)
+        assert Mat2(*blocks[0]) == Mat2(2, 7, 1, 8)
 
     @pytest.mark.parametrize("symbols", [["A", "B"], b"AB", ("A", "B")])
     def test_alphabet_symbols_must_be_a_str(self, symbols):
