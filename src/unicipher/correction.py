@@ -274,6 +274,7 @@ def correct(
     if bound is not None:
         top = None if top is None or top[0] >= bound or top[1] >= bound else top
         bottom = None if bottom is None or bottom[0] >= bound or bottom[1] >= bound else bottom
+    # per row, the anchors it gives as an intact row: itself, or none
     intact = (() if top is None else (top,), () if bottom is None else (bottom,))
     m11, m12, m21, m22 = cm.matrix.entries()
     columns = ((m11, m21), (m12, m22))
