@@ -30,7 +30,8 @@ import json
 import random
 from dataclasses import dataclass
 
-from .cipher import _MAX_DECIMAL_DIGITS, Alphabet, CipherKey, CipherPackage, _ratio_check
+from .cipher import _MAX_DECIMAL_DIGITS, Alphabet, CipherKey, CipherPackage, _package
+from .cipher import _ratio_check
 from .errors import FormatError
 from .matrix import KeyMatrix, Mat2, SeedPair, _require_int
 
@@ -302,7 +303,7 @@ def loads_packages(text: str) -> tuple[CipherPackage, ...]:
                 or len(a21) > MAX_HEX_CHARS or len(a22) > MAX_HEX_CHARS
             ):
                 raise ValueError(_PAST_THE_LIMIT)
-            c = Mat2(int(a11, 16), int(a12, 16), int(a21, 16), int(a22, 16))
+            c11, c12, c21, c22 = int(a11, 16), int(a12, 16), int(a21, 16), int(a22, 16)
             field = "det_p"
             det_p = item["det_p"]
             if len(det_p) > MAX_HEX_CHARS:
@@ -314,7 +315,14 @@ def loads_packages(text: str) -> tuple[CipherPackage, ...]:
                 check = _ratio_check(check)
             field = "framing"
             index = item["block_index"]
-            parsed.append(CipherPackage(c, det_p, check, index, pad if index == last else 0))
+            # the one value _package cannot take on trust: _require_int names
+            # a value that is not an int, and an int that passes it is negative
+            if type(index) is not int or index < 0:
+                _require_int("block_index", index)
+                raise ValueError("block_index must be non-negative")
+            parsed.append(_package(
+                c11, c12, c21, c22, det_p, check, index, pad if index == last else 0
+            ))
         except (KeyError, TypeError, ValueError) as exc:
             detail = f"missing field {exc}" if type(exc) is KeyError else exc
             raise FormatError(f"package {len(parsed)}, {field}: {detail}") from None
@@ -389,9 +397,7 @@ def corrupt_package(
         old = entries[i]
         entries[i] = new = _mutate(old, spec, rng)
         changes.append((pos, old, new))
-    corrupted = CipherPackage(
-        Mat2(*entries), pkg.det_p, pkg.column_ratio, pkg.block_index, pkg.pad_len
-    )
+    corrupted = _package(*entries, pkg.det_p, pkg.column_ratio, pkg.block_index, pkg.pad_len)
     return corrupted, CorruptionDiff(pkg.block_index, mode, tuple(changes))
 
 

@@ -7,6 +7,14 @@ string, does too.  A message's packages are numbered 0..k-1 and only the
 last carries padding; decrypt_message decodes whatever packages it is
 given, in block order, while a package file (channel) holds all k.
 
+Mat2(...) and CipherPackage(...) check every argument, for callers and for
+dataclasses.replace.  The package's own builders (_encrypt_blocks,
+channel.loads_packages and channel.corrupt_package) pass only values they
+have proven, so they build through _package, which checks nothing and
+stores the same fields; the reader still checks block_index itself.  The
+sender rounds c21/c11 half-even to an int q first and takes q's text from a
+bounded memo, so a repeated ratio is formatted once.
+
 Every receiver check reads one solve of P = C @ adj(M(n)) / det M(n):
 _package_rows solves both rows (_row_plaintext: a row if it is integral and
 non-negative, else None) and keeps them on the ciphertext Mat2, so
@@ -43,7 +51,7 @@ from .errors import CheckNumberMismatch, CipherError, FormatError, InvalidKey
 from .errors import NegativePlaintext, NonIntegralPlaintext, UnknownSymbol
 from .matrix import CodingMatrix, KeyMatrix, Mat2, SeedPair, _require_int
 from .matrix import build_coding_matrix
-from .ratios import round_half_even_ratio
+from .ratios import _fixed_point, _round_half_even
 
 IDENTITY_PERM = (0, 1, 2, 3)
 # Cap on transmitted column-ratio digits, so 10**digits stays small on hostile input.
@@ -107,11 +115,14 @@ class Alphabet:
         return out
 
     def render(self, indices) -> str | bytes:
+        """The message of a sequence of indices: bytes() renders byte mode, and
+        only when it refuses is the sequence read again for the index to name."""
         if self.symbols is None:
-            bad = [i for i in indices if not 0 <= i <= 255]
-            if bad:
-                raise UnknownSymbol(f"index {bad[0]} is not a byte value")
-            return bytes(indices)
+            try:
+                return bytes(indices)
+            except ValueError:  # an index outside 0..255
+                bad = next(i for i in indices if not 0 <= i <= 255)
+                raise UnknownSymbol(f"index {bad} is not a byte value") from None
         out = []
         for i in indices:
             if not 0 <= i < len(self.symbols):
@@ -183,6 +194,16 @@ def _ratio_check(value: str) -> ColumnRatioCheck:
     return ColumnRatioCheck(value)
 
 
+# The sender's value text per rounded ratio q = c21 * 10**digits / c11 and
+# digits.  The values repeat as the intern's do, so most blocks skip
+# _fixed_point; maxsize bounds it like the intern.  It holds strings only,
+# for _interned_ratio_check to turn into checks.  A q in 0.._MEMO_Q_LIMIT - 1
+# has at most _MAX_INTERNED_VALUE - 1 digits, so its text, point included,
+# fits the intern.
+_ratio_text = lru_cache(maxsize=4096)(_fixed_point)
+_MEMO_Q_LIMIT = 10 ** (_MAX_INTERNED_VALUE - 1)
+
+
 @dataclass(frozen=True)
 class CipherPackage:
     """Ciphertext block plus its check numbers and framing.
@@ -223,6 +244,27 @@ class CipherPackage:
             "c": c, "det_p": det_p, "column_ratio": column_ratio,
             "block_index": block_index, "pad_len": pad_len,
         })
+
+
+# Bound once: looking both up on object costs _package about 0.1 us a call.
+_object_new, _object_setattr = object.__new__, object.__setattr__
+
+
+def _package(c11, c12, c21, c22, det_p, check, index, pad) -> CipherPackage:
+    """CipherPackage(Mat2(c11, c12, c21, c22), det_p, check, index, pad), checking nothing.
+
+    For the package's own builders, whose every value is already proven:
+    exact ints, check a ColumnRatioCheck or None, index >= 0 and pad in
+    0..3.  Each object gets the __dict__ its __init__ would store, so
+    equality, hash, repr, pickle and copy cannot tell the two apart.
+    """
+    c = _object_new(Mat2)
+    _object_setattr(c, "__dict__", {"a11": c11, "a12": c12, "a21": c21, "a22": c22})
+    pkg = _object_new(CipherPackage)
+    _object_setattr(pkg, "__dict__", {
+        "c": c, "det_p": det_p, "column_ratio": check, "block_index": index, "pad_len": pad,
+    })
+    return pkg
 
 
 @dataclass(frozen=True)
@@ -286,10 +328,15 @@ def _decode(blocks, pad_len: int, alphabet: Alphabet, perm):
 def _encrypt_blocks(
     blocks, cm: CodingMatrix, emit_column_ratio: bool, ratio_digits: int, pad_len: int
 ) -> tuple[CipherPackage, ...]:
-    """C = P @ M(n) per block, numbered from 0; the last block carries pad_len."""
-    _require_int("digits", ratio_digits)
+    """C = P @ M(n) per block, numbered from 0; the last block carries pad_len.
+
+    The column ratio is q = c21 * 10**ratio_digits / c11 rounded half-even
+    to an int, its text from the _ratio_text memo when 0 <= q < _MEMO_Q_LIMIT.
+    """
+    _require_int("ratio_digits", ratio_digits)
     if not 0 <= ratio_digits <= MAX_RATIO_DIGITS:
-        raise ValueError(f"digits must be in 0..{MAX_RATIO_DIGITS}, got {ratio_digits}")
+        raise ValueError(f"ratio_digits must be in 0..{MAX_RATIO_DIGITS}, got {ratio_digits}")
+    scale = 10**ratio_digits
     m11, m12, m21, m22 = cm.matrix.entries()
     last = len(blocks) - 1
     packages = []
@@ -300,13 +347,14 @@ def _encrypt_blocks(
         c22 = p21 * m12 + p22 * m22
         check = None
         if emit_column_ratio and c11:
-            check = _ratio_check(round_half_even_ratio(c21, c11, ratio_digits))
-        packages.append(
-            CipherPackage(
-                Mat2(c11, c12, c21, c22), p11 * p22 - p12 * p21, check, i,
-                pad_len if i == last else 0,
-            )
-        )
+            q = _round_half_even(c21 * scale, c11)
+            if 0 <= q < _MEMO_Q_LIMIT:
+                check = _interned_ratio_check(_ratio_text(q, ratio_digits))
+            else:  # a text too long for the memo and the intern
+                check = _ratio_check(_fixed_point(q, ratio_digits))
+        packages.append(_package(
+            c11, c12, c21, c22, p11 * p22 - p12 * p21, check, i, pad_len if i == last else 0
+        ))
     return tuple(packages)
 
 

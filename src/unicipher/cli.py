@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import channel
 from .attacks import EncryptionOracle, attack_golden, attack_k_golden
-from .cipher import _MAX_DECIMAL_DIGITS, Alphabet, CipherKey, SeedPair
+from .cipher import _MAX_DECIMAL_DIGITS, MAX_RATIO_DIGITS, Alphabet, CipherKey, SeedPair
 from .cipher import decrypt_message, encrypt_message, verify_package
 from .correction import ErrorClass, correct
 from .errors import CipherError, NoMatchInBounds, NotGoldenOracle
@@ -101,17 +101,25 @@ def _load_key(path: str):
     return channel.loads_key(_read(path))
 
 
+def _stdin_message(alphabet: Alphabet) -> str:
+    """stdin's text less one trailing line ending (CR LF or LF) that the
+    alphabet has no symbol for, so a text message `decrypt` prints reads back in."""
+    text = _read("-")
+    if alphabet.symbols is not None:
+        for newline in ("\r\n", "\n"):
+            if text.endswith(newline) and not any(ch in alphabet.symbols for ch in newline):
+                return text[: -len(newline)]
+    return text
+
+
 def _cmd_encrypt(args) -> int:
     key, alphabet = _load_key(args.key)
-    message = _read("-") if args.infile == "-" else args.infile
+    message = _stdin_message(alphabet) if args.infile == "-" else args.infile
     emit = args.emit_column_ratio or args.ratio_digits is not None  # --ratio-digits implies it
     digits = 2 if args.ratio_digits is None else args.ratio_digits
-    try:
-        packages = encrypt_message(
-            message, key, alphabet, emit_column_ratio=emit, ratio_digits=digits
-        )
-    except ValueError as exc:  # digits outside the library's range
-        raise CipherError(str(exc)) from None
+    if not 0 <= digits <= MAX_RATIO_DIGITS:
+        raise CipherError(f"--ratio-digits must be in 0..{MAX_RATIO_DIGITS}, got {digits}")
+    packages = encrypt_message(message, key, alphabet, emit_column_ratio=emit, ratio_digits=digits)
     _write(args.out, channel.dumps_packages(packages))
     return 0
 

@@ -192,22 +192,24 @@ def exponential_rate(errors: Sequence[float]) -> float:
 
 
 def round_half_even_ratio(num: int, den: int, digits: int) -> str:
-    """num/den rounded half-even to `digits` places, as a fixed-point decimal string.
-
-    Exact integer rounding: the floor quotient of num * 10**digits by den
-    moves up when twice the remainder exceeds den, or equals it and the
-    quotient is odd.
-    """
+    """num/den rounded half-even to `digits` places, as a fixed-point decimal string."""
     if digits < 0:
         raise ValueError("digits must be >= 0")
-    num *= 10**digits
+    return _fixed_point(_round_half_even(num * 10**digits, den), digits)
+
+
+def _round_half_even(num: int, den: int) -> int:
+    """num/den rounded half-even to an integer, exactly: the floor quotient
+    moves up when twice the remainder exceeds den, or equals it and the
+    quotient is odd.  round_half_even_ratio and the sender's column ratio
+    (cipher._encrypt_blocks) both round by it."""
     if den < 0:
         num, den = -num, -den
     scaled, rem = divmod(num, den)
     twice = 2 * rem
     if twice > den or (twice == den and scaled & 1):
         scaled += 1
-    return _fixed_point(scaled, digits)
+    return scaled
 
 
 def _fixed_point(scaled: int, digits: int) -> str:

@@ -210,6 +210,16 @@ class TestPackageFiles:
         with pytest.raises(FormatError):
             loads_packages(text)
 
+    @pytest.mark.parametrize("index, detail", [
+        ("3", "must be an int, got str"), (True, "must be an int, got bool"),
+        (1.0, "must be an int, got float"), (-1, "must be non-negative"),
+    ])
+    def test_block_index_is_checked_by_the_reader(self, index, detail):
+        # the one package field the reader checks itself before building the package
+        with pytest.raises(FormatError) as caught:
+            loads_packages(malformed_package_text("block_index", index))
+        assert str(caught.value) == f"package 0, framing: block_index {detail}"
+
     @pytest.mark.parametrize("valid, near_miss", NEAR_MISS_RATIOS, ids=["value-0.5"])
     def test_ratio_intern_is_type_exact(self, valid, near_miss):
         (pkg,) = loads_packages(malformed_package_text("value", valid))

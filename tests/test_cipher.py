@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,8 @@ from unicipher.cipher import (
     VerifyStatus,
     _decode,
     _encode,
+    _MAX_INTERNED_VALUE,
+    _ratio_text,
     _row_plaintext,
     decrypt,
     decrypt_message,
@@ -155,11 +158,77 @@ class TestEncrypt:
     ])
     def test_ratio_digits_are_checked_whether_or_not_a_ratio_is_sent(self, emit, digits, error):
         key = CipherKey.golden(5)
-        with pytest.raises(error, match="digits"):
+        with pytest.raises(error, match="^ratio_digits "):
             encrypt_message("AB", key, emit_column_ratio=emit, ratio_digits=digits)
-        with pytest.raises(error, match="digits"):
+        with pytest.raises(error, match="^ratio_digits "):
             encrypt(PlaintextMatrix(Mat2(0, 1, 2, 3)), key, emit_column_ratio=emit,
                     ratio_digits=digits)
+
+
+def fraction_half_even(num: int, den: int, digits: int) -> str:
+    """num/den rounded half-even to `digits` places by Fraction's own rounding."""
+    whole, places = divmod(round(Fraction(num, den) * 10**digits), 10**digits)
+    return f"{whole}.{places:0{digits}d}" if digits else str(whole)
+
+
+def ratio_sent(c11: int, c21: int, digits: int) -> str:
+    """The column-ratio value sent for a block whose C has these c11 and c21:
+    under the golden n = 1 key M(n) = [[1, 1], [1, 0]], so P = [[c11, 0], [c21, 0]]
+    gives C = [[c11, c11], [c21, c21]]."""
+    p = PlaintextMatrix(Mat2(c11, 0, c21, 0))
+    pkg = encrypt(p, CipherKey.golden(1), emit_column_ratio=True, ratio_digits=digits)
+    assert (pkg.c.a11, pkg.c.a21) == (c11, c21)
+    return pkg.column_ratio.value
+
+
+class TestWriterRatio:
+    """The sender rounds c21/c11 to an int q and memoises q's text (_ratio_text)."""
+
+    @pytest.mark.parametrize("digits", range(7))
+    def test_matches_fraction_rounding_on_random_pairs(self, digits):
+        rng = random.Random(7100 + digits)
+        for _ in range(300):
+            c11 = rng.getrandbits(rng.randint(1, 200)) + 1
+            c21 = rng.getrandbits(rng.randint(0, 200))
+            assert ratio_sent(c11, c21, digits) == fraction_half_even(c21, c11, digits)
+
+    @pytest.mark.parametrize("digits", range(7))
+    def test_exact_ties_round_to_even(self, digits):
+        # c21 * 10**digits / c11 = (2h + 1) / 2 exactly, so q is h or h + 1, whichever is even
+        rng = random.Random(7200 + digits)
+        for h in list(range(8)) + [rng.getrandbits(80) for _ in range(40)]:
+            k = rng.randint(1, 10**6)
+            expected = fraction_half_even(2 * h + 1, 2 * 10**digits, digits)
+            assert ratio_sent(2 * 10**digits * k, (2 * h + 1) * k, digits) == expected
+            even = h + (h & 1)
+            assert expected == fraction_half_even(even, 10**digits, digits)
+
+    @pytest.mark.parametrize("random_key", (False, True))
+    def test_matches_fraction_rounding_on_encrypted_messages(self, random_key):
+        rng = random.Random(7300 + random_key)
+        for _ in range(20):
+            key = random_cipher_key(rng, n_lo=1, n_hi=500) if random_key else CipherKey.golden(10)
+            digits = rng.randint(0, 6)
+            packages = encrypt_message(rng.randbytes(40), key, Alphabet.bytes_mode(),
+                                       emit_column_ratio=True, ratio_digits=digits)
+            for pkg in packages:
+                c = pkg.c
+                assert pkg.column_ratio.value == fraction_half_even(c.a21, c.a11, digits)
+
+    def test_memo_holds_its_bound_and_no_long_text(self):
+        bound = _ratio_text.cache_info().maxsize
+        assert bound == 4096
+        # c21 / 10**6 at six places is q = c21: one memo entry per value
+        values = {ratio_sent(10**6, c21, 6) for c21 in range(bound + 500)}
+        assert len(values) == bound + 500
+        info = _ratio_text.cache_info()
+        assert info.currsize == bound
+        # a q with _MAX_INTERNED_VALUE digits would write a longer text: not memoised
+        assert ratio_sent(1, 10 ** _MAX_INTERNED_VALUE, 0) == str(10 ** _MAX_INTERNED_VALUE)
+        after = _ratio_text.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (info.hits, info.misses, bound)
+        assert ratio_sent(1, 10 ** (_MAX_INTERNED_VALUE - 1) - 1, 0) == "9" * 199
+        assert _ratio_text.cache_info().misses == info.misses + 1
 
 
 class TestDecrypt:

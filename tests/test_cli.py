@@ -6,7 +6,7 @@ import time
 import pytest
 
 from unicipher.channel import loads_key, loads_packages
-from unicipher.cipher import _MAX_DECIMAL_DIGITS
+from unicipher.cipher import _MAX_DECIMAL_DIGITS, decrypt_message
 from unicipher.cli import MAX_ORBIT_STEPS, main
 from unicipher.matrix import Mat2
 
@@ -444,7 +444,33 @@ class TestPipelines:
         code, _, err = run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH",
                            "--emit-column-ratio", "--ratio-digits", digits)
         assert code == 1
-        assert "error[CipherError]" in err
+        assert err == f"error[CipherError]: --ratio-digits must be in 0..100, got {digits}\n"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_decrypted_text_reads_back_from_stdin(self, tmp_path, capsys, monkeypatch, newline):
+        # decrypt ends a text message with a newline the latin alphabet has no symbol for
+        key_file = self.make_key(tmp_path, capsys)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"MATH{newline}"))
+        code, packages, _ = run(capsys, "encrypt", "--key", str(key_file), "--in", "-")
+        assert code == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(packages))
+        assert run(capsys, "decrypt", "--key", str(key_file), "--in", "-") == (0, "MATH\n", "")
+
+    def test_stdin_newline_is_kept_in_bytes_mode(self, tmp_path, capsys, monkeypatch):
+        key_file = self.make_key(tmp_path, capsys, "--alphabet", "bytes")
+        monkeypatch.setattr(sys, "stdin", io.StringIO("MATH\n"))
+        code, out, _ = run(capsys, "encrypt", "--key", str(key_file), "--in", "-")
+        assert code == 0
+        key, alphabet = loads_key(key_file.read_text())
+        assert decrypt_message(loads_packages(out), key, alphabet) == b"MATH\n"
+
+    def test_stdin_newline_is_kept_when_it_is_a_symbol(self, tmp_path, capsys, monkeypatch):
+        key_file = self.make_key(tmp_path, capsys, "--alphabet", "AHMT\n")
+        monkeypatch.setattr(sys, "stdin", io.StringIO("MATH\n"))
+        code, out, _ = run(capsys, "encrypt", "--key", str(key_file), "--in", "-")
+        assert code == 0
+        key, alphabet = loads_key(key_file.read_text())
+        assert decrypt_message(loads_packages(out), key, alphabet) == "MATH\n"
 
     def test_ratio_digits_read_only_when_emitting(self, tmp_path, capsys, monkeypatch):
         # digits come from --ratio-digits or are 2; the environment is not read

@@ -5,7 +5,10 @@ are frozen dataclasses; the first three validate their arguments in a
 hand-written __init__, and CorrectionReport's stores its fields without a
 check.  These checks pin the dataclass behaviour they keep: equality,
 hashing, repr, dataclasses.replace (which validates again), copying,
-pickling and immutability.  The module needs no pytest, so it also runs as a script on
+pickling and immutability.  The packages that encrypt_message,
+loads_packages and corrupt_packages build without those checks
+(cipher._package) must be indistinguishable from ones the constructors
+build.  The module needs no pytest, so it also runs as a script on
 interpreters that have none:
 
     PYTHONPATH=src python tests/test_value_objects.py
@@ -14,15 +17,21 @@ interpreters that have none:
 import copy
 import dataclasses
 import pickle
+import random
 
+from unicipher.channel import CorruptionSpec, corrupt_packages, dumps_packages, loads_packages
 from unicipher.cipher import (
+    Alphabet,
+    CipherKey,
     CipherPackage,
     ColumnRatioCheck,
     VerifyResult,
     VerifyStatus,
+    encrypt_message,
 )
 from unicipher.correction import CorrectionReport, ErrorClass
 from unicipher.matrix import Mat2
+from unicipher.sampling import random_cipher_key
 
 RATIO = ColumnRatioCheck("0.51")
 LOG = (("verify", "NegativePlaintext: …"), ("single", "repaired"))
@@ -141,6 +150,56 @@ def test_assignment_is_refused():
             raises(dataclasses.FrozenInstanceError, delattr, obj, name)
         raises(dataclasses.FrozenInstanceError, setattr, obj, "extra", 1)
         assert obj == twin
+
+
+def built_packages():
+    """Every package encrypt_message, loads_packages and corrupt_packages return
+    over seeded messages: golden, cat and random keys with n in 1..500, both
+    alphabets, without the column ratio and with it at 0..6 digits."""
+    rng = random.Random(3303)
+    keys = [CipherKey.golden(1), CipherKey.golden(10), CipherKey.golden(500),
+            CipherKey.arnolds_cat(3), CipherKey.arnolds_cat(120)]
+    keys += [random_cipher_key(rng, n_lo=1, n_hi=500) for _ in range(4)]
+    for key in keys:
+        for alphabet in (Alphabet(), Alphabet.bytes_mode()):
+            for digits in (None, *range(7)):
+                size = rng.randint(1, 30)
+                message = (rng.randbytes(size) if alphabet.symbols is None
+                           else "".join(rng.choice(alphabet.symbols) for _ in range(size)))
+                sent = encrypt_message(message, key, alphabet, emit_column_ratio=digits is not None,
+                                       ratio_digits=2 if digits is None else digits)
+                received = loads_packages(dumps_packages(sent))
+                corrupted, _ = corrupt_packages(received, CorruptionSpec("random", rng.randrange(99)))
+                yield from sent + received + corrupted
+
+
+def test_built_packages_match_the_constructors():
+    count = 0
+    for pkg in built_packages():
+        c = pkg.c
+        twin = CipherPackage(Mat2(*c.entries()), pkg.det_p, pkg.column_ratio, pkg.block_index,
+                             pkg.pad_len)
+        assert type(pkg) is CipherPackage and type(c) is Mat2
+        assert list(pkg.__dict__.items()) == list(twin.__dict__.items())
+        assert list(c.__dict__.items()) == list(twin.c.__dict__.items())
+        assert pkg == twin and not pkg != twin and hash(pkg) == hash(twin)
+        assert c == twin.c and hash(c) == hash(twin.c)
+        assert repr(pkg) == repr(twin)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(pkg, protocol) == pickle.dumps(twin, protocol)
+            assert pickle.loads(pickle.dumps(pkg, protocol)) == twin
+        for clone in (copy.copy(pkg), copy.deepcopy(pkg)):
+            assert list(clone.__dict__.items()) == list(twin.__dict__.items())
+            assert repr(clone) == repr(twin)
+        assert dataclasses.replace(pkg) == twin
+        assert dataclasses.replace(pkg, det_p=pkg.det_p + 1) == dataclasses.replace(
+            twin, det_p=twin.det_p + 1)
+        raises(ValueError, dataclasses.replace, pkg, pad_len=4)
+        raises(TypeError, dataclasses.replace, pkg, block_index=True)
+        raises(dataclasses.FrozenInstanceError, setattr, pkg, "det_p", 0)
+        raises(dataclasses.FrozenInstanceError, setattr, c, "a11", 0)
+        count += 1
+    assert count > 1000
 
 
 if __name__ == "__main__":
