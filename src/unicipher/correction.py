@@ -19,10 +19,12 @@ patterns covered, per weight and in log order:
     column-right (0, 0), row-top (None, 2) and row-bottom (2, None).
 
 The four weight-3 patterns and the weight-4 one are not covered.  One loop
-reads the table: per pattern it lists the anchor row's points (the intact
-row, else a top-row line's points) and solves the other row beside each,
-its kept entry's line meeting the det-P line in one solve, or its det-P
-line cut to a k-interval by the box and the column-ratio grid.
+reads the table: per pattern it reads the anchor row's points from one
+per-block list of sources (the intact top and bottom rows, then the top
+row's two kept-entry lines, listed where weight 2 begins) and solves the
+other row beside each, its kept entry's line meeting the det-P line in one
+solve, or its det-P line cut to a k-interval by the box and the
+column-ratio grid.
 
 Every candidate must be intact, as decryption asks, and sit at exactly its
 weight, which four entry comparisons with C check.  A candidate is built as
@@ -254,9 +256,10 @@ def correct(
     a class holding the weight's only candidate logs the unscanned ones.
     Beside a row intact in the box, the one-point rule (module docstring)
     skips the across-row classes when both columns' kept-entry lines are
-    one-point at the bound; that check runs once, at the block's first
-    across-row pattern, and only with an intact row.  candidates_examined
-    counts the solves and the listed det-line points actually made.
+    one-point at the bound; that check runs once, where weight 2 begins and
+    the top row's kept-entry lines are listed, and only with an intact row.
+    candidates_examined counts the solves and the listed det-line points
+    actually made.
     """
     if plaintext_bound is not None:
         _require_int("plaintext_bound", plaintext_bound)
@@ -274,8 +277,9 @@ def correct(
     if bound is not None:
         top = None if top is None or top[0] >= bound or top[1] >= bound else top
         bottom = None if bottom is None or bottom[0] >= bound or bottom[1] >= bound else bottom
-    # per row, the anchors it gives as an intact row: itself, or none
-    intact = (() if top is None else (top,), () if bottom is None else (bottom,))
+    # the anchor rows of each _TABLE source: the intact top and bottom rows
+    # (one or none), then the top row's kept-entry lines, listed where weight 2 begins
+    sources = [() if top is None else (top,), () if bottom is None else (bottom,)]
     m11, m12, m21, m22 = cm.matrix.entries()
     columns = ((m11, m21), (m12, m22))
     unscanned: dict[str, str] = {}
@@ -327,23 +331,18 @@ def correct(
         found.append((block, cls, changed))
         return len(found) > 1
 
-    # The top-row lines are built at the block's first across-row pattern,
-    # and the one-point rule leaves them no points.
-    top_lines, stop = None, False
-    for none, patterns in _TABLE:
+    stop = False
+    for weight, (none, patterns) in enumerate(_TABLE):
+        if weight:  # weight 2: the one-point rule leaves the top-row lines no points
+            (_, m0, _), (_, m1, _) = cm.column_lines
+            one_point = bound is not None and (top or bottom) is not None and (
+                None not in (m0, m1) and min(m0, m1) >= bound)
+            sources += ((), ()) if one_point else (line(0, 0), line(0, 1))
         for cls, source, i, keeps, changed, logged in patterns:
-            if source < 2:
-                anchors = intact[source]
-            else:
-                if top_lines is None:
-                    (_, m0, _), (_, m1, _) = cm.column_lines
-                    one_point = bound is not None and intact != ((), ()) and (
-                        None not in (m0, m1) and min(m0, m1) >= bound)
-                    top_lines = ((), ()) if one_point else (line(0, 0), line(0, 1))
-                anchors = top_lines[source - 2]
-                if anchors is None:
-                    unscanned[cls] = "search-range-too-wide"
-                    continue
+            anchors = sources[source]
+            if anchors is None:
+                unscanned[cls] = "search-range-too-wide"
+                continue
             for known in anchors:
                 if keeps is not None:
                     points = meet(cls, i, keeps, known)

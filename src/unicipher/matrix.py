@@ -134,7 +134,7 @@ class KeyMatrix:
         if any(e < 0 for e in self.m.entries()):
             raise InvalidKey("key matrix entries must be non-negative")
         t = self.m.trace()
-        if self.is_bare_power:
+        if self.m.a12 == 1 and self.m.a22 == 0:  # the bare-power shape
             if self.m.a11 < 1:
                 raise InvalidKey("bare-power key needs its top-left entry >= 1")
         elif d == -1:
@@ -148,10 +148,6 @@ class KeyMatrix:
                 DegenerateConvergenceWarning,
                 stacklevel=2,
             )
-
-    @property
-    def is_bare_power(self) -> bool:
-        return self.m.a12 == 1 and self.m.a22 == 0
 
 
 @dataclass(frozen=True)

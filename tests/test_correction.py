@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unicipher import correction
 from unicipher.channel import _MODE_POSITIONS, CORRUPTION_MODES, CorruptionSpec, corrupt_package
 from unicipher.cipher import (
     Alphabet,
@@ -417,6 +418,36 @@ class TestRow:
             ("column-right", "no-pair-candidate"), ("row-top", "no-pair-candidate"),
             ("row-bottom", "repaired"),
         )
+
+    @pytest.mark.parametrize("family, bound, mode, listed", [
+        ("random", 256, "single", 0),
+        ("random", 256, "diagonal", 2),
+        ("random", 256, "column_left", 2),
+        ("random", 256, "row_top", 0),
+        ("random", 256, "row_bottom", 0),
+        ("golden", 26, "row_top", 2),
+        ("golden", 26, "row_bottom", 2),
+    ])
+    def test_top_row_lines_are_listed_once_where_weight_2_begins(
+            self, monkeypatch, family, bound, mode, listed):
+        # a kept-entry line is listed by a _points call with its step: none
+        # when a single settles at weight 1, or when the one-point rule holds
+        # (n = 100, bound 256) beside an intact row; both top-row lines once
+        # otherwise, as beside a golden n = 3 row, whose lines step x by 1 or 2
+        steps = []
+
+        def counting(*args, step=None, **kwargs):
+            steps.append(step)
+            return _points(*args, step=step, **kwargs)
+
+        monkeypatch.setattr(correction, "_points", counting)
+        rng = random.Random(1)
+        key = random_cipher_key(rng, n_lo=100, n_hi=100) if family == "random" else CipherKey.golden(3)
+        pkg = encrypt(random_plaintext(rng, alphabet_size=bound), key, emit_column_ratio=True)
+        bad, _ = corrupt_package(pkg, CorruptionSpec(mode, seed=rng.randrange(2**30)))
+        report = correct(bad, key, plaintext_bound=bound)
+        assert report.assumed_class.value == mode.replace("_", "-") and report.repaired == pkg.c
+        assert sum(step is not None for step in steps) == listed
 
     def test_bounds_leave_ten_candidates(self):
         # alphabet-derived bounds alone keep k = 0..9 feasible: not decisive

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -145,10 +146,19 @@ def test_exponents_follow_the_plain_int_rule(make):
 
 class TestPowerForm:
     def test_examples(self):
-        assert KeyMatrix(Mat2(1, 1, 1, 0)).is_bare_power
-        assert KeyMatrix(Mat2(3, 1, 1, 0)).is_bare_power
-        assert not KeyMatrix(Mat2(2, 1, 1, 1)).is_bare_power
-        assert not KeyMatrix(Mat2(3, 1, 2, 1)).is_bare_power
+        # the shape [[k, 1], [1, 0]] is admitted where the det -1 rule (trace > 2,
+        # both diagonal entries >= 1) refuses: trace 1, and a zero diagonal entry
+        assert KeyMatrix(Mat2(1, 1, 1, 0)).m.trace() == 1
+        assert KeyMatrix(Mat2(3, 1, 1, 0)).m.a22 == 0
+        # off that shape the det rules decide: det +1 with trace > 2 passes
+        # silently, and det -1 with trace 2 is refused, though its top-left
+        # entry of 1 would pass the shape's own rule
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert KeyMatrix(Mat2(2, 1, 1, 1)).m.det() == 1
+            assert KeyMatrix(Mat2(3, 1, 2, 1)).m.det() == 1
+        with pytest.raises(InvalidKey, match="det -1 keys need"):
+            KeyMatrix(Mat2(1, 1, 2, 1))
 
     @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
     def test_shifted_column_structure_forces_the_form(self, a, b, c, d):
@@ -175,7 +185,7 @@ class TestKeyMatrix:
             KeyMatrix(Mat2(1, 2, 1, 1))  # det -1, trace 2
 
     def test_bare_power_family_is_admissible(self):
-        assert KeyMatrix(Mat2(1, 1, 1, 0)).is_bare_power
+        assert KeyMatrix(Mat2(1, 1, 1, 0)).m.det() == -1
         assert KeyMatrix(Mat2(7, 1, 1, 0)).m.det() == -1
 
     def test_bare_power_needs_positive_alpha(self):
