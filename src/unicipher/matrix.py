@@ -3,15 +3,16 @@
 Everything stays in arbitrary-precision integer arithmetic: products,
 determinants, adjugates, powers, and the two-sequence coding matrices
 [[A(n+1), A(n)], [B(n+1), B(n)]] that multiply plaintext blocks.
-coding_entries is the one recurrence behind every M(n) the package
-computes, and build_coding_matrix the one place that validates and views it;
-the golden and k-golden M(n) are CipherKey.golden(n).coding_matrix and
+build_coding_matrix is the one place that builds, validates and views a
+key's M(n): it takes U^n @ M(0), with U^n by repeated squaring
+(Mat2.__pow__), so a key costs O(log n) big-int products.  coding_entries
+walks the recurrence one n at a time, for the attacks, which weigh every
+n.  The golden and k-golden M(n) are CipherKey.golden(n).coding_matrix and
 CipherKey.k_golden(k, n).coding_matrix.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -96,18 +97,25 @@ class Mat2:
         return Mat2(self.a22, -self.a12, -self.a21, self.a11)
 
     def __pow__(self, n: int) -> "Mat2":
+        """self^n by repeated squaring over plain ints, high bit first.
+
+        Each bit of n squares the running product (five products, since a
+        2x2 square shares b*c and a + d) and, when the bit is set, multiplies
+        it by self; only the result is built as a Mat2.
+        The exponent is checked before any arithmetic.
+        """
         _require_int("exponent", n)
         if n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Mat2(1, 0, 0, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result @ base
-            n >>= 1
-            if n:
-                base = base @ base
-        return result
+        a, b, c, d = self.a11, self.a12, self.a21, self.a22
+        r11, r12, r21, r22 = 1, 0, 0, 1
+        for bit in bin(n)[2:]:
+            bc, t = r12 * r21, r11 + r22
+            r11, r12, r21, r22 = r11 * r11 + bc, r12 * t, r21 * t, r22 * r22 + bc
+            if bit == "1":
+                r11, r12 = r11 * a + r12 * c, r11 * b + r12 * d
+                r21, r22 = r21 * a + r22 * c, r21 * b + r22 * d
+        return Mat2(r11, r12, r21, r22)
 
 
 @dataclass(frozen=True)
@@ -249,10 +257,12 @@ def line_step(a: int, b: int) -> tuple[int, int | None, int | None]:
 
 
 def build_coding_matrix(key: KeyMatrix, seed: SeedPair, n: int) -> CodingMatrix:
-    """Entry n of coding_entries for this key and seed, with its plain-int view.
+    """M(n) = U^n @ M(0) for this key and seed, with its plain-int view.
 
-    Equals (key.m ** n) @ M0 entrywise; entries grow geometrically with n,
-    hence the cap DEFAULT_MAX_EXPONENT.
+    U^n comes by repeated squaring, so the build costs O(log n) big-int
+    products, and M(n) equals entry n of coding_entries.  Entries grow
+    geometrically with n, hence the cap DEFAULT_MAX_EXPONENT, checked
+    before any arithmetic.
     """
     _require_int("exponent", n)
     if n < 0:
@@ -260,15 +270,14 @@ def build_coding_matrix(key: KeyMatrix, seed: SeedPair, n: int) -> CodingMatrix:
     if n > DEFAULT_MAX_EXPONENT:
         raise InvalidKey(f"exponent {n} exceeds the cap {DEFAULT_MAX_EXPONENT}")
     m, x, y = key.m, seed.a0, seed.b0
-    # det M(0) = A(1)*B(0) - A(0)*B(1), a quadratic form in the seed pair.
-    seed_det = m.a12 * y * y + (m.a11 - m.a22) * x * y - m.a21 * x * x
-    walk = coding_entries(m.a11, m.a12, m.a21, m.a22, x, y)
-    a1, a0, b1, b0 = next(itertools.islice(walk, n, None))
-    det, adj = seed_det * m.det()**n, (b0, -a0, -b1, a1)
+    m0 = Mat2(m.a11 * x + m.a12 * y, x, m.a21 * x + m.a22 * y, y)  # [[A(1), A(0)], [B(1), B(0)]]
+    mn = (m ** n) @ m0
+    a1, a0, b1, b0 = mn.entries()
+    det, adj = m0.det() * m.det()**n, (b0, -a0, -b1, a1)
     forward = None
     if det and max(a1, a0, b1, b0).bit_length() > FORWARD_MIN_BITS:
         s = (det & -det).bit_length() - 1
         mask = (1 << (FORWARD_BITS + s)) - 1
         inv = pow(det >> s, -1, mask + 1)
         forward = (s, mask, *(e * inv & mask for e in adj), min(a1, b1) << FORWARD_BITS)
-    return CodingMatrix(Mat2(a1, a0, b1, b0), det, adj, forward)
+    return CodingMatrix(mn, det, adj, forward)

@@ -17,6 +17,7 @@ from unicipher.matrix import (
     Mat2,
     SeedPair,
     build_coding_matrix,
+    coding_entries,
     line_step,
 )
 from unicipher.sampling import random_cipher_key, random_key_matrix, random_seed_pair
@@ -94,6 +95,10 @@ class TestMat2:
         assert q ** 10 == Mat2(89, 55, 55, 34)
         assert Mat2(3, 9, 2, 5) ** 0 == Mat2(1, 0, 0, 1)
         assert Mat2(2, 1, 1, 1) ** 4 == naive_pow(Mat2(2, 1, 1, 1), 4) == Mat2(34, 21, 21, 13)
+        # long bit patterns: all ones below the top bit (255, 511) and a lone top bit (256, 512)
+        for x in (q, Mat2(2, 1, 1, 1)):
+            for n in (255, 256, 511, 512):
+                assert x ** n == naive_pow(x, n)
 
     @given(small_mats, st.integers(min_value=0, max_value=9))
     def test_pow_matches_naive_oracle(self, x, n):
@@ -275,16 +280,27 @@ class TestCodingMatrices:
         assert build_coding_matrix(u, SeedPair(2, 3), 0).det == 0 * 6 + 2 * 9 - 4 * 4
         assert build_coding_matrix(u, SeedPair(2, 3), 5).det == 2 * u.m.det() ** 5
 
-    @given(st.integers(0, 10**9), st.integers(min_value=0, max_value=64))
-    @settings(max_examples=120, deadline=None)
-    def test_build_equals_power_times_seed_matrix(self, seed, n):
-        rng = random.Random(seed)
-        key = random_key_matrix(rng)
-        sp = random_seed_pair(rng)
-        cm = build_coding_matrix(key, sp, n)
-        m0 = build_coding_matrix(key, sp, 0).matrix
-        assert cm.matrix == (key.m ** n) @ m0
-        assert cm.matrix.det() == build_coding_matrix(key, sp, 0).det * key.m.det() ** n == cm.det
+    @pytest.mark.parametrize(
+        "u, seed",
+        [
+            ((1, 1, 1, 0), (0, 1)),  # golden
+            ((3, 1, 1, 0), (0, 1)),  # k-golden, k = 3
+            ((2, 1, 1, 1), (0, 1)),  # Arnold's cat
+            ((2, 1, 3, 1), (2, 3)),  # det -1
+            ((3, 2, 4, 3), (5, 0)),  # zero-component seed
+        ],
+        ids=["golden", "k_golden_3", "cat", "det_minus_1", "zero_seed"],
+    )
+    def test_build_equals_coding_entries_walk(self, u, seed):
+        # The walk is the independent reference: M(n) by the recurrence, one
+        # step at a time, for every exponent up to the cap.
+        key, sp = KeyMatrix(Mat2(*u)), SeedPair(*seed)
+        seed_det = build_coding_matrix(key, sp, 0).det
+        walk = coding_entries(*u, *seed)
+        for n, entries in zip(range(DEFAULT_MAX_EXPONENT + 1), walk):
+            cm = build_coding_matrix(key, sp, n)
+            assert cm.matrix == Mat2(*entries)
+            assert cm.matrix.det() == seed_det * key.m.det() ** n == cm.det
 
     @given(st.integers(0, 10**9), st.integers(min_value=0, max_value=64))
     @settings(max_examples=120, deadline=None)
