@@ -26,13 +26,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from unicipher.channel import CORRUPTION_MODES, CorruptionSpec, corrupt_package
+from unicipher.channel import ENTRY_MODES, CorruptionSpec, corrupt_package
 from unicipher.cipher import MAX_RATIO_DIGITS, encrypt
 from unicipher.correction import correct
 from unicipher.matrix import DEFAULT_MAX_EXPONENT
 from unicipher.sampling import random_cipher_key, random_plaintext
-
-CLASSES = CORRUPTION_MODES[:-1]  # every mode but "random"
 
 
 def distance(a, b):
@@ -92,7 +90,7 @@ def main() -> int:
         print(f"\n--- {label} ---")
         print(f"{'class':14s} {'exact':>7s} {'wrong':>7s} {'undetected':>11s} "
               f"{'beyond-radius':>14s} {'reported':>9s} {'rate':>8s} {'candidates':>11s}")
-        for mode in CLASSES:
+        for mode in ENTRY_MODES:
             exact, wrong, undetected, beyond, reported, examined = run_trials(
                 mode, args.trials, args.seed, with_ratio,
                 args.ratio_digits, args.n_lo, args.n_hi, args.bound,

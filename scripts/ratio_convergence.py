@@ -31,7 +31,6 @@ SAMPLES = (
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=32)
-    parser.add_argument("--show-orbit", action="store_true")
     args = parser.parse_args()
     # three steps give the classifier two even and two odd terms
     if not 3 <= args.steps <= MAX_ORBIT_STEPS:
@@ -46,9 +45,6 @@ def main() -> int:
         phi = params.fixed.phi_plus_decimal(12)
         print(f"{t:>3} {d:>3} {str(a0):>8} {profile.mode.value:24} "
               f"{phi:>16} {profile.errors[-1]:>12.3e} {rate:>8.4f}")
-        if args.show_orbit:
-            for i, (a, e) in enumerate(zip(profile.orbit, profile.errors)):
-                print(f"    {i:>3}  {float(a):>18.14f}  {e:>10.3e}")
     return 0
 
 

@@ -33,26 +33,11 @@ from dataclasses import dataclass
 from .cipher import _MAX_DECIMAL_DIGITS, Alphabet, CipherKey, CipherPackage, _package
 from .cipher import _ratio_check
 from .errors import FormatError
-from .matrix import KeyMatrix, Mat2, SeedPair, _require_int
+from .matrix import MAX_HEX_CHARS, KeyMatrix, Mat2, SeedPair, _require_int
 
 KEY_FORMAT_VERSION = 1
 PACKAGE_FORMAT_VERSION = 3
-# The longest hex string, its "-" included, of a package integer.  Every
-# value below 16**3571 has at most 4,300 decimal digits, so any integer a
-# package file holds also prints in decimal under Python's int-str limit.
-MAX_HEX_CHARS = 3571
 _PAST_THE_LIMIT = f"an integer's hex string is longer than the {MAX_HEX_CHARS}-character limit"
-
-CORRUPTION_MODES = (
-    "single",
-    "diagonal",
-    "antidiagonal",
-    "column_left",
-    "column_right",
-    "row_top",
-    "row_bottom",
-    "random",
-)
 
 _MODE_POSITIONS = {
     "diagonal": ((0, 0), (1, 1)),
@@ -62,6 +47,9 @@ _MODE_POSITIONS = {
     "row_top": ((0, 0), (0, 1)),
     "row_bottom": ((1, 0), (1, 1)),
 }
+# The modes that change entries of C, which "random" draws over.
+ENTRY_MODES = ("single", *_MODE_POSITIONS)
+CORRUPTION_MODES = (*ENTRY_MODES, "random")
 
 
 def _dump(document: dict) -> str:
@@ -385,7 +373,7 @@ def corrupt_package(
     rng = random.Random(spec.seed * 1_000_003 + pkg.block_index)
     mode = spec.mode
     if mode == "random":
-        mode = rng.choice(CORRUPTION_MODES[:-1])
+        mode = rng.choice(ENTRY_MODES)
     if mode == "single":
         positions = (rng.choice(((0, 0), (0, 1), (1, 0), (1, 1))),)
     else:

@@ -49,7 +49,7 @@ from operator import attrgetter, itemgetter
 
 from .errors import CheckNumberMismatch, CipherError, FormatError, InvalidKey
 from .errors import NegativePlaintext, NonIntegralPlaintext, UnknownSymbol
-from .matrix import CodingMatrix, KeyMatrix, Mat2, SeedPair, _require_int
+from .matrix import CodingMatrix, KeyMatrix, Mat2, SeedPair, _check_entry_size, _require_int
 from .matrix import build_coding_matrix
 from .ratios import _fixed_point, _round_half_even
 
@@ -180,9 +180,11 @@ class ColumnRatioCheck:
 
 
 # Shared ColumnRatioCheck per value: a message repeats a few hundred values at
-# 2 digits, so most blocks skip construction.  maxsize bounds how many checks
-# hostile input can make it hold, and _ratio_check keeps everything but short
-# plain strs (the integer part has no limit) out of it.
+# 2 digits, so most blocks skip construction (1,024 random 256-byte messages
+# at n = 10 carry 1,702 distinct values in 65,532 blocks, so 97 % of blocks
+# skip it).  maxsize bounds how many checks hostile input can make it hold,
+# and _ratio_check keeps everything but short plain strs (the integer part
+# has no limit) out of it.
 _interned_ratio_check = lru_cache(maxsize=4096)(ColumnRatioCheck)
 _MAX_INTERNED_VALUE = 2 * MAX_RATIO_DIGITS
 
@@ -272,6 +274,9 @@ class CipherKey:
     """Secret key: multiplier matrix, sequence seed, exponent, block permutation.
 
     The coding matrix is built, and the exponent checked, once at construction.
+    A key whose M(n) has in both rows an entry past the package limit is
+    refused (matrix._check_entry_size); build_coding_matrix refuses the
+    larger of them before any big product.
     """
 
     u: KeyMatrix
@@ -287,6 +292,7 @@ class CipherKey:
             raise InvalidKey("a seed with a zero component needs n >= 1")
         if cm.det == 0:
             raise InvalidKey("seed gives a singular index-0 coding matrix")
+        _check_entry_size(cm.matrix)
         object.__setattr__(self, "coding_matrix", cm)
 
     @classmethod

@@ -201,16 +201,15 @@ def _cmd_attack(args) -> int:
     try:
         if args.family == "golden":
             result = attack_golden(oracle, n_max=args.n_max)
-            print(json.dumps({"family": "golden", "n": result.n,
-                              "matched_pair": list(result.matched_pair)}))
         else:
             result = attack_k_golden(oracle, k_max=args.k_max, n_max=args.n_max)
-            print(json.dumps({"family": "kgolden", "k": result.k, "n": result.n,
-                              "matched_pair": list(result.matched_pair)}))
     except (NotGoldenOracle, NoMatchInBounds) as exc:
         print(json.dumps({"family": args.family, "recovered": None,
                           "failure": type(exc).__name__, "detail": str(exc)}))
         return 1
+    k = {"k": result.k} if args.family == "kgolden" else {}
+    print(json.dumps({"family": args.family, **k, "n": result.n,
+                      "matched_pair": list(result.matched_pair)}))
     return 0
 
 

@@ -48,6 +48,10 @@ entry of each row, so none can hold a candidate.  correct then skips the
 two top-row line solves and the meets of those four classes, which still
 log no-pair-candidate in their order.  candidates_examined counts the
 solves and det-line points actually made, so a skipped class adds none.
+On the repair_n100 corpus at seed 1, a block that reaches weight 2 (7,015
+of 8,192) makes on average 1.7 _points calls, examines 2.3 candidates and
+runs _checked 1.0 times, against 2.3 calls and 3.0 candidates without the
+rule (BENCH_one_point_rows.json).
 """
 
 from __future__ import annotations
@@ -230,11 +234,9 @@ def _settle(classes, none: str, found: list, unscanned: dict, log: list, examine
     log += [(cls, unscanned.get(cls) or (outcome if cls in holding else none)) for cls in classes]
     if reason is not None:
         return CorrectionReport(ErrorClass.NONE, examined, None, None, reason, True, tuple(log))
-    if found:
-        ((block, cls, changed),) = found
-        position = divmod(changed.index(True), 2) if cls == "single" else None
-        return CorrectionReport(_CLASS[cls], examined, block, position, None, False, tuple(log))
-    return None
+    ((block, cls, changed),) = found
+    position = divmod(changed.index(True), 2) if cls == "single" else None
+    return CorrectionReport(_CLASS[cls], examined, block, position, None, False, tuple(log))
 
 
 def correct(

@@ -5,10 +5,12 @@ determinants, adjugates, powers, and the two-sequence coding matrices
 [[A(n+1), A(n)], [B(n+1), B(n)]] that multiply plaintext blocks.
 build_coding_matrix is the one place that builds, validates and views a
 key's M(n): it takes U^n @ M(0), with U^n by repeated squaring
-(Mat2.__pow__), so a key costs O(log n) big-int products.  coding_entries
-walks the recurrence one n at a time, for the attacks, which weigh every
-n.  The golden and k-golden M(n) are CipherKey.golden(n).coding_matrix and
-CipherKey.k_golden(k, n).coding_matrix.
+(Mat2.__pow__), so a key costs O(log n) big-int products.  A key whose
+M(n) has in both rows an entry past MAX_HEX_CHARS hex digits could send
+only all-zero blocks, and is refused, the large ones before any big
+product.  coding_entries walks the recurrence one n at a time, for the
+attacks, which weigh every n.  The golden and k-golden M(n) are
+CipherKey.golden(n).coding_matrix and CipherKey.k_golden(k, n).coding_matrix.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ from math import gcd
 from .errors import DegenerateConvergenceWarning, InvalidKey
 
 DEFAULT_MAX_EXPONENT = 512
+# The longest hex string, its "-" included, of a package integer.  Every
+# value below 16**3571 has at most 4,300 decimal digits, so any integer a
+# package file holds also prints in decimal under Python's int-str limit.
+MAX_HEX_CHARS = 3571
 # The forward product finds each row of P mod 2^FORWARD_BITS from the low bits
 # of C (cipher._row_plaintext), then proves it times M(n) equals the row of C
 # over the integers.
@@ -34,7 +40,8 @@ FORWARD_BITS = 64
 # n = 10 (0.98 us against 0.57 us).  256 sits just above that crossover and
 # puts most n = 100 random keys on the table (121 of the 128 repair_n100 keys
 # at seed 1001); every correct report and verify result over that corpus's
-# 8,192 blocks is the same as with the earlier 512.
+# 8,192 blocks is the same as with the earlier 512.  Golden keys pass it from
+# n = 370 and cat keys from n = 185.
 FORWARD_MIN_BITS = 256
 
 
@@ -256,13 +263,36 @@ def line_step(a: int, b: int) -> tuple[int, int | None, int | None]:
     return g, m, pow(a // g, -1, m)  # pow(., -1, 1) is 0
 
 
+def _check_entry_size(m: Mat2) -> None:
+    """InvalidKey when both rows of m hold an entry of more than 4 * MAX_HEX_CHARS
+    bits: a non-negative M(n) like that puts such an entry in every row of C
+    = P @ M(n) that is not zero, so its key could send only all-zero blocks."""
+    if min(max(m.a11, m.a12), max(m.a21, m.a22)).bit_length() > 4 * MAX_HEX_CHARS:
+        raise InvalidKey(
+            f"M(n) has in both rows an entry past the {MAX_HEX_CHARS}-character hex "
+            "limit of a package: the key could send only all-zero blocks"
+        )
+
+
 def build_coding_matrix(key: KeyMatrix, seed: SeedPair, n: int) -> CodingMatrix:
     """M(n) = U^n @ M(0) for this key and seed, with its plain-int view.
 
     U^n comes by repeated squaring, so the build costs O(log n) big-int
     products, and M(n) equals entry n of coding_entries.  Entries grow
     geometrically with n, hence the cap DEFAULT_MAX_EXPONENT, checked
-    before any arithmetic.
+    before any arithmetic.  A key whose entries may pass the package limit
+    (their bit length is at most n*(b + 1) + bits(M(0)) + 1, b the bit length
+    of U's largest entry) is then tried on the squares U^(2^j), 2^j <= n:
+    _check_entry_size refuses it once one has both rows past the limit, before
+    any bigger product; CipherKey checks the rest on M(n) itself.  The test
+    never refuses a key whose M(n) is within the limit: for non-negative
+    integer matrices, right-multiplying by one with no zero row never
+    shrinks a row's largest entry, and left-multiplying by one makes each
+    row at least some row of the other, so M(n) = U^(n - 2^j) @ U^(2^j) @
+    M(0) has both rows past the limit too.  U has no zero row, nor has M(0)
+    unless it is singular; and a singular M(0) needs U = [[1, b], [0, 1]] or
+    [[1, 0], [c, 1]], whose powers keep a row of 0 and 1, so the test never
+    fires on such a key, nor at n = 0: CipherKey's seed errors come first.
     """
     _require_int("exponent", n)
     if n < 0:
@@ -271,6 +301,13 @@ def build_coding_matrix(key: KeyMatrix, seed: SeedPair, n: int) -> CodingMatrix:
         raise InvalidKey(f"exponent {n} exceeds the cap {DEFAULT_MAX_EXPONENT}")
     m, x, y = key.m, seed.a0, seed.b0
     m0 = Mat2(m.a11 * x + m.a12 * y, x, m.a21 * x + m.a22 * y, y)  # [[A(1), A(0)], [B(1), B(0)]]
+    b = max(m.entries()).bit_length()
+    if n * (b + 1) + max(m0.entries()).bit_length() + 1 > 4 * MAX_HEX_CHARS:
+        square = m
+        for j in range(n.bit_length()):  # U^(2^j) for every 2^j <= n
+            if j:
+                square @= square
+            _check_entry_size(square)
     mn = (m ** n) @ m0
     a1, a0, b1, b0 = mn.entries()
     det, adj = m0.det() * m.det()**n, (b0, -a0, -b1, a1)

@@ -19,7 +19,6 @@ from typing import Iterator, Sequence
 
 from .errors import ComplexFixedPoints, DivisionByZeroInOrbit
 
-DEFAULT_ORBIT_STEPS = 64
 # exponential_rate skips steps whose error is this small: float underflow, not a rate.
 _RATE_FLOOR = 1e-250
 
@@ -145,17 +144,17 @@ def _direction(seq: Sequence[Fraction]) -> str | None:
     return "flat"
 
 
-def convergence_profile(
-    params: RatioParams, steps: int = DEFAULT_ORBIT_STEPS
-) -> ConvergenceProfile:
+def convergence_profile(params: RatioParams, steps: int) -> ConvergenceProfile:
     """Observed monotonicity class of the orbit a0..a(steps) plus its error decay.
 
     Classification is empirical and exact: a globally monotone orbit is
     monotone-decreasing/-increasing; an orbit whose even and odd
     subsequences are monotone in opposite directions is alternating-split;
-    anything else is divergent.  steps must be at least 3, so that the even
-    and odd terms each show a direction; a flat orbit is then a fixed point,
-    phi+ (monotone-decreasing) or phi- (divergent).
+    divergent names every other orbit, including one that converges after
+    such a jump: a0 = 1/4 under t = 3, d = 1 runs 1/4, -1, 4, 11/4, 29/11,
+    ..., through 0 and then down onto phi+.  steps must be at least 3, so
+    that the even and odd terms each show a direction; a flat orbit is then
+    a fixed point, phi+ (monotone-decreasing) or phi- (divergent).
     """
     if steps < 3:
         raise ValueError(f"convergence_profile needs at least 3 steps, got {steps}")

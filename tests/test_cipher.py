@@ -26,12 +26,13 @@ from unicipher.cipher import (
 )
 from unicipher.errors import (
     CheckNumberMismatch,
+    DegenerateConvergenceWarning,
     InvalidKey,
     NegativePlaintext,
     NonIntegralPlaintext,
     UnknownSymbol,
 )
-from unicipher.matrix import FORWARD_BITS, KeyMatrix, Mat2, SeedPair
+from unicipher.matrix import FORWARD_BITS, MAX_HEX_CHARS, KeyMatrix, Mat2, SeedPair
 from unicipher.sampling import random_cipher_key, random_plaintext
 
 from test_kernel import intact
@@ -120,6 +121,35 @@ class TestCipherKey:
             CipherKey.golden(513)
         with pytest.raises(InvalidKey, match="^exponent must be a non-negative integer$"):
             CipherKey.golden(-1)
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=80, deadline=None)
+    def test_refused_exactly_when_both_rows_pass_the_package_limit(self, seed):
+        # U = [[a, 1], [1, 0]] @ [[b, 1], [1, 0]], sized so that M(n) lands near
+        # the limit and n near a power of 2 lets a square U^(2^j) pass it first
+        rng = random.Random(seed)
+        n = rng.choice((1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 60, 64, 100, 128))
+        bits = max(1, round(4 * MAX_HEX_CHARS / (2 * n) * rng.uniform(0.8, 1.2)))
+        a, b = rng.getrandbits(bits) | 1, rng.getrandbits(bits) | 1
+        u, sp = KeyMatrix(Mat2(a * b + 1, a, b, 1)), SeedPair(rng.randint(0, 9), rng.randint(1, 9))
+        m0 = Mat2(u.m.a11 * sp.a0 + u.m.a12 * sp.b0, sp.a0, u.m.a21 * sp.a0 + u.m.a22 * sp.b0, sp.b0)
+        mn = (u.m ** n) @ m0
+        past = all(max(row).bit_length() > 4 * MAX_HEX_CHARS for row in mn.rows())
+        try:
+            key = CipherKey(u, sp, n)
+        except InvalidKey as exc:
+            assert past and "both rows" in str(exc)
+        else:
+            assert not past and key.coding_matrix.matrix == mn
+
+    def test_seed_errors_come_before_the_package_limit(self):
+        # both rows of M(0) pass the limit, yet each key keeps its seed error
+        with pytest.raises(InvalidKey, match="zero component needs n >= 1"):
+            CipherKey(KeyMatrix(Mat2(3, 1, 2, 1)), SeedPair(0, 2**14285), 0)
+        with pytest.warns(DegenerateConvergenceWarning):
+            identity = KeyMatrix(Mat2(1, 0, 0, 1))
+        with pytest.raises(InvalidKey, match="singular"):
+            CipherKey(identity, SeedPair(2**14285, 2**14285), 512)
 
 
 class TestEncrypt:

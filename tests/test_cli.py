@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import sys
 import time
 
@@ -8,6 +9,7 @@ import pytest
 from unicipher.channel import loads_key, loads_packages
 from unicipher.cipher import _MAX_DECIMAL_DIGITS, decrypt_message
 from unicipher.cli import MAX_ORBIT_STEPS, main
+from unicipher.errors import InvalidKey
 from unicipher.matrix import Mat2
 
 from test_channel import (
@@ -59,6 +61,35 @@ class TestKeygen:
         )
         assert code == 1
         assert "error[InvalidKey]" in err
+
+    # Keys whose M(512) has both rows past the package limit, so they could
+    # send only all-zero blocks: alpha = 10**9 (rows of about 15,300 bits) and
+    # a 4,299-digit alpha (rows of millions of bits, seconds to build).
+    @pytest.mark.parametrize("alpha, seed_a", [
+        (10**9, 1), (10**4298, 0),
+    ], ids=["alpha_1e9", "alpha_4299_digits"])
+    def test_key_past_the_package_limit_is_refused_at_once(self, capsys, alpha, seed_a):
+        argv = ("keygen", "--alpha", str(alpha), "--beta", "1", "--gamma", str(alpha - 1),
+                "--delta", "1", "--seed-a", str(seed_a), "--seed-b", "1", "--n", "512")
+        key_text = json.dumps({
+            "version": 1,
+            "u": {"alpha": str(alpha), "beta": "1", "gamma": str(alpha - 1), "delta": "1"},
+            "seed": {"a0": str(seed_a), "b0": "1"},
+            "n": 512, "perm": [0, 1, 2, 3], "alphabet": {"kind": "latin"},
+        })
+        refused = "M(n) has in both rows an entry past the 3571-character hex limit"
+        keygen_s = loads_key_s = 1.0
+        for _ in range(3):  # best of three, on a shared machine
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            keygen_s = min(keygen_s, time.perf_counter() - start)
+            assert code == 1 and out == ""
+            assert err.startswith(f"error[InvalidKey]: {refused}")
+            start = time.perf_counter()
+            with pytest.raises(InvalidKey, match=re.escape(refused)):
+                loads_key(key_text)
+            loads_key_s = min(loads_key_s, time.perf_counter() - start)
+        assert keygen_s < 0.010 and loads_key_s < 0.010
 
     def test_golden_is_k_golden_one(self, capsys):
         code, golden, _ = run(capsys, "keygen", "--golden", "--n", "7")
@@ -547,13 +578,15 @@ class TestPipelines:
         assert "error[CipherError]" in err and repr(bad_path) in err
 
     def test_ciphertext_past_the_digit_limit_is_a_format_error(self, tmp_path, capsys):
-        # det U = 1, but M(512)'s entries have about 15,300 bits: about 3,800 hex digits
+        # det U = 1, and both rows of M(500) have 14,280 bits, within the
+        # 4 * 3,571-bit limit, but ZZZZ's c11 = 25 * (A(501) + B(501)) has
+        # 14,285 bits: 3,572 hex digits
         key_file = tmp_path / "key.json"
-        code, _, _ = run(capsys, "keygen", "--alpha", "1000000000", "--beta", "1",
-                         "--gamma", "999999999", "--delta", "1", "--n", "512",
+        code, _, _ = run(capsys, "keygen", "--alpha", "380000000", "--beta", "1",
+                         "--gamma", "379999999", "--delta", "1", "--n", "500",
                          "--out", str(key_file))
         assert code == 0
-        code, out, err = run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH")
+        code, out, err = run(capsys, "encrypt", "--key", str(key_file), "--in", "ZZZZ")
         assert code == 1 and out == ""
         assert "error[FormatError]: block 0: " in err and "3571-character limit" in err
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unicipher import correction
-from unicipher.channel import _MODE_POSITIONS, CORRUPTION_MODES, CorruptionSpec, corrupt_package
+from unicipher.channel import _MODE_POSITIONS, ENTRY_MODES, CorruptionSpec, corrupt_package
 from unicipher.cipher import (
     Alphabet,
     CipherKey,
@@ -1249,7 +1249,7 @@ class TestRecordedOutcomes:
             for bound in (None, 3, 26):
                 size = 3 if tiny or bound == 3 else 26
                 for with_ratio in (False, True):
-                    for mode in CORRUPTION_MODES[:-1]:
+                    for mode in ENTRY_MODES:
                         pkg = encrypt(random_plaintext(rng, alphabet_size=size), key,
                                       emit_column_ratio=with_ratio)
                         bad, _ = corrupt_package(pkg, CorruptionSpec(mode, rng.randrange(2**30)))

@@ -141,6 +141,14 @@ class TestConvergenceProfile:
         assert all(b < a for a, b in zip(evens, evens[1:]))
         assert all(b > a for a, b in zip(odds, odds[1:]))
 
+    def test_mixed_orbit_that_settles_is_divergent(self):
+        # 1/4, -1, 4, 11/4, 29/11, ...: the jump through 0 leaves the even
+        # terms neither rising nor falling, though the orbit then settles on phi+
+        profile = convergence_profile(RatioParams(3, 1, Fraction(1, 4)), 8)
+        assert profile.orbit[:5] == (Fraction(1, 4), -1, 4, Fraction(11, 4), Fraction(29, 11))
+        assert profile.mode is ConvergenceMode.DIVERGENT
+        assert profile.errors[-1] < profile.errors[4] < 0.02
+
     @given(st.integers(0, 10**9))
     @settings(max_examples=150, deadline=None)
     def test_matches_theorem_classes(self, seed):
