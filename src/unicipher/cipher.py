@@ -477,7 +477,7 @@ def _verdict(
             for j, r in enumerate((c1 * j11 + c2 * j21, c1 * j12 + c2 * j22)):
                 if r % det:
                     return NonIntegralPlaintext(
-                        f"entry {(i, j)} of C·adj M is not divisible by det {det}"
+                        f"entry ({i}, {j}) of C·adj M is not divisible by det {det}"
                     )
     return NegativePlaintext(
         "decryption produced negative entries; ciphertext corrupt or key wrong"

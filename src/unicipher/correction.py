@@ -18,26 +18,32 @@ patterns covered, per weight and in log order:
   * weight 2: diagonal (1, 0), anti-diagonal (0, 1), column-left (1, 1),
     column-right (0, 0), row-top (None, 2) and row-bottom (2, None).
 
-The four weight-3 patterns and the weight-4 one are not covered.  One loop
-reads the table: per pattern it reads the anchor row's points from one
-per-block list of sources (the intact top and bottom rows, then the top
-row's two kept-entry lines, listed where weight 2 begins) and solves the
-other row beside each, its kept entry's line meeting the det-P line in one
-solve, or its det-P line cut to a k-interval by the box and the
-column-ratio grid.
+The four weight-3 patterns and the weight-4 one are not covered.  Beside
+each pattern the table holds the log its weight writes if it ends there
+with no candidate, and per class the log when that class holds the weight's
+one candidate, all built once at import.  One loop reads the table: per
+pattern it reads the anchor row's points from one per-block list of sources
+(the intact top and bottom rows, then the top row's two kept-entry lines,
+listed where weight 2 begins) and solves the other row beside each, its
+kept entry's line meeting the det-P line in one solve, or its det-P line
+cut to a k-interval by the box and the column-ratio grid.
 
 Every candidate must be intact, as decryption asks, and sit at exactly its
 weight, which four entry comparisons with C check.  A candidate is built as
 rows @ M(n) from P-rows inside the box, and M(n) is invertible, so solving
 it would only give those rows back: it is intact when cipher._checked (det
-P and the column-ratio grid) passes on them.  The decoder decides at the
-lowest weight with a passing candidate: one is the repair, several are
-ambiguity, whatever their classes.  The loop stops a weight at its second
-passing candidate; _settle then logs and decides it.  A line that nothing
-bounds, or that holds more than MAX_CANDIDATES points, is never scanned:
-its class is reported (column-ratio-missing for a row with neither a grid
-nor a bound), and the weight that holds it is ambiguous, since that class
-cannot be ruled out.
+P and the column-ratio grid) passes on them.  Its entries are ints just
+multiplied, so its Mat2 is built as cipher._package builds C, without a
+second type check.  The decoder decides at the lowest weight with a passing
+candidate: one is the repair, several are ambiguity, whatever their
+classes.  The loop stops a weight at its second passing candidate; _settle
+then logs and decides it, taking the log from the table when the weight
+found nothing or one candidate and scanned every line, so only a tie or an
+unscanned line builds log entries per block.  A line that nothing bounds, or
+that holds more than MAX_CANDIDATES points, is never scanned: its class is
+reported (column-ratio-missing for a row with neither a grid nor a bound),
+and the weight that holds it is ambiguous, since that class cannot be ruled
+out.
 
 The one-point rule: a kept-entry line steps x by m = |M[1][j]| / gcd of
 column j (CodingMatrix.column_lines), so with a bound and m >= bound it
@@ -59,7 +65,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .cipher import CipherKey, CipherPackage, _checked, _package_rows, _verdict
+from .cipher import CipherKey, CipherPackage, _checked, _object_new, _object_setattr
+from .cipher import _package_rows, _verdict
 from .errors import CipherError
 from .matrix import Mat2, _require_int, line_step
 
@@ -90,17 +97,36 @@ _WEIGHTS = (
         ("diagonal", 1, 0), ("anti-diagonal", 0, 1), ("column-left", 1, 1),
         ("column-right", 0, 0), ("row-top", None, 2), ("row-bottom", 2, None))),
 )
-# Per pattern, what correct reads: the class; where the anchor row's points
-# come from, the intact row a (0 or 1) or the line of the top row keeping
-# entry j (2 + j); the other row i and what it keeps; the change (four flags
-# over C's row-major entries, True where it differs); and the classes logged
-# if the weight stops there.
-_TABLE = tuple((none, tuple(
-    (cls, a if keeps[a] == 2 else 2 + keeps[a], 1 - a, keeps[1 - a],
-     tuple(k not in (2, j) for k in keeps for j in (0, 1)),
-     tuple(dict.fromkeys(c for c, *_ in patterns[:n + 1])))
-    for n, (cls, *keeps) in enumerate(patterns) for a in [int(keeps[1] == 2)]))
-    for none, patterns in _WEIGHTS)
+
+
+def _weight_table(none: str, patterns) -> tuple:
+    """One weight of _TABLE: its pattern rows, then the log per class that
+    can hold the weight's one candidate.
+
+    Per pattern: the class; where the anchor row's points come from, the
+    intact row a (0 or 1) or the line of the top row keeping entry j (2 + j);
+    the other row i and what it keeps; the change (four flags over C's
+    row-major entries, True where it differs); and the log if the weight ends
+    there with no candidate, each class read so far with the entry none.
+    The one-candidate log has the holding class's "repaired" beside every
+    other class's none.  Both are built once, at import, so _settle builds
+    entries only for a tie or an unscanned line.
+    """
+    classes = tuple(dict.fromkeys(cls for cls, *_ in patterns))
+    rows = []
+    for cls, *keeps in patterns:
+        a = int(keeps[1] == 2)
+        rows.append((
+            cls, a if keeps[a] == 2 else 2 + keeps[a], 1 - a, keeps[1 - a],
+            tuple(k not in (2, j) for k in keeps for j in (0, 1)),
+            tuple((c, none) for c in classes[:classes.index(cls) + 1]),
+        ))
+    repaired = {cls: tuple((c, "repaired" if c == cls else none) for c in classes)
+                for cls in classes}
+    return tuple(rows), repaired
+
+
+_TABLE = tuple(_weight_table(none, patterns) for none, patterns in _WEIGHTS)
 
 
 @dataclass(frozen=True)
@@ -211,32 +237,37 @@ def _grid_limit(i: int, e: tuple[int, ...], grid, m11: int, m21: int):
     return m11, m21, -(-(2 * r - 1) * e[0] // (2 * d)), (2 * r + 1) * e[0] // (2 * d)
 
 
-def _settle(classes, none: str, found: list, unscanned: dict, log: list, examined: int):
-    """Log each class examined at one weight (none: the entry of a class with
-    no candidate) and decide the weight: the report of its one passing
-    candidate, or of the tie or unscanned class that makes it ambiguous;
-    else None, at once when the weight found nothing and scanned every
-    class.  found holds (block, class, change) per passing candidate; a
-    single's position is the one entry its change flags."""
-    if not found and not unscanned:
-        log += [(cls, none) for cls in classes]
-        return None
+def _settle(quiet: tuple, repaired: dict, found: list, unscanned: dict, log: list,
+            examined: int):
+    """Log each class examined at one weight and decide it: the report of its
+    one passing candidate, or of the tie or unscanned class that makes it
+    ambiguous; else None, at once when the weight found nothing and scanned
+    every class.  quiet and repaired are the weight's logs from _TABLE: the
+    classes read, each with the no-candidate entry, and per class the log
+    when it holds the one candidate.  found holds (block, class, change) per
+    passing candidate; a single's position is the one entry its change flags.
+    Only a tie or an unscanned class builds its entries here."""
+    if not unscanned:
+        if not found:
+            log += quiet
+            return None
+        if len(found) == 1:
+            ((block, cls, changed),) = found
+            position = divmod(changed.index(True), 2) if cls == "single" else None
+            return CorrectionReport(
+                _CLASS[cls], examined, block, position, None, False, (*log, *repaired[cls]))
+    classes = [cls for cls, _ in quiet]
+    none = quiet[0][1]
     blocked = ", ".join([cls for cls in classes if cls in unscanned]) if unscanned else ""
     holding = [cls for _, cls, _ in found]
     if len(found) > 1:
         tying = ", ".join([cls for cls in classes if cls in holding])
         outcome = "ambiguous: candidate repairs tie"
         reason = f"{outcome} in {tying}" + (f"; {blocked} not scanned" if blocked else "")
-    elif blocked:
-        outcome = reason = f"ambiguous: {blocked} not scanned"
     else:
-        outcome, reason = "repaired", None
+        outcome = reason = f"ambiguous: {blocked} not scanned"
     log += [(cls, unscanned.get(cls) or (outcome if cls in holding else none)) for cls in classes]
-    if reason is not None:
-        return CorrectionReport(ErrorClass.NONE, examined, None, None, reason, True, tuple(log))
-    ((block, cls, changed),) = found
-    position = divmod(changed.index(True), 2) if cls == "single" else None
-    return CorrectionReport(_CLASS[cls], examined, block, position, None, False, tuple(log))
+    return CorrectionReport(ErrorClass.NONE, examined, None, None, reason, True, tuple(log))
 
 
 def correct(
@@ -326,21 +357,24 @@ def correct(
         if (a11 != c11, a12 != c12, a21 != c21, a22 != c22) != changed:
             return False
         # block_rows are in the box and the block is block_rows @ M(n) exactly,
-        # so they are what solving it would give: only _checked is left.
-        block = Mat2(a11, a12, a21, a22)
+        # so they are what solving it would give: only _checked is left.  Its
+        # entries are ints just multiplied, so it is built as cipher._package
+        # builds C, with the __dict__ Mat2.__init__ would store.
+        block = _object_new(Mat2)
+        _object_setattr(block, "__dict__", {"a11": a11, "a12": a12, "a21": a21, "a22": a22})
         if _checked(block, block_rows, det_p, grid) is None:
             return False
         found.append((block, cls, changed))
         return len(found) > 1
 
     stop = False
-    for weight, (none, patterns) in enumerate(_TABLE):
+    for weight, (patterns, repaired) in enumerate(_TABLE):
         if weight:  # weight 2: the one-point rule leaves the top-row lines no points
             (_, m0, _), (_, m1, _) = cm.column_lines
             one_point = bound is not None and (top or bottom) is not None and (
                 None not in (m0, m1) and min(m0, m1) >= bound)
             sources += ((), ()) if one_point else (line(0, 0), line(0, 1))
-        for cls, source, i, keeps, changed, logged in patterns:
+        for cls, source, i, keeps, changed, quiet in patterns:
             anchors = sources[source]
             if anchors is None:
                 unscanned[cls] = "search-range-too-wide"
@@ -365,7 +399,7 @@ def correct(
                     break
             if stop:
                 break
-        report = _settle(logged, none, found, unscanned, attempts, examined)
+        report = _settle(quiet, repaired, found, unscanned, attempts, examined)
         if report is not None:
             return report
     return CorrectionReport(

@@ -7,9 +7,9 @@ check.  These checks pin the dataclass behaviour they keep: equality,
 hashing, repr, dataclasses.replace (which validates again), copying,
 pickling and immutability.  The packages that encrypt_message,
 loads_packages and corrupt_packages build without those checks
-(cipher._package) must be indistinguishable from ones the constructors
-build.  The module needs no pytest, so it also runs as a script on
-interpreters that have none:
+(cipher._package), and the blocks correct repairs, must be
+indistinguishable from ones the constructors build.  The module needs no
+pytest, so it also runs as a script on interpreters that have none:
 
     PYTHONPATH=src python tests/test_value_objects.py
 """
@@ -29,7 +29,7 @@ from unicipher.cipher import (
     VerifyStatus,
     encrypt_message,
 )
-from unicipher.correction import CorrectionReport, ErrorClass
+from unicipher.correction import CorrectionReport, ErrorClass, correct
 from unicipher.matrix import Mat2
 from unicipher.sampling import random_cipher_key
 
@@ -152,10 +152,12 @@ def test_assignment_is_refused():
         assert obj == twin
 
 
-def built_packages():
-    """Every package encrypt_message, loads_packages and corrupt_packages return
-    over seeded messages: golden, cat and random keys with n in 1..500, both
-    alphabets, without the column ratio and with it at 0..6 digits."""
+def sent_messages():
+    """(key, alphabet, sent, received, corrupted) per seeded message, where
+    sent is what encrypt_message returns, received what loads_packages reads
+    back, and corrupted what corrupt_packages makes of it: golden, cat and
+    random keys with n in 1..500, both alphabets, without the column ratio
+    and with it at 0..6 digits."""
     rng = random.Random(3303)
     keys = [CipherKey.golden(1), CipherKey.golden(10), CipherKey.golden(500),
             CipherKey.arnolds_cat(3), CipherKey.arnolds_cat(120)]
@@ -170,7 +172,41 @@ def built_packages():
                                        ratio_digits=2 if digits is None else digits)
                 received = loads_packages(dumps_packages(sent))
                 corrupted, _ = corrupt_packages(received, CorruptionSpec("random", rng.randrange(99)))
-                yield from sent + received + corrupted
+                yield key, alphabet, sent, received, corrupted
+
+
+def built_packages():
+    """Every package encrypt_message, loads_packages and corrupt_packages return
+    over the seeded messages."""
+    for _, _, sent, received, corrupted in sent_messages():
+        yield from sent + received + corrupted
+
+
+def repaired_blocks():
+    """Every block correct repairs in the corrupted packages, at the alphabet's
+    bound; a clean block, which correct returns as received, is left out."""
+    for key, alphabet, _, _, corrupted in sent_messages():
+        for pkg in corrupted:
+            report = correct(pkg, key, plaintext_bound=alphabet.size)
+            if report.success and report.assumed_class is not ErrorClass.NONE:
+                yield report.repaired
+
+
+def assert_built_as_constructed(obj, twin) -> None:
+    """obj, built without its constructor's checks, is twin, built by it, in
+    __dict__ items and order, ==, hash, repr, pickle at every protocol and
+    copy/deepcopy."""
+    assert type(obj) is type(twin)
+    assert list(obj.__dict__.items()) == list(twin.__dict__.items())
+    assert obj == twin and not obj != twin and hash(obj) == hash(twin)
+    assert repr(obj) == repr(twin)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(obj, protocol) == pickle.dumps(twin, protocol)
+        assert pickle.loads(pickle.dumps(obj, protocol)) == twin
+    for clone in (copy.copy(obj), copy.deepcopy(obj)):
+        assert list(clone.__dict__.items()) == list(twin.__dict__.items())
+        assert repr(clone) == repr(twin)
+    assert dataclasses.replace(obj) == twin
 
 
 def test_built_packages_match_the_constructors():
@@ -179,19 +215,8 @@ def test_built_packages_match_the_constructors():
         c = pkg.c
         twin = CipherPackage(Mat2(*c.entries()), pkg.det_p, pkg.column_ratio, pkg.block_index,
                              pkg.pad_len)
-        assert type(pkg) is CipherPackage and type(c) is Mat2
-        assert list(pkg.__dict__.items()) == list(twin.__dict__.items())
-        assert list(c.__dict__.items()) == list(twin.c.__dict__.items())
-        assert pkg == twin and not pkg != twin and hash(pkg) == hash(twin)
-        assert c == twin.c and hash(c) == hash(twin.c)
-        assert repr(pkg) == repr(twin)
-        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            assert pickle.dumps(pkg, protocol) == pickle.dumps(twin, protocol)
-            assert pickle.loads(pickle.dumps(pkg, protocol)) == twin
-        for clone in (copy.copy(pkg), copy.deepcopy(pkg)):
-            assert list(clone.__dict__.items()) == list(twin.__dict__.items())
-            assert repr(clone) == repr(twin)
-        assert dataclasses.replace(pkg) == twin
+        assert_built_as_constructed(pkg, twin)
+        assert_built_as_constructed(c, twin.c)
         assert dataclasses.replace(pkg, det_p=pkg.det_p + 1) == dataclasses.replace(
             twin, det_p=twin.det_p + 1)
         raises(ValueError, dataclasses.replace, pkg, pad_len=4)
@@ -200,6 +225,23 @@ def test_built_packages_match_the_constructors():
         raises(dataclasses.FrozenInstanceError, setattr, c, "a11", 0)
         count += 1
     assert count > 1000
+
+
+def test_repaired_blocks_match_the_constructor():
+    """correct builds a passing candidate from the ints it has just proven,
+    without Mat2's checks; it must be Mat2(*entries), with no plaintext rows
+    kept on it."""
+    count = 0
+    for block in repaired_blocks():
+        assert "_rows" not in block.__dict__
+        assert all(type(entry) is int for entry in block.entries())
+        assert_built_as_constructed(block, Mat2(*block.entries()))
+        raises(TypeError, dataclasses.replace, block, a11=1.0)
+        raises(dataclasses.FrozenInstanceError, setattr, block, "a11", 0)
+        raises(dataclasses.FrozenInstanceError, delattr, block, "a22")
+        raises(dataclasses.FrozenInstanceError, setattr, block, "_rows", None)
+        count += 1
+    assert count > 300
 
 
 if __name__ == "__main__":
