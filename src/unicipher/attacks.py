@@ -146,7 +146,6 @@ def measure_unimodular_resistance(
     wanted = [(p.entries(), oracle.query(p).entries()) for p in queries]
     counts = [0] * len(queries)
     enumerated = 0
-    truncated = False
     seeds = tuple(itertools.product(box.seeds_a, box.seeds_b))
     keys = ((*u, a0, b0) for u in itertools.chain((first,), units) for a0, b0 in seeds)
     for alpha, beta, gamma, delta, a0, b0 in keys:
@@ -155,8 +154,7 @@ def measure_unimodular_resistance(
         at = 0
         for n in exponents:
             if enumerated >= cap:
-                truncated = True
-                break
+                return ResistanceStats(tuple(counts), enumerated, True)
             enumerated += 1
             for _ in range(n - at):
                 m11, m12, m21, m22 = next(walk)
@@ -169,6 +167,4 @@ def measure_unimodular_resistance(
                 if got != want:
                     break
                 counts[q] += 1
-        if truncated:
-            break
-    return ResistanceStats(tuple(counts), enumerated, truncated)
+    return ResistanceStats(tuple(counts), enumerated, False)

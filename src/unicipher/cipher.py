@@ -149,15 +149,17 @@ class ColumnRatioCheck:
 
     The value must be a str (no subclass) holding a non-negative decimal
     with at most MAX_RATIO_DIGITS fractional places, the form the sender
-    writes, so an instance holds only ASCII digits and a point.  digits, the
-    number of places, is read off the value.  As in Mat2, the hand-written
-    __init__ checks the argument and stores every field in one step.
+    writes, so an instance holds only ASCII digits and a point.
+    __post_init__ checks the value, for callers and for dataclasses.replace,
+    and reads digits, the number of places, off it.  The sender and
+    loads_packages take their checks from the intern below.
     """
 
     value: str
     digits: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, value: str):
+    def __post_init__(self):
+        value = self.value
         if type(value) is not str:
             raise TypeError(f"value must be a str, got {type(value).__name__}")
         match = _RATIO_VALUE.fullmatch(value)
@@ -166,7 +168,7 @@ class ColumnRatioCheck:
                 f"column-ratio value must be a non-negative decimal with at most "
                 f"{MAX_RATIO_DIGITS} places, got {value!r}"
             )
-        object.__setattr__(self, "__dict__", {"value": value, "digits": len(match[1] or "")})
+        object.__setattr__(self, "digits", len(match[1] or ""))
 
     @cached_property
     def grid(self) -> tuple[int, int]:
@@ -211,9 +213,11 @@ class CipherPackage:
     """Ciphertext block plus its check numbers and framing.
 
     The framing fields are plain ints, so the canonical writer can print
-    every field without asking the JSON encoder what it holds.  The
-    plaintext rows that verify_package, decryption or correct solves stay
-    with c, not here (_package_rows).
+    every field without asking the JSON encoder what it holds.
+    __post_init__ checks every field, for callers and for
+    dataclasses.replace; the package's own builders go through _package.
+    The plaintext rows that verify_package, decryption or correct solves
+    stay with c, not here (_package_rows).
     """
 
     c: Mat2
@@ -222,30 +226,18 @@ class CipherPackage:
     block_index: int = 0
     pad_len: int = 0
 
-    def __init__(
-        self,
-        c: Mat2,
-        det_p: int,
-        column_ratio: ColumnRatioCheck | None = None,
-        block_index: int = 0,
-        pad_len: int = 0,
-    ):
-        if not isinstance(c, Mat2):
-            raise TypeError(f"c must be a Mat2, got {type(c).__name__}")
-        if not (type(det_p) is type(block_index) is type(pad_len) is int):
-            _require_int("det_p", det_p)
-            _require_int("block_index", block_index)
-            _require_int("pad_len", pad_len)
-        if column_ratio is not None and not isinstance(column_ratio, ColumnRatioCheck):
+    def __post_init__(self):
+        if not isinstance(self.c, Mat2):
+            raise TypeError(f"c must be a Mat2, got {type(self.c).__name__}")
+        _require_int("det_p", self.det_p)
+        _require_int("block_index", self.block_index)
+        _require_int("pad_len", self.pad_len)
+        if not isinstance(self.column_ratio, ColumnRatioCheck | None):
             raise TypeError("column_ratio must be a ColumnRatioCheck or None")
-        if not 0 <= pad_len <= 3:
+        if not 0 <= self.pad_len <= 3:
             raise ValueError("pad_len must be in 0..3")
-        if block_index < 0:
+        if self.block_index < 0:
             raise ValueError("block_index must be non-negative")
-        object.__setattr__(self, "__dict__", {
-            "c": c, "det_p": det_p, "column_ratio": column_ratio,
-            "block_index": block_index, "pad_len": pad_len,
-        })
 
 
 # Bound once: looking both up on object costs _package about 0.1 us a call.
@@ -257,8 +249,9 @@ def _package(c11, c12, c21, c22, det_p, check, index, pad) -> CipherPackage:
 
     For the package's own builders, whose every value is already proven:
     exact ints, check a ColumnRatioCheck or None, index >= 0 and pad in
-    0..3.  Each object gets the __dict__ its __init__ would store, so
-    equality, hash, repr, pickle and copy cannot tell the two apart.
+    0..3.  Each object gets the __dict__ the dataclass's __init__ stores,
+    its fields in field order, so equality, hash, repr, pickle and copy
+    cannot tell the two apart.
     """
     c = _object_new(Mat2)
     _object_setattr(c, "__dict__", {"a11": c11, "a12": c12, "a21": c21, "a22": c22})

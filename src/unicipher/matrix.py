@@ -55,11 +55,12 @@ def _require_int(name: str, value) -> None:
 class Mat2:
     """2x2 matrix of exact integers, fields row-major.
 
-    The hand-written __init__ (which dataclass keeps) checks the entries and
-    stores all four in one step; eq, hash, repr and immutability are the
-    dataclass's.  A ciphertext block may also keep its plaintext rows, each
-    None when it does not solve, in __dict__ (cipher._package_rows);
-    __getstate__ leaves them out.
+    __init__, eq, hash, repr and immutability are the dataclass's;
+    __post_init__ names the first entry that is not an int, for callers and
+    for dataclasses.replace.  Builders that hold proven ints (cipher._package,
+    correct's passes) store the same __dict__ without it.  A ciphertext
+    block may also keep its plaintext rows, each None when it does not
+    solve, in __dict__ (cipher._package_rows); __getstate__ leaves them out.
     """
 
     a11: int
@@ -67,12 +68,9 @@ class Mat2:
     a21: int
     a22: int
 
-    def __init__(self, a11: int, a12: int, a21: int, a22: int):
-        # Fast path for the common case; the loop names the first entry that is not an int.
-        if not (type(a11) is type(a12) is type(a21) is type(a22) is int):
-            for name, value in (("a11", a11), ("a12", a12), ("a21", a21), ("a22", a22)):
-                _require_int(name, value)
-        object.__setattr__(self, "__dict__", {"a11": a11, "a12": a12, "a21": a21, "a22": a22})
+    def __post_init__(self):
+        for name, value in zip(("a11", "a12", "a21", "a22"), self.entries()):
+            _require_int(name, value)
 
     def __getstate__(self):
         """The four entries, so pickles and copies carry no remembered plaintext rows."""

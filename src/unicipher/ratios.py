@@ -68,12 +68,9 @@ class FixedPoints:
         return (lhs > rhs) - (lhs < rhs)
 
     def compare_minus(self, q) -> int:
-        """Sign of q - phi_minus for rational q, computed exactly."""
-        r = 2 * Fraction(q) - self.t
-        if r >= 0:
-            return 1 if (r > 0 or self.discriminant > 0) else 0
-        lhs, rhs = r * r, self.discriminant
-        return (rhs > lhs) - (rhs < lhs)
+        """Sign of q - phi_minus for rational q, computed exactly: phi_plus +
+        phi_minus = t, so q - phi_minus = -((t - q) - phi_plus)."""
+        return -self.compare_plus(self.t - Fraction(q))
 
     def phi_plus_decimal(self, digits: int = 15) -> str:
         """phi_plus truncated to `digits` decimal places via integer sqrt."""

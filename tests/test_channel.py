@@ -18,6 +18,7 @@ from unicipher.channel import (
     loads_packages,
 )
 from unicipher.cipher import (
+    _MAX_DECIMAL_DIGITS,
     MAX_RATIO_DIGITS,
     Alphabet,
     CipherKey,
@@ -48,6 +49,14 @@ def alphabet_key_text(alphabet) -> str:
 
 def custom_alphabet_key_text(symbols) -> str:
     return alphabet_key_text({"kind": "custom", "symbols": symbols})
+
+
+def over_long_key_text() -> str:
+    """A golden key file whose alpha has 4,301 decimal digits, one past Python's
+    int-str limit."""
+    key_dict = json.loads(dumps_key(CipherKey.golden(4)))
+    key_dict["u"]["alpha"] = "9" * (_MAX_DECIMAL_DIGITS + 1)
+    return json.dumps(key_dict)
 
 
 class TestKeyFiles:
@@ -105,6 +114,11 @@ class TestKeyFiles:
         text = dumps_key(CipherKey.golden(4)).replace('"1"', '"one"', 1)
         with pytest.raises(FormatError):
             loads_key(text)
+
+    def test_entry_past_the_digit_limit(self):
+        with pytest.raises(FormatError) as info:
+            loads_key(over_long_key_text())
+        assert str(info.value) == "integer past the 4300-digit limit"
 
     @pytest.mark.parametrize("symbols", MALFORMED_SYMBOLS)
     def test_malformed_alphabet(self, symbols):

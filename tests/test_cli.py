@@ -22,6 +22,7 @@ from test_channel import (
     custom_alphabet_key_text,
     framed_packages_text,
     malformed_package_text,
+    over_long_key_text,
 )
 
 
@@ -459,6 +460,15 @@ class TestPipelines:
         code, out, err = run(capsys, "decrypt", "--key", str(key_file), "--in", str(pkg_file))
         assert code == 1 and out == ""
         assert err.startswith("error[FormatError]: ") and "Traceback" not in err
+
+    def test_key_integer_past_the_digit_limit_is_a_format_error(self, tmp_path, capsys):
+        key_file = self.make_key(tmp_path, capsys)
+        pkg_file = tmp_path / "packages.json"
+        run(capsys, "encrypt", "--key", str(key_file), "--in", "MATH", "--out", str(pkg_file))
+        key_file.write_text(over_long_key_text())
+        code, out, err = run(capsys, "decrypt", "--key", str(key_file), "--in", str(pkg_file))
+        assert code == 1 and out == ""
+        assert err == "error[FormatError]: integer past the 4300-digit limit\n"
 
     def test_malformed_perm_is_a_format_error(self, tmp_path, capsys):
         key_file = self.make_key(tmp_path, capsys)

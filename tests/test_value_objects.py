@@ -1,15 +1,17 @@
 """Object semantics of the value objects on the wire path.
 
 Mat2, ColumnRatioCheck, CipherPackage, VerifyResult and CorrectionReport
-are frozen dataclasses; the first three validate their arguments in a
-hand-written __init__, and CorrectionReport's stores its fields without a
-check.  These checks pin the dataclass behaviour they keep: equality,
-hashing, repr, dataclasses.replace (which validates again), copying,
-pickling and immutability.  The packages that encrypt_message,
-loads_packages and corrupt_packages build without those checks
-(cipher._package), and the blocks correct repairs, must be
-indistinguishable from ones the constructors build.  The module needs no
-pytest, so it also runs as a script on interpreters that have none:
+are frozen dataclasses; the first three keep the dataclass's __init__ and
+validate their arguments in __post_init__, and CorrectionReport's
+hand-written __init__ stores its fields without a check.  These checks pin
+the dataclass behaviour they keep: equality, hashing, repr,
+dataclasses.replace (which validates again), copying, pickling and
+immutability.  The packages that encrypt_message, loads_packages and
+corrupt_packages build without those checks (cipher._package), and the
+blocks correct repairs, must be indistinguishable from ones the
+constructors build.  tests/test_constructor_checks.py pins each refusal's
+exact error.  The module needs no pytest, so it also runs as a script on
+interpreters that have none:
 
     PYTHONPATH=src python tests/test_value_objects.py
 """
